@@ -11,10 +11,11 @@ from contextlib import contextmanager
 
 MUTATIONS = {
     "right-kernel-sign": "flip the sign of the sine part of the right-hand "
-                         "transform kernel in the direct quadrature path",
-    "iqft-scale": "drop the 1/(2*pi)^2 normalization of the inverse transform",
-    "chirp-sign": "flip the sign of the quadratic pre-chirp phase in the "
-                  "factorized forward transform",
+                         "kernel in the dense QOLCT quadrature (qolct_direct)",
+    "iqft-scale": "drop the 1/(2*pi)^2 normalization of every inverse "
+                  "transform in the two-sided transform engine",
+    "chirp-sign": "flip the sign of the quadratic input-chirp phase the QOLCT "
+                  "hands to the two-sided transform engine",
 }
 
 _current: str | None = None

@@ -143,11 +143,6 @@ def integrate(g: QField) -> Quaternion:
     return Quaternion.from_array(comp)
 
 
-def integrate_real(values: np.ndarray, grid: Grid2D) -> float:
-    """Riemann sum of a real 2D array sampled on ``grid``."""
-    return float(np.sum(values)) * grid.cell_area
-
-
 def l2_norm(f: QField) -> float:
     """sqrt(integral of |f(t)|_Q^2)."""
     return float(np.sqrt(np.sum(f.samples * f.samples) * f.grid.cell_area))

@@ -9,9 +9,12 @@ with a*d - b*c = 1.  For b1, b2 > 0 the transform is
                           + d (u^2 + tau^2)) / (2 b)),
 
 with the left kernel on axis lam and the right kernel on axis mu.  The
-production path factors this as chirp -> QFT -> chirp; ``qolct_direct``
-evaluates the kernel quadrature densely and serves as the mutual oracle.
-Degenerate axes (b = 0) become pointwise substitutions with chirps.
+kernel factors as input chirp -> QFT -> output factor C(u), so the forward
+and inverse transforms and the quartets hand their per-axis chirps and
+factors to the planes-split FFT engine of ``qft``, which serves every axis
+pair.  ``qolct_direct`` evaluates the kernel quadrature densely and serves as
+the mutual oracle.  Degenerate axes (b = 0) become pointwise substitutions
+with chirps.
 """
 
 from __future__ import annotations
@@ -23,16 +26,24 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import _mutation
-from .field import ComponentQuartet, Grid2D, QField, fourier_shift, partial_derivative
+from .field import (
+    ComponentQuartet,
+    Grid2D,
+    QField,
+    apply_chirp,
+    fourier_shift,
+    partial_derivative,
+)
 from .qft import (
     _CONTRACT_BLOCK,
+    IdentityReport,
     PlanViolationError,
     QftPlan,
     _left_contract,
+    _quartet,
     _right_contract,
-    iqft,
-    qft_direct,
-    qft_fast_ij,
+    _sandwich,
+    _two_sided,
 )
 from .quat import UNIT_I, UNIT_J, PureUnit, Quaternion, plane_to_quat, qmul, qnorm
 
@@ -53,6 +64,9 @@ class OffsetParams:
     eta: float = 0.0
 
     def __post_init__(self):
+        for name in ("a", "b", "c", "d", "tau", "eta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} = {getattr(self, name)!r} is not finite")
         det = self.a * self.d - self.b * self.c
         if abs(det - 1.0) > 1e-12:
             raise ValueError(f"matrix determinant {det!r} is not 1")
@@ -148,64 +162,49 @@ class QolctPlan:
                        self.lam, self.mu, "forward")
 
 
-def _chirp_1d(coords, lin, quad, axis: PureUnit, extra=0.0, scale=1.0):
-    """scale * exp(axis*(lin*x + quad*x^2 + extra)) as a (n, 4) stack."""
-    z = scale * np.exp(1j * (lin * coords + quad * coords ** 2 + extra))
-    return plane_to_quat(z, axis)
-
-
-def _output_factor(A: OffsetParams, axis: PureUnit, u, inverse=False):
-    """The u-dependent kernel factor C(u) = (2 pi b)^(-1/2) e^{-axis pi/4}
-    e^{axis*(-2u(d tau - b eta) + d(u^2 + tau^2))/(2b)}, or its inverse."""
-    phi = (-2.0 * u * (A.d * A.tau - A.b * A.eta)
-           + A.d * (u * u + A.tau * A.tau)) / (2.0 * A.b)
-    if inverse:
-        return plane_to_quat(
-            np.exp(-1j * (phi - math.pi / 4.0)) * math.sqrt(2.0 * math.pi * A.b),
-            axis)
-    return plane_to_quat(
-        np.exp(1j * (phi - math.pi / 4.0)) / math.sqrt(2.0 * math.pi * A.b),
-        axis)
-
-
-def _signal_chirp(f: QField, A1: OffsetParams, A2: OffsetParams,
-                  lam: PureUnit, mu: PureUnit, sign: float) -> QField:
-    """exp(sign*lam*(tau1 t1/b1 + a1 t1^2/(2 b1))) f exp(mu-side analogue)."""
-    quad_sign = sign
+def _chirp_coefs(A: OffsetParams, sign: float = 1.0):
+    """(linear, quadratic) coefficients of the input chirp
+    exp(axis*sign*(tau t/b + a t^2/(2b)))."""
+    quad = sign * A.a / (2.0 * A.b)
     if _mutation.active("chirp-sign"):
-        quad_sign = -sign
-    t1 = f.grid.axis_coords(1)
-    t2 = f.grid.axis_coords(2)
-    left = _chirp_1d(t1, sign * A1.tau / A1.b, quad_sign * A1.a / (2.0 * A1.b), lam)
-    right = _chirp_1d(t2, sign * A2.tau / A2.b, quad_sign * A2.a / (2.0 * A2.b), mu)
-    out = qmul(left[:, None, :], f.samples)
-    out = qmul(out, right[None, :, :])
-    return QField(f.grid, out)
+        quad = -quad
+    return sign * A.tau / A.b, quad
+
+
+def _chirped_signal(f: QField, plan: QolctPlan) -> QField:
+    """exp(lam*(tau1 t1/b1 + a1 t1^2/(2 b1))) f exp(mu-side analogue)."""
+    return apply_chirp(f, plan.lam, *_chirp_coefs(plan.A1),
+                       plan.mu, *_chirp_coefs(plan.A2))
+
+
+def _plan_factors(plan: QolctPlan, sign: float = 1.0):
+    """Per-axis input chirps and output factors C(u) = (2 pi b)^(-1/2)
+    e^{-i pi/4} e^{i(-2u(d tau - b eta) + d(u^2 + tau^2))/(2b)} of the plan
+    as complex values (sign +1), or their inverses (sign -1)."""
+    chirps, factors = [], []
+    for axis, A in ((1, plan.A1), (2, plan.A2)):
+        _require_positive_b(A, f"axis {axis}")
+        lin, quad = _chirp_coefs(A, sign)
+        t = plan.input_grid.axis_coords(axis)
+        chirps.append(np.exp(1j * (lin * t + quad * t * t)))
+        u = plan.output_grid.axis_coords(axis)
+        phi = (-2.0 * u * (A.d * A.tau - A.b * A.eta)
+               + A.d * (u * u + A.tau * A.tau)) / (2.0 * A.b) - math.pi / 4.0
+        factors.append(np.exp(1j * sign * phi) * (2.0 * math.pi * A.b) ** (-0.5 * sign))
+    return chirps, factors
 
 
 def qolct_forward(f: QField, plan: QolctPlan) -> QField:
-    """Forward transform via the chirp -> QFT -> chirp factorization.
+    """Forward transform via the chirp -> QFT -> output-factor factorization.
 
     Exact (to rounding) rearrangement of the direct kernel quadrature on the
-    plan's grids; uses the FFT path when lam=i, mu=j.
+    plan's grids, for any axes.
     """
-    _require_positive_b(plan.A1, "axis 1")
-    _require_positive_b(plan.A2, "axis 2")
+    chirps, factors = _plan_factors(plan)
     if f.grid != plan.input_grid:
         raise ValueError("field grid does not match plan input grid")
-    g = _signal_chirp(f, plan.A1, plan.A2, plan.lam, plan.mu, +1.0)
-    qplan = plan.qft_plan()
-    if plan.lam == UNIT_I and plan.mu == UNIT_J and qplan.is_fft_compatible():
-        Fg = qft_fast_ij(g, qplan)
-    else:
-        Fg = qft_direct(g, qplan)
-    u1 = plan.output_grid.axis_coords(1)
-    u2 = plan.output_grid.axis_coords(2)
-    c1 = _output_factor(plan.A1, plan.lam, u1)
-    c2 = _output_factor(plan.A2, plan.mu, u2)
-    out = qmul(c1[:, None, :], Fg.samples)
-    out = qmul(out, c2[None, :, :])
-    return QField(plan.output_grid, out)
+    return QField(plan.output_grid,
+                  _two_sided(f.samples, plan.qft_plan(), chirps, factors))
 
 
 def _kernel_matrices(A: OffsetParams, t, u, transposed: bool):
@@ -247,27 +246,19 @@ def qolct_direct(f: QField, plan: QolctPlan) -> QField:
 def qolct_inverse(F: QField, plan: QolctPlan) -> QField:
     """Inverse transform: conj-kernel quadrature, computed by unwinding the
     factorization (inverse output factors, inverse QFT, inverse chirps)."""
-    _require_positive_b(plan.A1, "axis 1")
-    _require_positive_b(plan.A2, "axis 2")
+    chirps, factors = _plan_factors(plan, -1.0)
     if F.grid != plan.output_grid:
         raise ValueError("field grid does not match plan output grid")
-    u1 = plan.output_grid.axis_coords(1)
-    u2 = plan.output_grid.axis_coords(2)
-    c1 = _output_factor(plan.A1, plan.lam, u1, inverse=True)
-    c2 = _output_factor(plan.A2, plan.mu, u2, inverse=True)
-    samples = qmul(c1[:, None, :], F.samples)
-    samples = qmul(samples, c2[None, :, :])
-    Fg = QField(plan.scaled_freq_grid(), samples)
-    g = iqft(Fg, plan.qft_plan().inverted())
-    return _signal_chirp(g, plan.A1, plan.A2, plan.lam, plan.mu, -1.0)
+    return QField(plan.input_grid, _two_sided(
+        F.samples, plan.qft_plan().inverted(), factors, chirps))
 
 
 def qolct_quartet(f: QField, plan: QolctPlan) -> ComponentQuartet:
     """Transforms of the four real components of f, sharing the output grid."""
-    members = tuple(
-        qolct_forward(QField.from_real(f.grid, f.samples[..., m]), plan)
-        for m in range(4))
-    return ComponentQuartet(members)
+    chirps, factors = _plan_factors(plan)
+    if f.grid != plan.input_grid:
+        raise ValueError("field grid does not match plan input grid")
+    return _quartet(f.samples, plan.qft_plan(), plan.output_grid, chirps, factors)
 
 
 def analysis_quartet(f: QField, plan: QolctPlan) -> ComponentQuartet:
@@ -280,24 +271,9 @@ def analysis_quartet(f: QField, plan: QolctPlan) -> ComponentQuartet:
     For unchirped signals along an axis (a = tau = 0) it coincides with
     :func:`qolct_quartet` along that axis's contribution.
     """
-    _require_positive_b(plan.A1, "axis 1")
-    _require_positive_b(plan.A2, "axis 2")
-    g = _signal_chirp(f, plan.A1, plan.A2, plan.lam, plan.mu, +1.0)
-    qplan = plan.qft_plan()
-    fast = (plan.lam == UNIT_I and plan.mu == UNIT_J
-            and qplan.is_fft_compatible())
-    u1 = plan.output_grid.axis_coords(1)
-    u2 = plan.output_grid.axis_coords(2)
-    c1 = _output_factor(plan.A1, plan.lam, u1)
-    c2 = _output_factor(plan.A2, plan.mu, u2)
-    members = []
-    for k in range(4):
-        comp = QField.from_real(f.grid, g.samples[..., k])
-        Fk = qft_fast_ij(comp, qplan) if fast else qft_direct(comp, qplan)
-        out = qmul(c1[:, None, :], Fk.samples)
-        out = qmul(out, c2[None, :, :])
-        members.append(QField(plan.output_grid, out))
-    return ComponentQuartet(tuple(members))
+    _, factors = _plan_factors(plan)
+    return _quartet(_chirped_signal(f, plan).samples, plan.qft_plan(),
+                    plan.output_grid, post=factors)
 
 
 def output_in_scaled_coords(F: QField, plan: QolctPlan) -> QField:
@@ -325,14 +301,14 @@ def _substituted_coords(A: OffsetParams, u, t_coords):
     return tprime
 
 
-def _degenerate_chirp(A: OffsetParams, axis: PureUnit, u):
-    """sqrt(d) exp(axis*(c d (u - tau)^2 / 2 + u eta)).
+def _degenerate_chirp(A: OffsetParams, u):
+    """sqrt(d) exp(i*(c d (u - tau)^2 / 2 + u eta)) as complex values.
 
     The linear phase carries eta: that is the b -> 0 limit of the
     main-branch kernel (see the limit-consistency test).
     """
     phase = A.c * A.d * (u - A.tau) ** 2 / 2.0 + u * A.eta
-    return plane_to_quat(math.sqrt(A.d) * np.exp(1j * phase), axis)
+    return math.sqrt(A.d) * np.exp(1j * phase)
 
 
 def qolct_degenerate(f: QField, plan: QolctPlan, which: str) -> QField:
@@ -374,29 +350,14 @@ def qolct_degenerate(f: QField, plan: QolctPlan, which: str) -> QField:
         cos2, sin2 = _kernel_matrices(plan.A2, t2, u2, transposed=True)
         data = _right_contract(data, cos2, sin2, plan.mu, f.grid.spacing2)
 
-    if deg1:
-        data = qmul(_degenerate_chirp(plan.A1, plan.lam, u1)[:, None, :], data)
-    if deg2:
-        data = qmul(data, _degenerate_chirp(plan.A2, plan.mu, u2)[None, :, :])
-    return QField(plan.output_grid, data)
+    return QField(plan.output_grid, _sandwich(
+        data, plan.lam, plan.mu,
+        _degenerate_chirp(plan.A1, u1) if deg1 else None,
+        _degenerate_chirp(plan.A2, u2) if deg2 else None))
 
 
 # ---------------------------------------------------------------------------
 # Covariance and moment reports.
-
-@dataclass(frozen=True)
-class CovarianceReport:
-    lhs: QField
-    rhs: QField
-    maxerr: float
-    relerr: float
-
-
-def _phase_sandwich(F: QField, lam, mu, phase1, phase2) -> QField:
-    out = qmul(plane_to_quat(np.exp(1j * phase1), lam)[:, None, :], F.samples)
-    out = qmul(out, plane_to_quat(np.exp(1j * phase2), mu)[None, :, :])
-    return QField(F.grid, out)
-
 
 def _shifted_output_plan(plan: QolctPlan, s1: float, s2: float) -> QolctPlan:
     g = plan.output_grid
@@ -419,7 +380,7 @@ def _check_containment(f: QField, k1: float, k2: float):
         raise ValueError("shifted signal is not well-contained in the grid")
 
 
-def shift_covariance_check(f: QField, plan: QolctPlan, k) -> CovarianceReport:
+def shift_covariance_check(f: QField, plan: QolctPlan, k) -> IdentityReport:
     """Compare O{f(.-k)} with the phase-factored O{f}(u - k*a).
 
     The phase per axis is c*(2*k*u - a*k^2)/2 + k*(a*eta - c*tau); the
@@ -437,22 +398,19 @@ def shift_covariance_check(f: QField, plan: QolctPlan, k) -> CovarianceReport:
            + k1 * (A1.a * A1.eta - A1.c * A1.tau))
     ph2 = (A2.c * (2.0 * k2 * u2 - A2.a * k2 ** 2) / 2.0
            + k2 * (A2.a * A2.eta - A2.c * A2.tau))
-    rhs = QField(plan.output_grid,
-                 _phase_sandwich(base, plan.lam, plan.mu, ph1, ph2).samples)
+    rhs = QField(plan.output_grid, _sandwich(base.samples, plan.lam, plan.mu,
+                                             np.exp(1j * ph1), np.exp(1j * ph2)))
     maxerr = float(qnorm(lhs.samples - rhs.samples).max())
     scale = float(qnorm(lhs.samples).max())
-    return CovarianceReport(lhs, rhs, maxerr, maxerr / scale if scale else maxerr)
+    return IdentityReport(lhs, rhs, maxerr, maxerr / scale if scale else maxerr)
 
 
-def modulation_covariance_check(f: QField, plan: QolctPlan, xi) -> CovarianceReport:
+def modulation_covariance_check(f: QField, plan: QolctPlan, xi) -> IdentityReport:
     """Compare O{e^(lam t1 xi1) f e^(mu t2 xi2)} with the phase-factored
     O{f}(u - b*xi); phases re-derived as -(d/2)(b xi^2 - 2 u xi) - xi (d tau - b eta)."""
     xi1, xi2 = xi
-    t1 = f.grid.axis_coords(1)
-    t2 = f.grid.axis_coords(2)
-    mod = qmul(_chirp_1d(t1, xi1, 0.0, plan.lam)[:, None, :], f.samples)
-    mod = qmul(mod, _chirp_1d(t2, xi2, 0.0, plan.mu)[None, :, :])
-    lhs = qolct_forward(QField(f.grid, mod), plan)
+    lhs = qolct_forward(apply_chirp(f, plan.lam, xi1, 0.0, plan.mu, xi2, 0.0),
+                        plan)
     split_plan = _shifted_output_plan(plan, plan.A1.b * xi1, plan.A2.b * xi2)
     base = qolct_forward(f, split_plan)
     u1 = plan.output_grid.axis_coords(1)
@@ -462,11 +420,11 @@ def modulation_covariance_check(f: QField, plan: QolctPlan, xi) -> CovarianceRep
             + xi1 * (A1.d * A1.tau - A1.b * A1.eta))
     ph2 = -(A2.d / 2.0 * (A2.b * xi2 ** 2 - 2.0 * u2 * xi2)
             + xi2 * (A2.d * A2.tau - A2.b * A2.eta))
-    rhs = QField(plan.output_grid,
-                 _phase_sandwich(base, plan.lam, plan.mu, ph1, ph2).samples)
+    rhs = QField(plan.output_grid, _sandwich(base.samples, plan.lam, plan.mu,
+                                             np.exp(1j * ph1), np.exp(1j * ph2)))
     maxerr = float(qnorm(lhs.samples - rhs.samples).max())
     scale = float(qnorm(lhs.samples).max())
-    return CovarianceReport(lhs, rhs, maxerr, maxerr / scale if scale else maxerr)
+    return IdentityReport(lhs, rhs, maxerr, maxerr / scale if scale else maxerr)
 
 
 @dataclass(frozen=True)

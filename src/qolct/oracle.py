@@ -120,3 +120,17 @@ def gaussian_qolct_closed_form_field(spec: GaussianSpec, A1: OffsetParams,
     right = plane_to_quat(env2 * z2 * beta2, mu)
     samples = qmul(left[:, None, :], right[None, :, :])
     return QField(grid, samples)
+
+
+def gaussian_qolct_log_modulus(spec: GaussianSpec, A1: OffsetParams,
+                               A2: OffsetParams, grid: Grid2D) -> np.ndarray:
+    """ln |O{f}(u)| of the closed form on a grid from the log envelopes,
+    log |roots| = -ln(denom)/4 and log |beta|, without exponentiating."""
+    logs = []
+    for alpha, A, u in ((spec.alpha1, A1, grid.axis_coords(1)),
+                        (spec.alpha2, A2, grid.axis_coords(2))):
+        denom = 4.0 * alpha ** 2 * A.b ** 2 + A.a ** 2
+        logs.append(-alpha * (u - A.tau) ** 2 / denom - 0.25 * math.log(denom))
+    beta = (abs(complex(spec.beta11, spec.beta12))
+            * abs(complex(spec.beta21, spec.beta22)))
+    return logs[0][:, None] + logs[1][None, :] + math.log(beta)

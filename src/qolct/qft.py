@@ -6,10 +6,15 @@ no 2*pi in the exponent,
     F(u) = sum_t exp(-lam*u1*t1) f(t) exp(-mu*u2*t2) dt1 dt2,
     f(t) = (1/(2*pi)^2) sum_u exp(+lam*u1*t1) F(u) exp(+mu*u2*t2) du1 du2,
 
-so Plancherel carries the 4*pi^2 factor.  ``qft_direct`` evaluates the
-quadrature for arbitrary pure-unit axes via dense kernel contractions;
-``qft_fast_ij`` is an FFT-based path specialized to lam=i, mu=j.  Both paths
-agree to rounding on FFT-compatible grids.
+so Plancherel carries the 4*pi^2 factor.  On FFT-compatible grids (equal
+sample counts, du*dt = 2*pi/n per axis) every transform, for any pure-unit
+axes, runs through one engine: the orthogonal 2D planes split of Hitzer &
+Sangwine (arXiv:1306.2157) turns the two-sided kernel into two complex
+separable transforms of one centered FFT each.  The engine also carries
+per-axis phase factors before and after the FFT, which is how the offset
+linear canonical transform in ``olct`` runs on it.  ``qft_direct`` evaluates
+the O(N^3) dense quadrature: it is the oracle, and the fallback for grids the
+FFT cannot serve.
 """
 
 from __future__ import annotations
@@ -76,14 +81,15 @@ class QftPlan:
                        "inverse" if self.direction == "forward" else "forward")
 
     def is_fft_compatible(self) -> bool:
-        gi, go = self.input_grid, self.output_grid
-        if (gi.n1, gi.n2) != (go.n1, go.n2):
-            return False
-        for din, dout, n in ((gi.spacing1, go.spacing1, gi.n1),
-                             (gi.spacing2, go.spacing2, gi.n2)):
-            if abs(din * dout * n - 2.0 * math.pi) > 1e-9 * 2.0 * math.pi:
-                return False
-        return True
+        return _fft_compatible(self.input_grid, self.output_grid)
+
+
+def _fft_compatible(tgrid: Grid2D, ugrid: Grid2D) -> bool:
+    """Matching sample counts and dt*du = 2*pi/n per axis."""
+    return (tgrid.n1, tgrid.n2) == (ugrid.n1, ugrid.n2) and all(
+        abs(dt * du * n - 2.0 * math.pi) <= 1e-9 * 2.0 * math.pi
+        for dt, du, n in ((tgrid.spacing1, ugrid.spacing1, tgrid.n1),
+                          (tgrid.spacing2, ugrid.spacing2, tgrid.n2)))
 
 
 # ---------------------------------------------------------------------------
@@ -109,14 +115,10 @@ def centered_ft2(x: np.ndarray, tgrid: Grid2D, ugrid: Grid2D,
     Requires matching sample counts and du*dt = 2*pi/n per axis.  Grid
     centers are arbitrary; they are absorbed by phase ramps.
     """
-    if (tgrid.n1, tgrid.n2) != (ugrid.n1, ugrid.n2):
-        raise PlanViolationError("centered FT needs matching sample counts")
-    for dt, du, n in ((tgrid.spacing1, ugrid.spacing1, tgrid.n1),
-                      (tgrid.spacing2, ugrid.spacing2, tgrid.n2)):
-        if abs(dt * du * n - 2.0 * np.pi) > 1e-9 * 2.0 * np.pi:
-            raise PlanViolationError("grid spacings are not FFT-compatible")
+    if not _fft_compatible(tgrid, ugrid):
+        raise PlanViolationError("grids are not FFT-compatible")
 
-    out = np.asarray(x, dtype=complex)
+    out = x
     specs = ((tgrid.n1, tgrid.center1, tgrid.spacing1, ugrid.center1,
               ugrid.spacing1, signs[0]),
              (tgrid.n2, tgrid.center2, tgrid.spacing2, ugrid.center2,
@@ -124,29 +126,13 @@ def centered_ft2(x: np.ndarray, tgrid: Grid2D, ugrid: Grid2D,
     for axis, (n, t0, dt, u0, du, sign) in enumerate(specs):
         pre, post = _axis_ramps(n, t0, dt, u0, du, sign)
         shape = (-1, 1) if axis == 0 else (1, -1)
-        out = out * pre.reshape(shape)
+        out = out * pre.reshape(shape)  # a new array: x itself stays untouched
         if sign < 0:
             out = np.fft.fft(out, axis=axis)
         else:
-            out = np.fft.ifft(out, axis=axis) * n
-        out = out * post.reshape(shape)
-    return out * tgrid.cell_area
-
-
-def cos_sin_transforms(g: np.ndarray, tgrid: Grid2D, ugrid: Grid2D, sign: int):
-    """Separable cosine/sine quadratures of a real field.
-
-    Returns (CC, SC, CS, SS) where e.g. SC(u) = sum_t g(t) sin(u1 t1)
-    cos(u2 t2) dt.  These are axis-free building blocks of every two-sided
-    transform of a real component.
-    """
-    w = centered_ft2(g, tgrid, ugrid, (sign, sign))
-    v = centered_ft2(g, tgrid, ugrid, (sign, -sign))
-    cc = 0.5 * (w.real + v.real)
-    ss = 0.5 * (v.real - w.real)
-    sc = 0.5 * sign * (w.imag + v.imag)
-    cs = 0.5 * sign * (w.imag - v.imag)
-    return cc, sc, cs, ss
+            out = np.fft.ifft(out, axis=axis, norm="forward")
+        out *= (post * tgrid.cell_area if axis else post).reshape(shape)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -199,85 +185,130 @@ def qft_direct(f: QField, plan: QftPlan) -> QField:
 
 
 # ---------------------------------------------------------------------------
-# Fast component-split path for lam=i, mu=j.
+# The planes-split FFT engine (any pure-unit axes, FFT-compatible grids).
+#
+# For pure units lam, mu the map q -> lam q mu is an orthogonal involution, so
+# f+- = (f +- lam f mu)/2 split f into two orthogonal planes (Hitzer &
+# Sangwine, arXiv:1306.2157).  On the + plane f+ mu = -lam f+, so a right-hand
+# mu-exponential crosses to the left as a *conjugated* lam-exponential; on the
+# - plane it crosses unconjugated.  With f+- = z+- p+-, z+- in
+# C_lam = span{1, lam} and a fixed unit p+- in each plane, the two-sided
+# kernel K1 f K2 becomes k1 conj(k2) z+ p+ + k1 k2 z- p-: two complex
+# separable transforms, one centered FFT each.  p+- is the normalized largest
+# of the projections (e +- lam e mu)/2, e in {1, i, j, k}: their squared norms
+# sum to 2, so the largest has norm >= 1/sqrt(2), whereas a fixed choice such
+# as (1 + lam mu)/2 vanishes for mu = lam (and (1 - lam mu)/2 for mu = -lam).
 
-def _assemble_two_sided(parts, sign: int) -> np.ndarray:
-    """Recombine per-component cos/sin quadratures for the (i, j) transform.
-
-    Uses exp(s*i*a) i = i exp(s*i*a) but exp(s*i*a) j = j exp(-s*i*a): the
-    j and k components see a sign-conjugated left kernel.
-    """
-    (cc0, sc0, cs0, ss0), (cc1, sc1, cs1, ss1), \
-        (cc2, sc2, cs2, ss2), (cc3, sc3, cs3, ss3) = parts
-    s = float(sign)
-    out = np.empty(cc0.shape + (4,))
-    out[..., 0] = cc0 - s * sc1 - s * cs2 + ss3
-    out[..., 1] = s * sc0 + cc1 - ss2 - s * cs3
-    out[..., 2] = s * cs0 - ss1 + cc2 - s * sc3
-    out[..., 3] = ss0 + s * cs1 + s * sc2 + cc3
-    return out
+def _plane_basis(lam: PureUnit, mu: PureUnit) -> np.ndarray:
+    """Orthogonal 4x4 map with columns p+, lam p+, p-, lam p-: ``samples @
+    basis`` is (Re z+, Im z+, Re z-, Im z-) and ``coefs @ basis.T`` maps back."""
+    eye = np.eye(4)
+    swapped = qmul(qmul(lam.array, eye), mu.array)  # row e holds lam e mu
+    columns = []
+    for s in (1.0, -1.0):
+        proj = 0.5 * (eye + s * swapped)
+        p = proj[np.argmax(qnorm(proj))]
+        p = p / qnorm(p)
+        columns += [p, qmul(lam.array, p)]
+    return np.stack(columns, axis=1)
 
 
-def _require_ij(plan: QftPlan):
-    if plan.lam != UNIT_I or plan.mu != UNIT_J:
-        raise PlanViolationError("fast path requires lam=i and mu=j exactly")
+def _phase_in_place(x, p1, p2, conj2: bool):
+    """x *= p1[:, None] * p2[None, :], with None standing for 1 and p2
+    conjugated when ``conj2`` is set."""
+    if p1 is not None:
+        x *= p1[:, None]
+    if p2 is not None:
+        x *= (np.conj(p2) if conj2 else p2)[None, :]
+    return x
+
+
+def _planes_ft(samples, plan: QftPlan, sign: int, scale: float, pre, post):
+    """Split into the two planes, pre-phase, one centered FFT per plane,
+    post-phase, map back (times ``scale``).  ``samples`` is an (n1, n2, 4)
+    stack or a real (n1, n2) scalar field."""
+    tgrid, ugrid = plan.input_grid, plan.output_grid
+    basis = _plane_basis(plan.lam, plan.mu)
+    if samples.ndim == 2:
+        coefs = samples[..., None] * basis[0]
+    else:
+        coefs = (samples.reshape(-1, 4) @ basis).reshape(samples.shape)
+    z = coefs.view(complex)  # [..., 0] is z+, [..., 1] is z-
+    out = np.empty((ugrid.n1, ugrid.n2, 2), dtype=complex)
+    for k, conj2 in ((0, True), (1, False)):
+        x = _phase_in_place(z[..., k].copy(), *pre, conj2)
+        y = centered_ft2(x, tgrid, ugrid, (sign, -sign if conj2 else sign))
+        out[..., k] = _phase_in_place(y, *post, conj2)
+    return (out.view(float).reshape(-1, 4) @ (scale * basis.T)).reshape(
+        ugrid.n1, ugrid.n2, 4)
+
+
+def _sandwich(samples, lam: PureUnit, mu: PureUnit, left, right) -> np.ndarray:
+    """left(x1) * samples * right(x2) for complex per-axis factors embedded on
+    lam (left) and mu (right); None stands for 1."""
+    if left is not None:
+        samples = qmul(plane_to_quat(left, lam)[:, None, :], samples)
+    if right is not None:
+        samples = qmul(samples, plane_to_quat(right, mu)[None, :, :])
+    return samples
+
+
+def _two_sided(samples, plan: QftPlan, pre=(None, None), post=(None, None),
+               direct: bool = False) -> np.ndarray:
+    """post1(u1) * sum_t e^{s lam u1 t1} pre1(t1) f(t) pre2(t2) e^{s mu u2 t2}
+    dt * post2(u2), with s = -1 forward and s = +1 (times 1/4pi^2) inverse;
+    the per-axis complex factors sit on lam (axis 1) and mu (axis 2), None
+    standing for 1.  The one place a transform picks its path: the planes
+    split FFT engine on FFT-compatible grids, else (or if ``direct``) the
+    dense quadrature."""
+    sign, scale = -1, 1.0
+    if plan.direction == "inverse":
+        sign, scale = 1, 1.0 / (4.0 * math.pi ** 2)
+        if _mutation.active("iqft-scale"):
+            scale = 1.0
+    if not direct and plan.is_fft_compatible():
+        return _planes_ft(samples, plan, sign, scale, pre, post)
+    if samples.ndim == 2:
+        samples = samples[..., None] * np.array([1.0, 0.0, 0.0, 0.0])
+    f = QField(plan.input_grid, _sandwich(samples, plan.lam, plan.mu, *pre))
+    return _sandwich(_direct_apply(f, plan, sign, scale).samples,
+                     plan.lam, plan.mu, *post)
 
 
 def qft_fast_ij(f: QField, plan: QftPlan) -> QField:
-    """FFT-based forward transform, identical contract to qft_direct."""
+    """Forward transform on any axes (FFT engine where the grids allow);
+    same contract as qft_direct."""
     if plan.direction != "forward":
         raise ValueError("qft_fast_ij requires a forward plan")
-    _require_ij(plan)
-    parts = [cos_sin_transforms(f.samples[..., m], f.grid, plan.output_grid, -1)
-             for m in range(4)]
-    return QField(plan.output_grid, _assemble_two_sided(parts, -1))
+    if f.grid != plan.input_grid:
+        raise ValueError("field grid does not match plan input grid")
+    return QField(plan.output_grid, _two_sided(f.samples, plan))
 
 
 def iqft(F: QField, plan: QftPlan, method: str = "auto") -> QField:
-    """Inverse transform (1/4pi^2) sum_u e^{+lam u1 t1} F(u) e^{+mu u2 t2} du."""
+    """Inverse transform (1/4pi^2) sum_u e^{+lam u1 t1} F(u) e^{+mu u2 t2} du;
+    ``method="direct"`` forces the dense quadrature."""
     if plan.direction != "inverse":
         raise ValueError("iqft requires an inverse plan")
     if F.grid != plan.input_grid:
         raise ValueError("field grid does not match plan input grid")
-    scale = 1.0 / (4.0 * math.pi ** 2)
-    if _mutation.active("iqft-scale"):
-        scale = 1.0
-    fast_ok = (plan.lam == UNIT_I and plan.mu == UNIT_J
-               and plan.is_fft_compatible())
-    if method == "direct" or (method == "auto" and not fast_ok):
-        return _direct_apply(F, plan, +1, scale)
-    _require_ij(plan)
-    parts = [cos_sin_transforms(F.samples[..., m], F.grid, plan.output_grid, +1)
-             for m in range(4)]
-    return QField(plan.output_grid, _assemble_two_sided(parts, +1) * scale)
+    return QField(plan.output_grid,
+                  _two_sided(F.samples, plan, direct=method == "direct"))
 
 
 def qft_quartet(f: QField, plan: QftPlan) -> ComponentQuartet:
-    """Transforms (F{f_0}, ..., F{f_3}) of the four real components.
-
-    For a real component g the two-sided transform is CC - lam*SC - mu*CS +
-    lam*mu*SS, so arbitrary axes reduce to the same scalar quadratures.
-    """
+    """Transforms (F{f_0}, ..., F{f_3}) of the four real components."""
     if plan.direction != "forward":
         raise ValueError("qft_quartet requires a forward plan")
-    lam_q = plan.lam.array
-    mu_q = plan.mu.array
-    lammu = qmul(lam_q, mu_q)
-    one = np.array([1.0, 0.0, 0.0, 0.0])
-    members = []
-    use_fast = plan.is_fft_compatible()
-    for m in range(4):
-        if use_fast:
-            cc, sc, cs, ss = cos_sin_transforms(
-                f.samples[..., m], f.grid, plan.output_grid, -1)
-        else:
-            comp = QField.from_real(f.grid, f.samples[..., m])
-            members.append(qft_direct(comp, plan))
-            continue
-        samples = (cc[..., None] * one - sc[..., None] * lam_q
-                   - cs[..., None] * mu_q + ss[..., None] * lammu)
-        members.append(QField(plan.output_grid, samples))
-    return ComponentQuartet(tuple(members))
+    return _quartet(f.samples, plan, plan.output_grid)
+
+
+def _quartet(samples, plan: QftPlan, grid: Grid2D, pre=(None, None),
+             post=(None, None)) -> ComponentQuartet:
+    """:func:`_two_sided` of each real component of ``samples``, on ``grid``."""
+    return ComponentQuartet(tuple(
+        QField(grid, _two_sided(samples[..., m], plan, pre, post))
+        for m in range(4)))
 
 
 @dataclass(frozen=True)
@@ -288,8 +319,8 @@ class IdentityReport:
     relerr: float
 
 
-def derivative_identity_check(f: QField, plan: QftPlan, m: int, n: int,
-                              method: str = "auto") -> IdentityReport:
+def derivative_identity_check(f: QField, plan: QftPlan, m: int,
+                              n: int) -> IdentityReport:
     """Compare F{d^(m+n) f} against (lam u1)^m F{f} (mu u2)^n.
 
     The derivative side uses finite differences; the multiplier side applies
@@ -303,21 +334,13 @@ def derivative_identity_check(f: QField, plan: QftPlan, m: int, n: int,
     for _ in range(n):
         df = partial_derivative(df, 2)
 
-    def transform(g):
-        if method == "direct" or not (plan.lam == UNIT_I and plan.mu == UNIT_J
-                                      and plan.is_fft_compatible()):
-            return qft_direct(g, plan)
-        return qft_fast_ij(g, plan)
-
-    lhs = transform(df)
-    base = transform(f).samples
+    lhs = qft_fast_ij(df, plan)
+    base = qft_fast_ij(f, plan).samples
     u1 = plan.output_grid.axis_coords(1)
     u2 = plan.output_grid.axis_coords(2)
-    for _ in range(m):
-        base = qmul(plane_to_quat(1j * u1, plan.lam)[:, None, :], base)
-    for _ in range(n):
-        base = qmul(base, plane_to_quat(1j * u2, plan.mu)[None, :, :])
-    rhs = QField(plan.output_grid, base)
+    rhs = QField(plan.output_grid, _sandwich(
+        base, plan.lam, plan.mu, (1j * u1) ** m if m else None,
+        (1j * u2) ** n if n else None))
     diff = qnorm(lhs.samples - rhs.samples)
     maxerr = float(diff.max())
     scale = float(qnorm(rhs.samples).max())

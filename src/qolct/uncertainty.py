@@ -17,7 +17,7 @@ import numpy as np
 from .field import ComponentQuartet, QField, partial_derivative
 from .olct import (
     QolctPlan,
-    _signal_chirp,
+    _chirped_signal,
     analysis_quartet,
     output_in_scaled_coords,
     qolct_forward,
@@ -150,7 +150,7 @@ def heisenberg_report(f: QField, plan: QolctPlan, axis: int) -> HeisenbergReport
     xk2 = xk[:, None] ** 2 if axis == 1 else xk[None, :] ** 2
     spectral = _weighted_energy(quartet.norm_field() ** 2, xk2, og.cell_area)
 
-    g = _signal_chirp(f, plan.A1, plan.A2, plan.lam, plan.mu, +1.0)
+    g = _chirped_signal(f, plan)
     gmod = g.modulus()
     floor = 1e-12 * float(gmod.max())
     live = gmod > floor

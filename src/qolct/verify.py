@@ -36,7 +36,9 @@ from .olct import (
 from .oracle import (
     GaussianSpec,
     gaussian_integral_complex_offset,
+    gaussian_qolct_closed_form,
     gaussian_qolct_closed_form_field,
+    gaussian_qolct_log_modulus,
 )
 from .qft import QftPlan, derivative_identity_check, iqft, qft_direct, qft_fast_ij, qft_quartet
 from .quat import (
@@ -400,18 +402,11 @@ def oracle_checks(seed: int):
     rel = qnorm(got.samples - want.samples).max() / qnorm(want.samples).max()
     out.append(_record("closed-form-vs-forward", "random params, 128^2", rel, 1e-6))
 
-    # |O| factors as (unit phases) * roots * envelope, so the modulus must
-    # peak exactly at u = tau and stay strictly positive
-    from .oracle import gaussian_qolct_closed_form
-
     peak = gaussian_qolct_closed_form(spec2, A1b, A2b, UNIT_I, UNIT_J,
                                       (A1b.tau, A2b.tau)).norm()
-    mod = want.modulus()
-    defect = max(float(mod.max()) / peak - 1.0, 0.0)
-    if float(mod.min()) <= 0.0:
-        defect = 1.0
+    log_mod = gaussian_qolct_log_modulus(spec2, A1b, A2b, plan2.output_grid)
     out.append(_record("envelope-peak-at-offset", "modulus peaks at u = tau, > 0",
-                       defect, 1e-12))
+                       envelope_peak_defect(want.samples, peak, log_mod), 1e-12))
 
     z = Quaternion(1.0, 0.0, 0.6, 0.0)
     zp = Quaternion(0.3, 0.0, -0.4, 0.0)
@@ -424,6 +419,18 @@ def oracle_checks(seed: int):
     out.append(_record("offset-gaussian-integral", "z = 1 + 0.6j (j-plane)",
                        float(np.abs(got.array - refq).max()), 1e-10))
     return out
+
+
+def envelope_peak_defect(samples, peak: float, log_mod) -> float:
+    """|O| factors as (unit phases) * roots * envelope, so the modulus must
+    peak exactly at u = tau and stay > 0: read as "sample nonzero" (far out
+    the squares in sqrt(sum q_m^2) underflow) and asked only where the
+    analytic ln|O| (``log_mod``) is above the smallest normal float."""
+    defect = max(float(qnorm(samples).max()) / peak - 1.0, 0.0)
+    representable = log_mod > math.log(np.finfo(float).tiny)
+    if not np.all(np.any(samples != 0.0, axis=-1)[representable]):
+        defect = 1.0
+    return defect
 
 
 # ---------------------------------------------------------------------------

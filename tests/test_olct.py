@@ -45,6 +45,16 @@ def test_offset_params_validation():
     assert (A.a, A.b, A.c, A.d) == (0.0, 1.0, -1.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["a", "b", "c", "d", "tau", "eta"])
+def test_offset_params_rejects_non_finite(name, bad):
+    # a NaN entry would slip past the determinant check (NaN compares false)
+    entries = {"a": 1.0, "b": 1.0, "c": 1.0, "d": 2.0, "tau": 0.3, "eta": -0.2}
+    entries[name] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        OffsetParams(**entries)
+
+
 def test_plan_rejects_negative_b_and_unresolved_chirp():
     g = Grid2D.centered(16, 4.0)
     with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from qolct import (
 from qolct.oracle import (
     gaussian_integral_complex_offset,
     gaussian_qolct_closed_form_field,
+    gaussian_qolct_log_modulus,
 )
 from qolct.quat import PureUnit, Quaternion, inv_sqrt_unit
 
@@ -59,6 +60,36 @@ def test_envelope_peaks_at_offsets():
         off = gaussian_qolct_closed_form(spec, A1, A2, UNIT_I, UNIT_J,
                                          (A1.tau + du, A2.tau - du)).norm()
         assert off < peak
+
+
+@pytest.mark.parametrize("seed", [17, 60, 63, 81])
+def test_envelope_peak_check_ignores_underflowed_corners(seed):
+    from qolct.verify import envelope_peak_defect, oracle_checks, random_offset_params
+
+    [rec] = [r for r in oracle_checks(seed)
+             if r["check"] == "envelope-peak-at-offset"]
+    assert rec["pass"], rec
+    # same draw as the check: at its far corners sqrt(sum q_m^2) underflows
+    # to exactly 0 although the samples are representable
+    rng = np.random.default_rng(seed)
+    A1 = random_offset_params(rng, max_chirp_ratio=1.5)
+    A2 = random_offset_params(rng, max_chirp_ratio=1.5)
+    spec = GaussianSpec(0.9, 0.6, 0.8, -0.5, 1.0, 0.7)
+    grid = QolctPlan.create(A1, A2, input_grid=Grid2D.centered(128, 16.0)).output_grid
+    want = gaussian_qolct_closed_form_field(spec, A1, A2, UNIT_I, UNIT_J, grid)
+    peak = gaussian_qolct_closed_form(spec, A1, A2, UNIT_I, UNIT_J,
+                                      (A1.tau, A2.tau)).norm()
+    log_mod = gaussian_qolct_log_modulus(spec, A1, A2, grid)
+    assert np.any(want.modulus() == 0.0)
+    assert envelope_peak_defect(want.samples, peak, log_mod) <= 1e-12
+    # a zero planted where the modulus is representable still fails, down to
+    # the smallest representable sample
+    live = np.where(log_mod > math.log(np.finfo(float).tiny), log_mod, np.inf)
+    for at in (np.unravel_index(np.argmax(log_mod), log_mod.shape),
+               np.unravel_index(np.argmin(live), log_mod.shape)):
+        planted = want.samples.copy()
+        planted[at] = 0.0
+        assert envelope_peak_defect(planted, peak, log_mod) == 1.0
 
 
 def test_closed_form_matches_direct_quadrature_sweep():

@@ -79,11 +79,82 @@ def test_fast_path_equals_direct():
         assert np.abs(a.samples - b.samples).max() <= 1e-10
 
 
-def test_fast_path_requires_ij_axes():
-    g = Grid2D.centered(16, 4.0)
-    plan = QftPlan.forward(g, PureUnit(1, 1, 0), UNIT_J)
-    with pytest.raises(PlanViolationError):
-        qft_fast_ij(QField.zeros(g), plan)
+ENGINE_AXES = {
+    "ij": (UNIT_I, UNIT_J),
+    "random": (PureUnit(0.3, -1.2, 0.8), PureUnit(-0.9, 0.4, 1.1)),
+    "equal": (PureUnit(1, 1, 1), PureUnit(1, 1, 1)),
+    "opposite": (PureUnit(0.2, -0.5, 0.9), PureUnit(-0.2, 0.5, -0.9)),
+}
+
+
+@pytest.mark.parametrize("axes", sorted(ENGINE_AXES))
+def test_engine_equals_direct(axes, monkeypatch):
+    """Every FFT-compatible transform goes through the planes-split engine and
+    matches the dense quadrature on any axes; other grids take the quadrature."""
+    from qolct import QolctPlan, analysis_quartet, qolct_direct
+    from qolct import qolct_forward, qolct_inverse, qolct_quartet
+    from qolct import qft as qft_mod
+    from qolct.field import apply_chirp
+    from qolct.verify import random_offset_params
+
+    direct_calls = []
+    real_direct = qft_mod._direct_apply
+
+    def spy(*args):
+        direct_calls.append(args[2])
+        return real_direct(*args)
+
+    monkeypatch.setattr(qft_mod, "_direct_apply", spy)
+    lam, mu = ENGINE_AXES[axes]
+    rng = np.random.default_rng(23)
+    for g in (Grid2D.centered(32, 6.0), Grid2D(32, 24, 0.0, 0.0, 0.2, 0.25)):
+        f = QField(g, rng.normal(size=(g.n1, g.n2, 4)))
+        plan = QftPlan.forward(g, lam, mu)
+        F = qft_fast_ij(f, plan)
+        want = [qft_direct(QField.from_real(g, f.samples[..., m]), plan)
+                for m in range(4)]
+        got = qft_quartet(f, plan)
+        n_direct = len(direct_calls)
+        back = iqft(F, plan.inverted())
+        assert len(direct_calls) == n_direct  # the oracle calls above only
+        assert rel_max_err(F.samples, qft_direct(f, plan).samples) <= 1e-12
+        assert rel_max_err(back.samples, f.samples) <= 1e-12
+        for m in range(4):
+            assert rel_max_err(got.members[m].samples, want[m].samples) <= 1e-12
+
+        A1 = random_offset_params(rng, max_chirp_ratio=1.5)
+        A2 = random_offset_params(rng, max_chirp_ratio=1.5)
+        qplan = QolctPlan.create(A1, A2, lam, mu, input_grid=g)
+        n_direct = len(direct_calls)
+        O = qolct_forward(f, qplan)
+        back = qolct_inverse(O, qplan)
+        quartet = qolct_quartet(f, qplan)
+        analysis = analysis_quartet(f, qplan)
+        assert len(direct_calls) == n_direct
+        assert rel_max_err(O.samples, qolct_direct(f, qplan).samples) <= 1e-12
+        assert rel_max_err(back.samples, f.samples) <= 1e-12
+        # analysis member k is C1 F{g_k} C2 for the real components g_k of the
+        # chirped signal: the direct transform of g_k with the chirps undone
+        lin1, quad1 = A1.tau / A1.b, A1.a / (2.0 * A1.b)
+        lin2, quad2 = A2.tau / A2.b, A2.a / (2.0 * A2.b)
+        chirped = apply_chirp(f, lam, lin1, quad1, mu, lin2, quad2)
+        for m in range(4):
+            comp = QField.from_real(g, f.samples[..., m])
+            assert rel_max_err(quartet.members[m].samples,
+                               qolct_direct(comp, qplan).samples) <= 1e-12
+            unchirped = apply_chirp(QField.from_real(g, chirped.samples[..., m]),
+                                    lam, -lin1, -quad1, mu, -lin2, -quad2)
+            assert rel_max_err(analysis.members[m].samples,
+                               qolct_direct(unchirped, qplan).samples) <= 1e-12
+
+        # a finer, smaller output grid is not FFT-compatible: the quadrature runs
+        og = qplan.output_grid
+        fine = Grid2D(20, 18, 0.1, -0.2, 0.8 * og.spacing1, 0.7 * og.spacing2)
+        fplan = QolctPlan(A1, A2, lam, mu, g, fine)
+        n_direct = len(direct_calls)
+        O = qolct_forward(f, fplan)
+        assert direct_calls[n_direct:] == [-1]
+        assert rel_max_err(O.samples, qolct_direct(f, fplan).samples) <= 1e-12
 
 
 def test_direct_supports_equal_axes():
