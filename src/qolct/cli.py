@@ -65,7 +65,7 @@ def _timestamp() -> str:
 
 
 def _dump_json(doc, path=None):
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")

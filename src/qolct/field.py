@@ -9,6 +9,7 @@ deterministic run to run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,9 @@ class Grid2D:
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError("sample counts must be positive")
+        for name in ("center1", "center2", "spacing1", "spacing2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} = {getattr(self, name)!r} is not finite")
         if self.spacing1 <= 0.0 or self.spacing2 <= 0.0:
             raise ValueError("grid spacings must be positive")
 

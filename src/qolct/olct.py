@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import _mutation
 from .field import (
@@ -311,6 +310,69 @@ def _degenerate_chirp(A: OffsetParams, u):
     return math.sqrt(A.d) * np.exp(1j * phase)
 
 
+def _not_a_knot_slopes(x, y):
+    """First derivatives at the knots x of the not-a-knot cubic spline
+    through y (knots along axis 0 of y), as scipy's ``CubicSpline`` defines
+    it: two knots give the straight line and three the parabola.
+
+    The slopes solve one tridiagonal system, swept by the Thomas algorithm
+    over all trailing columns at once.  Its pivots depend only on the knots
+    and stay positive for any increasing x, so no pivoting is needed.
+    """
+    n = x.size
+    dx = np.diff(x)
+    col = (-1,) + (1,) * (y.ndim - 1)
+    slope = np.diff(y, axis=0) / dx.reshape(col)
+    if n == 2:
+        return np.concatenate([slope, slope])
+    h = dx.tolist()
+    lower, diag, upper = [0.0] * n, [1.0] * n, [0.0] * n
+    rhs = np.empty_like(slope, shape=y.shape)
+    for i in range(1, n - 1):  # slope continuity at interior knots
+        lower[i], diag[i], upper[i] = h[i], 2.0 * (h[i - 1] + h[i]), h[i - 1]
+    rhs[1:-1] = 3.0 * (dx[1:].reshape(col) * slope[:-1]
+                       + dx[:-1].reshape(col) * slope[1:])
+    if n == 3:  # the parabola: end slopes average to the secant slope
+        upper[0] = lower[2] = 1.0
+        rhs[0] = 2.0 * slope[0]
+        rhs[2] = 2.0 * slope[1]
+    else:  # third derivative continuous at the second and penultimate knots
+        w0, wn = x[2] - x[0], x[-1] - x[-3]
+        diag[0], upper[0] = h[1], w0
+        rhs[0] = ((h[0] + 2.0 * w0) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / w0
+        lower[-1], diag[-1] = wn, h[-2]
+        rhs[-1] = (h[-1] ** 2 * slope[-2] + (2.0 * wn + h[-1]) * h[-2] * slope[-1]) / wn
+    for i in range(1, n):
+        m = lower[i] / diag[i - 1]
+        diag[i] -= m * upper[i - 1]
+        rhs[i] -= m * rhs[i - 1]
+    rhs[-1] /= diag[-1]
+    for i in range(n - 2, -1, -1):
+        rhs[i] -= upper[i] * rhs[i + 1]
+        rhs[i] /= diag[i]
+    return rhs
+
+
+def _spline(x, y, xq, axis: int):
+    """Evaluate the not-a-knot cubic spline through samples y at knots x
+    (along ``axis`` of y) at the points xq, in cubic Hermite form on the
+    knot interval of each point; the end intervals extend past the knots."""
+    if x.size < 2:
+        raise ValueError("a cubic spline needs at least 2 knots")
+    y = np.ascontiguousarray(np.moveaxis(y, axis, 0))  # unit-stride sweep rows
+    s = _not_a_knot_slopes(x, y)
+    k = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
+    h = x[k + 1] - x[k]
+    t = (xq - x[k]) / h
+    shape = (-1,) + (1,) * (y.ndim - 1)
+    h00 = ((2.0 * t - 3.0) * t * t + 1.0).reshape(shape)
+    h01 = ((3.0 - 2.0 * t) * t * t).reshape(shape)
+    h10 = (h * t * (1.0 - t) ** 2).reshape(shape)
+    h11 = (h * t * t * (t - 1.0)).reshape(shape)
+    out = h00 * y[k] + h01 * y[k + 1] + h10 * s[k] + h11 * s[k + 1]
+    return np.moveaxis(out, 0, axis)
+
+
 def qolct_degenerate(f: QField, plan: QolctPlan, which: str) -> QField:
     """Evaluate the b = 0 branches by substitution t_k -> d_k (u_k - tau_k).
 
@@ -337,11 +399,9 @@ def qolct_degenerate(f: QField, plan: QolctPlan, which: str) -> QField:
     data = f.samples
 
     if deg1:
-        tp1 = _substituted_coords(plan.A1, u1, t1)
-        data = CubicSpline(t1, data, axis=0)(tp1)
+        data = _spline(t1, data, _substituted_coords(plan.A1, u1, t1), axis=0)
     if deg2:
-        tp2 = _substituted_coords(plan.A2, u2, t2)
-        data = CubicSpline(t2, data, axis=1)(tp2)
+        data = _spline(t2, data, _substituted_coords(plan.A2, u2, t2), axis=1)
 
     if not deg1:  # axis-1 kernel quadrature survives
         cos1, sin1 = _kernel_matrices(plan.A1, t1, u1, transposed=False)

@@ -54,8 +54,19 @@ def read_signal(path) -> QField:
         raise ValueError(f"{path}: payload is {len(data)} bytes, "
                          f"expected {expected}")
     comps = np.frombuffer(data, dtype="<f8").reshape(4, n1, n2)
-    grid = Grid2D(n1, n2, c1, c2, h1, h2)
+    _require_finite(path, comps)
+    try:
+        grid = Grid2D(n1, n2, c1, c2, h1, h2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return QField(grid, np.moveaxis(comps, 0, -1))
+
+
+def _require_finite(path, samples: np.ndarray) -> None:
+    """Reject NaN or infinite values where they enter the program."""
+    if not np.isfinite(samples).all():
+        bad = int(np.count_nonzero(~np.isfinite(samples)))
+        raise ValueError(f"{path}: {bad} non-finite value(s)")
 
 
 @dataclass(frozen=True)
@@ -154,6 +165,7 @@ def read_csv_signal(path) -> QField:
     if not rows:
         raise ValueError(f"{path}: no data rows")
     data = np.asarray(rows)
+    _require_finite(path, data)
     t1_vals = np.unique(data[:, 0])
     t2_vals = np.unique(data[:, 1])
     n1, n2 = t1_vals.size, t2_vals.size

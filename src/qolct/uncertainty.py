@@ -22,6 +22,7 @@ from .olct import (
     output_in_scaled_coords,
     qolct_forward,
 )
+from .qft import PlanViolationError
 from .quat import UNIT_I, UNIT_J, qnorm
 
 
@@ -112,6 +113,21 @@ def _signal_energy(f: QField) -> float:
 def _require_ij(plan: QolctPlan, what: str):
     if plan.lam != UNIT_I or plan.mu != UNIT_J:
         raise ValueError(f"{what} is stated for lam=i, mu=j")
+
+
+def _radius(grid, b1: float = 1.0, b2: float = 1.0) -> np.ndarray:
+    """|x| on the grid with its axes divided by (b1, b2)."""
+    x1 = grid.axis_coords(1) / b1
+    x2 = grid.axis_coords(2) / b2
+    return np.sqrt(x1[:, None] ** 2 + x2[None, :] ** 2)
+
+
+def _require_off_origin(r: np.ndarray, grid, weight: str):
+    """A weight singular at the origin cannot be summed over a sample there."""
+    if not (r > 0.0).all():
+        raise PlanViolationError(
+            f"the {weight} weight is singular at the origin, where {grid} "
+            "has a sample; shift the grid or use an even sample count")
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +291,13 @@ def pitt_check(f: QField, plan: QolctPlan, alpha: float) -> PittReport:
     signal energy times C_alpha/(4 pi^2); slack = rhs - lhs >= 0."""
     _require_ij(plan, "Pitt's inequality")
     consts = pitt_constants(alpha)
-    quartet = analysis_quartet(f, plan)
     og = plan.output_grid
-    v1 = og.axis_coords(1) / plan.A1.b
-    v2 = og.axis_coords(2) / plan.A2.b
-    rv = np.sqrt(v1[:, None] ** 2 + v2[None, :] ** 2)
+    rv = _radius(og, plan.A1.b, plan.A2.b)
+    if alpha > 0.0:
+        _require_off_origin(rv, og, "|v|^(-alpha)")
+    quartet = analysis_quartet(f, plan)
     lhs = _weighted_energy(quartet.norm_field() ** 2, rv ** (-alpha), og.cell_area)
-    t1, t2 = f.grid.meshgrid()
-    rt = np.sqrt(t1 ** 2 + t2 ** 2)
+    rt = _radius(f.grid)
     e2 = np.sum(f.samples * f.samples, axis=-1)
     rhs = consts.D * _weighted_energy(e2, rt ** alpha, f.grid.cell_area)
     return PittReport(alpha, lhs, rhs, rhs - lhs, consts)
@@ -303,14 +318,13 @@ def log_up_check(f: QField, plan: QolctPlan) -> LogUpReport:
     """ln|v|-weighted transform energy plus ln|t|-weighted signal energy
     against (ln 2 + psi(1/2)) times the signal energy; slack >= 0."""
     _require_ij(plan, "the logarithmic inequality")
-    quartet = analysis_quartet(f, plan)
     og = plan.output_grid
-    v1 = og.axis_coords(1) / plan.A1.b
-    v2 = og.axis_coords(2) / plan.A2.b
-    rv = np.sqrt(v1[:, None] ** 2 + v2[None, :] ** 2)
+    rv = _radius(og, plan.A1.b, plan.A2.b)
+    _require_off_origin(rv, og, "ln|v|")
+    rt = _radius(f.grid)
+    _require_off_origin(rt, f.grid, "ln|t|")
+    quartet = analysis_quartet(f, plan)
     zterm = _weighted_energy(quartet.norm_field() ** 2, np.log(rv), og.cell_area)
-    t1, t2 = f.grid.meshgrid()
-    rt = np.sqrt(t1 ** 2 + t2 ** 2)
     e2 = np.sum(f.samples * f.samples, axis=-1)
     tterm = _weighted_energy(e2, np.log(rt), f.grid.cell_area)
     energy = _signal_energy(f)

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import struct
 import subprocess
 import sys
 
@@ -12,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from qolct import Grid2D, UNIT_I, UNIT_J, synth_gaussian
 from qolct.field import apply_chirp
 from qolct.signalio import (
+    MAGIC,
     TransformParams,
     read_csv_signal,
     read_params,
@@ -103,6 +106,32 @@ def test_signal_file_rejects_corruption(tmp_path):
     truncated.write_bytes(path.read_bytes()[:100])
     with pytest.raises(ValueError):
         read_signal(truncated)
+
+
+def test_signal_readers_reject_non_finite(tmp_path):
+    g = Grid2D(4, 5, 0.0, 0.0, 0.5, 0.5)
+    f = synth_gaussian(g, 1.0, 1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        samples = f.samples.copy()
+        samples[2, 3, 1] = bad
+        path = tmp_path / "bad.qsig"
+        write_signal(path, f.with_samples(samples))
+        with pytest.raises(ValueError, match="bad.qsig: 1 non-finite"):
+            read_signal(path)
+    # a non-finite grid field in the header is rejected too, naming the file
+    path = tmp_path / "badgrid.qsig"
+    path.write_bytes(struct.pack("<6sII4d", MAGIC, 4, 5, 0.0, 0.0, math.nan, 0.5)
+                     + bytes(32 * 4 * 5))
+    with pytest.raises(ValueError, match="badgrid.qsig: spacing1"):
+        read_signal(path)
+
+    csv = tmp_path / "bad.csv"
+    rows = ["t1,t2,q0,q1,q2,q3"] + [f"{a},{b},1,0,0,0" for a in (0, 1)
+                                    for b in (0, 1)]
+    rows[3] = "1,0,nan,0,0,0"
+    csv.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match="bad.csv: 1 non-finite"):
+        read_csv_signal(csv)
 
 
 def test_params_round_trip_and_validation(tmp_path):
@@ -233,6 +262,50 @@ def test_transform_exit_codes(tmp_path, qft_params, general_params):
     # unknown flag: argparse usage error
     proc = run_cli("transform", "--bogus")
     assert proc.returncode == 2
+
+
+def test_non_finite_input_exit_code(tmp_path, qft_params):
+    f = synth_gaussian(Grid2D.centered(16, 8.0), 1.0, 1.0)
+    samples = f.samples.copy()
+    samples[5, 7, 0] = math.nan
+    sig = str(tmp_path / "nan.qsig")
+    write_signal(sig, f.with_samples(samples))
+    for argv in (("transform", "--out", str(tmp_path / "o.qsig")),
+                 ("uncertainty", "--which", "heisenberg")):
+        proc = run_cli(argv[0], "--in", sig, "--params", qft_params, *argv[1:])
+        assert proc.returncode == 2, proc.stderr
+        assert "nan.qsig" in proc.stderr and "non-finite" in proc.stderr
+    assert not (tmp_path / "o.qsig").exists()
+
+
+def test_singular_weight_exit_code(tmp_path, qft_params):
+    # odd n: the centered grids sample t = 0 and v = 0, where |v|^(-alpha)
+    # and ln|v|, ln|t| are infinite; the CLI must not write Infinity
+    sig = str(tmp_path / "odd.qsig")
+    run_cli("synth", "gaussian", "--n", "65", "--extent", "16",
+            "--alpha1", "0.5", "--alpha2", "0.5", "--out", sig, check=True)
+    for which in ("pitt", "logup"):
+        out = tmp_path / f"{which}.json"
+        proc = run_cli("uncertainty", "--in", sig, "--params", qft_params,
+                       "--which", which, "--json", str(out))
+        assert proc.returncode == 4, (which, proc.stderr)
+        assert "singular at the origin" in proc.stderr
+        assert "n1=65" in proc.stderr  # the message names the grid
+        written = out.read_text() if out.exists() else ""
+        for text in (proc.stdout, proc.stderr, written):
+            assert "Infinity" not in text and "NaN" not in text
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test-only oracle: the package and the CLI must import and
+    # run with it unavailable (including the b = 0 spline in verify qolct)
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "import qolct.cli, qolct.verify\n"
+            "sys.exit(qolct.cli.main(['verify', 'qolct', '--seed', '0']))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "[PASS] qolct:degenerate-identity" in proc.stdout
 
 
 def test_degenerate_branch_cli(tmp_path):

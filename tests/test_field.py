@@ -33,6 +33,16 @@ def test_grid_validation():
         Grid2D(4, 4, spacing1=-1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["center1", "center2", "spacing1", "spacing2"])
+def test_grid_rejects_non_finite(name, bad):
+    # NaN compares false, so it would slip past the positive-spacing check
+    fields = {"center1": 0.5, "center2": -1.0, "spacing1": 0.25, "spacing2": 0.5}
+    fields[name] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        Grid2D(8, 8, **fields)
+
+
 def test_integrate_constant():
     g = Grid2D.centered(32, 2.0)
     ones = QField.from_real(g, np.ones((32, 32)))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from qolct import (
     Grid2D,
@@ -25,6 +26,7 @@ from qolct import (
 from qolct.field import apply_chirp, quartet_l2_norm
 from qolct.olct import (
     InterpolationDomainError,
+    _spline,
     modulation_covariance_check,
     moment_identity_check,
     shift_covariance_check,
@@ -280,6 +282,32 @@ def test_degenerate_single_axis_consistent_with_main_limit():
     rel = np.sqrt(np.sum((F_eps.samples - F0.samples) ** 2)
                   / np.sum(F0.samples ** 2))
     assert rel <= 1e-2
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 256])
+def test_spline_against_scipy(n, axis):
+    # the b = 0 substitution spline is scipy's not-a-knot CubicSpline
+    # (line for n = 2, parabola for n = 3), on uniform and uneven knots
+    rng = np.random.default_rng(n + 10 * axis)
+    m = 3
+    uniform = np.linspace(-2.0, 3.0, n)
+    uneven = np.cumsum(rng.uniform(0.2, 1.0, n)) - 1.0
+    for x in (uniform, uneven):
+        y = rng.normal(size=(n, m, 4))
+        if axis == 1:
+            y = np.moveaxis(y, 0, 1)
+        xq = np.concatenate([x, [x[0], x[-1]],
+                             rng.uniform(x[0], x[-1], 40)])
+        want = CubicSpline(x, y, axis=axis)(xq)
+        got = _spline(x, y, xq, axis)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_spline_needs_two_knots():
+    with pytest.raises(ValueError):
+        _spline(np.array([0.0]), np.ones((1, 2, 4)), np.array([0.0]), 0)
 
 
 def test_degenerate_rejects_bad_inputs():

@@ -17,6 +17,7 @@ from qolct import (
 )
 from qolct.field import ComponentQuartet, apply_chirp
 from qolct.olct import output_in_scaled_coords
+from qolct.qft import PlanViolationError
 from qolct.quat import PureUnit, Quaternion, plane_to_quat, qmul
 from qolct.uncertainty import (
     LOG_UP_CONSTANT,
@@ -246,6 +247,32 @@ def test_pitt_requires_ij_axes(grid64):
     with pytest.raises(ValueError):
         pitt_check(f, plan, 1.0)
     with pytest.raises(ValueError):
+        log_up_check(f, plan)
+
+
+def test_singular_weights_reject_origin_samples():
+    # odd n centered: both t = 0 and v = 0 are samples
+    odd = Grid2D.centered(33, 10.0)
+    f = synth_gaussian(odd, 0.5, 0.5)
+    A = OffsetParams.qft_case()
+    plan = QolctPlan.create(A, A, input_grid=odd)
+    with pytest.raises(PlanViolationError, match="singular at the origin"):
+        pitt_check(f, plan, 1.0)
+    with pytest.raises(PlanViolationError, match="n1=33"):
+        log_up_check(f, plan)
+    # alpha = 0 has no singular weight
+    rep = pitt_check(f, plan, 0.0)
+    assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs)
+
+    # even n shifted by half a cell: t = 0 is a sample, v = 0 is not
+    h = 10.0 / 32
+    shifted = Grid2D(32, 32, h / 2, h / 2, h, h)
+    assert 0.0 in shifted.axis_coords(1)
+    f = synth_gaussian(shifted, 0.5, 0.5)
+    plan = QolctPlan.create(A, A, input_grid=shifted)
+    rep = pitt_check(f, plan, 1.0)  # |t|^alpha is finite at t = 0
+    assert math.isfinite(rep.slack)
+    with pytest.raises(PlanViolationError, match="ln\\|t\\|"):
         log_up_check(f, plan)
 
 
