@@ -25,11 +25,9 @@ from .field import (
     ComponentQuartet,
     Grid2D,
     QField,
-    integrate,
     l2_norm,
     partial_derivative,
     quartet_l2_norm,
-    quartet_norm_pointwise,
     synth_gaussian,
 )
 from .qft import QftPlan, iqft, qft_direct, qft_fast_ij, qft_quartet
@@ -38,7 +36,6 @@ from .olct import (
     QolctPlan,
     analysis_quartet,
     kernel,
-    qolct_degenerate,
     qolct_direct,
     qolct_forward,
     qolct_inverse,

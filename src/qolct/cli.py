@@ -31,15 +31,14 @@ from .olct import (
     QolctPlan,
     analysis_quartet,
     output_in_scaled_coords,
-    qolct_degenerate,
     qolct_forward,
     qolct_inverse,
     qolct_quartet,
 )
 from .qft import PlanViolationError
-from .quat import UNIT_I, UNIT_J, PureUnit
+from .quat import PureUnit
 from .signalio import (
-    TransformParams,
+    params_doc,
     read_csv_signal,
     read_params,
     read_signal,
@@ -86,14 +85,6 @@ def _grid_doc(g: Grid2D) -> dict:
             "spacing1": g.spacing1, "spacing2": g.spacing2}
 
 
-def _params_doc(p: TransformParams) -> dict:
-    def matrix(A):
-        return {"a": A.a, "b": A.b, "c": A.c, "d": A.d, "tau": A.tau, "eta": A.eta}
-    return {"A1": matrix(p.A1), "A2": matrix(p.A2),
-            "lambda": [p.lam.x, p.lam.y, p.lam.z],
-            "mu": [p.mu.x, p.mu.y, p.mu.z]}
-
-
 def _load_signal(path: str, as_csv: bool) -> QField:
     return read_csv_signal(path) if as_csv else read_signal(path)
 
@@ -121,37 +112,34 @@ def cmd_transform(args) -> int:
     f = _load_signal(args.infile, args.csv)
     params = read_params(args.params)
 
-    if args.branch:
-        plan = QolctPlan.create(params.A1, params.A2, params.lam, params.mu,
-                                input_grid=f.grid)
-        out_field = qolct_degenerate(f, plan, args.branch)
-        ratio = None
-    elif args.inverse:
-        b1, b2 = params.A1.b, params.A2.b
-        if b1 <= 0 or b2 <= 0:
+    A1, A2 = params.A1, params.A2
+    ratio = None
+    if args.inverse:
+        if A1.b <= 0 or A2.b <= 0:
             raise ValueError("inverse transform requires b1, b2 > 0")
-        g = f.grid
-        tgrid = Grid2D(g.n1, g.n2, 0.0, 0.0,
-                       b1 * 2.0 * np.pi / (g.n1 * g.spacing1),
-                       b2 * 2.0 * np.pi / (g.n2 * g.spacing2))
-        plan = QolctPlan(params.A1, params.A2, params.lam, params.mu, tgrid, g)
+        tgrid = QolctPlan.derived_output_grid(A1, A2, f.grid)
+        plan = QolctPlan(A1, A2, params.lam, params.mu, tgrid, f.grid)
         out_field = qolct_inverse(f, plan)
-        ratio = None
+        direction = "inverse"
     else:
-        plan = QolctPlan.create(params.A1, params.A2, params.lam, params.mu,
-                                input_grid=f.grid)
+        plan = QolctPlan.create(A1, A2, params.lam, params.mu, input_grid=f.grid)
         out_field = qolct_forward(f, plan)
-        quartet = qolct_quartet(f, plan)
-        denom = l2_norm(f)
-        ratio = quartet_l2_norm(quartet) / denom if denom > 0 else None
+        zero = {(True, True): "both", (True, False): "b1",
+                (False, True): "b2"}.get((A1.b == 0.0, A2.b == 0.0))
+        if zero:
+            direction = f"degenerate:{zero}_zero"
+        else:
+            direction = "forward"
+            denom = l2_norm(f)
+            if denom > 0:
+                ratio = quartet_l2_norm(qolct_quartet(f, plan)) / denom
 
     write_signal(args.out, out_field)
     sidecar = {
-        "direction": ("degenerate:" + args.branch if args.branch
-                      else "inverse" if args.inverse else "forward"),
+        "direction": direction,
         "input_grid": _grid_doc(f.grid),
         "output_grid": _grid_doc(out_field.grid),
-        "params": _params_doc(params),
+        "params": params_doc(params),
         "l2_in": l2_norm(f),
         "l2_out": l2_norm(out_field),
         "plancherel_ratio": ratio,
@@ -197,17 +185,20 @@ def _radial_profile(values_sq: np.ndarray, grid: Grid2D, nbins: int = 48):
     return centers, sums / counts
 
 
+def _scaled_analysis_quartet(f: QField, plan: QolctPlan) -> ComponentQuartet:
+    """The analysis quartet relabeled onto the v = u/b grid."""
+    return ComponentQuartet(tuple(output_in_scaled_coords(m, plan)
+                                  for m in analysis_quartet(f, plan).members))
+
+
 def cmd_uncertainty(args) -> int:
     f = _load_signal(args.infile, args.csv)
     params = read_params(args.params)
-    if args.which in ("pitt", "logup"):
-        if params.lam != UNIT_I or params.mu != UNIT_J:
-            raise ValueError(f"{args.which} requires lambda = i and mu = j")
     plan = QolctPlan.create(params.A1, params.A2, params.lam, params.mu,
                             input_grid=f.grid)
-    doc = {"which": args.which, "params": _params_doc(params),
+    doc = {"which": args.which, "params": params_doc(params),
            "grid": _grid_doc(f.grid), "timestamp": _timestamp()}
-    tsv_rows = None
+    tsv_rows = None  # built only when --tsv asks for them
 
     if args.which == "heisenberg":
         reports = [heisenberg_report(f, plan, axis) for axis in (1, 2)]
@@ -217,10 +208,12 @@ def cmd_uncertainty(args) -> int:
             "cov": r.cov, "lhs": r.lhs, "rhs": r.rhs, "gap": r.gap,
             "relative_gap": r.gap / r.rhs if r.rhs else None,
         } for r in reports]
-        tsv_rows = [("axis", "spatial_spread", "spectral_spread", "base_bound",
-                     "cov", "lhs", "rhs", "gap")]
-        tsv_rows += [(r.axis, r.spatial_spread, r.spectral_spread, r.base_bound,
-                      r.cov, r.lhs, r.rhs, r.gap) for r in reports]
+        if args.tsv:
+            tsv_rows = [("axis", "spatial_spread", "spectral_spread",
+                         "base_bound", "cov", "lhs", "rhs", "gap")]
+            tsv_rows += [(r.axis, r.spatial_spread, r.spectral_spread,
+                          r.base_bound, r.cov, r.lhs, r.rhs, r.gap)
+                         for r in reports]
 
     elif args.which == "hardy":
         rep = hardy_report(f, plan)
@@ -228,52 +221,52 @@ def cmd_uncertainty(args) -> int:
                     "product": rep.product,
                     "signal_fit_residual": rep.signal_fit.residual,
                     "transform_fit_residual": rep.transform_fit.residual})
-        t1, t2 = f.grid.meshgrid()
-        mod = f.modulus()
-        mask = mod > 1e-6 * mod.max()
-        F = qolct_forward(f, plan)
-        scaled = output_in_scaled_coords(F, plan)
-        v1, v2 = scaled.grid.meshgrid()
-        fmod = scaled.modulus()
-        fmask = fmod > 1e-6 * fmod.max()
-        tsv_rows = [("domain", "r2", "log_modulus")]
-        tsv_rows += [("signal", float(a), float(b)) for a, b in
-                     zip((t1 ** 2 + t2 ** 2)[mask].ravel(),
-                         np.log(mod[mask]).ravel())]
-        tsv_rows += [("transform", float(a), float(b)) for a, b in
-                     zip((v1 ** 2 + v2 ** 2)[fmask].ravel(),
-                         np.log(fmod[fmask]).ravel())]
+        if args.tsv:
+            t1, t2 = f.grid.meshgrid()
+            mod = f.modulus()
+            mask = mod > 1e-6 * mod.max()
+            F = qolct_forward(f, plan)
+            scaled = output_in_scaled_coords(F, plan)
+            v1, v2 = scaled.grid.meshgrid()
+            fmod = scaled.modulus()
+            fmask = fmod > 1e-6 * fmod.max()
+            tsv_rows = [("domain", "r2", "log_modulus")]
+            tsv_rows += [("signal", float(a), float(b)) for a, b in
+                         zip((t1 ** 2 + t2 ** 2)[mask].ravel(),
+                             np.log(mod[mask]).ravel())]
+            tsv_rows += [("transform", float(a), float(b)) for a, b in
+                         zip((v1 ** 2 + v2 ** 2)[fmask].ravel(),
+                             np.log(fmod[fmask]).ravel())]
 
     elif args.which == "pitt":
         rep = pitt_check(f, plan, args.alpha)
         doc.update({"alpha": rep.alpha, "lhs": rep.lhs, "rhs": rep.rhs,
                     "slack": rep.slack, "C_alpha": rep.constants.C,
                     "D_alpha": rep.constants.D})
-        tsv_rows = [("alpha", "lhs", "rhs", "slack")]
-        for alpha in np.arange(0.0, 2.0, 0.25):
-            r = pitt_check(f, plan, float(alpha))
-            tsv_rows.append((r.alpha, r.lhs, r.rhs, r.slack))
+        if args.tsv:
+            tsv_rows = [("alpha", "lhs", "rhs", "slack")]
+            for alpha in np.arange(0.0, 2.0, 0.25):
+                r = pitt_check(f, plan, float(alpha))
+                tsv_rows.append((r.alpha, r.lhs, r.rhs, r.slack))
 
     elif args.which == "logup":
         rep = log_up_check(f, plan)
         doc.update({"A": rep.constant, "lhs": rep.lhs, "rhs": rep.rhs,
                     "slack": rep.slack, "transform_term": rep.transform_term,
                     "signal_term": rep.signal_term, "energy": rep.energy})
-        e2 = np.sum(f.samples ** 2, axis=-1)
-        quartet = analysis_quartet(f, plan)
-        scaled_members = tuple(output_in_scaled_coords(m, plan)
-                               for m in quartet.members)
-        squart = ComponentQuartet(scaled_members)
-        r_sig, p_sig = _radial_profile(e2, f.grid)
-        r_tr, p_tr = _radial_profile(squart.norm_field() ** 2, squart.grid)
-        tsv_rows = [("domain", "radius", "energy_density")]
-        tsv_rows += [("signal", float(a), float(b)) for a, b in zip(r_sig, p_sig)]
-        tsv_rows += [("transform", float(a), float(b)) for a, b in zip(r_tr, p_tr)]
+        if args.tsv:
+            e2 = np.sum(f.samples ** 2, axis=-1)
+            squart = _scaled_analysis_quartet(f, plan)
+            r_sig, p_sig = _radial_profile(e2, f.grid)
+            r_tr, p_tr = _radial_profile(squart.norm_field() ** 2, squart.grid)
+            tsv_rows = [("domain", "radius", "energy_density")]
+            tsv_rows += [("signal", float(a), float(b))
+                         for a, b in zip(r_sig, p_sig)]
+            tsv_rows += [("transform", float(a), float(b))
+                         for a, b in zip(r_tr, p_tr)]
 
     elif args.which == "beurling":
-        quartet = analysis_quartet(f, plan)
-        scaled = ComponentQuartet(tuple(
-            output_in_scaled_coords(m, plan) for m in quartet.members))
+        scaled = _scaled_analysis_quartet(f, plan)
         radius = args.radius
         if radius is None:
             radius = 0.45 * min(f.grid.extent1, f.grid.extent2)
@@ -282,15 +275,18 @@ def cmd_uncertainty(args) -> int:
         doc.update({"d": args.d, "radius": radius, "value": full,
                     "value_half_radius": half,
                     "growth_ratio": full / half if half else None})
-        tsv_rows = [("radius", "value")]
-        for frac in (0.25, 0.5, 0.75, 1.0):
-            tsv_rows.append((radius * frac,
-                             beurling_integral(f, scaled, args.d, radius * frac)))
+        if args.tsv:
+            quarter, three_quarters = (
+                beurling_integral(f, scaled, args.d, radius * frac)
+                for frac in (0.25, 0.75))
+            tsv_rows = [("radius", "value"), (radius * 0.25, quarter),
+                        (radius * 0.5, half), (radius * 0.75, three_quarters),
+                        (radius, full)]
 
     _dump_json(doc, args.json)
     if args.json:
         print(f"wrote {args.json}")
-    if args.tsv and tsv_rows:
+    if tsv_rows:
         with open(args.tsv, "w") as fh:
             for row in tsv_rows:
                 fh.write("\t".join(str(v) for v in row) + "\n")
@@ -341,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--inverse", action="store_true")
     tr.add_argument("--csv", action="store_true",
                     help="input is CSV with columns t1,t2,q0,q1,q2,q3")
-    tr.add_argument("--branch", choices=["b1_zero", "b2_zero", "both_zero"],
-                    help="evaluate a degenerate b = 0 branch")
     tr.add_argument("--reference",
                     help="signal file to compare the output against (adds "
                          "l2_rel_distance_to_reference to the sidecar)")

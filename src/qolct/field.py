@@ -141,25 +141,9 @@ class ComponentQuartet:
         return np.sqrt(acc)
 
 
-def integrate(g: QField) -> Quaternion:
-    """Riemann sum of g over its grid, as a quaternion."""
-    comp = np.sum(g.samples, axis=(0, 1)) * g.grid.cell_area
-    return Quaternion.from_array(comp)
-
-
 def l2_norm(f: QField) -> float:
     """sqrt(integral of |f(t)|_Q^2)."""
     return float(np.sqrt(np.sum(f.samples * f.samples) * f.grid.cell_area))
-
-
-def quartet_norm_pointwise(q: ComponentQuartet, at) -> float:
-    """Quartet norm at one grid index ``at = (i1, i2)``."""
-    i1, i2 = at
-    acc = 0.0
-    for m in q.members:
-        v = m.samples[i1, i2]
-        acc += float(v @ v)
-    return float(np.sqrt(acc))
 
 
 def quartet_l2_norm(q: ComponentQuartet) -> float:

@@ -13,8 +13,8 @@ kernel factors as input chirp -> QFT -> output factor C(u), so the forward
 and inverse transforms and the quartets hand their per-axis chirps and
 factors to the planes-split FFT engine of ``qft``, which serves every axis
 pair.  ``qolct_direct`` evaluates the kernel quadrature densely and serves as
-the mutual oracle.  Degenerate axes (b = 0) become pointwise substitutions
-with chirps.
+the mutual oracle.  ``qolct_forward`` serves every valid plan: degenerate
+axes (b = 0) become pointwise substitutions with chirps.
 """
 
 from __future__ import annotations
@@ -194,14 +194,18 @@ def _plan_factors(plan: QolctPlan, sign: float = 1.0):
 
 
 def qolct_forward(f: QField, plan: QolctPlan) -> QField:
-    """Forward transform via the chirp -> QFT -> output-factor factorization.
+    """Forward transform of any valid plan.
 
-    Exact (to rounding) rearrangement of the direct kernel quadrature on the
-    plan's grids, for any axes.
+    With b > 0 on both axes it runs the chirp -> QFT -> output-factor
+    factorization, an exact (to rounding) rearrangement of the direct kernel
+    quadrature on the plan's grids, for any axes.  An axis with b = 0 takes
+    the substitution branch instead (:func:`_degenerate`).
     """
-    chirps, factors = _plan_factors(plan)
     if f.grid != plan.input_grid:
         raise ValueError("field grid does not match plan input grid")
+    if plan.A1.b == 0.0 or plan.A2.b == 0.0:
+        return _degenerate(f, plan)
+    chirps, factors = _plan_factors(plan)
     return QField(plan.output_grid,
                   _two_sided(f.samples, plan.qft_plan(), chirps, factors))
 
@@ -373,25 +377,14 @@ def _spline(x, y, xq, axis: int):
     return np.moveaxis(out, 0, axis)
 
 
-def qolct_degenerate(f: QField, plan: QolctPlan, which: str) -> QField:
-    """Evaluate the b = 0 branches by substitution t_k -> d_k (u_k - tau_k).
+def _degenerate(f: QField, plan: QolctPlan) -> QField:
+    """Evaluate the b = 0 axes by substitution t_k -> d_k (u_k - tau_k).
 
-    ``which`` names the degenerate axes: ``b1_zero``, ``b2_zero`` or
-    ``both_zero``.  Off-grid substituted coordinates are filled by bicubic
-    spline interpolation of f; extrapolation is rejected.
+    Off-grid substituted coordinates are filled by cubic spline
+    interpolation of f; extrapolation is rejected.  An axis with b > 0 keeps
+    its kernel quadrature.
     """
-    if which not in ("b1_zero", "b2_zero", "both_zero"):
-        raise ValueError("which must be b1_zero, b2_zero or both_zero")
-    deg1 = which in ("b1_zero", "both_zero")
-    deg2 = which in ("b2_zero", "both_zero")
-    for deg, A, label in ((deg1, plan.A1, "axis 1"), (deg2, plan.A2, "axis 2")):
-        if deg and A.b != 0.0:
-            raise ValueError(f"{label}: branch requires b = 0 exactly")
-        if not deg:
-            _require_positive_b(A, label)
-    if f.grid != plan.input_grid:
-        raise ValueError("field grid does not match plan input grid")
-
+    deg1, deg2 = plan.A1.b == 0.0, plan.A2.b == 0.0
     t1 = f.grid.axis_coords(1)
     t2 = f.grid.axis_coords(2)
     u1 = plan.output_grid.axis_coords(1)
@@ -440,6 +433,17 @@ def _check_containment(f: QField, k1: float, k2: float):
         raise ValueError("shifted signal is not well-contained in the grid")
 
 
+def _phase_factored(lhs: QField, base: QField, plan: QolctPlan,
+                    ph1, ph2) -> IdentityReport:
+    """Compare lhs with e^(lam ph1) base e^(mu ph2), the per-axis phases
+    given on the plan's output grid."""
+    rhs = QField(plan.output_grid, _sandwich(base.samples, plan.lam, plan.mu,
+                                             np.exp(1j * ph1), np.exp(1j * ph2)))
+    maxerr = float(qnorm(lhs.samples - rhs.samples).max())
+    scale = float(qnorm(lhs.samples).max())
+    return IdentityReport(lhs, rhs, maxerr, maxerr / scale if scale else maxerr)
+
+
 def shift_covariance_check(f: QField, plan: QolctPlan, k) -> IdentityReport:
     """Compare O{f(.-k)} with the phase-factored O{f}(u - k*a).
 
@@ -458,11 +462,7 @@ def shift_covariance_check(f: QField, plan: QolctPlan, k) -> IdentityReport:
            + k1 * (A1.a * A1.eta - A1.c * A1.tau))
     ph2 = (A2.c * (2.0 * k2 * u2 - A2.a * k2 ** 2) / 2.0
            + k2 * (A2.a * A2.eta - A2.c * A2.tau))
-    rhs = QField(plan.output_grid, _sandwich(base.samples, plan.lam, plan.mu,
-                                             np.exp(1j * ph1), np.exp(1j * ph2)))
-    maxerr = float(qnorm(lhs.samples - rhs.samples).max())
-    scale = float(qnorm(lhs.samples).max())
-    return IdentityReport(lhs, rhs, maxerr, maxerr / scale if scale else maxerr)
+    return _phase_factored(lhs, base, plan, ph1, ph2)
 
 
 def modulation_covariance_check(f: QField, plan: QolctPlan, xi) -> IdentityReport:
@@ -480,11 +480,7 @@ def modulation_covariance_check(f: QField, plan: QolctPlan, xi) -> IdentityRepor
             + xi1 * (A1.d * A1.tau - A1.b * A1.eta))
     ph2 = -(A2.d / 2.0 * (A2.b * xi2 ** 2 - 2.0 * u2 * xi2)
             + xi2 * (A2.d * A2.tau - A2.b * A2.eta))
-    rhs = QField(plan.output_grid, _sandwich(base.samples, plan.lam, plan.mu,
-                                             np.exp(1j * ph1), np.exp(1j * ph2)))
-    maxerr = float(qnorm(lhs.samples - rhs.samples).max())
-    scale = float(qnorm(lhs.samples).max())
-    return IdentityReport(lhs, rhs, maxerr, maxerr / scale if scale else maxerr)
+    return _phase_factored(lhs, base, plan, ph1, ph2)
 
 
 @dataclass(frozen=True)

@@ -253,20 +253,19 @@ def _sandwich(samples, lam: PureUnit, mu: PureUnit, left, right) -> np.ndarray:
     return samples
 
 
-def _two_sided(samples, plan: QftPlan, pre=(None, None), post=(None, None),
-               direct: bool = False) -> np.ndarray:
+def _two_sided(samples, plan: QftPlan, pre=(None, None),
+               post=(None, None)) -> np.ndarray:
     """post1(u1) * sum_t e^{s lam u1 t1} pre1(t1) f(t) pre2(t2) e^{s mu u2 t2}
     dt * post2(u2), with s = -1 forward and s = +1 (times 1/4pi^2) inverse;
     the per-axis complex factors sit on lam (axis 1) and mu (axis 2), None
     standing for 1.  The one place a transform picks its path: the planes
-    split FFT engine on FFT-compatible grids, else (or if ``direct``) the
-    dense quadrature."""
+    split FFT engine on FFT-compatible grids, else the dense quadrature."""
     sign, scale = -1, 1.0
     if plan.direction == "inverse":
         sign, scale = 1, 1.0 / (4.0 * math.pi ** 2)
         if _mutation.active("iqft-scale"):
             scale = 1.0
-    if not direct and plan.is_fft_compatible():
+    if plan.is_fft_compatible():
         return _planes_ft(samples, plan, sign, scale, pre, post)
     if samples.ndim == 2:
         samples = samples[..., None] * np.array([1.0, 0.0, 0.0, 0.0])
@@ -285,15 +284,13 @@ def qft_fast_ij(f: QField, plan: QftPlan) -> QField:
     return QField(plan.output_grid, _two_sided(f.samples, plan))
 
 
-def iqft(F: QField, plan: QftPlan, method: str = "auto") -> QField:
-    """Inverse transform (1/4pi^2) sum_u e^{+lam u1 t1} F(u) e^{+mu u2 t2} du;
-    ``method="direct"`` forces the dense quadrature."""
+def iqft(F: QField, plan: QftPlan) -> QField:
+    """Inverse transform (1/4pi^2) sum_u e^{+lam u1 t1} F(u) e^{+mu u2 t2} du."""
     if plan.direction != "inverse":
         raise ValueError("iqft requires an inverse plan")
     if F.grid != plan.input_grid:
         raise ValueError("field grid does not match plan input grid")
-    return QField(plan.output_grid,
-                  _two_sided(F.samples, plan, direct=method == "direct"))
+    return QField(plan.output_grid, _two_sided(F.samples, plan))
 
 
 def qft_quartet(f: QField, plan: QftPlan) -> ComponentQuartet:

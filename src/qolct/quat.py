@@ -227,15 +227,3 @@ def plane_to_quat(z, axis: PureUnit) -> np.ndarray:
     out[..., 2] = axis.y * z.imag
     out[..., 3] = axis.z * z.imag
     return out
-
-
-def left_mul(q: Quaternion | PureUnit, field: np.ndarray) -> np.ndarray:
-    """Constant left multiplication q * field over a component stack."""
-    q = _coerce(q)
-    return qmul(q.array, field)
-
-
-def right_mul(field: np.ndarray, q: Quaternion | PureUnit) -> np.ndarray:
-    """Constant right multiplication field * q over a component stack."""
-    q = _coerce(q)
-    return qmul(field, q.array)

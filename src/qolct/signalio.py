@@ -124,16 +124,20 @@ def read_params(path) -> TransformParams:
     )
 
 
-def write_params(path, params: TransformParams) -> None:
+def params_doc(params: TransformParams) -> dict:
+    """The JSON document of a parameter file, as ``read_params`` reads it."""
     def matrix(A):
         return {"a": A.a, "b": A.b, "c": A.c, "d": A.d,
                 "tau": A.tau, "eta": A.eta}
 
-    doc = {"A1": matrix(params.A1), "A2": matrix(params.A2),
-           "lambda": [params.lam.x, params.lam.y, params.lam.z],
-           "mu": [params.mu.x, params.mu.y, params.mu.z]}
+    return {"A1": matrix(params.A1), "A2": matrix(params.A2),
+            "lambda": [params.lam.x, params.lam.y, params.lam.z],
+            "mu": [params.mu.x, params.mu.y, params.mu.z]}
+
+
+def write_params(path, params: TransformParams) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(params_doc(params), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

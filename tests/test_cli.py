@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qolct import Grid2D, UNIT_I, UNIT_J, synth_gaussian
+from qolct import Grid2D, UNIT_I, UNIT_J, UNIT_K, synth_gaussian
 from qolct.field import apply_chirp
 from qolct.signalio import (
     MAGIC,
@@ -318,10 +318,13 @@ def test_degenerate_branch_cli(tmp_path):
                       '"lambda": [1,0,0], "mu": [0,1,0]}')
     out = str(tmp_path / "o.qsig")
     run_cli("transform", "--in", sig, "--params", str(params),
-            "--branch", "both_zero", "--out", out, check=True)
+            "--out", out, check=True)
     got = read_signal(out)
     want = read_signal(sig)
     assert np.abs(got.samples - want.samples).max() <= 1e-12
+    sidecar = json.loads((tmp_path / "o.qsig.json").read_text())
+    assert sidecar["direction"] == "degenerate:both_zero"
+    assert sidecar["plancherel_ratio"] is None
 
 
 def test_verify_exit_codes_and_mutations(tmp_path):
@@ -420,6 +423,53 @@ def test_uncertainty_hardy_tsv(tmp_path, qft_params):
     lines = (tmp_path / "hd.tsv").read_text().strip().splitlines()
     assert lines[0] == "domain\tr2\tlog_modulus"
     assert any(line.startswith("transform\t") for line in lines[1:])
+
+
+# --which: (the report's costly call, its count without --tsv)
+UNCERTAINTY_CALLS = {
+    "heisenberg": ("heisenberg_report", 2),
+    "hardy": ("qolct_forward", 1),
+    "pitt": ("analysis_quartet", 1),
+    "logup": ("analysis_quartet", 1),
+    "beurling": ("beurling_integral", 2),
+}
+
+
+@pytest.mark.parametrize("which", sorted(UNCERTAINTY_CALLS))
+def test_uncertainty_computes_only_what_it_prints(tmp_path, qft_params,
+                                                  monkeypatch, which):
+    from qolct import cli, uncertainty
+
+    name, want = UNCERTAINTY_CALLS[which]
+    calls = []
+    for module in (cli, uncertainty):
+        real = getattr(module, name, None)
+        if real is None:
+            continue
+
+        def spy(*args, _real=real, **kwargs):
+            calls.append(name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    sig = str(tmp_path / "f.qsig")
+    write_signal(sig, synth_gaussian(Grid2D.centered(64, 16.0), 0.5, 0.5))
+    out = str(tmp_path / "u.json")
+    assert cli.main(["uncertainty", "--in", sig, "--params", qft_params,
+                     "--which", which, "--json", out]) == 0
+    assert len(calls) == want
+
+
+def test_pitt_rejects_non_ij_axes(tmp_path):
+    sig = str(tmp_path / "f.qsig")
+    write_signal(sig, synth_gaussian(Grid2D.centered(32, 16.0), 0.5, 0.5))
+    params = tmp_path / "ik.json"
+    A = OffsetParams.qft_case()
+    write_params(params, TransformParams(A, A, UNIT_I, UNIT_K))
+    proc = run_cli("uncertainty", "--in", sig, "--params", str(params),
+                   "--which", "pitt")
+    assert proc.returncode == 2
+    assert "lam=i, mu=j" in proc.stderr
 
 
 def test_chirped_synth_and_csv_transform(tmp_path, qft_params):

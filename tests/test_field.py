@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qolct import Grid2D, QField, UNIT_I, UNIT_J, integrate, l2_norm, synth_gaussian
+from qolct import Grid2D, QField, UNIT_I, UNIT_J, l2_norm, synth_gaussian
 from qolct.field import (
     ComponentQuartet,
     GridTooSmallError,
@@ -11,7 +11,6 @@ from qolct.field import (
     fourier_shift,
     partial_derivative,
     quartet_l2_norm,
-    quartet_norm_pointwise,
 )
 from qolct.quat import Quaternion, qnorm
 
@@ -41,36 +40,6 @@ def test_grid_rejects_non_finite(name, bad):
     fields[name] = bad
     with pytest.raises(ValueError, match="not finite"):
         Grid2D(8, 8, **fields)
-
-
-def test_integrate_constant():
-    g = Grid2D.centered(32, 2.0)
-    ones = QField.from_real(g, np.ones((32, 32)))
-    assert integrate(ones).q0 == pytest.approx(4.0, abs=1e-12)
-
-
-def test_integrate_gaussian_is_pi():
-    g = Grid2D.centered(128, 16.0)
-    f = synth_gaussian(g, 1.0, 1.0)
-    assert integrate(f).q0 == pytest.approx(math.pi, rel=1e-10)
-
-
-def test_integrate_odd_function_vanishes():
-    g = Grid2D.centered(64, 16.0)
-    t1, _ = g.meshgrid()
-    f = QField.from_real(g, t1 * np.exp(-(t1 ** 2)))
-    assert abs(integrate(f).q0) <= 1e-12
-
-
-def test_integrate_linearity():
-    rng = np.random.default_rng(3)
-    g = Grid2D.centered(16, 4.0)
-    f = QField(g, rng.normal(size=(16, 16, 4)))
-    h = QField(g, rng.normal(size=(16, 16, 4)))
-    lhs = integrate(QField(g, 2.5 * f.samples - 1.25 * h.samples))
-    rhs = 2.5 * integrate(f) - 1.25 * integrate(h)
-    assert np.abs(lhs.array - rhs.array).max() <= 1e-12 * max(
-        np.abs(rhs.array).max(), 1.0)
 
 
 def test_l2_norm_values():
@@ -116,12 +85,9 @@ def test_quartet_norms():
     f = QField(g, rng.normal(size=(16, 16, 4)))
     zero = QField.zeros(g)
     q = ComponentQuartet((f, zero, zero, zero))
-    assert quartet_norm_pointwise(q, (3, 7)) == pytest.approx(
-        float(qnorm(f.samples[3, 7])))
     assert quartet_l2_norm(q) == pytest.approx(l2_norm(f), rel=1e-14)
     q4 = ComponentQuartet((f, f, f, f))
-    assert quartet_norm_pointwise(q4, (3, 7)) == pytest.approx(
-        2.0 * float(qnorm(f.samples[3, 7])))
+    assert quartet_l2_norm(q4) == pytest.approx(2.0 * l2_norm(f), rel=1e-14)
     assert quartet_l2_norm(ComponentQuartet((zero, zero, zero, zero))) == 0.0
     with pytest.raises(ValueError):
         ComponentQuartet((f, zero, zero))

@@ -16,7 +16,6 @@ from qolct import (
     kernel,
     l2_norm,
     qft_fast_ij,
-    qolct_degenerate,
     qolct_direct,
     qolct_forward,
     qolct_inverse,
@@ -207,7 +206,7 @@ def test_degenerate_identity_matrices():
     f = synth_gaussian(g, 0.8, 1.2, (1.0, 0.5), (0.7, -0.4), UNIT_I, UNIT_J)
     ident = OffsetParams(1.0, 0.0, 0.0, 1.0)
     plan = QolctPlan.create(ident, ident, input_grid=g)
-    got = qolct_degenerate(f, plan, "both_zero")
+    got = qolct_forward(f, plan)
     assert np.abs(got.samples - f.samples).max() <= 1e-12
     assert plan.output_grid == g
 
@@ -222,7 +221,7 @@ def test_degenerate_branch_with_offsets_matches_formula():
     A2 = OffsetParams(2.0, 0.0, -0.3, 0.5, -0.4, 0.8)
     og = Grid2D(48, 48, A1.tau, A2.tau, 0.08, 0.08)
     plan = QolctPlan(A1, A2, UNIT_I, UNIT_J, g, og)
-    got = qolct_degenerate(f, plan, "both_zero")
+    got = qolct_forward(f, plan)
 
     u1 = og.axis_coords(1)
     u2 = og.axis_coords(2)
@@ -249,7 +248,7 @@ def test_degenerate_branch_exact_when_substitution_hits_samples():
     A2 = OffsetParams(1.0, 0.0, -0.3, 1.0, -2 * h, 0.8)
     og = Grid2D(40, 40, A1.tau, A2.tau, h, h)
     plan = QolctPlan(A1, A2, UNIT_I, UNIT_J, g, og)
-    got = qolct_degenerate(f, plan, "both_zero")
+    got = qolct_forward(f, plan)
     u1 = og.axis_coords(1)
     u2 = og.axis_coords(2)
     sub = synth_gaussian(
@@ -261,6 +260,56 @@ def test_degenerate_branch_exact_when_substitution_hits_samples():
                                      + u2 * A2.eta)), UNIT_J)
     want = qmul(qmul(ch1[:, None, :], sub.samples), ch2[None, :, :])
     assert rel_max_err(got.samples, want) <= 1e-12
+
+
+def _axis_operator(A, unit, t, u, h):
+    """(n_u, n_t, 4) quaternion matrix of one axis of the transform: the
+    kernel times h for b > 0, else the chirped substitution t = d (u - tau),
+    which must hit a sample."""
+    if A.b > 0.0:
+        return np.array([[kernel(A, unit, tp, uq).array for tp in t]
+                         for uq in u]) * h
+    sub = A.d * (u - A.tau)
+    p = np.rint((sub - t[0]) / h).astype(int)
+    assert np.abs(t[p] - sub).max() <= 1e-12
+    chirp = np.exp(1j * (A.c * A.d * (u - A.tau) ** 2 / 2 + u * A.eta))
+    op = np.zeros((u.size, t.size, 4))
+    op[np.arange(u.size), p] = math.sqrt(A.d) * plane_to_quat(chirp, unit)
+    return op
+
+
+@pytest.mark.parametrize("zero_axes", ["b1_zero", "b2_zero", "both_zero"])
+def test_forward_serves_b_zero_axes(zero_axes):
+    # qolct_forward picks the substitution for every b = 0 axis from the
+    # plan alone; the other transforms still require b > 0 on both axes
+    g = Grid2D.centered(24, 8.0)
+    f = synth_gaussian(g, 0.8, 1.2, (1.0, 0.5), (0.7, -0.4), UNIT_I, UNIT_J)
+    h = g.spacing1
+    A1, A2 = A1_REF, A2_REF
+    c1 = c2 = 0.0
+    if zero_axes in ("b1_zero", "both_zero"):
+        A1 = OffsetParams(1.0, 0.0, 0.7, 1.0, 3 * h, -0.6)
+        c1 = A1.tau
+    if zero_axes in ("b2_zero", "both_zero"):
+        A2 = OffsetParams(1.0, 0.0, -0.3, 1.0, -2 * h, 0.8)
+        c2 = A2.tau
+    og = Grid2D(16, 16, c1, c2, h, h)
+    plan = QolctPlan(A1, A2, UNIT_I, UNIT_J, g, og)
+    got = qolct_forward(f, plan)
+
+    t1, t2 = g.axis_coords(1), g.axis_coords(2)
+    left = _axis_operator(A1, UNIT_I, t1, og.axis_coords(1), h)
+    right = np.swapaxes(_axis_operator(A2, UNIT_J, t2, og.axis_coords(2), h), 0, 1)
+    mid = qmul(left[:, :, None, :], f.samples[None]).sum(axis=1)
+    want = qmul(mid[:, :, None, :], right[None]).sum(axis=1)
+    assert got.grid == og
+    assert rel_max_err(got.samples, want) <= 1e-12
+
+    for transform in (qolct_quartet, analysis_quartet, qolct_direct):
+        with pytest.raises(ValueError, match="require b > 0"):
+            transform(f, plan)
+    with pytest.raises(ValueError, match="require b > 0"):
+        qolct_inverse(got, plan)
 
 
 def test_degenerate_single_axis_consistent_with_main_limit():
@@ -278,7 +327,7 @@ def test_degenerate_single_axis_consistent_with_main_limit():
     F_eps = qolct_direct(f, plan_eps)
     plan0 = QolctPlan(OffsetParams(a1, 0.0, c1, 1.0 / a1, tau1, eta1),
                       A2, UNIT_I, UNIT_J, g, og)
-    F0 = qolct_degenerate(f, plan0, "b1_zero")
+    F0 = qolct_forward(f, plan0)
     rel = np.sqrt(np.sum((F_eps.samples - F0.samples) ** 2)
                   / np.sum(F0.samples ** 2))
     assert rel <= 1e-2
@@ -315,17 +364,11 @@ def test_degenerate_rejects_bad_inputs():
     f = synth_gaussian(g, 1.0, 1.0)
     ident = OffsetParams(1.0, 0.0, 0.0, 1.0)
     plan = QolctPlan.create(ident, ident, input_grid=g)
-    with pytest.raises(ValueError):
-        qolct_degenerate(f, plan, "nonsense")
-    with pytest.raises(ValueError):
-        qolct_degenerate(f, plan, "b1_zero")  # axis 2 has b = 0 too
-    with pytest.raises(ValueError):
-        qolct_forward(f, plan)  # main branch requires b > 0
     # substituted coordinates outside the grid are rejected
     wide = Grid2D(32, 32, 0.0, 0.0, 1.0, 1.0)
     plan_wide = QolctPlan(ident, ident, UNIT_I, UNIT_J, g, wide)
     with pytest.raises(InterpolationDomainError):
-        qolct_degenerate(f, plan_wide, "both_zero")
+        qolct_forward(f, plan_wide)
     with pytest.raises(ValueError):
         QolctPlan.create(OffsetParams(0.0, 0.0, 1.0, 0.0), ident, input_grid=g)
 
