@@ -1,8 +1,8 @@
 """Defect injection hooks for exercising the verification suite.
 
 ``verify --mutate NAME`` plants a known bug so the check suite can prove it
-would catch one.  Production code paths consult :func:`active` at the three
-documented injection points; with no mutation armed the checks are free.
+would catch one.  Production code paths consult :func:`active` at one
+documented injection point per mutation; with none armed the checks are free.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ MUTATIONS = {
                   "transform in the two-sided transform engine",
     "chirp-sign": "flip the sign of the quadratic input-chirp phase the QOLCT "
                   "hands to the two-sided transform engine",
+    "planes-conj": "swap which plane of the planes split takes the conjugated "
+                   "right-hand factor, in the FFT engine and every sandwich",
 }
 
 _current: str | None = None
@@ -23,10 +25,6 @@ _current: str | None = None
 
 def active(name: str) -> bool:
     return _current == name
-
-
-def current() -> str | None:
-    return _current
 
 
 @contextmanager

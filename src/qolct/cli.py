@@ -49,7 +49,7 @@ from .uncertainty import (
     hardy_report,
     heisenberg_report,
     log_up_check,
-    pitt_check,
+    pitt_sweep,
 )
 
 EXIT_OK = 0
@@ -239,15 +239,14 @@ def cmd_uncertainty(args) -> int:
                              np.log(fmod[fmask]).ravel())]
 
     elif args.which == "pitt":
-        rep = pitt_check(f, plan, args.alpha)
+        sweep = [float(a) for a in np.arange(0.0, 2.0, 0.25)] if args.tsv else []
+        rep, *swept = pitt_sweep(f, plan, [args.alpha] + sweep)
         doc.update({"alpha": rep.alpha, "lhs": rep.lhs, "rhs": rep.rhs,
                     "slack": rep.slack, "C_alpha": rep.constants.C,
                     "D_alpha": rep.constants.D})
         if args.tsv:
             tsv_rows = [("alpha", "lhs", "rhs", "slack")]
-            for alpha in np.arange(0.0, 2.0, 0.25):
-                r = pitt_check(f, plan, float(alpha))
-                tsv_rows.append((r.alpha, r.lhs, r.rhs, r.slack))
+            tsv_rows += [(r.alpha, r.lhs, r.rhs, r.slack) for r in swept]
 
     elif args.which == "logup":
         rep = log_up_check(f, plan)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quat import PureUnit, Quaternion, plane_to_quat, qmul, qnorm
+from .quat import PureUnit, Quaternion, qnorm, sandwich
 
 
 class GridTooSmallError(ValueError):
@@ -195,11 +195,9 @@ def apply_chirp(f: QField, lam: PureUnit, lin1: float, quad1: float,
     """
     t1 = f.grid.axis_coords(1)
     t2 = f.grid.axis_coords(2)
-    left = plane_to_quat(np.exp(1j * (lin1 * t1 + quad1 * t1 ** 2)), lam)
-    right = plane_to_quat(np.exp(1j * (lin2 * t2 + quad2 * t2 ** 2)), mu)
-    out = qmul(left[:, None, :], f.samples)
-    out = qmul(out, right[None, :, :])
-    return QField(f.grid, out)
+    return QField(f.grid, sandwich(f.samples, lam, mu,
+                                   np.exp(1j * (lin1 * t1 + quad1 * t1 ** 2)),
+                                   np.exp(1j * (lin2 * t2 + quad2 * t2 ** 2))))
 
 
 _EDGE_STENCILS = np.array([

@@ -36,15 +36,15 @@ from .field import (
 from .qft import (
     _CONTRACT_BLOCK,
     IdentityReport,
+    _factored_report,
     PlanViolationError,
     QftPlan,
     _left_contract,
     _quartet,
     _right_contract,
-    _sandwich,
     _two_sided,
 )
-from .quat import UNIT_I, UNIT_J, PureUnit, Quaternion, plane_to_quat, qmul, qnorm
+from .quat import UNIT_I, UNIT_J, PureUnit, Quaternion, plane_to_quat, sandwich
 
 
 class InterpolationDomainError(ValueError):
@@ -161,29 +161,16 @@ class QolctPlan:
                        self.lam, self.mu, "forward")
 
 
-def _chirp_coefs(A: OffsetParams, sign: float = 1.0):
-    """(linear, quadratic) coefficients of the input chirp
-    exp(axis*sign*(tau t/b + a t^2/(2b)))."""
-    quad = sign * A.a / (2.0 * A.b)
-    if _mutation.active("chirp-sign"):
-        quad = -quad
-    return sign * A.tau / A.b, quad
-
-
-def _chirped_signal(f: QField, plan: QolctPlan) -> QField:
-    """exp(lam*(tau1 t1/b1 + a1 t1^2/(2 b1))) f exp(mu-side analogue)."""
-    return apply_chirp(f, plan.lam, *_chirp_coefs(plan.A1),
-                       plan.mu, *_chirp_coefs(plan.A2))
-
-
 def _plan_factors(plan: QolctPlan, sign: float = 1.0):
-    """Per-axis input chirps and output factors C(u) = (2 pi b)^(-1/2)
-    e^{-i pi/4} e^{i(-2u(d tau - b eta) + d(u^2 + tau^2))/(2b)} of the plan
+    """Per-axis input chirps e^{i(tau t + a t^2/2)/b} and output factors C(u) =
+    (2 pi b)^(-1/2) e^{-i pi/4} e^{i(-2u(d tau - b eta) + d(u^2 + tau^2))/(2b)}
     as complex values (sign +1), or their inverses (sign -1)."""
     chirps, factors = [], []
     for axis, A in ((1, plan.A1), (2, plan.A2)):
         _require_positive_b(A, f"axis {axis}")
-        lin, quad = _chirp_coefs(A, sign)
+        lin, quad = sign * A.tau / A.b, sign * A.a / (2.0 * A.b)
+        if _mutation.active("chirp-sign"):
+            quad = -quad
         t = plan.input_grid.axis_coords(axis)
         chirps.append(np.exp(1j * (lin * t + quad * t * t)))
         u = plan.output_grid.axis_coords(axis)
@@ -208,6 +195,12 @@ def qolct_forward(f: QField, plan: QolctPlan) -> QField:
     chirps, factors = _plan_factors(plan)
     return QField(plan.output_grid,
                   _two_sided(f.samples, plan.qft_plan(), chirps, factors))
+
+
+def _chirped_signal(f: QField, plan: QolctPlan) -> QField:
+    """The plan's input chirps sandwiching f: chirp1(t1) f chirp2(t2)."""
+    chirps, _ = _plan_factors(plan)
+    return QField(f.grid, sandwich(f.samples, plan.lam, plan.mu, *chirps))
 
 
 def _kernel_matrices(A: OffsetParams, t, u, transposed: bool):
@@ -274,9 +267,9 @@ def analysis_quartet(f: QField, plan: QolctPlan) -> ComponentQuartet:
     For unchirped signals along an axis (a = tau = 0) it coincides with
     :func:`qolct_quartet` along that axis's contribution.
     """
-    _, factors = _plan_factors(plan)
-    return _quartet(_chirped_signal(f, plan).samples, plan.qft_plan(),
-                    plan.output_grid, post=factors)
+    chirps, factors = _plan_factors(plan)
+    return _quartet(sandwich(f.samples, plan.lam, plan.mu, *chirps),
+                    plan.qft_plan(), plan.output_grid, post=factors)
 
 
 def output_in_scaled_coords(F: QField, plan: QolctPlan) -> QField:
@@ -403,7 +396,7 @@ def _degenerate(f: QField, plan: QolctPlan) -> QField:
         cos2, sin2 = _kernel_matrices(plan.A2, t2, u2, transposed=True)
         data = _right_contract(data, cos2, sin2, plan.mu, f.grid.spacing2)
 
-    return QField(plan.output_grid, _sandwich(
+    return QField(plan.output_grid, sandwich(
         data, plan.lam, plan.mu,
         _degenerate_chirp(plan.A1, u1) if deg1 else None,
         _degenerate_chirp(plan.A2, u2) if deg2 else None))
@@ -433,17 +426,6 @@ def _check_containment(f: QField, k1: float, k2: float):
         raise ValueError("shifted signal is not well-contained in the grid")
 
 
-def _phase_factored(lhs: QField, base: QField, plan: QolctPlan,
-                    ph1, ph2) -> IdentityReport:
-    """Compare lhs with e^(lam ph1) base e^(mu ph2), the per-axis phases
-    given on the plan's output grid."""
-    rhs = QField(plan.output_grid, _sandwich(base.samples, plan.lam, plan.mu,
-                                             np.exp(1j * ph1), np.exp(1j * ph2)))
-    maxerr = float(qnorm(lhs.samples - rhs.samples).max())
-    scale = float(qnorm(lhs.samples).max())
-    return IdentityReport(lhs, rhs, maxerr, maxerr / scale if scale else maxerr)
-
-
 def shift_covariance_check(f: QField, plan: QolctPlan, k) -> IdentityReport:
     """Compare O{f(.-k)} with the phase-factored O{f}(u - k*a).
 
@@ -462,7 +444,7 @@ def shift_covariance_check(f: QField, plan: QolctPlan, k) -> IdentityReport:
            + k1 * (A1.a * A1.eta - A1.c * A1.tau))
     ph2 = (A2.c * (2.0 * k2 * u2 - A2.a * k2 ** 2) / 2.0
            + k2 * (A2.a * A2.eta - A2.c * A2.tau))
-    return _phase_factored(lhs, base, plan, ph1, ph2)
+    return _factored_report(lhs, base, plan, np.exp(1j * ph1), np.exp(1j * ph2))
 
 
 def modulation_covariance_check(f: QField, plan: QolctPlan, xi) -> IdentityReport:
@@ -480,7 +462,7 @@ def modulation_covariance_check(f: QField, plan: QolctPlan, xi) -> IdentityRepor
             + xi1 * (A1.d * A1.tau - A1.b * A1.eta))
     ph2 = -(A2.d / 2.0 * (A2.b * xi2 ** 2 - 2.0 * u2 * xi2)
             + xi2 * (A2.d * A2.tau - A2.b * A2.eta))
-    return _phase_factored(lhs, base, plan, ph1, ph2)
+    return _factored_report(lhs, base, plan, np.exp(1j * ph1), np.exp(1j * ph2))
 
 
 @dataclass(frozen=True)
@@ -509,12 +491,9 @@ def moment_identity_check(f: QField, plan: QolctPlan, axis: int) -> MomentReport
 
     A = plan.A1 if axis == 1 else plan.A2
     tk = f.grid.axis_coords(axis)
-    slope = (A.a * tk + A.tau) / A.b
-    shape = (-1, 1, 1) if axis == 1 else (1, -1, 1)
-    if axis == 1:
-        lin = qmul(plan.lam.array, f.samples) * slope.reshape(shape)
-    else:
-        lin = qmul(f.samples, plan.mu.array) * slope.reshape(shape)
+    slope = 1j * (A.a * tk + A.tau) / A.b  # lam*slope on the left, mu*slope on the right
+    lin = sandwich(f.samples, plan.lam, plan.mu,
+                   *((slope, None) if axis == 1 else (None, slope)))
     r = lin + partial_derivative(f, axis).samples
     rhs = A.b ** 2 * float(np.sum(r * r)) * f.grid.cell_area
     rel = abs(lhs - rhs) / rhs if rhs else abs(lhs - rhs)

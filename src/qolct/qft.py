@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _mutation
 from .field import ComponentQuartet, Grid2D, QField, partial_derivative
-from .quat import UNIT_I, UNIT_J, PureUnit, plane_to_quat, qmul, qnorm
+from .quat import UNIT_I, UNIT_J, PureUnit, in_planes, phase_plane, qmul, qnorm, sandwich
 
 
 class PlanViolationError(ValueError):
@@ -186,71 +186,17 @@ def qft_direct(f: QField, plan: QftPlan) -> QField:
 
 # ---------------------------------------------------------------------------
 # The planes-split FFT engine (any pure-unit axes, FFT-compatible grids).
-#
-# For pure units lam, mu the map q -> lam q mu is an orthogonal involution, so
-# f+- = (f +- lam f mu)/2 split f into two orthogonal planes (Hitzer &
-# Sangwine, arXiv:1306.2157).  On the + plane f+ mu = -lam f+, so a right-hand
-# mu-exponential crosses to the left as a *conjugated* lam-exponential; on the
-# - plane it crosses unconjugated.  With f+- = z+- p+-, z+- in
-# C_lam = span{1, lam} and a fixed unit p+- in each plane, the two-sided
-# kernel K1 f K2 becomes k1 conj(k2) z+ p+ + k1 k2 z- p-: two complex
-# separable transforms, one centered FFT each.  p+- is the normalized largest
-# of the projections (e +- lam e mu)/2, e in {1, i, j, k}: their squared norms
-# sum to 2, so the largest has norm >= 1/sqrt(2), whereas a fixed choice such
-# as (1 + lam mu)/2 vanishes for mu = lam (and (1 - lam mu)/2 for mu = -lam).
-
-def _plane_basis(lam: PureUnit, mu: PureUnit) -> np.ndarray:
-    """Orthogonal 4x4 map with columns p+, lam p+, p-, lam p-: ``samples @
-    basis`` is (Re z+, Im z+, Re z-, Im z-) and ``coefs @ basis.T`` maps back."""
-    eye = np.eye(4)
-    swapped = qmul(qmul(lam.array, eye), mu.array)  # row e holds lam e mu
-    columns = []
-    for s in (1.0, -1.0):
-        proj = 0.5 * (eye + s * swapped)
-        p = proj[np.argmax(qnorm(proj))]
-        p = p / qnorm(p)
-        columns += [p, qmul(lam.array, p)]
-    return np.stack(columns, axis=1)
-
-
-def _phase_in_place(x, p1, p2, conj2: bool):
-    """x *= p1[:, None] * p2[None, :], with None standing for 1 and p2
-    conjugated when ``conj2`` is set."""
-    if p1 is not None:
-        x *= p1[:, None]
-    if p2 is not None:
-        x *= (np.conj(p2) if conj2 else p2)[None, :]
-    return x
-
 
 def _planes_ft(samples, plan: QftPlan, sign: int, scale: float, pre, post):
-    """Split into the two planes, pre-phase, one centered FFT per plane,
-    post-phase, map back (times ``scale``).  ``samples`` is an (n1, n2, 4)
-    stack or a real (n1, n2) scalar field."""
-    tgrid, ugrid = plan.input_grid, plan.output_grid
-    basis = _plane_basis(plan.lam, plan.mu)
-    if samples.ndim == 2:
-        coefs = samples[..., None] * basis[0]
-    else:
-        coefs = (samples.reshape(-1, 4) @ basis).reshape(samples.shape)
-    z = coefs.view(complex)  # [..., 0] is z+, [..., 1] is z-
-    out = np.empty((ugrid.n1, ugrid.n2, 2), dtype=complex)
-    for k, conj2 in ((0, True), (1, False)):
-        x = _phase_in_place(z[..., k].copy(), *pre, conj2)
-        y = centered_ft2(x, tgrid, ugrid, (sign, -sign if conj2 else sign))
-        out[..., k] = _phase_in_place(y, *post, conj2)
-    return (out.view(float).reshape(-1, 4) @ (scale * basis.T)).reshape(
-        ugrid.n1, ugrid.n2, 4)
-
-
-def _sandwich(samples, lam: PureUnit, mu: PureUnit, left, right) -> np.ndarray:
-    """left(x1) * samples * right(x2) for complex per-axis factors embedded on
-    lam (left) and mu (right); None stands for 1."""
-    if left is not None:
-        samples = qmul(plane_to_quat(left, lam)[:, None, :], samples)
-    if right is not None:
-        samples = qmul(samples, plane_to_quat(right, mu)[None, :, :])
-    return samples
+    """Split into the two planes (``quat.in_planes``), pre-phase, one centered
+    FFT per plane with its axis-2 sign flipped on the plane that conjugates
+    right-hand factors, post-phase, map back times ``scale``.  ``samples`` is
+    an (n1, n2, 4) stack or a real (n1, n2) scalar field."""
+    def per_plane(z, conj):
+        y = centered_ft2(phase_plane(z, *pre, conj), plan.input_grid,
+                         plan.output_grid, (sign, -sign if conj else sign))
+        return phase_plane(y, *post, conj)
+    return in_planes(samples, plan.lam, plan.mu, per_plane, scale)
 
 
 def _two_sided(samples, plan: QftPlan, pre=(None, None),
@@ -267,11 +213,9 @@ def _two_sided(samples, plan: QftPlan, pre=(None, None),
             scale = 1.0
     if plan.is_fft_compatible():
         return _planes_ft(samples, plan, sign, scale, pre, post)
-    if samples.ndim == 2:
-        samples = samples[..., None] * np.array([1.0, 0.0, 0.0, 0.0])
-    f = QField(plan.input_grid, _sandwich(samples, plan.lam, plan.mu, *pre))
-    return _sandwich(_direct_apply(f, plan, sign, scale).samples,
-                     plan.lam, plan.mu, *post)
+    f = QField(plan.input_grid, sandwich(samples, plan.lam, plan.mu, *pre))
+    return sandwich(_direct_apply(f, plan, sign, scale).samples,
+                    plan.lam, plan.mu, *post)
 
 
 def qft_fast_ij(f: QField, plan: QftPlan) -> QField:
@@ -316,6 +260,15 @@ class IdentityReport:
     relerr: float
 
 
+def _factored_report(lhs: QField, base: QField, plan, left, right) -> IdentityReport:
+    """Compare lhs with left(x1) base right(x2), the per-axis complex factors
+    on the plan's lam and mu, relative to the latter's peak modulus."""
+    rhs = QField(lhs.grid, sandwich(base.samples, plan.lam, plan.mu, left, right))
+    maxerr = float(qnorm(lhs.samples - rhs.samples).max())
+    scale = float(qnorm(rhs.samples).max())
+    return IdentityReport(lhs, rhs, maxerr, maxerr / scale if scale else maxerr)
+
+
 def derivative_identity_check(f: QField, plan: QftPlan, m: int,
                               n: int) -> IdentityReport:
     """Compare F{d^(m+n) f} against (lam u1)^m F{f} (mu u2)^n.
@@ -330,15 +283,7 @@ def derivative_identity_check(f: QField, plan: QftPlan, m: int,
         df = partial_derivative(df, 1)
     for _ in range(n):
         df = partial_derivative(df, 2)
-
-    lhs = qft_fast_ij(df, plan)
-    base = qft_fast_ij(f, plan).samples
     u1 = plan.output_grid.axis_coords(1)
     u2 = plan.output_grid.axis_coords(2)
-    rhs = QField(plan.output_grid, _sandwich(
-        base, plan.lam, plan.mu, (1j * u1) ** m if m else None,
-        (1j * u2) ** n if n else None))
-    diff = qnorm(lhs.samples - rhs.samples)
-    maxerr = float(diff.max())
-    scale = float(qnorm(rhs.samples).max())
-    return IdentityReport(lhs, rhs, maxerr, maxerr / scale if scale else maxerr)
+    return _factored_report(qft_fast_ij(df, plan), qft_fast_ij(f, plan), plan,
+                            (1j * u1) ** m, (1j * u2) ** n)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _mutation
+
 
 class DegenerateAxisError(ValueError):
     """Polar decomposition of a real quaternion has no canonical axis."""
@@ -213,9 +215,17 @@ def qconj(a) -> np.ndarray:
 
 
 def qnorm(a) -> np.ndarray:
-    """Pointwise quaternion modulus |q|_Q of a component stack."""
+    """Pointwise quaternion modulus |q|_Q of a component stack; rows whose
+    squares under- or overflow take ``hypot``, which scales by the larger side."""
     a = np.asarray(a, dtype=float)
-    return np.sqrt(np.sum(a * a, axis=-1))
+    rows = a.reshape(-1, 4)
+    with np.errstate(over="ignore"):  # rows that overflow are redone below
+        norm = np.sqrt(np.sum(rows * rows, axis=-1))
+    far = ~((norm > 1e-150) & (norm < 1e150))  # the squares left [1e-300, 1e300]
+    if far.any():
+        b = rows[far]
+        norm[far] = np.hypot(np.hypot(b[:, 0], b[:, 1]), np.hypot(b[:, 2], b[:, 3]))
+    return norm.reshape(a.shape[:-1])
 
 
 def plane_to_quat(z, axis: PureUnit) -> np.ndarray:
@@ -227,3 +237,67 @@ def plane_to_quat(z, axis: PureUnit) -> np.ndarray:
     out[..., 2] = axis.y * z.imag
     out[..., 3] = axis.z * z.imag
     return out
+
+
+# ---------------------------------------------------------------------------
+# The orthogonal planes split of a two-sided product.
+#
+# For pure units lam, mu the map q -> lam q mu is an orthogonal involution, so
+# f+- = (f +- lam f mu)/2 split f into two orthogonal planes (Hitzer &
+# Sangwine, arXiv:1306.2157).  On the + plane f+ mu = -lam f+, so a right-hand
+# mu-factor crosses to the left as a *conjugated* lam-factor; on the - plane
+# it crosses unconjugated.  With f+- = z+- p+-, z+- in C_lam = span{1, lam}
+# and a fixed unit p+- in each plane, the two-sided product k1 f k2 becomes
+# k1 conj(k2) z+ p+ + k1 k2 z- p-: two complex multiplies.  p+- is the
+# normalized largest of the projections (e +- lam e mu)/2, e in {1, i, j, k}:
+# their squared norms sum to 2, so the largest has norm >= 1/sqrt(2), whereas
+# a fixed choice such as (1 + lam mu)/2 vanishes for mu = lam (and
+# (1 - lam mu)/2 for mu = -lam).
+
+def plane_basis(lam: PureUnit, mu: PureUnit) -> np.ndarray:
+    """Orthogonal 4x4 map with columns p+, lam p+, p-, lam p-: ``samples @
+    basis`` is (Re z+, Im z+, Re z-, Im z-) and ``coefs @ basis.T`` maps back."""
+    eye = np.eye(4)
+    swapped = qmul(qmul(lam.array, eye), mu.array)  # row e holds lam e mu
+    columns = []
+    for s in (1.0, -1.0):
+        proj = 0.5 * (eye + s * swapped)
+        p = proj[np.argmax(qnorm(proj))]
+        p = p / qnorm(p)
+        columns += [p, qmul(lam.array, p)]
+    return np.stack(columns, axis=1)
+
+
+def in_planes(samples, lam: PureUnit, mu: PureUnit, per_plane,
+              scale: float = 1.0) -> np.ndarray:
+    """Map an (n1, n2, 4) stack, or a real (n1, n2) field as its scalar part,
+    to planes z+, z-; set each z_k to ``per_plane(z_k, conj)``, conj marking
+    the + plane, where right-hand factors act conjugated; map back * scale."""
+    basis = plane_basis(lam, mu)
+    if samples.ndim == 2:
+        coefs = samples[..., None] * basis[0]
+    else:
+        coefs = (samples.reshape(-1, 4) @ basis).reshape(samples.shape)
+    z = coefs.view(complex)
+    conj_plane = 1 if _mutation.active("planes-conj") else 0
+    for k in (0, 1):
+        z[..., k] = per_plane(z[..., k], k == conj_plane)
+    return (coefs.reshape(-1, 4) @ (scale * basis.T)).reshape(coefs.shape)
+
+
+def phase_plane(z, left, right, conj: bool) -> np.ndarray:
+    """z *= left[:, None] * right[None, :] in place, right conjugated when
+    ``conj`` is set; None stands for 1."""
+    if left is not None:
+        z *= left[:, None]
+    if right is not None:
+        z *= (np.conj(right) if conj else right)[None, :]
+    return z
+
+
+def sandwich(samples, lam: PureUnit, mu: PureUnit, left, right) -> np.ndarray:
+    """left(x1) * samples * right(x2) for an (n1, n2, 4) stack (or a real
+    (n1, n2) field) and complex per-axis factors embedded on lam (left) and
+    mu (right), None standing for 1: two complex multiplies in the planes."""
+    return in_planes(samples, lam, mu,
+                     lambda z, conj: phase_plane(z, left, right, conj))

@@ -286,21 +286,29 @@ class PittReport:
     constants: PittConstants
 
 
+def pitt_sweep(f: QField, plan: QolctPlan, alphas) -> list:
+    """:func:`pitt_check` at each alpha in ``alphas``, on one analysis quartet."""
+    _require_ij(plan, "Pitt's inequality")
+    consts = [pitt_constants(alpha) for alpha in alphas]
+    og = plan.output_grid
+    rv = _radius(og, plan.A1.b, plan.A2.b)
+    if max(alphas) > 0.0:
+        _require_off_origin(rv, og, "|v|^(-alpha)")
+    w2 = analysis_quartet(f, plan).norm_field() ** 2
+    rt = _radius(f.grid)
+    e2 = np.sum(f.samples * f.samples, axis=-1)
+    reports = []
+    for c in consts:
+        lhs = _weighted_energy(w2, rv ** (-c.alpha), og.cell_area)
+        rhs = c.D * _weighted_energy(e2, rt ** c.alpha, f.grid.cell_area)
+        reports.append(PittReport(c.alpha, lhs, rhs, rhs - lhs, c))
+    return reports
+
+
 def pitt_check(f: QField, plan: QolctPlan, alpha: float) -> PittReport:
     """|v|^(-alpha)-weighted transform energy against the |t|^alpha-weighted
     signal energy times C_alpha/(4 pi^2); slack = rhs - lhs >= 0."""
-    _require_ij(plan, "Pitt's inequality")
-    consts = pitt_constants(alpha)
-    og = plan.output_grid
-    rv = _radius(og, plan.A1.b, plan.A2.b)
-    if alpha > 0.0:
-        _require_off_origin(rv, og, "|v|^(-alpha)")
-    quartet = analysis_quartet(f, plan)
-    lhs = _weighted_energy(quartet.norm_field() ** 2, rv ** (-alpha), og.cell_area)
-    rt = _radius(f.grid)
-    e2 = np.sum(f.samples * f.samples, axis=-1)
-    rhs = consts.D * _weighted_energy(e2, rt ** alpha, f.grid.cell_area)
-    return PittReport(alpha, lhs, rhs, rhs - lhs, consts)
+    return pitt_sweep(f, plan, [alpha])[0]
 
 
 @dataclass(frozen=True)

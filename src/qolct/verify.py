@@ -64,6 +64,7 @@ from .uncertainty import (
     log_up_check,
     pitt_check,
     pitt_constants,
+    pitt_sweep,
 )
 from .olct import output_in_scaled_coords
 
@@ -417,12 +418,12 @@ def oracle_checks(seed: int):
 
 def envelope_peak_defect(samples, peak: float, log_mod) -> float:
     """|O| factors as (unit phases) * roots * envelope, so the modulus must
-    peak exactly at u = tau and stay > 0: read as "sample nonzero" (far out
-    the squares in sqrt(sum q_m^2) underflow) and asked only where the
-    analytic ln|O| (``log_mod``) is above the smallest normal float."""
-    defect = max(float(qnorm(samples).max()) / peak - 1.0, 0.0)
+    peak exactly at u = tau and stay > 0, asked only where the analytic
+    ln|O| (``log_mod``) is above the smallest normal float."""
+    modulus = qnorm(samples)
+    defect = max(float(modulus.max()) / peak - 1.0, 0.0)
     representable = log_mod > math.log(np.finfo(float).tiny)
-    if not np.all(np.any(samples != 0.0, axis=-1)[representable]):
+    if not np.all(modulus[representable] > 0.0):
         defect = 1.0
     return defect
 
@@ -459,10 +460,8 @@ def uncertainty_checks(seed: int):
     rep = pitt_check(f, planq, 0.0)
     out.append(_record("pitt-equality-alpha0", "gaussian, alpha = 0",
                        abs(rep.slack) / rep.rhs, 1e-6))
-    worst = 0.0
-    for alpha in (0.5, 1.0, 1.5):
-        rep = pitt_check(f, plan, alpha)
-        worst = max(worst, -rep.slack / rep.rhs)
+    worst = max(0.0, *(-r.slack / r.rhs
+                       for r in pitt_sweep(f, plan, (0.5, 1.0, 1.5))))
     out.append(_record("pitt-slack-nonnegative", "alpha in {0.5, 1, 1.5}",
                        worst, 1e-6))
 

@@ -335,7 +335,7 @@ def test_verify_exit_codes_and_mutations(tmp_path):
     assert doc["n_failed"] == 0
     assert all(rec["pass"] for rec in doc["checks"])
 
-    for name in ("right-kernel-sign", "iqft-scale", "chirp-sign"):
+    for name in ("right-kernel-sign", "iqft-scale", "chirp-sign", "planes-conj"):
         proc = run_cli("verify", "all", "--seed", "5", "--mutate", name,
                        "--json", str(tmp_path / f"m-{name}.json"))
         assert proc.returncode == 1, name
@@ -425,7 +425,7 @@ def test_uncertainty_hardy_tsv(tmp_path, qft_params):
     assert any(line.startswith("transform\t") for line in lines[1:])
 
 
-# --which: (the report's costly call, its count without --tsv)
+# --which: (the report's costly call, its count; a Pitt --tsv sweep adds none)
 UNCERTAINTY_CALLS = {
     "heisenberg": ("heisenberg_report", 2),
     "hardy": ("qolct_forward", 1),
@@ -435,9 +435,11 @@ UNCERTAINTY_CALLS = {
 }
 
 
-@pytest.mark.parametrize("which", sorted(UNCERTAINTY_CALLS))
+@pytest.mark.parametrize("which, tsv", [
+    *(pytest.param(which, False, id=which) for which in sorted(UNCERTAINTY_CALLS)),
+    pytest.param("pitt", True, id="pitt-tsv")])
 def test_uncertainty_computes_only_what_it_prints(tmp_path, qft_params,
-                                                  monkeypatch, which):
+                                                  monkeypatch, which, tsv):
     from qolct import cli, uncertainty
 
     name, want = UNCERTAINTY_CALLS[which]
@@ -455,8 +457,9 @@ def test_uncertainty_computes_only_what_it_prints(tmp_path, qft_params,
     sig = str(tmp_path / "f.qsig")
     write_signal(sig, synth_gaussian(Grid2D.centered(64, 16.0), 0.5, 0.5))
     out = str(tmp_path / "u.json")
+    tsv_args = ["--tsv", str(tmp_path / "u.tsv")] if tsv else []
     assert cli.main(["uncertainty", "--in", sig, "--params", qft_params,
-                     "--which", which, "--json", out]) == 0
+                     "--which", which, "--json", out, *tsv_args]) == 0
     assert len(calls) == want
 
 

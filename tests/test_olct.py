@@ -32,6 +32,7 @@ from qolct.olct import (
 )
 from qolct.qft import PlanViolationError
 from qolct.quat import PureUnit, inv_sqrt_unit, plane_to_quat, qmul
+from qolct.uncertainty import heisenberg_report
 
 from conftest import corpus_signals, parameter_sets, rel_max_err
 
@@ -502,3 +503,28 @@ def test_moment_identity_chirped_signal():
     for axis in (1, 2):
         rep = moment_identity_check(f, plan, axis)
         assert rep.relerr <= 1e-5, (axis, rep.relerr)
+
+
+def test_factor_pairs_run_no_field_sized_hamilton_product(monkeypatch, grid64):
+    # per-axis factors act in the planes split: the only Hamilton products
+    # left on these paths build the 4x4 plane basis
+    import sys
+    from qolct import quat
+    sizes = []
+
+    def spy(a, b, _real=quat.qmul):
+        out = _real(a, b)
+        sizes.append(out.size)
+        return out
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qolct") and hasattr(module, "qmul"):
+            monkeypatch.setattr(module, "qmul", spy)
+    f = corpus_signals(grid64)["quaternion"]
+    lam, mu = PureUnit(1.0, 2.0, -0.5), PureUnit(0.3, -1.0, 2.0)
+    plan = QolctPlan.create(A1_REF, A2_REF, lam, mu, input_grid=grid64)
+    qolct_inverse(qolct_forward(f, plan), plan)
+    analysis_quartet(f, plan)
+    heisenberg_report(f, plan, 1)
+    apply_chirp(f, lam, 0.3, 0.2, mu, -0.1, 0.4)
+    assert sizes and max(sizes) <= 16

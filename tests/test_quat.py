@@ -21,6 +21,7 @@ from qolct.quat import (
     qconj,
     qmul,
     qnorm,
+    sandwich,
 )
 
 I = UNIT_I.quaternion
@@ -183,3 +184,55 @@ def test_plane_to_quat():
     z = np.array([1 + 2j, -0.5j])
     emb = plane_to_quat(z, UNIT_K)
     assert np.allclose(emb, [[1, 0, 0, 2], [0, 0, 0, -0.5]])
+
+
+def test_qnorm_neither_underflows_nor_overflows():
+    from qolct import Grid2D, QField
+    rows = np.array([
+        [3e-160, 4e-160, 0.0, 0.0],        # squares subnormal
+        [0.0, 1e-170, 0.0, 1e-170],        # squares underflow to 0
+        [5e-324, 0.0, 0.0, 0.0],           # smallest subnormal
+        [1e200, 1e200, 1e200, 1e200],      # squares overflow
+        [0.0, 3e300, 0.0, 4e300],
+        [1.0, 2.0, 2.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0],
+        [np.inf, 1.0, 0.0, 0.0],
+    ])
+    want = [5e-160, math.sqrt(2.0) * 1e-170, 5e-324, 2e200, 5e300, 3.0, 0.0, np.inf]
+    assert qnorm(rows) == pytest.approx(want, rel=4e-16, abs=0.0)
+    field = QField(Grid2D(2, 4), rows.reshape(2, 4, 4))
+    assert field.modulus() == pytest.approx(np.reshape(want, (2, 4)), rel=4e-16, abs=0.0)
+
+
+axes = st.tuples(components, components, components).filter(
+    lambda v: v[0] ** 2 + v[1] ** 2 + v[2] ** 2 > 1e-2).map(lambda v: PureUnit(*v))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n1=st.integers(1, 32), n2=st.integers(1, 32), lam=axes, mu=axes,
+       relation=st.sampled_from(["free", "same", "opposite"]),
+       has_left=st.booleans(), has_right=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sandwich_matches_hamilton_products(n1, n2, lam, mu, relation,
+                                            has_left, has_right, seed):
+    # the planes split must reproduce left * f * right, including mu = +-lam
+    # (where a fixed plane basis degenerates) and non-unimodular factors
+    if relation != "free":
+        s = 1.0 if relation == "same" else -1.0
+        mu = PureUnit(s * lam.x, s * lam.y, s * lam.z)
+    rng = np.random.default_rng(seed)
+    samples = rng.normal(size=(n1, n2, 4))
+
+    def factor(n):
+        return rng.uniform(0.1, 3.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+
+    left = factor(n1) if has_left else None
+    right = factor(n2) if has_right else None
+    want = samples
+    if left is not None:
+        want = qmul(plane_to_quat(left, lam)[:, None, :], want)
+    if right is not None:
+        want = qmul(want, plane_to_quat(right, mu)[None, :, :])
+    got = sandwich(samples, lam, mu, left, right)
+    assert got.shape == want.shape
+    assert qnorm(got - want).max() <= 1e-14 * qnorm(want).max()

@@ -30,6 +30,7 @@ from qolct.uncertainty import (
     log_up_check,
     pitt_check,
     pitt_constants,
+    pitt_sweep,
 )
 
 from conftest import corpus_signals, parameter_sets, rel_max_err
@@ -274,6 +275,31 @@ def test_singular_weights_reject_origin_samples():
     assert math.isfinite(rep.slack)
     with pytest.raises(PlanViolationError, match="ln\\|t\\|"):
         log_up_check(f, plan)
+
+
+def test_pitt_sweep_is_pitt_check_on_one_quartet(monkeypatch, grid64):
+    from qolct import uncertainty
+    f = synth_gaussian(grid64, 0.7, 0.5, center=(0.4, -0.2))
+    plan = QolctPlan.create(OffsetParams(1.0, 1.0, 1.0, 2.0, 0.3, -0.2),
+                            OffsetParams(0.5, 1.5, -0.4, 0.8, -0.1, 0.4),
+                            input_grid=grid64)
+    alphas = [0.0, 0.5, 1.0, 1.75]
+    want = [pitt_check(f, plan, alpha) for alpha in alphas]
+    calls = []
+
+    def spy(*args, _real=uncertainty.analysis_quartet):
+        calls.append(1)
+        return _real(*args)
+
+    monkeypatch.setattr(uncertainty, "analysis_quartet", spy)
+    assert pitt_sweep(f, plan, alphas) == want
+    assert len(calls) == 1
+    # any alpha > 0 puts the singular weight on the odd grid's origin sample
+    odd = Grid2D.centered(33, 10.0)
+    A = OffsetParams.qft_case()
+    with pytest.raises(PlanViolationError, match="singular at the origin"):
+        pitt_sweep(synth_gaussian(odd, 0.5, 0.5), QolctPlan.create(A, A, input_grid=odd),
+                   [0.0, 0.25])
 
 
 def test_pitt_alpha_zero_is_plancherel(grid128):
