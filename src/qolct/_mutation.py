@@ -18,6 +18,8 @@ MUTATIONS = {
                   "hands to the two-sided transform engine",
     "planes-conj": "swap which plane of the planes split takes the conjugated "
                    "right-hand factor, in the FFT engine and every sandwich",
+    "density-fold": "drop the 1/2 of the (P(v) + P(-v))/2 fold in the "
+                    "two-FFT energy density every uncertainty report reads",
 }
 
 _current: str | None = None

@@ -18,22 +18,13 @@ import sys
 import numpy as np
 
 from . import _mutation, verify as verify_mod
-from .field import (
-    ComponentQuartet,
-    Grid2D,
-    QField,
-    apply_chirp,
-    l2_norm,
-    quartet_l2_norm,
-    synth_gaussian,
-)
+from .field import Grid2D, QField, apply_chirp, l2_norm, synth_gaussian
 from .olct import (
     QolctPlan,
-    analysis_quartet,
+    _energy_density,
     output_in_scaled_coords,
     qolct_forward,
     qolct_inverse,
-    qolct_quartet,
 )
 from .qft import PlanViolationError
 from .quat import PureUnit
@@ -46,6 +37,7 @@ from .signalio import (
 )
 from .uncertainty import (
     beurling_integral,
+    beurling_sweep,
     hardy_report,
     heisenberg_report,
     log_up_check,
@@ -131,8 +123,8 @@ def cmd_transform(args) -> int:
         else:
             direction = "forward"
             denom = l2_norm(f)
-            if denom > 0:
-                ratio = quartet_l2_norm(qolct_quartet(f, plan)) / denom
+            if denom > 0:  # the two-sided kernel is an isometry
+                ratio = l2_norm(out_field) / denom
 
     write_signal(args.out, out_field)
     sidecar = {
@@ -183,12 +175,6 @@ def _radial_profile(values_sq: np.ndarray, grid: Grid2D, nbins: int = 48):
     counts = np.maximum(np.bincount(idx, minlength=nbins), 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return centers, sums / counts
-
-
-def _scaled_analysis_quartet(f: QField, plan: QolctPlan) -> ComponentQuartet:
-    """The analysis quartet relabeled onto the v = u/b grid."""
-    return ComponentQuartet(tuple(output_in_scaled_coords(m, plan)
-                                  for m in analysis_quartet(f, plan).members))
 
 
 def cmd_uncertainty(args) -> int:
@@ -255,9 +241,9 @@ def cmd_uncertainty(args) -> int:
                     "signal_term": rep.signal_term, "energy": rep.energy})
         if args.tsv:
             e2 = np.sum(f.samples ** 2, axis=-1)
-            squart = _scaled_analysis_quartet(f, plan)
             r_sig, p_sig = _radial_profile(e2, f.grid)
-            r_tr, p_tr = _radial_profile(squart.norm_field() ** 2, squart.grid)
+            r_tr, p_tr = _radial_profile(_energy_density(f, plan),
+                                         plan.scaled_freq_grid())
             tsv_rows = [("domain", "radius", "energy_density")]
             tsv_rows += [("signal", float(a), float(b))
                          for a, b in zip(r_sig, p_sig)]
@@ -265,22 +251,23 @@ def cmd_uncertainty(args) -> int:
                          for a, b in zip(r_tr, p_tr)]
 
     elif args.which == "beurling":
-        scaled = _scaled_analysis_quartet(f, plan)
+        density, vgrid = _energy_density(f, plan), plan.scaled_freq_grid()
         radius = args.radius
         if radius is None:
             radius = 0.45 * min(f.grid.extent1, f.grid.extent2)
-        full = beurling_integral(f, scaled, args.d, radius)
-        half = beurling_integral(f, scaled, args.d, radius / 2.0)
+        if args.tsv:  # the four radii share one grouping by radius
+            fracs = (0.25, 0.5, 0.75, 1.0)
+            values = beurling_sweep(f, density, vgrid, args.d,
+                                    [radius * frac for frac in fracs])
+            tsv_rows = [("radius", "value")]
+            tsv_rows += [(radius * frac, v) for frac, v in zip(fracs, values)]
+            half, full = values[1], values[3]
+        else:
+            full, half = (beurling_integral(f, density, vgrid, args.d, r)
+                          for r in (radius, radius / 2.0))
         doc.update({"d": args.d, "radius": radius, "value": full,
                     "value_half_radius": half,
                     "growth_ratio": full / half if half else None})
-        if args.tsv:
-            quarter, three_quarters = (
-                beurling_integral(f, scaled, args.d, radius * frac)
-                for frac in (0.25, 0.75))
-            tsv_rows = [("radius", "value"), (radius * 0.25, quarter),
-                        (radius * 0.5, half), (radius * 0.75, three_quarters),
-                        (radius, full)]
 
     _dump_json(doc, args.json)
     if args.json:

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import ComponentQuartet, QField, partial_derivative
+from .field import QField, partial_derivative
 from .olct import (
     QolctPlan,
     _chirped_signal,
-    analysis_quartet,
+    _energy_density,
     output_in_scaled_coords,
     qolct_forward,
 )
@@ -159,12 +159,11 @@ def heisenberg_report(f: QField, plan: QolctPlan, axis: int) -> HeisenbergReport
     e2 = np.sum(f.samples * f.samples, axis=-1)
     spatial = _weighted_energy(e2, tk2, f.grid.cell_area)
 
-    quartet = analysis_quartet(f, plan)
     og = plan.output_grid
     bk = plan.A1.b if axis == 1 else plan.A2.b
     xk = og.axis_coords(axis) / (2.0 * math.pi * bk)
     xk2 = xk[:, None] ** 2 if axis == 1 else xk[None, :] ** 2
-    spectral = _weighted_energy(quartet.norm_field() ** 2, xk2, og.cell_area)
+    spectral = _weighted_energy(_energy_density(f, plan), xk2, og.cell_area)
 
     g = _chirped_signal(f, plan)
     gmod = g.modulus()
@@ -243,35 +242,54 @@ def hardy_report(f: QField, plan: QolctPlan) -> HardyReport:
 # ---------------------------------------------------------------------------
 # Beurling diagnostic.
 
-def beurling_integral(f: QField, F_quartet: ComponentQuartet, d: float,
-                      truncation: float, _block: int = 512) -> float:
-    """Truncated double integral of |f(t)| ||F(v)|| e^{|t||v|} / (1+|t|+|v|)^d.
+#: radii of the |t| side summed against the whole |v| side at once
+_BEURLING_BLOCK = 512
 
-    ``F_quartet`` must already be labeled in the rescaled coordinates
-    v = u/b (see ``output_in_scaled_coords``).  Purely diagnostic: compare
-    truncation radii to read off the growth trend; no pass/fail semantics.
-    """
+
+def _radial_mass(weights: np.ndarray, grid) -> tuple:
+    """The distinct radii |x| of the grid, ascending, and the summed
+    ``weights`` of the samples at each.  Centered coordinates negate exactly,
+    so mirrored samples share one radius."""
+    x1, x2 = grid.meshgrid()
+    radii, index = np.unique(np.sqrt(x1 ** 2 + x2 ** 2), return_inverse=True)
+    return radii, np.bincount(index.ravel(), weights=weights.ravel())
+
+
+def beurling_sweep(f: QField, density: np.ndarray, vgrid, d: float,
+                   truncations) -> list:
+    """:func:`beurling_integral` at each radius in ``truncations``, on one
+    grouping of each side by radius."""
     if d < 0.0:
         raise ValueError("d must be nonnegative")
-    t1, t2 = f.grid.meshgrid()
-    rt = np.sqrt(t1 ** 2 + t2 ** 2).ravel()
-    ft = f.modulus().ravel()
-    keep_t = rt <= truncation
-    rt, ft = rt[keep_t], ft[keep_t]
+    rt, wt = _radial_mass(f.modulus(), f.grid)
+    rv, wv = _radial_mass(np.sqrt(density), vgrid)
+    cells = f.grid.cell_area * vgrid.cell_area
+    values = []
+    for truncation in truncations:
+        nt = int(np.searchsorted(rt, truncation, side="right"))
+        nv = int(np.searchsorted(rv, truncation, side="right"))
+        v, w = rv[None, :nv], wv[:nv]
+        total = 0.0
+        for lo in range(0, nt, _BEURLING_BLOCK):
+            hi = min(lo + _BEURLING_BLOCK, nt)
+            r = rt[lo:hi, None]
+            kernel = np.exp(r * v) / (1.0 + r + v) ** d
+            total += float(wt[lo:hi] @ (kernel @ w))
+        values.append(total * cells)
+    return values
 
-    v1, v2 = F_quartet.grid.meshgrid()
-    rv = np.sqrt(v1 ** 2 + v2 ** 2).ravel()
-    fv = F_quartet.norm_field().ravel()
-    keep_v = rv <= truncation
-    rv, fv = rv[keep_v], fv[keep_v]
 
-    total = 0.0
-    for lo in range(0, rt.size, _block):
-        r = rt[lo:lo + _block, None]
-        w = ft[lo:lo + _block, None]
-        kernel = np.exp(r * rv[None, :]) / (1.0 + r + rv[None, :]) ** d
-        total += float(np.sum(w * kernel * fv[None, :]))
-    return total * f.grid.cell_area * F_quartet.grid.cell_area
+def beurling_integral(f: QField, density: np.ndarray, vgrid, d: float,
+                      truncation: float) -> float:
+    """Truncated double integral of |f(t)| ||F(v)|| e^{|t||v|} / (1+|t|+|v|)^d.
+
+    ``density`` holds ||F(v)||^2 (``olct._energy_density``) on the grid
+    ``vgrid`` of v = u/b (``QolctPlan.scaled_freq_grid``).  The kernel
+    depends only on |t| and |v|, so each side's weights are summed per
+    distinct radius first.  Purely diagnostic: compare truncation radii to
+    read off the growth trend; no pass/fail semantics.
+    """
+    return beurling_sweep(f, density, vgrid, d, [truncation])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +305,14 @@ class PittReport:
 
 
 def pitt_sweep(f: QField, plan: QolctPlan, alphas) -> list:
-    """:func:`pitt_check` at each alpha in ``alphas``, on one analysis quartet."""
+    """:func:`pitt_check` at each alpha in ``alphas``, on one energy density."""
     _require_ij(plan, "Pitt's inequality")
     consts = [pitt_constants(alpha) for alpha in alphas]
     og = plan.output_grid
     rv = _radius(og, plan.A1.b, plan.A2.b)
     if max(alphas) > 0.0:
         _require_off_origin(rv, og, "|v|^(-alpha)")
-    w2 = analysis_quartet(f, plan).norm_field() ** 2
+    w2 = _energy_density(f, plan)
     rt = _radius(f.grid)
     e2 = np.sum(f.samples * f.samples, axis=-1)
     reports = []
@@ -331,8 +349,7 @@ def log_up_check(f: QField, plan: QolctPlan) -> LogUpReport:
     _require_off_origin(rv, og, "ln|v|")
     rt = _radius(f.grid)
     _require_off_origin(rt, f.grid, "ln|t|")
-    quartet = analysis_quartet(f, plan)
-    zterm = _weighted_energy(quartet.norm_field() ** 2, np.log(rv), og.cell_area)
+    zterm = _weighted_energy(_energy_density(f, plan), np.log(rv), og.cell_area)
     e2 = np.sum(f.samples * f.samples, axis=-1)
     tterm = _weighted_energy(e2, np.log(rt), f.grid.cell_area)
     energy = _signal_energy(f)

@@ -12,17 +12,11 @@ import math
 
 import numpy as np
 
-from .field import (
-    ComponentQuartet,
-    Grid2D,
-    QField,
-    l2_norm,
-    quartet_l2_norm,
-    synth_gaussian,
-)
+from .field import Grid2D, QField, l2_norm, quartet_l2_norm, synth_gaussian
 from .olct import (
     OffsetParams,
     QolctPlan,
+    _energy_density,
     analysis_quartet,
     modulation_covariance_check,
     moment_identity_check,
@@ -66,7 +60,6 @@ from .uncertainty import (
     pitt_constants,
     pitt_sweep,
 )
-from .olct import output_in_scaled_coords
 
 SUITES = ("algebra", "qft", "qolct", "oracle", "uncertainty")
 
@@ -337,6 +330,18 @@ def qolct_checks(seed: int):
         decay[:2].max(), decay[-2:].max(), decay[:, :2].max(), decay[:, -2:].max())
     out.append(_record("transform-decay", "edge vs peak modulus",
                        n_edge / decay.max(), 1e-3))
+
+    # the reports read the transform only through this density; their
+    # weights are even in v, so only a pointwise check sees a mirror defect
+    g32 = Grid2D.centered(32, 10.0)
+    plan32 = QolctPlan.create(random_offset_params(rng, max_chirp_ratio=1.0),
+                              random_offset_params(rng, max_chirp_ratio=1.0),
+                              _random_axis(rng), _random_axis(rng), input_grid=g32)
+    f32 = QField(g32, _random_quat(rng, (32, 32)))
+    want = analysis_quartet(f32, plan32).norm_field() ** 2
+    diff = np.abs(_energy_density(f32, plan32) - want).max() / want.max()
+    out.append(_record("density-equals-analysis-quartet",
+                       "random params and axes, 32^2", diff, 1e-12))
     return out
 
 
@@ -491,13 +496,11 @@ def uncertainty_checks(seed: int):
     f32 = synth_gaussian(g32, 1.0, 1.0)
     plan32 = QolctPlan.create(OffsetParams.qft_case(), OffsetParams.qft_case(),
                               input_grid=g32)
-    quartet = analysis_quartet(f32, plan32)
-    scaled = ComponentQuartet(tuple(
-        output_in_scaled_coords(m, plan32) for m in quartet.members))
-    vals = [beurling_integral(f32, scaled, 4.0, R) for R in (2.0, 4.0)]
+    density, vgrid = _energy_density(f32, plan32), plan32.scaled_freq_grid()
+    vals = [beurling_integral(f32, density, vgrid, 4.0, R) for R in (2.0, 4.0)]
     out.append(_record("beurling-growth-with-radius", "value(R/2) < value(R)",
                        0.0 if vals[0] < vals[1] else 1.0, 0.0))
-    vals_d = [beurling_integral(f32, scaled, d, 4.0) for d in (4.0, 50.0)]
+    vals_d = [beurling_integral(f32, density, vgrid, d, 4.0) for d in (4.0, 50.0)]
     out.append(_record("beurling-decreasing-in-d", "d = 4 vs d = 50",
                        0.0 if vals_d[1] < vals_d[0] else 1.0, 0.0))
     return out

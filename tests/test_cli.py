@@ -335,7 +335,8 @@ def test_verify_exit_codes_and_mutations(tmp_path):
     assert doc["n_failed"] == 0
     assert all(rec["pass"] for rec in doc["checks"])
 
-    for name in ("right-kernel-sign", "iqft-scale", "chirp-sign", "planes-conj"):
+    for name in ("right-kernel-sign", "iqft-scale", "chirp-sign", "planes-conj",
+                 "density-fold"):
         proc = run_cli("verify", "all", "--seed", "5", "--mutate", name,
                        "--json", str(tmp_path / f"m-{name}.json"))
         assert proc.returncode == 1, name
@@ -429,8 +430,8 @@ def test_uncertainty_hardy_tsv(tmp_path, qft_params):
 UNCERTAINTY_CALLS = {
     "heisenberg": ("heisenberg_report", 2),
     "hardy": ("qolct_forward", 1),
-    "pitt": ("analysis_quartet", 1),
-    "logup": ("analysis_quartet", 1),
+    "pitt": ("_energy_density", 1),
+    "logup": ("_energy_density", 1),
     "beurling": ("beurling_integral", 2),
 }
 

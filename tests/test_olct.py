@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from qolct import (
@@ -25,6 +27,7 @@ from qolct import (
 from qolct.field import apply_chirp, quartet_l2_norm
 from qolct.olct import (
     InterpolationDomainError,
+    _energy_density,
     _spline,
     modulation_covariance_check,
     moment_identity_check,
@@ -33,6 +36,7 @@ from qolct.olct import (
 from qolct.qft import PlanViolationError
 from qolct.quat import PureUnit, inv_sqrt_unit, plane_to_quat, qmul
 from qolct.uncertainty import heisenberg_report
+from qolct.verify import random_offset_params
 
 from conftest import corpus_signals, parameter_sets, rel_max_err
 
@@ -197,6 +201,84 @@ def test_analysis_quartet_matches_component_quartet_for_gaussians(grid64):
     # pointwise the fields differ (mixing), but both integrate to |f|
     assert abs(float(np.sum(n1 ** 2) - np.sum(n2 ** 2))
                / float(np.sum(n1 ** 2))) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The two-FFT energy density.
+
+def _density_case(n1, n2, axes, seed, shifted=False):
+    """A random field and plan on an n1 x n2 grid with h*L = 2 pi per axis,
+    so |a|/(2b) <= 1/2 meets the chirp bound; ``shifted`` moves the input
+    grid by half a cell, the most the Nyquist bound allows."""
+    rng = np.random.default_rng(seed)
+    h1, h2 = math.sqrt(2.0 * math.pi / n1), math.sqrt(2.0 * math.pi / n2)
+    grid = Grid2D(n1, n2, h1 / 2 if shifted else 0.0,
+                  -h2 / 2 if shifted else 0.0, h1, h2)
+    if axes == "ij":
+        lam, mu = UNIT_I, UNIT_J
+    else:
+        lam = PureUnit(*rng.normal(size=3))
+        s = {"free": None, "same": 1.0, "opposite": -1.0}[axes]
+        mu = (PureUnit(*rng.normal(size=3)) if s is None
+              else PureUnit(s * lam.x, s * lam.y, s * lam.z))
+    plan = QolctPlan.create(random_offset_params(rng, max_chirp_ratio=0.5),
+                            random_offset_params(rng, max_chirp_ratio=0.5),
+                            lam, mu, input_grid=grid)
+    return QField(grid, rng.normal(size=(n1, n2, 4))), plan
+
+
+def _spy_on_quartet(monkeypatch) -> list:
+    """Count the density's calls of its quartet fallback."""
+    from qolct import olct
+    calls = []
+
+    def spy(*args, _real=olct.analysis_quartet):
+        calls.append(1)
+        return _real(*args)
+
+    monkeypatch.setattr(olct, "analysis_quartet", spy)
+    return calls
+
+
+def _density_err(f, plan):
+    want = analysis_quartet(f, plan).norm_field() ** 2
+    return float(np.abs(_energy_density(f, plan) - want).max() / want.max())
+
+
+@pytest.mark.parametrize("n1, n2", [(64, 64), (63, 63), (64, 48), (33, 50)])
+@pytest.mark.parametrize("axes", ["ij", "free", "same", "opposite"])
+def test_energy_density_equals_analysis_quartet(monkeypatch, n1, n2, axes):
+    calls = _spy_on_quartet(monkeypatch)
+    for seed, shifted in ((n1 * n2, False), (n1 + n2, True)):
+        f, plan = _density_case(n1, n2, axes, seed, shifted)
+        assert _density_err(f, plan) <= 1e-12, (seed, shifted)
+    assert not calls  # both grids take the two-FFT path
+
+
+@settings(max_examples=60, deadline=None)
+@given(n1=st.integers(2, 32), n2=st.integers(2, 32),
+       axes=st.sampled_from(["ij", "free", "same", "opposite"]),
+       shifted=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_energy_density_property(n1, n2, axes, shifted, seed):
+    f, plan = _density_case(n1, n2, axes, seed, shifted)
+    assert _density_err(f, plan) <= 1e-12
+
+
+@pytest.mark.parametrize("grid", ["off-center", "not-fft-compatible"])
+def test_energy_density_falls_back_to_the_quartet(monkeypatch, grid):
+    f, plan = _density_case(32, 24, "free", 7)
+    og = plan.output_grid
+    if grid == "off-center":
+        og = Grid2D(og.n1, og.n2, 0.3, -0.2, og.spacing1, og.spacing2)
+    else:
+        og = Grid2D(20, 16, 0.0, 0.0, og.spacing1 / 2, og.spacing2 / 2)
+    plan = QolctPlan(plan.A1, plan.A2, plan.lam, plan.mu, plan.input_grid, og)
+    assert plan.qft_plan().is_fft_compatible() == (grid == "off-center")
+    calls = _spy_on_quartet(monkeypatch)
+    got = _energy_density(f, plan)
+    assert len(calls) == 1
+    want = analysis_quartet(f, plan).norm_field() ** 2
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

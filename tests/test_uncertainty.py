@@ -11,17 +11,17 @@ from qolct import (
     QolctPlan,
     UNIT_I,
     UNIT_J,
-    analysis_quartet,
     l2_norm,
     synth_gaussian,
 )
-from qolct.field import ComponentQuartet, apply_chirp
-from qolct.olct import output_in_scaled_coords
+from qolct.field import apply_chirp
+from qolct.olct import _energy_density
 from qolct.qft import PlanViolationError
 from qolct.quat import PureUnit, Quaternion, plane_to_quat, qmul
 from qolct.uncertainty import (
     LOG_UP_CONSTANT,
     beurling_integral,
+    beurling_sweep,
     digamma,
     gamma_fn,
     hardy_envelope_fit,
@@ -225,17 +225,50 @@ def test_beurling_diagnostic(grid64):
     f = synth_gaussian(grid64, 1.0, 1.0)
     A = OffsetParams.qft_case()
     plan = QolctPlan.create(A, A, input_grid=grid64)
-    quartet = analysis_quartet(f, plan)
-    scaled = ComponentQuartet(tuple(output_in_scaled_coords(m, plan)
-                                    for m in quartet.members))
-    zero = beurling_integral(QField.zeros(grid64), scaled, 4.0, 4.0)
+    density, vgrid = _energy_density(f, plan), plan.scaled_freq_grid()
+    zero = beurling_integral(QField.zeros(grid64), density, vgrid, 4.0, 4.0)
     assert zero == 0.0
-    values = [beurling_integral(f, scaled, 4.0, R) for R in (1.0, 2.0, 4.0)]
+    values = [beurling_integral(f, density, vgrid, 4.0, R) for R in (1.0, 2.0, 4.0)]
     assert values[0] < values[1] < values[2]  # grows with truncation radius
-    by_d = [beurling_integral(f, scaled, d, 4.0) for d in (4.0, 10.0, 50.0)]
+    by_d = [beurling_integral(f, density, vgrid, d, 4.0) for d in (4.0, 10.0, 50.0)]
     assert by_d[0] > by_d[1] > by_d[2]  # monotone in d
     with pytest.raises(ValueError):
-        beurling_integral(f, scaled, -1.0, 4.0)
+        beurling_integral(f, density, vgrid, -1.0, 4.0)
+
+
+def _beurling_all_pairs(f, density, vgrid, d, truncation):
+    """The sum over every (t, v) sample pair inside the truncation."""
+    t1, t2 = f.grid.meshgrid()
+    rt = np.sqrt(t1 ** 2 + t2 ** 2).ravel()
+    ft = f.modulus().ravel()
+    v1, v2 = vgrid.meshgrid()
+    rv = np.sqrt(v1 ** 2 + v2 ** 2).ravel()
+    fv = np.sqrt(density).ravel()
+    keep_t, keep_v = rt <= truncation, rv <= truncation
+    rt, ft, rv, fv = rt[keep_t], ft[keep_t], rv[keep_v], fv[keep_v]
+    total = sum(w * float(np.sum(np.exp(r * rv) / (1.0 + r + rv) ** d * fv))
+                for r, w in zip(rt, ft))
+    return total * f.grid.cell_area * vgrid.cell_area
+
+
+@pytest.mark.parametrize("n", [33, 64])
+def test_beurling_radius_sums_match_all_pairs(n):
+    # grouping each side by radius regroups the all-pairs sum exactly; the
+    # general plan has b1 != b2, so its v-grid is not square
+    grid = Grid2D.centered(n, 14.0)
+    signals = corpus_signals(grid)
+    A = OffsetParams.qft_case()
+    for plan in (QolctPlan.create(A, A, input_grid=grid),
+                 QolctPlan.create(*parameter_sets(1, seed=4)[0], input_grid=grid)):
+        for name in ("quaternion", "shifted"):
+            f = signals[name]
+            density, vgrid = _energy_density(f, plan), plan.scaled_freq_grid()
+            radii = (1.0, 2.5, 0.45 * 14.0)
+            swept = beurling_sweep(f, density, vgrid, 4.0, radii)
+            for R, value in zip(radii, swept):
+                want = _beurling_all_pairs(f, density, vgrid, 4.0, R)
+                assert abs(value - want) <= 1e-12 * want, (name, R)
+                assert beurling_integral(f, density, vgrid, 4.0, R) == value
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +310,7 @@ def test_singular_weights_reject_origin_samples():
         log_up_check(f, plan)
 
 
-def test_pitt_sweep_is_pitt_check_on_one_quartet(monkeypatch, grid64):
+def test_pitt_sweep_is_pitt_check_on_one_density(monkeypatch, grid64):
     from qolct import uncertainty
     f = synth_gaussian(grid64, 0.7, 0.5, center=(0.4, -0.2))
     plan = QolctPlan.create(OffsetParams(1.0, 1.0, 1.0, 2.0, 0.3, -0.2),
@@ -287,11 +320,11 @@ def test_pitt_sweep_is_pitt_check_on_one_quartet(monkeypatch, grid64):
     want = [pitt_check(f, plan, alpha) for alpha in alphas]
     calls = []
 
-    def spy(*args, _real=uncertainty.analysis_quartet):
+    def spy(*args, _real=uncertainty._energy_density):
         calls.append(1)
         return _real(*args)
 
-    monkeypatch.setattr(uncertainty, "analysis_quartet", spy)
+    monkeypatch.setattr(uncertainty, "_energy_density", spy)
     assert pitt_sweep(f, plan, alphas) == want
     assert len(calls) == 1
     # any alpha > 0 puts the singular weight on the odd grid's origin sample
