@@ -20,6 +20,8 @@ MUTATIONS = {
                    "right-hand factor, in the FFT engine and every sandwich",
     "density-fold": "drop the 1/2 of the (P(v) + P(-v))/2 fold in the "
                     "two-FFT energy density every uncertainty report reads",
+    "degenerate-chirp": "flip the sign of the phase of the output chirp on a "
+                        "b = 0 axis of the forward QOLCT",
 }
 
 _current: str | None = None

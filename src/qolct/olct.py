@@ -11,10 +11,10 @@ with a*d - b*c = 1.  For b1, b2 > 0 the transform is
 with the left kernel on axis lam and the right kernel on axis mu.  The
 kernel factors as input chirp -> QFT -> output factor C(u), so the forward
 and inverse transforms and the quartets hand their per-axis chirps and
-factors to the planes-split FFT engine of ``qft``, which serves every axis
-pair.  ``qolct_direct`` evaluates the kernel quadrature densely and serves as
-the mutual oracle.  ``qolct_forward`` serves every valid plan: degenerate
-axes (b = 0) become pointwise substitutions with chirps.
+factors to the planes-split engine of ``qft`` (any axes, any grids).
+``qolct_forward`` serves every valid plan in one engine call; along a b = 0
+axis it runs no transform, only a spline substitution and a chirp.
+``qolct_direct`` evaluates the kernel quadrature densely: the mutual oracle.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .qft import (
     PlanViolationError,
     QftPlan,
     _left_contract,
+    _planes_ft,
     _quartet,
     _right_contract,
     _two_sided,
@@ -152,50 +153,61 @@ class QolctPlan:
                       spacing[0], spacing[1])
 
     def scaled_freq_grid(self) -> Grid2D:
-        """The v-grid at which the embedded QFT is sampled: v_k = u_k / b_k."""
-        g = self.output_grid
-        return Grid2D(g.n1, g.n2, g.center1 / self.A1.b, g.center2 / self.A2.b,
-                      g.spacing1 / self.A1.b, g.spacing2 / self.A2.b)
+        """The embedded QFT's v-grid, v_k = u_k / b_k (u_k on a b = 0 axis)."""
+        g, b1, b2 = self.output_grid, self.A1.b or 1.0, self.A2.b or 1.0
+        return Grid2D(g.n1, g.n2, g.center1 / b1, g.center2 / b2,
+                      g.spacing1 / b1, g.spacing2 / b2)
 
     def qft_plan(self) -> QftPlan:
         return QftPlan(self.input_grid, self.scaled_freq_grid(),
                        self.lam, self.mu, "forward")
 
 
+def _axis_factors(A: OffsetParams, t, u, sign: float):
+    """One b > 0 axis's input chirp e^{i(tau t + a t^2/2)/b} and output factor
+    C(u) = (2 pi b)^(-1/2) e^{-i pi/4} e^{i(-2u(d tau - b eta) + d(u^2 +
+    tau^2))/(2b)} as complex values (sign +1), or their inverses (sign -1)."""
+    lin, quad = sign * A.tau / A.b, sign * A.a / (2.0 * A.b)
+    if _mutation.active("chirp-sign"):
+        quad = -quad
+    phi = (-2.0 * u * (A.d * A.tau - A.b * A.eta)
+           + A.d * (u * u + A.tau * A.tau)) / (2.0 * A.b) - math.pi / 4.0
+    return (np.exp(1j * (lin * t + quad * t * t)),
+            np.exp(1j * sign * phi) * (2.0 * math.pi * A.b) ** (-0.5 * sign))
+
+
 def _plan_factors(plan: QolctPlan, sign: float = 1.0):
-    """Per-axis input chirps e^{i(tau t + a t^2/2)/b} and output factors C(u) =
-    (2 pi b)^(-1/2) e^{-i pi/4} e^{i(-2u(d tau - b eta) + d(u^2 + tau^2))/(2b)}
-    as complex values (sign +1), or their inverses (sign -1)."""
-    chirps, factors = [], []
+    """Both axes' :func:`_axis_factors`, which require b > 0 on each."""
+    pairs = []
     for axis, A in ((1, plan.A1), (2, plan.A2)):
         _require_positive_b(A, f"axis {axis}")
-        lin, quad = sign * A.tau / A.b, sign * A.a / (2.0 * A.b)
-        if _mutation.active("chirp-sign"):
-            quad = -quad
-        t = plan.input_grid.axis_coords(axis)
-        chirps.append(np.exp(1j * (lin * t + quad * t * t)))
-        u = plan.output_grid.axis_coords(axis)
-        phi = (-2.0 * u * (A.d * A.tau - A.b * A.eta)
-               + A.d * (u * u + A.tau * A.tau)) / (2.0 * A.b) - math.pi / 4.0
-        factors.append(np.exp(1j * sign * phi) * (2.0 * math.pi * A.b) ** (-0.5 * sign))
-    return chirps, factors
+        pairs.append(_axis_factors(A, plan.input_grid.axis_coords(axis),
+                                   plan.output_grid.axis_coords(axis), sign))
+    return tuple(zip(*pairs))
 
 
 def qolct_forward(f: QField, plan: QolctPlan) -> QField:
-    """Forward transform of any valid plan.
+    """Forward transform of any valid plan, in one planes-split engine call.
 
-    With b > 0 on both axes it runs the chirp -> QFT -> output-factor
-    factorization, an exact (to rounding) rearrangement of the direct kernel
-    quadrature on the plan's grids, for any axes.  An axis with b = 0 takes
-    the substitution branch instead (:func:`_degenerate`).
+    A b > 0 axis runs the chirp -> QFT -> output-factor factorization, an
+    exact (to rounding) rearrangement of the direct kernel quadrature, for
+    any axes and grids.  A b = 0 axis is the substitution t -> d (u - tau) by
+    cubic spline (extrapolation is rejected) times :func:`_degenerate_chirp`.
     """
     if f.grid != plan.input_grid:
         raise ValueError("field grid does not match plan input grid")
-    if plan.A1.b == 0.0 or plan.A2.b == 0.0:
-        return _degenerate(f, plan)
-    chirps, factors = _plan_factors(plan)
-    return QField(plan.output_grid,
-                  _two_sided(f.samples, plan.qft_plan(), chirps, factors))
+    data, axes = f.samples, []  # (sign, pre, post) per axis
+    for axis, A in ((1, plan.A1), (2, plan.A2)):
+        t, u = plan.input_grid.axis_coords(axis), plan.output_grid.axis_coords(axis)
+        if A.b > 0.0:
+            axes.append((-1, *_axis_factors(A, t, u, 1.0)))
+        else:
+            data = _spline(t, data, _substituted_coords(A, u, t), axis=axis - 1)
+            axes.append((0, None, _degenerate_chirp(A, u)))
+    signs, pre, post = zip(*axes)
+    return QField(plan.output_grid, _planes_ft(
+        data, plan.input_grid, plan.scaled_freq_grid(), plan.lam, plan.mu,
+        signs, 1.0, pre, post))
 
 
 def _chirped_signal(f: QField, plan: QolctPlan) -> QField:
@@ -283,13 +295,11 @@ def _energy_density(f: QField, plan: QolctPlan) -> np.ndarray:
     On a v-grid centered at 0, -v is an index reversal and G_k(-v) =
     conj(G_k(v)), so the FFTs H of g0 + i g1 and g2 + i g3 give
     sum_k |G_k(v)|^2 as the fold (P(v) + P(-v))/2 of P = |H1|^2 + |H2|^2.
-    Other v-grids take the quartet.
+    v-grids not centered at 0 take the quartet.
     """
     chirps, _ = _plan_factors(plan)
-    qplan = plan.qft_plan()
-    vgrid = qplan.output_grid
-    if not (qplan.is_fft_compatible()
-            and vgrid.center1 == 0.0 and vgrid.center2 == 0.0):
+    vgrid = plan.scaled_freq_grid()
+    if not (vgrid.center1 == 0.0 and vgrid.center2 == 0.0):
         return analysis_quartet(f, plan).norm_field() ** 2
     g = sandwich(f.samples, plan.lam, plan.mu, *chirps)
     power = np.zeros((vgrid.n1, vgrid.n2))
@@ -335,6 +345,8 @@ def _degenerate_chirp(A: OffsetParams, u):
     main-branch kernel (see the limit-consistency test).
     """
     phase = A.c * A.d * (u - A.tau) ** 2 / 2.0 + u * A.eta
+    if _mutation.active("degenerate-chirp"):
+        phase = -phase
     return math.sqrt(A.d) * np.exp(1j * phase)
 
 
@@ -399,38 +411,6 @@ def _spline(x, y, xq, axis: int):
     h11 = (h * t * t * (t - 1.0)).reshape(shape)
     out = h00 * y[k] + h01 * y[k + 1] + h10 * s[k] + h11 * s[k + 1]
     return np.moveaxis(out, 0, axis)
-
-
-def _degenerate(f: QField, plan: QolctPlan) -> QField:
-    """Evaluate the b = 0 axes by substitution t_k -> d_k (u_k - tau_k).
-
-    Off-grid substituted coordinates are filled by cubic spline
-    interpolation of f; extrapolation is rejected.  An axis with b > 0 keeps
-    its kernel quadrature.
-    """
-    deg1, deg2 = plan.A1.b == 0.0, plan.A2.b == 0.0
-    t1 = f.grid.axis_coords(1)
-    t2 = f.grid.axis_coords(2)
-    u1 = plan.output_grid.axis_coords(1)
-    u2 = plan.output_grid.axis_coords(2)
-    data = f.samples
-
-    if deg1:
-        data = _spline(t1, data, _substituted_coords(plan.A1, u1, t1), axis=0)
-    if deg2:
-        data = _spline(t2, data, _substituted_coords(plan.A2, u2, t2), axis=1)
-
-    if not deg1:  # axis-1 kernel quadrature survives
-        cos1, sin1 = _kernel_matrices(plan.A1, t1, u1, transposed=False)
-        data = _left_contract(cos1, sin1, plan.lam, data, f.grid.spacing1)
-    if not deg2:
-        cos2, sin2 = _kernel_matrices(plan.A2, t2, u2, transposed=True)
-        data = _right_contract(data, cos2, sin2, plan.mu, f.grid.spacing2)
-
-    return QField(plan.output_grid, sandwich(
-        data, plan.lam, plan.mu,
-        _degenerate_chirp(plan.A1, u1) if deg1 else None,
-        _degenerate_chirp(plan.A2, u2) if deg2 else None))
 
 
 # ---------------------------------------------------------------------------

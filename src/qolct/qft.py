@@ -6,15 +6,14 @@ no 2*pi in the exponent,
     F(u) = sum_t exp(-lam*u1*t1) f(t) exp(-mu*u2*t2) dt1 dt2,
     f(t) = (1/(2*pi)^2) sum_u exp(+lam*u1*t1) F(u) exp(+mu*u2*t2) du1 du2,
 
-so Plancherel carries the 4*pi^2 factor.  On FFT-compatible grids (equal
-sample counts, du*dt = 2*pi/n per axis) every transform, for any pure-unit
-axes, runs through one engine: the orthogonal 2D planes split of Hitzer &
-Sangwine (arXiv:1306.2157) turns the two-sided kernel into two complex
-separable transforms of one centered FFT each.  The engine also carries
-per-axis phase factors before and after the FFT, which is how the offset
-linear canonical transform in ``olct`` runs on it.  ``qft_direct`` evaluates
-the O(N^3) dense quadrature: it is the oracle, and the fallback for grids the
-FFT cannot serve.
+so Plancherel carries the 4*pi^2 factor.  Every transform, on any pure-unit
+axes and grids, runs through one engine: the orthogonal 2D planes split of
+Hitzer & Sangwine (arXiv:1306.2157) turns the two-sided kernel into two
+complex separable transforms, each axis a centered FFT where the grids allow
+(equal sample counts, du*dt = 2*pi/n) and a dense complex matrix elsewhere.
+Per-axis phase factors before and after the transform carry the offset
+linear canonical transform of ``olct`` on it.  ``qft_direct`` evaluates the
+O(N^3) dense quaternion quadrature; it is the oracle.
 """
 
 from __future__ import annotations
@@ -80,17 +79,6 @@ class QftPlan:
         return QftPlan(self.output_grid, self.input_grid, self.lam, self.mu,
                        "inverse" if self.direction == "forward" else "forward")
 
-    def is_fft_compatible(self) -> bool:
-        return _fft_compatible(self.input_grid, self.output_grid)
-
-
-def _fft_compatible(tgrid: Grid2D, ugrid: Grid2D) -> bool:
-    """Matching sample counts and dt*du = 2*pi/n per axis."""
-    return (tgrid.n1, tgrid.n2) == (ugrid.n1, ugrid.n2) and all(
-        abs(dt * du * n - 2.0 * math.pi) <= 1e-9 * 2.0 * math.pi
-        for dt, du, n in ((tgrid.spacing1, ugrid.spacing1, tgrid.n1),
-                          (tgrid.spacing2, ugrid.spacing2, tgrid.n2)))
-
 
 # ---------------------------------------------------------------------------
 # Scalar centered Fourier core.
@@ -110,33 +98,41 @@ def _axis_ramps(n, t0, dt, u0, du, sign):
 
 def centered_ft2(x: np.ndarray, tgrid: Grid2D, ugrid: Grid2D,
                  signs=(-1, -1)) -> np.ndarray:
-    """Exact FFT evaluation of sum_t x(t) e^{s1*i*u1*t1} e^{s2*i*u2*t2} dt.
+    """Exact evaluation of sum_t x(t) e^{s1*i*u1*t1} e^{s2*i*u2*t2} dt.
 
-    Requires matching sample counts and du*dt = 2*pi/n per axis.  Grid
-    centers are arbitrary; they are absorbed by phase ramps.
+    Axis by axis: where the sample counts match and du*dt = 2*pi/n, one FFT
+    between phase ramps (grid centers are arbitrary; the ramps absorb them);
+    on any other axis a dense complex matrix e^{s*i*u (x) t}.  An axis with
+    sign 0 is left untouched and adds no spacing to dt.
     """
-    if not _fft_compatible(tgrid, ugrid):
-        raise PlanViolationError("grids are not FFT-compatible")
-
-    out = x
-    specs = ((tgrid.n1, tgrid.center1, tgrid.spacing1, ugrid.center1,
+    out, weight = x, 1.0
+    specs = ((tgrid.n1, tgrid.center1, tgrid.spacing1, ugrid.n1, ugrid.center1,
               ugrid.spacing1, signs[0]),
-             (tgrid.n2, tgrid.center2, tgrid.spacing2, ugrid.center2,
+             (tgrid.n2, tgrid.center2, tgrid.spacing2, ugrid.n2, ugrid.center2,
               ugrid.spacing2, signs[1]))
-    for axis, (n, t0, dt, u0, du, sign) in enumerate(specs):
-        pre, post = _axis_ramps(n, t0, dt, u0, du, sign)
+    for axis, (n, t0, dt, nu, u0, du, sign) in enumerate(specs):
+        if sign == 0:
+            continue
+        weight *= dt  # the cell weight rides on the last transformed axis
+        w = weight if axis == 1 or signs[1] == 0 else 1.0
         shape = (-1, 1) if axis == 0 else (1, -1)
-        out = out * pre.reshape(shape)  # a new array: x itself stays untouched
-        if sign < 0:
-            out = np.fft.fft(out, axis=axis)
+        if n == nu and abs(dt * du * n - 2.0 * math.pi) <= 1e-9 * 2.0 * math.pi:
+            pre, post = _axis_ramps(n, t0, dt, u0, du, sign)
+            out = out * pre.reshape(shape)  # a new array: x itself stays untouched
+            if sign < 0:
+                out = np.fft.fft(out, axis=axis)
+            else:
+                out = np.fft.ifft(out, axis=axis, norm="forward")
+            out *= (post * w).reshape(shape)
         else:
-            out = np.fft.ifft(out, axis=axis, norm="forward")
-        out *= (post * tgrid.cell_area if axis else post).reshape(shape)
+            mat = np.exp(1j * sign * np.outer(ugrid.axis_coords(axis + 1),
+                                              tgrid.axis_coords(axis + 1))) * w
+            out = mat @ out if axis == 0 else out @ mat.T
     return out
 
 
 # ---------------------------------------------------------------------------
-# Direct quadrature path (arbitrary pure-unit axes, arbitrary grids).
+# Dense quaternion quadrature (the oracle; arbitrary axes and grids).
 
 #: rows of kernel matrix materialized at once in dense contractions
 _CONTRACT_BLOCK = 1024
@@ -185,18 +181,19 @@ def qft_direct(f: QField, plan: QftPlan) -> QField:
 
 
 # ---------------------------------------------------------------------------
-# The planes-split FFT engine (any pure-unit axes, FFT-compatible grids).
+# The planes-split engine (any pure-unit axes, any grids).
 
-def _planes_ft(samples, plan: QftPlan, sign: int, scale: float, pre, post):
-    """Split into the two planes (``quat.in_planes``), pre-phase, one centered
-    FFT per plane with its axis-2 sign flipped on the plane that conjugates
-    right-hand factors, post-phase, map back times ``scale``.  ``samples`` is
-    an (n1, n2, 4) stack or a real (n1, n2) scalar field."""
+def _planes_ft(samples, tgrid: Grid2D, ugrid: Grid2D, lam: PureUnit,
+               mu: PureUnit, signs, scale: float, pre, post):
+    """Split into the two planes (``quat.in_planes``), pre-phase, one
+    :func:`centered_ft2` per plane with its axis-2 sign flipped on the plane
+    that conjugates right-hand factors, post-phase, map back times ``scale``,
+    for ``samples`` an (n1, n2, 4) stack or a real (n1, n2) scalar field."""
     def per_plane(z, conj):
-        y = centered_ft2(phase_plane(z, *pre, conj), plan.input_grid,
-                         plan.output_grid, (sign, -sign if conj else sign))
+        y = centered_ft2(phase_plane(z, *pre, conj), tgrid, ugrid,
+                         (signs[0], -signs[1] if conj else signs[1]))
         return phase_plane(y, *post, conj)
-    return in_planes(samples, plan.lam, plan.mu, per_plane, scale)
+    return in_planes(samples, lam, mu, per_plane, scale)
 
 
 def _two_sided(samples, plan: QftPlan, pre=(None, None),
@@ -204,23 +201,19 @@ def _two_sided(samples, plan: QftPlan, pre=(None, None),
     """post1(u1) * sum_t e^{s lam u1 t1} pre1(t1) f(t) pre2(t2) e^{s mu u2 t2}
     dt * post2(u2), with s = -1 forward and s = +1 (times 1/4pi^2) inverse;
     the per-axis complex factors sit on lam (axis 1) and mu (axis 2), None
-    standing for 1.  The one place a transform picks its path: the planes
-    split FFT engine on FFT-compatible grids, else the dense quadrature."""
+    standing for 1."""
     sign, scale = -1, 1.0
     if plan.direction == "inverse":
         sign, scale = 1, 1.0 / (4.0 * math.pi ** 2)
         if _mutation.active("iqft-scale"):
             scale = 1.0
-    if plan.is_fft_compatible():
-        return _planes_ft(samples, plan, sign, scale, pre, post)
-    f = QField(plan.input_grid, sandwich(samples, plan.lam, plan.mu, *pre))
-    return sandwich(_direct_apply(f, plan, sign, scale).samples,
-                    plan.lam, plan.mu, *post)
+    return _planes_ft(samples, plan.input_grid, plan.output_grid, plan.lam,
+                      plan.mu, (sign, sign), scale, pre, post)
 
 
 def qft_fast_ij(f: QField, plan: QftPlan) -> QField:
-    """Forward transform on any axes (FFT engine where the grids allow);
-    same contract as qft_direct."""
+    """Forward transform on any axes and grids through the planes-split
+    engine; same contract as qft_direct."""
     if plan.direction != "forward":
         raise ValueError("qft_fast_ij requires a forward plan")
     if f.grid != plan.input_grid:

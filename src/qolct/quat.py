@@ -272,16 +272,22 @@ def in_planes(samples, lam: PureUnit, mu: PureUnit, per_plane,
               scale: float = 1.0) -> np.ndarray:
     """Map an (n1, n2, 4) stack, or a real (n1, n2) field as its scalar part,
     to planes z+, z-; set each z_k to ``per_plane(z_k, conj)``, conj marking
-    the + plane, where right-hand factors act conjugated; map back * scale."""
+    the + plane, where right-hand factors act conjugated; map back * scale.
+    ``per_plane`` may return its plane on another grid (another shape)."""
     basis = plane_basis(lam, mu)
     if samples.ndim == 2:
         coefs = samples[..., None] * basis[0]
     else:
         coefs = (samples.reshape(-1, 4) @ basis).reshape(samples.shape)
-    z = coefs.view(complex)
+    z = out = coefs.view(complex)
     conj_plane = 1 if _mutation.active("planes-conj") else 0
     for k in (0, 1):
-        z[..., k] = per_plane(z[..., k], k == conj_plane)
+        y = per_plane(z[..., k], k == conj_plane)
+        if y.shape != out.shape[:-1]:  # in place unless the grid changes
+            out = np.empty(y.shape + (2,), dtype=complex)
+        out[..., k] = y
+        del y  # free it before the next plane's result is allocated
+    coefs = out.view(float)
     return (coefs.reshape(-1, 4) @ (scale * basis.T)).reshape(coefs.shape)
 
 

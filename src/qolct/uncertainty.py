@@ -19,6 +19,7 @@ from .olct import (
     QolctPlan,
     _chirped_signal,
     _energy_density,
+    _require_positive_b,
     output_in_scaled_coords,
     qolct_forward,
 )
@@ -232,6 +233,8 @@ def hardy_report(f: QField, plan: QolctPlan) -> HardyReport:
     The transform-side fit runs over the rescaled coordinates v = u/b, on
     which Hardy's critical case pins alpha*beta = 1/4.
     """
+    for axis, A in ((1, plan.A1), (2, plan.A2)):
+        _require_positive_b(A, f"axis {axis}")
     sig = hardy_envelope_fit(f)
     F = qolct_forward(f, plan)
     scaled = output_in_scaled_coords(F, plan)
@@ -244,6 +247,7 @@ def hardy_report(f: QField, plan: QolctPlan) -> HardyReport:
 
 #: radii of the |t| side summed against the whole |v| side at once
 _BEURLING_BLOCK = 512
+_LN_MAX_FLOAT = math.log(np.finfo(float).max)
 
 
 def _radial_mass(weights: np.ndarray, grid) -> tuple:
@@ -258,7 +262,7 @@ def _radial_mass(weights: np.ndarray, grid) -> tuple:
 def beurling_sweep(f: QField, density: np.ndarray, vgrid, d: float,
                    truncations) -> list:
     """:func:`beurling_integral` at each radius in ``truncations``, on one
-    grouping of each side by radius."""
+    grouping of each side by radius; a radius that overflows is rejected."""
     if d < 0.0:
         raise ValueError("d must be nonnegative")
     rt, wt = _radial_mass(f.modulus(), f.grid)
@@ -269,12 +273,18 @@ def beurling_sweep(f: QField, density: np.ndarray, vgrid, d: float,
         nt = int(np.searchsorted(rt, truncation, side="right"))
         nv = int(np.searchsorted(rv, truncation, side="right"))
         v, w = rv[None, :nv], wv[:nv]
+        reach = float(rt[nt - 1] * rv[nv - 1]) if nt and nv else 0.0
         total = 0.0
-        for lo in range(0, nt, _BEURLING_BLOCK):
-            hi = min(lo + _BEURLING_BLOCK, nt)
-            r = rt[lo:hi, None]
-            kernel = np.exp(r * v) / (1.0 + r + v) ** d
-            total += float(wt[lo:hi] @ (kernel @ w))
+        if reach <= _LN_MAX_FLOAT:  # else no exp is computed
+            for lo in range(0, nt, _BEURLING_BLOCK):
+                hi = min(lo + _BEURLING_BLOCK, nt)
+                r = rt[lo:hi, None]
+                kernel = np.exp(r * v) / (1.0 + r + v) ** d
+                total += float(wt[lo:hi] @ (kernel @ w))
+        if reach > _LN_MAX_FLOAT or not math.isfinite(total * cells):
+            raise PlanViolationError(
+                f"Beurling truncation {truncation:g} overflows: its largest |t||v| "
+                f"= {reach:.6g} must stay below ln(max float) = {_LN_MAX_FLOAT:.2f}")
         values.append(total * cells)
     return values
 
@@ -308,11 +318,11 @@ def pitt_sweep(f: QField, plan: QolctPlan, alphas) -> list:
     """:func:`pitt_check` at each alpha in ``alphas``, on one energy density."""
     _require_ij(plan, "Pitt's inequality")
     consts = [pitt_constants(alpha) for alpha in alphas]
+    w2 = _energy_density(f, plan)  # rejects b = 0 before the weights divide by b
     og = plan.output_grid
     rv = _radius(og, plan.A1.b, plan.A2.b)
     if max(alphas) > 0.0:
         _require_off_origin(rv, og, "|v|^(-alpha)")
-    w2 = _energy_density(f, plan)
     rt = _radius(f.grid)
     e2 = np.sum(f.samples * f.samples, axis=-1)
     reports = []
@@ -344,12 +354,13 @@ def log_up_check(f: QField, plan: QolctPlan) -> LogUpReport:
     """ln|v|-weighted transform energy plus ln|t|-weighted signal energy
     against (ln 2 + psi(1/2)) times the signal energy; slack >= 0."""
     _require_ij(plan, "the logarithmic inequality")
+    w2 = _energy_density(f, plan)  # rejects b = 0 before the weights divide by b
     og = plan.output_grid
     rv = _radius(og, plan.A1.b, plan.A2.b)
     _require_off_origin(rv, og, "ln|v|")
     rt = _radius(f.grid)
     _require_off_origin(rt, f.grid, "ln|t|")
-    zterm = _weighted_energy(_energy_density(f, plan), np.log(rv), og.cell_area)
+    zterm = _weighted_energy(w2, np.log(rv), og.cell_area)
     e2 = np.sum(f.samples * f.samples, axis=-1)
     tterm = _weighted_energy(e2, np.log(rt), f.grid.cell_area)
     energy = _signal_energy(f)

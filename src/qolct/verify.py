@@ -18,6 +18,7 @@ from .olct import (
     QolctPlan,
     _energy_density,
     analysis_quartet,
+    kernel,
     modulation_covariance_check,
     moment_identity_check,
     qolct_direct,
@@ -342,7 +343,44 @@ def qolct_checks(seed: int):
     diff = np.abs(_energy_density(f32, plan32) - want).max() / want.max()
     out.append(_record("density-equals-analysis-quartet",
                        "random params and axes, 32^2", diff, 1e-12))
+
+    # b = 0 with c, eta != 0, so the output chirp is no identity: b1 = 0 on
+    # the derived grid (FFT on axis 2), b2 = 0 on a smaller one (dense axis 1)
+    g24 = Grid2D.centered(24, 6.0)
+    f24 = QField(g24, _random_quat(rng, (24, 24)))
+    t = g24.axis_coords(1)
+    deg = [OffsetParams(1.0, 0.0, c, 1.0, float(rng.choice(t)), eta)
+           for c, eta in rng.uniform(0.5, 1.5, (2, 2))]
+    lam, mu = _random_axis(rng), _random_axis(rng)
+    worst = 0.0
+    for plan in (QolctPlan.create(deg[0], random_offset_params(rng), lam, mu,
+                                  input_grid=g24),
+                 QolctPlan(random_offset_params(rng), deg[1], lam, mu, g24,
+                           Grid2D(16, 16, 0.1, deg[1].tau, 0.9, g24.spacing2))):
+        left, right = (_axis_operator(A, unit, t, plan.output_grid.axis_coords(k))
+                       for k, A, unit in ((1, plan.A1, lam), (2, plan.A2, mu)))
+        mid = qmul(left[:, :, None, :], f24.samples[None]).sum(axis=1)
+        want = qmul(mid[:, :, None, :], np.swapaxes(right, 0, 1)[None]).sum(axis=1)
+        got = qolct_forward(f24, plan).samples
+        worst = max(worst, float(qnorm(got - want).max() / qnorm(want).max()))
+    out.append(_record("degenerate-equals-kernel-sum",
+                       "b1 = 0 and b2 = 0 with c, eta != 0, 24^2", worst, 1e-12))
     return out
+
+
+def _axis_operator(A: OffsetParams, unit: PureUnit, t, u) -> np.ndarray:
+    """(n_u, n_t, 4) quaternion matrix of one axis of the forward transform: the
+    kernel times the spacing for b > 0, else the substitution t = d (u - tau),
+    which must hit a sample, times sqrt(d) e^{i(c d (u - tau)^2/2 + u eta)}."""
+    h = t[1] - t[0]
+    if A.b > 0.0:
+        return np.array([[kernel(A, unit, tp, uq).array for tp in t]
+                         for uq in u]) * h
+    op = np.zeros((u.size, t.size, 4))
+    hit = np.rint((A.d * (u - A.tau) - t[0]) / h).astype(int)
+    op[np.arange(u.size), hit] = math.sqrt(A.d) * plane_to_quat(
+        np.exp(1j * (A.c * A.d * (u - A.tau) ** 2 / 2.0 + u * A.eta)), unit)
+    return op
 
 
 def _qlct_reference(f: QField, A1: OffsetParams, A2: OffsetParams,

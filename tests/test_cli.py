@@ -336,7 +336,7 @@ def test_verify_exit_codes_and_mutations(tmp_path):
     assert all(rec["pass"] for rec in doc["checks"])
 
     for name in ("right-kernel-sign", "iqft-scale", "chirp-sign", "planes-conj",
-                 "density-fold"):
+                 "density-fold", "degenerate-chirp"):
         proc = run_cli("verify", "all", "--seed", "5", "--mutate", name,
                        "--json", str(tmp_path / f"m-{name}.json"))
         assert proc.returncode == 1, name
@@ -462,6 +462,39 @@ def test_uncertainty_computes_only_what_it_prints(tmp_path, qft_params,
     assert cli.main(["uncertainty", "--in", sig, "--params", qft_params,
                      "--which", which, "--json", out, *tsv_args]) == 0
     assert len(calls) == want
+
+
+def test_uncertainty_rejects_b_zero_plans(tmp_path):
+    # every report needs v = u/b: a b1 = 0 plan is a usage error, not a crash
+    sig = str(tmp_path / "f.qsig")
+    write_signal(sig, synth_gaussian(Grid2D.centered(32, 16.0), 0.5, 0.5))
+    params = tmp_path / "b1zero.json"
+    params.write_text('{"A1": {"a": 1, "b": 0, "c": 0.5, "d": 1, "tau": 0.25}, '
+                      '"A2": {"a": 0, "b": 1, "c": -1, "d": 0}, '
+                      '"lambda": [1,0,0], "mu": [0,1,0]}')
+    for which in ("heisenberg", "hardy", "pitt", "logup", "beurling"):
+        proc = run_cli("uncertainty", "--in", sig, "--params", str(params),
+                       "--which", which)
+        assert proc.returncode == 2, (which, proc.stderr)
+        assert "require b > 0" in proc.stderr, which
+        assert "Traceback" not in proc.stderr, which
+
+
+@pytest.mark.parametrize("tsv", [False, True])
+def test_beurling_overflow_exit_code(tmp_path, qft_params, tsv):
+    # at 256^2 the radius 100 (and with --tsv, 3/4 of it) passes
+    # ln(max float) in |t||v|: rejected before any exp, nothing written
+    sig = str(tmp_path / "f.qsig")
+    write_signal(sig, synth_gaussian(Grid2D.centered(256, 16.0), 0.5, 0.5))
+    out = tmp_path / "b.json"
+    tsv_args = ["--tsv", str(tmp_path / "b.tsv")] if tsv else []
+    proc = run_cli("uncertainty", "--in", sig, "--params", qft_params,
+                   "--which", "beurling", "--radius", "100", "--json", str(out),
+                   *tsv_args)
+    assert proc.returncode == 4
+    assert "ln(max float) = 709.78" in proc.stderr
+    assert "Warning" not in proc.stderr
+    assert not out.exists() and not (tmp_path / "b.tsv").exists()
 
 
 def test_pitt_rejects_non_ij_axes(tmp_path):

@@ -252,7 +252,13 @@ def test_energy_density_equals_analysis_quartet(monkeypatch, n1, n2, axes):
     for seed, shifted in ((n1 * n2, False), (n1 + n2, True)):
         f, plan = _density_case(n1, n2, axes, seed, shifted)
         assert _density_err(f, plan) <= 1e-12, (seed, shifted)
-    assert not calls  # both grids take the two-FFT path
+    # a smaller, finer centered output grid is not FFT-compatible: its two
+    # transforms take the engine's dense branch
+    og = plan.output_grid
+    fine = Grid2D(20, 16, 0.0, 0.0, og.spacing1 / 2, og.spacing2 / 2)
+    plan = QolctPlan(plan.A1, plan.A2, plan.lam, plan.mu, plan.input_grid, fine)
+    assert _density_err(f, plan) <= 1e-12
+    assert not calls  # every grid takes the two-transform path
 
 
 @settings(max_examples=60, deadline=None)
@@ -264,16 +270,12 @@ def test_energy_density_property(n1, n2, axes, shifted, seed):
     assert _density_err(f, plan) <= 1e-12
 
 
-@pytest.mark.parametrize("grid", ["off-center", "not-fft-compatible"])
-def test_energy_density_falls_back_to_the_quartet(monkeypatch, grid):
+def test_energy_density_falls_back_to_the_quartet(monkeypatch):
+    # off center, -v is no index reversal
     f, plan = _density_case(32, 24, "free", 7)
-    og = plan.output_grid
-    if grid == "off-center":
-        og = Grid2D(og.n1, og.n2, 0.3, -0.2, og.spacing1, og.spacing2)
-    else:
-        og = Grid2D(20, 16, 0.0, 0.0, og.spacing1 / 2, og.spacing2 / 2)
+    g = plan.output_grid
+    og = Grid2D(g.n1, g.n2, 0.3, -0.2, g.spacing1, g.spacing2)
     plan = QolctPlan(plan.A1, plan.A2, plan.lam, plan.mu, plan.input_grid, og)
-    assert plan.qft_plan().is_fft_compatible() == (grid == "off-center")
     calls = _spy_on_quartet(monkeypatch)
     got = _energy_density(f, plan)
     assert len(calls) == 1
@@ -393,6 +395,47 @@ def test_forward_serves_b_zero_axes(zero_axes):
             transform(f, plan)
     with pytest.raises(ValueError, match="require b > 0"):
         qolct_inverse(got, plan)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n1=st.integers(2, 24), n2=st.integers(2, 24), shifted=st.booleans(),
+       derived=st.booleans(), zero=st.sampled_from(["none", "b1", "b2", "both"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_forward_property(n1, n2, shifted, derived, zero, seed):
+    # odd, even, non-square and off-center input grids, random axes; derived
+    # output grids, or smaller ones no FFT serves; b = 0 axes with random d,
+    # nonzero c and eta, on a window of substituted samples
+    f, plan = _density_case(n1, n2, "free", seed, shifted)
+    rng = np.random.default_rng(seed)
+    axes = []
+    for k, A in enumerate((plan.A1, plan.A2)):
+        t = f.grid.axis_coords(k + 1)
+        m = t.size if derived else int(rng.integers(1, t.size + 1))
+        if zero in (f"b{k + 1}", "both"):
+            d = rng.uniform(0.5, 2.0)
+            c, eta = rng.choice([-1.0, 1.0], 2) * rng.uniform(0.5, 1.5, 2)
+            A = OffsetParams(1.0 / d, 0.0, c, d, rng.uniform(-1.0, 1.0), eta)
+            lo = int(rng.integers(0, t.size - m + 1))
+            axes.append((A, m, A.tau + t[lo:lo + m].mean() / d, (t[1] - t[0]) / d))
+        else:
+            spacing = (plan.output_grid.spacing1, plan.output_grid.spacing2)[k]
+            if derived:
+                axes.append((A, m, 0.0, spacing))
+            else:
+                axes.append((A, m, rng.uniform(-2.0, 2.0) * spacing, 0.8 * spacing))
+    (A1, m1, c1, s1), (A2, m2, c2, s2) = axes
+    plan = QolctPlan(A1, A2, plan.lam, plan.mu, f.grid,
+                     Grid2D(m1, m2, c1, c2, s1, s2))
+    if zero == "none":
+        want = qolct_direct(f, plan).samples
+    else:
+        left, right = (_axis_operator(A, unit, f.grid.axis_coords(k),
+                                      plan.output_grid.axis_coords(k), h)
+                       for k, A, unit, h in ((1, A1, plan.lam, f.grid.spacing1),
+                                             (2, A2, plan.mu, f.grid.spacing2)))
+        mid = qmul(left[:, :, None, :], f.samples[None]).sum(axis=1)
+        want = qmul(mid[:, :, None, :], np.swapaxes(right, 0, 1)[None]).sum(axis=1)
+    assert rel_max_err(qolct_forward(f, plan).samples, want) <= 1e-12
 
 
 def test_degenerate_single_axis_consistent_with_main_limit():

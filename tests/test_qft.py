@@ -37,19 +37,33 @@ def test_plan_nyquist_validation():
         QftPlan(g, coarse, UNIT_I, UNIT_J)
 
 
+def _brute_ft2(x, tg, ug, signs):
+    """sum_t x(t) e^{s1 i u1 t1} e^{s2 i u2 t2} dt as two explicit matrices;
+    a zero sign is the identity on its axis."""
+    mats = []
+    for axis, (sign, h) in enumerate(zip(signs, (tg.spacing1, tg.spacing2)), 1):
+        t, u = tg.axis_coords(axis), ug.axis_coords(axis)
+        mats.append(np.exp(1j * sign * np.outer(u, t)) * h if sign
+                    else np.eye(t.size))
+    return mats[0] @ x @ mats[1].T
+
+
 def test_centered_ft2_matches_brute_force():
     rng = np.random.default_rng(0)
     n = 8
     tg = Grid2D(n, n, 0.3, -0.2, 0.7, 0.45)
     ug = Grid2D(n, n, 1.1, -0.4, 2 * np.pi / (n * 0.7), 2 * np.pi / (n * 0.45))
+    dense = Grid2D(n, n, 1.1, -0.4, 0.6, 1.3)  # spacings no FFT serves
+    fewer = Grid2D(5, 5, 1.1, -0.4, ug.spacing1, ug.spacing2)  # 8 -> 5 samples
+    both = ((-1, -1), (-1, 1), (1, 1), (1, -1))
+    one = ((0, -1), (0, 1), (-1, 0), (1, 0), (0, 0))  # a zero sign on each axis
     x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    t1, t2 = tg.axis_coords(1), tg.axis_coords(2)
-    u1, u2 = ug.axis_coords(1), ug.axis_coords(2)
-    for signs in ((-1, -1), (-1, 1), (1, 1), (1, -1)):
-        got = centered_ft2(x, tg, ug, signs)
-        brute = (np.exp(1j * signs[0] * np.outer(u1, t1)) @ x
-                 @ np.exp(1j * signs[1] * np.outer(t2, u2))) * tg.cell_area
-        assert np.abs(got - brute).max() <= 1e-12
+    for out_grid, sign_sets in ((ug, both), (dense, both), (fewer, both),
+                                (ug, one), (dense, one)):
+        for signs in sign_sets:
+            got = centered_ft2(x, tg, out_grid, signs)
+            want = _brute_ft2(x, tg, out_grid, signs)
+            assert np.abs(got - want).max() <= 1e-12, (out_grid, signs)
 
 
 def test_gaussian_transform_analytic():
@@ -94,8 +108,8 @@ ENGINE_AXES = {
 
 @pytest.mark.parametrize("axes", sorted(ENGINE_AXES))
 def test_engine_equals_direct(axes, monkeypatch):
-    """Every FFT-compatible transform goes through the planes-split engine and
-    matches the dense quadrature on any axes; other grids take the quadrature."""
+    """Every transform goes through the planes-split engine and matches the
+    dense quadrature on any axes and grids; the quadrature is only the oracle."""
     from qolct import QolctPlan, analysis_quartet, qolct_direct
     from qolct import qolct_forward, qolct_inverse, qolct_quartet
     from qolct import qft as qft_mod
@@ -152,13 +166,14 @@ def test_engine_equals_direct(axes, monkeypatch):
             assert rel_max_err(analysis.members[m].samples,
                                qolct_direct(unchirped, qplan).samples) <= 1e-12
 
-        # a finer, smaller output grid is not FFT-compatible: the quadrature runs
+        # a finer, smaller output grid is not FFT-compatible: the engine runs
+        # dense complex matrices, never the quaternion quadrature
         og = qplan.output_grid
         fine = Grid2D(20, 18, 0.1, -0.2, 0.8 * og.spacing1, 0.7 * og.spacing2)
         fplan = QolctPlan(A1, A2, lam, mu, g, fine)
         n_direct = len(direct_calls)
         O = qolct_forward(f, fplan)
-        assert direct_calls[n_direct:] == [-1]
+        assert direct_calls[n_direct:] == []
         assert rel_max_err(O.samples, qolct_direct(f, fplan).samples) <= 1e-12
 
 

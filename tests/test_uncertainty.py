@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,28 @@ def test_beurling_radius_sums_match_all_pairs(n):
                 want = _beurling_all_pairs(f, density, vgrid, 4.0, R)
                 assert abs(value - want) <= 1e-12 * want, (name, R)
                 assert beurling_integral(f, density, vgrid, 4.0, R) == value
+
+
+def test_beurling_rejects_overflowing_truncations():
+    # the largest |t||v| on an n^2 grid is about pi n, past ln(max float)
+    # = 709.78 from n = 226 on; the check comes before any exp
+    grid = Grid2D.centered(256, 16.0)
+    f = synth_gaussian(grid, 0.5, 0.5)
+    A = OffsetParams.qft_case()
+    plan = QolctPlan.create(A, A, input_grid=grid)
+    density, vgrid = _energy_density(f, plan), plan.scaled_freq_grid()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(beurling_integral(f, density, vgrid, 4.0, 30.0))
+        for radii in ([100.0], [30.0, 100.0]):
+            with pytest.raises(PlanViolationError, match=r"ln\(max float\) = 709\.78"):
+                beurling_sweep(f, density, vgrid, 4.0, radii)
+    # every e^(|t||v|) is finite at radius 30, but this sum is not
+    huge = QField(grid, f.samples * 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # numpy may report the overflow too
+        with pytest.raises(PlanViolationError, match="overflows"):
+            beurling_integral(huge, density, vgrid, 4.0, 30.0)
 
 
 # ---------------------------------------------------------------------------
