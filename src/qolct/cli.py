@@ -19,13 +19,7 @@ import numpy as np
 
 from . import _mutation, verify as verify_mod
 from .field import Grid2D, QField, apply_chirp, l2_norm, synth_gaussian
-from .olct import (
-    QolctPlan,
-    _energy_density,
-    output_in_scaled_coords,
-    qolct_forward,
-    qolct_inverse,
-)
+from .olct import QolctPlan, _energy_density, qolct_forward, qolct_inverse
 from .qft import PlanViolationError
 from .quat import PureUnit
 from .signalio import (
@@ -36,7 +30,6 @@ from .signalio import (
     write_signal,
 )
 from .uncertainty import (
-    beurling_integral,
     beurling_sweep,
     hardy_report,
     heisenberg_report,
@@ -105,10 +98,7 @@ def cmd_transform(args) -> int:
     params = read_params(args.params)
 
     A1, A2 = params.A1, params.A2
-    ratio = None
     if args.inverse:
-        if A1.b <= 0 or A2.b <= 0:
-            raise ValueError("inverse transform requires b1, b2 > 0")
         tgrid = QolctPlan.derived_output_grid(A1, A2, f.grid)
         plan = QolctPlan(A1, A2, params.lam, params.mu, tgrid, f.grid)
         out_field = qolct_inverse(f, plan)
@@ -118,22 +108,20 @@ def cmd_transform(args) -> int:
         out_field = qolct_forward(f, plan)
         zero = {(True, True): "both", (True, False): "b1",
                 (False, True): "b2"}.get((A1.b == 0.0, A2.b == 0.0))
-        if zero:
-            direction = f"degenerate:{zero}_zero"
-        else:
-            direction = "forward"
-            denom = l2_norm(f)
-            if denom > 0:  # the two-sided kernel is an isometry
-                ratio = l2_norm(out_field) / denom
+        direction = f"degenerate:{zero}_zero" if zero else "forward"
 
+    l2_in, l2_out = l2_norm(f), l2_norm(out_field)
+    ratio = None
+    if direction == "forward" and l2_in > 0:  # the two-sided kernel is an isometry
+        ratio = l2_out / l2_in
     write_signal(args.out, out_field)
     sidecar = {
         "direction": direction,
         "input_grid": _grid_doc(f.grid),
         "output_grid": _grid_doc(out_field.grid),
         "params": params_doc(params),
-        "l2_in": l2_norm(f),
-        "l2_out": l2_norm(out_field),
+        "l2_in": l2_in,
+        "l2_out": l2_out,
         "plancherel_ratio": ratio,
         "timestamp": _timestamp(),
     }
@@ -208,21 +196,11 @@ def cmd_uncertainty(args) -> int:
                     "signal_fit_residual": rep.signal_fit.residual,
                     "transform_fit_residual": rep.transform_fit.residual})
         if args.tsv:
-            t1, t2 = f.grid.meshgrid()
-            mod = f.modulus()
-            mask = mod > 1e-6 * mod.max()
-            F = qolct_forward(f, plan)
-            scaled = output_in_scaled_coords(F, plan)
-            v1, v2 = scaled.grid.meshgrid()
-            fmod = scaled.modulus()
-            fmask = fmod > 1e-6 * fmod.max()
             tsv_rows = [("domain", "r2", "log_modulus")]
-            tsv_rows += [("signal", float(a), float(b)) for a, b in
-                         zip((t1 ** 2 + t2 ** 2)[mask].ravel(),
-                             np.log(mod[mask]).ravel())]
-            tsv_rows += [("transform", float(a), float(b)) for a, b in
-                         zip((v1 ** 2 + v2 ** 2)[fmask].ravel(),
-                             np.log(fmod[fmask]).ravel())]
+            for domain, fit in (("signal", rep.signal_fit),
+                                ("transform", rep.transform_fit)):
+                tsv_rows += [(domain, float(a), float(b))
+                             for a, b in zip(fit.r2, fit.log_modulus)]
 
     elif args.which == "pitt":
         sweep = [float(a) for a in np.arange(0.0, 2.0, 0.25)] if args.tsv else []
@@ -255,16 +233,13 @@ def cmd_uncertainty(args) -> int:
         radius = args.radius
         if radius is None:
             radius = 0.45 * min(f.grid.extent1, f.grid.extent2)
-        if args.tsv:  # the four radii share one grouping by radius
-            fracs = (0.25, 0.5, 0.75, 1.0)
-            values = beurling_sweep(f, density, vgrid, args.d,
-                                    [radius * frac for frac in fracs])
+        fracs = (0.25, 0.5, 0.75, 1.0) if args.tsv else (1.0, 0.5)
+        values = dict(zip(fracs, beurling_sweep(f, density, vgrid, args.d,
+                                                [radius * k for k in fracs])))
+        half, full = values[0.5], values[1.0]
+        if args.tsv:
             tsv_rows = [("radius", "value")]
-            tsv_rows += [(radius * frac, v) for frac, v in zip(fracs, values)]
-            half, full = values[1], values[3]
-        else:
-            full, half = (beurling_integral(f, density, vgrid, args.d, r)
-                          for r in (radius, radius / 2.0))
+            tsv_rows += [(radius * k, v) for k, v in values.items()]
         doc.update({"d": args.d, "radius": radius, "value": full,
                     "value_half_radius": half,
                     "growth_ratio": full / half if half else None})

@@ -43,7 +43,6 @@ from .qft import (
     _planes_ft,
     _quartet,
     _right_contract,
-    _two_sided,
     centered_ft2,
 )
 from .quat import UNIT_I, UNIT_J, PureUnit, Quaternion, plane_to_quat, sandwich
@@ -119,8 +118,8 @@ class QolctPlan:
                 raise PlanViolationError(
                     f"axis {axis}: chirp resolution |a|/(2b)*h*L = {bound:g} "
                     "exceeds pi; refine the input grid")
-        if self.A1.b > 0.0 and self.A2.b > 0.0:
-            self.qft_plan()  # validates the embedded Nyquist bound
+        if self.A1.b > 0.0 and self.A2.b > 0.0:  # the embedded Nyquist bound
+            QftPlan(self.input_grid, self.scaled_freq_grid(), self.lam, self.mu)
 
     @classmethod
     def create(cls, A1: OffsetParams, A2: OffsetParams,
@@ -157,10 +156,6 @@ class QolctPlan:
         g, b1, b2 = self.output_grid, self.A1.b or 1.0, self.A2.b or 1.0
         return Grid2D(g.n1, g.n2, g.center1 / b1, g.center2 / b2,
                       g.spacing1 / b1, g.spacing2 / b2)
-
-    def qft_plan(self) -> QftPlan:
-        return QftPlan(self.input_grid, self.scaled_freq_grid(),
-                       self.lam, self.mu, "forward")
 
 
 def _axis_factors(A: OffsetParams, t, u, sign: float):
@@ -204,10 +199,8 @@ def qolct_forward(f: QField, plan: QolctPlan) -> QField:
         else:
             data = _spline(t, data, _substituted_coords(A, u, t), axis=axis - 1)
             axes.append((0, None, _degenerate_chirp(A, u)))
-    signs, pre, post = zip(*axes)
     return QField(plan.output_grid, _planes_ft(
-        data, plan.input_grid, plan.scaled_freq_grid(), plan.lam, plan.mu,
-        signs, 1.0, pre, post))
+        data, plan.input_grid, plan.scaled_freq_grid(), plan.lam, plan.mu, axes))
 
 
 def _chirped_signal(f: QField, plan: QolctPlan) -> QField:
@@ -258,8 +251,9 @@ def qolct_inverse(F: QField, plan: QolctPlan) -> QField:
     chirps, factors = _plan_factors(plan, -1.0)
     if F.grid != plan.output_grid:
         raise ValueError("field grid does not match plan output grid")
-    return QField(plan.input_grid, _two_sided(
-        F.samples, plan.qft_plan().inverted(), factors, chirps))
+    return QField(plan.input_grid, _planes_ft(
+        F.samples, plan.scaled_freq_grid(), plan.input_grid, plan.lam, plan.mu,
+        tuple(zip((1, 1), factors, chirps))))
 
 
 def qolct_quartet(f: QField, plan: QolctPlan) -> ComponentQuartet:
@@ -267,7 +261,7 @@ def qolct_quartet(f: QField, plan: QolctPlan) -> ComponentQuartet:
     chirps, factors = _plan_factors(plan)
     if f.grid != plan.input_grid:
         raise ValueError("field grid does not match plan input grid")
-    return _quartet(f.samples, plan.qft_plan(), plan.output_grid, chirps, factors)
+    return _forward_quartet(f.samples, plan, chirps, factors)
 
 
 def analysis_quartet(f: QField, plan: QolctPlan) -> ComponentQuartet:
@@ -281,8 +275,16 @@ def analysis_quartet(f: QField, plan: QolctPlan) -> ComponentQuartet:
     :func:`qolct_quartet` along that axis's contribution.
     """
     chirps, factors = _plan_factors(plan)
-    return _quartet(sandwich(f.samples, plan.lam, plan.mu, *chirps),
-                    plan.qft_plan(), plan.output_grid, post=factors)
+    return _forward_quartet(sandwich(f.samples, plan.lam, plan.mu, *chirps),
+                            plan, (None, None), factors)
+
+
+def _forward_quartet(samples, plan: QolctPlan, pre, post) -> ComponentQuartet:
+    """Forward engine transforms of the real components of ``samples``,
+    with per-axis factors ``pre`` before and ``post`` after the QFT."""
+    axes, vgrid = tuple(zip((-1, -1), pre, post)), plan.scaled_freq_grid()
+    return _quartet(samples, plan.output_grid, lambda x: _planes_ft(
+        x, plan.input_grid, vgrid, plan.lam, plan.mu, axes))
 
 
 def _energy_density(f: QField, plan: QolctPlan) -> np.ndarray:

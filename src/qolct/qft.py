@@ -184,31 +184,30 @@ def qft_direct(f: QField, plan: QftPlan) -> QField:
 # The planes-split engine (any pure-unit axes, any grids).
 
 def _planes_ft(samples, tgrid: Grid2D, ugrid: Grid2D, lam: PureUnit,
-               mu: PureUnit, signs, scale: float, pre, post):
-    """Split into the two planes (``quat.in_planes``), pre-phase, one
-    :func:`centered_ft2` per plane with its axis-2 sign flipped on the plane
-    that conjugates right-hand factors, post-phase, map back times ``scale``,
-    for ``samples`` an (n1, n2, 4) stack or a real (n1, n2) scalar field."""
+               mu: PureUnit, axes):
+    """Split ``samples`` (an (n1, n2, 4) stack or a real (n1, n2) field) into
+    the planes of ``quat.in_planes``; on each, per axis ``(sign, pre, post)``
+    of ``axes``: pre factor, one :func:`centered_ft2` (axis-2 sign flipped on
+    the plane that conjugates right-hand factors), post factor, None standing
+    for 1; map back.  Both signs +1 (the inverse) carry 1/4pi^2."""
+    (s1, pre1, post1), (s2, pre2, post2) = axes
+    scale = 1.0
+    if s1 == s2 == 1 and not _mutation.active("iqft-scale"):
+        scale = 1.0 / (4.0 * math.pi ** 2)
+
     def per_plane(z, conj):
-        y = centered_ft2(phase_plane(z, *pre, conj), tgrid, ugrid,
-                         (signs[0], -signs[1] if conj else signs[1]))
-        return phase_plane(y, *post, conj)
+        y = centered_ft2(phase_plane(z, pre1, pre2, conj), tgrid, ugrid,
+                         (s1, -s2 if conj else s2))
+        return phase_plane(y, post1, post2, conj)
     return in_planes(samples, lam, mu, per_plane, scale)
 
 
-def _two_sided(samples, plan: QftPlan, pre=(None, None),
-               post=(None, None)) -> np.ndarray:
-    """post1(u1) * sum_t e^{s lam u1 t1} pre1(t1) f(t) pre2(t2) e^{s mu u2 t2}
-    dt * post2(u2), with s = -1 forward and s = +1 (times 1/4pi^2) inverse;
-    the per-axis complex factors sit on lam (axis 1) and mu (axis 2), None
-    standing for 1."""
-    sign, scale = -1, 1.0
-    if plan.direction == "inverse":
-        sign, scale = 1, 1.0 / (4.0 * math.pi ** 2)
-        if _mutation.active("iqft-scale"):
-            scale = 1.0
+def _two_sided(samples, plan: QftPlan) -> np.ndarray:
+    """The plan's transform of ``samples``: kernel signs -1 forward, +1
+    inverse."""
+    s = -1 if plan.direction == "forward" else 1
     return _planes_ft(samples, plan.input_grid, plan.output_grid, plan.lam,
-                      plan.mu, (sign, sign), scale, pre, post)
+                      plan.mu, ((s, None, None), (s, None, None)))
 
 
 def qft_fast_ij(f: QField, plan: QftPlan) -> QField:
@@ -234,15 +233,13 @@ def qft_quartet(f: QField, plan: QftPlan) -> ComponentQuartet:
     """Transforms (F{f_0}, ..., F{f_3}) of the four real components."""
     if plan.direction != "forward":
         raise ValueError("qft_quartet requires a forward plan")
-    return _quartet(f.samples, plan, plan.output_grid)
+    return _quartet(f.samples, plan.output_grid, lambda x: _two_sided(x, plan))
 
 
-def _quartet(samples, plan: QftPlan, grid: Grid2D, pre=(None, None),
-             post=(None, None)) -> ComponentQuartet:
-    """:func:`_two_sided` of each real component of ``samples``, on ``grid``."""
-    return ComponentQuartet(tuple(
-        QField(grid, _two_sided(samples[..., m], plan, pre, post))
-        for m in range(4)))
+def _quartet(samples, grid: Grid2D, transform) -> ComponentQuartet:
+    """``transform`` of each real component of ``samples``, on ``grid``."""
+    return ComponentQuartet(tuple(QField(grid, transform(samples[..., m]))
+                                  for m in range(4)))
 
 
 @dataclass(frozen=True)

@@ -147,11 +147,6 @@ class PureUnit:
     def array(self) -> np.ndarray:
         return np.array([0.0, self.x, self.y, self.z])
 
-    def __eq__(self, other):
-        if not isinstance(other, PureUnit):
-            return NotImplemented
-        return self.x == other.x and self.y == other.y and self.z == other.z
-
 
 UNIT_I = PureUnit(1.0, 0.0, 0.0)
 UNIT_J = PureUnit(0.0, 1.0, 0.0)

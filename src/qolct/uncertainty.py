@@ -30,37 +30,16 @@ from .quat import UNIT_I, UNIT_J, qnorm
 # ---------------------------------------------------------------------------
 # Gamma and digamma.
 
-_LANCZOS_G = 7.0
-_LANCZOS_COEFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 # B_{2n}/(2n) for the asymptotic digamma tail
 _DIGAMMA_TAIL = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0,
                  1.0 / 132.0, -691.0 / 32760.0, 1.0 / 12.0)
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma function via the Lanczos approximation (relative error < 1e-12)."""
+    """Gamma function on x > 0."""
     if x <= 0.0:
         raise ValueError("gamma_fn requires x > 0")
-    if x < 0.5:
-        # reflection keeps the approximation in its accurate range
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    x -= 1.0
-    acc = _LANCZOS_COEFS[0]
-    for i, c in enumerate(_LANCZOS_COEFS[1:], start=1):
-        acc += c / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def digamma(x: float) -> float:
@@ -155,6 +134,8 @@ def heisenberg_report(f: QField, plan: QolctPlan, axis: int) -> HeisenbergReport
     """
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
+    for k, A in ((1, plan.A1), (2, plan.A2)):
+        _require_positive_b(A, f"axis {k}")
     tk = f.grid.axis_coords(axis)
     tk2 = tk[:, None] ** 2 if axis == 1 else tk[None, :] ** 2
     e2 = np.sum(f.samples * f.samples, axis=-1)
@@ -194,6 +175,8 @@ class EnvelopeFit:
     amplitude: float
     residual: float
     n_samples: int
+    r2: np.ndarray  # |t|^2 of each fitted sample
+    log_modulus: np.ndarray  # log|g(t)|_Q there
 
 
 def hardy_envelope_fit(g: QField, floor_rel: float = 1e-6) -> EnvelopeFit:
@@ -215,7 +198,8 @@ def hardy_envelope_fit(g: QField, floor_rel: float = 1e-6) -> EnvelopeFit:
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
     rms = float(np.sqrt(np.mean(resid ** 2)))
-    return EnvelopeFit(float(coef[1]), float(math.exp(coef[0])), rms, int(mask.sum()))
+    return EnvelopeFit(float(coef[1]), float(math.exp(coef[0])), rms,
+                       int(mask.sum()), r2, y)
 
 
 @dataclass(frozen=True)
@@ -274,17 +258,22 @@ def beurling_sweep(f: QField, density: np.ndarray, vgrid, d: float,
         nv = int(np.searchsorted(rv, truncation, side="right"))
         v, w = rv[None, :nv], wv[:nv]
         reach = float(rt[nt - 1] * rv[nv - 1]) if nt and nv else 0.0
+        if reach > _LN_MAX_FLOAT:  # checked before any exp is computed
+            raise PlanViolationError(
+                f"Beurling truncation {truncation:g} overflows: its largest |t||v| "
+                f"= {reach:.6g} must stay below ln(max float) = {_LN_MAX_FLOAT:.2f}")
         total = 0.0
-        if reach <= _LN_MAX_FLOAT:  # else no exp is computed
+        # every exp is finite, but the sum may overflow: rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, nt, _BEURLING_BLOCK):
                 hi = min(lo + _BEURLING_BLOCK, nt)
                 r = rt[lo:hi, None]
                 kernel = np.exp(r * v) / (1.0 + r + v) ** d
                 total += float(wt[lo:hi] @ (kernel @ w))
-        if reach > _LN_MAX_FLOAT or not math.isfinite(total * cells):
+        if not math.isfinite(total * cells):
             raise PlanViolationError(
-                f"Beurling truncation {truncation:g} overflows: its largest |t||v| "
-                f"= {reach:.6g} must stay below ln(max float) = {_LN_MAX_FLOAT:.2f}")
+                f"Beurling truncation {truncation:g} overflows: its weighted sum "
+                "exceeds the largest float")
         values.append(total * cells)
     return values
 

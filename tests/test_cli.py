@@ -73,23 +73,34 @@ def test_signal_file_layout_and_round_trip(tmp_path):
         hashlib.sha256(raw).hexdigest()
 
 
+# every finite float64, subnormals and -0.0 included
+_FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
+_SPACING = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False,
+                     width=64)
+
+
 @given(
     n1=st.integers(min_value=1, max_value=7),
     n2=st.integers(min_value=1, max_value=7),
+    centers=st.tuples(_FINITE, _FINITE),
+    spacings=st.tuples(_SPACING, _SPACING),
     data=st.data(),
 )
 @settings(max_examples=40, deadline=None)
-def test_signal_file_round_trip_property(tmp_path_factory, n1, n2, data):
-    samples = data.draw(arrays(np.float64, (n1, n2, 4),
-                               elements=st.floats(-1e12, 1e12, width=64)))
+def test_signal_file_round_trip_property(tmp_path_factory, n1, n2, centers,
+                                         spacings, data):
+    samples = data.draw(arrays(np.float64, (n1, n2, 4), elements=_FINITE))
     from qolct.field import QField
-    g = Grid2D(n1, n2, 0.125, -3.0, 0.5, 0.25)
+    g = Grid2D(n1, n2, *centers, *spacings)
     f = QField(g, samples)
     path = tmp_path_factory.mktemp("sig") / "roundtrip.qsig"
     write_signal(path, f)
     back = read_signal(path)
     assert back.grid == g
     assert np.array_equal(back.samples, f.samples)
+    again = path.with_name("again.qsig")
+    write_signal(again, back)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_signal_file_rejects_corruption(tmp_path):
@@ -426,19 +437,20 @@ def test_uncertainty_hardy_tsv(tmp_path, qft_params):
     assert any(line.startswith("transform\t") for line in lines[1:])
 
 
-# --which: (the report's costly call, its count; a Pitt --tsv sweep adds none)
+# --which: (the report's costly call, its count; --tsv adds none)
 UNCERTAINTY_CALLS = {
     "heisenberg": ("heisenberg_report", 2),
     "hardy": ("qolct_forward", 1),
     "pitt": ("_energy_density", 1),
     "logup": ("_energy_density", 1),
-    "beurling": ("beurling_integral", 2),
+    "beurling": ("beurling_sweep", 1),
 }
 
 
 @pytest.mark.parametrize("which, tsv", [
     *(pytest.param(which, False, id=which) for which in sorted(UNCERTAINTY_CALLS)),
-    pytest.param("pitt", True, id="pitt-tsv")])
+    *(pytest.param(which, True, id=f"{which}-tsv")
+      for which in ("beurling", "hardy", "pitt"))])
 def test_uncertainty_computes_only_what_it_prints(tmp_path, qft_params,
                                                   monkeypatch, which, tsv):
     from qolct import cli, uncertainty
@@ -478,6 +490,7 @@ def test_uncertainty_rejects_b_zero_plans(tmp_path):
         assert proc.returncode == 2, (which, proc.stderr)
         assert "require b > 0" in proc.stderr, which
         assert "Traceback" not in proc.stderr, which
+        assert "RuntimeWarning" not in proc.stderr, which
 
 
 @pytest.mark.parametrize("tsv", [False, True])

@@ -261,13 +261,26 @@ def test_energy_density_equals_analysis_quartet(monkeypatch, n1, n2, axes):
     assert not calls  # every grid takes the two-transform path
 
 
+#: every draw of :func:`_density_case` up to 32^2
+_DENSITY_CASES = dict(n1=st.integers(2, 32), n2=st.integers(2, 32),
+                      axes=st.sampled_from(["ij", "free", "same", "opposite"]),
+                      shifted=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+
+
 @settings(max_examples=60, deadline=None)
-@given(n1=st.integers(2, 32), n2=st.integers(2, 32),
-       axes=st.sampled_from(["ij", "free", "same", "opposite"]),
-       shifted=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@given(**_DENSITY_CASES)
 def test_energy_density_property(n1, n2, axes, shifted, seed):
     f, plan = _density_case(n1, n2, axes, seed, shifted)
     assert _density_err(f, plan) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_DENSITY_CASES)
+def test_inverse_round_trip_property(n1, n2, axes, shifted, seed):
+    f, plan = _density_case(n1, n2, axes, seed, shifted)
+    back = qolct_inverse(qolct_forward(f, plan), plan)
+    assert back.grid == f.grid
+    assert rel_max_err(back.samples, f.samples) <= 1e-12
 
 
 def test_energy_density_falls_back_to_the_quartet(monkeypatch):

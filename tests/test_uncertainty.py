@@ -289,7 +289,7 @@ def test_beurling_rejects_overflowing_truncations():
     # every e^(|t||v|) is finite at radius 30, but this sum is not
     huge = QField(grid, f.samples * 1e300)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # numpy may report the overflow too
+        warnings.simplefilter("error")
         with pytest.raises(PlanViolationError, match="overflows"):
             beurling_integral(huge, density, vgrid, 4.0, 30.0)
 
