@@ -30,17 +30,15 @@ from .field import (
     quartet_l2_norm,
     synth_gaussian,
 )
-from .qft import QftPlan, iqft, qft_direct, qft_fast_ij, qft_quartet
-from .olct import (
-    OffsetParams,
-    QolctPlan,
+from .qft import QftPlan, iqft, qft_fast_ij, qft_quartet
+from .olct import OffsetParams, QolctPlan, qolct_forward, qolct_inverse, qolct_quartet
+from .oracle import (
+    GaussianSpec,
     analysis_quartet,
+    gaussian_qolct_closed_form,
     kernel,
+    qft_direct,
     qolct_direct,
-    qolct_forward,
-    qolct_inverse,
-    qolct_quartet,
 )
-from .oracle import GaussianSpec, gaussian_qolct_closed_form
 
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 
 import numpy as np
@@ -55,6 +56,17 @@ def _dump_json(doc, path=None):
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of the float flags: NaN and +-inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_axis_flag(text: str, label: str) -> PureUnit:
@@ -267,27 +279,27 @@ def build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synth", help="write a synthetic test signal")
     synth.add_argument("kind", choices=["gaussian", "chirped-gaussian"])
     synth.add_argument("--n", type=int, default=64)
-    synth.add_argument("--extent", type=float, default=16.0)
-    synth.add_argument("--alpha1", type=float, default=1.0)
-    synth.add_argument("--alpha2", type=float, default=1.0)
-    synth.add_argument("--beta11", type=float, default=1.0)
-    synth.add_argument("--beta12", type=float, default=0.0)
-    synth.add_argument("--beta21", type=float, default=1.0)
-    synth.add_argument("--beta22", type=float, default=0.0)
-    synth.add_argument("--center1", type=float, default=0.0,
+    synth.add_argument("--extent", type=_finite_float, default=16.0)
+    synth.add_argument("--alpha1", type=_finite_float, default=1.0)
+    synth.add_argument("--alpha2", type=_finite_float, default=1.0)
+    synth.add_argument("--beta11", type=_finite_float, default=1.0)
+    synth.add_argument("--beta12", type=_finite_float, default=0.0)
+    synth.add_argument("--beta21", type=_finite_float, default=1.0)
+    synth.add_argument("--beta22", type=_finite_float, default=0.0)
+    synth.add_argument("--center1", type=_finite_float, default=0.0,
                        help="gaussian peak offset, axis 1")
-    synth.add_argument("--center2", type=float, default=0.0)
-    synth.add_argument("--grid-center1", type=float, default=0.0)
-    synth.add_argument("--grid-center2", type=float, default=0.0)
+    synth.add_argument("--center2", type=_finite_float, default=0.0)
+    synth.add_argument("--grid-center1", type=_finite_float, default=0.0)
+    synth.add_argument("--grid-center2", type=_finite_float, default=0.0)
     synth.add_argument("--lambda", dest="lam", default="1,0,0",
                        help="left axis as x,y,z (default i)")
     synth.add_argument("--mu", default="0,1,0", help="right axis (default j)")
-    synth.add_argument("--chirp1", type=float, default=0.5,
+    synth.add_argument("--chirp1", type=_finite_float, default=0.5,
                        help="quadratic chirp rate, axis 1 (chirped-gaussian)")
-    synth.add_argument("--chirp2", type=float, default=-0.3)
-    synth.add_argument("--lin1", type=float, default=0.0,
+    synth.add_argument("--chirp2", type=_finite_float, default=-0.3)
+    synth.add_argument("--lin1", type=_finite_float, default=0.0,
                        help="linear modulation, axis 1 (chirped-gaussian)")
-    synth.add_argument("--lin2", type=float, default=0.0)
+    synth.add_argument("--lin2", type=_finite_float, default=0.0)
     synth.add_argument("--out", required=True)
     synth.set_defaults(func=cmd_synth)
 
@@ -316,9 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     unc.add_argument("--params", required=True)
     unc.add_argument("--which", required=True,
                      choices=["heisenberg", "hardy", "pitt", "logup", "beurling"])
-    unc.add_argument("--alpha", type=float, default=1.0, help="Pitt weight exponent")
-    unc.add_argument("--d", type=float, default=4.0, help="Beurling denominator power")
-    unc.add_argument("--radius", type=float, default=None,
+    unc.add_argument("--alpha", type=_finite_float, default=1.0, help="Pitt weight exponent")
+    unc.add_argument("--d", type=_finite_float, default=4.0, help="Beurling denominator power")
+    unc.add_argument("--radius", type=_finite_float, default=None,
                      help="Beurling truncation radius")
     unc.add_argument("--csv", action="store_true")
     unc.add_argument("--json", help="write the JSON report here instead of stdout")

@@ -229,20 +229,3 @@ def partial_derivative(f: QField, axis: int) -> QField:
     if axis == 2:
         out = np.swapaxes(out, 0, 1)
     return QField(f.grid, out)
-
-
-def fourier_shift(f: QField, k1: float, k2: float) -> QField:
-    """Resample f(t - k) by spectral interpolation of each real component.
-
-    Exact for signals whose periodized spectrum is well-contained on the
-    grid; intended for smooth, decaying test signals.
-    """
-    g = f.grid
-    shifted = np.empty_like(f.samples)
-    w1 = np.fft.fftfreq(g.n1, g.spacing1) * 2.0 * np.pi
-    w2 = np.fft.fftfreq(g.n2, g.spacing2) * 2.0 * np.pi
-    phase = np.exp(-1j * (w1[:, None] * k1 + w2[None, :] * k2))
-    for m in range(4):
-        spec = np.fft.fft2(f.samples[..., m])
-        shifted[..., m] = np.fft.ifft2(spec * phase).real
-    return QField(g, shifted)

@@ -13,8 +13,9 @@ kernel factors as input chirp -> QFT -> output factor C(u), so the forward
 and inverse transforms and the quartets hand their per-axis chirps and
 factors to the planes-split engine of ``qft`` (any axes, any grids).
 ``qolct_forward`` serves every valid plan in one engine call; along a b = 0
-axis it runs no transform, only a spline substitution and a chirp.
-``qolct_direct`` evaluates the kernel quadrature densely: the mutual oracle.
+axis it runs no transform, only a spline substitution and a chirp.  The
+dense kernel quadrature ``qolct_direct``, the mutual oracle, lives in
+``oracle``.
 """
 
 from __future__ import annotations
@@ -25,27 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _mutation
-from .field import (
-    ComponentQuartet,
-    Grid2D,
-    QField,
-    apply_chirp,
-    fourier_shift,
-    partial_derivative,
-)
-from .qft import (
-    _CONTRACT_BLOCK,
-    IdentityReport,
-    _factored_report,
-    PlanViolationError,
-    QftPlan,
-    _left_contract,
-    _planes_ft,
-    _quartet,
-    _right_contract,
-    centered_ft2,
-)
-from .quat import UNIT_I, UNIT_J, PureUnit, Quaternion, plane_to_quat, sandwich
+from .field import ComponentQuartet, Grid2D, QField
+from .qft import PlanViolationError, QftPlan, _planes_ft, _quartet, centered_ft2
+from .quat import UNIT_I, UNIT_J, PureUnit, sandwich
 
 
 class InterpolationDomainError(ValueError):
@@ -80,16 +63,6 @@ class OffsetParams:
 def _require_positive_b(A: OffsetParams, label: str):
     if A.b <= 0.0:
         raise ValueError(f"{label}: main-branch transforms require b > 0, got {A.b}")
-
-
-def kernel(A: OffsetParams, lam: PureUnit, t: float, u: float) -> Quaternion:
-    """Evaluate the transform kernel K_A(t, u) on axis ``lam``."""
-    _require_positive_b(A, "kernel")
-    theta = (A.a * t * t - 2.0 * t * (u - A.tau)
-             - 2.0 * u * (A.d * A.tau - A.b * A.eta)
-             + A.d * (u * u + A.tau * A.tau)) / (2.0 * A.b)
-    z = np.exp(1j * (theta - math.pi / 4.0)) / math.sqrt(2.0 * math.pi * A.b)
-    return Quaternion.from_array(plane_to_quat(z, lam))
 
 
 @dataclass(frozen=True)
@@ -209,42 +182,6 @@ def _chirped_signal(f: QField, plan: QolctPlan) -> QField:
     return QField(f.grid, sandwich(f.samples, plan.lam, plan.mu, *chirps))
 
 
-def _kernel_matrices(A: OffsetParams, t, u, transposed: bool):
-    """Cos/sin parts of the kernel on a (u, t) mesh (or (t, u) if transposed)."""
-    if transposed:
-        tt, uu = t[:, None], u[None, :]
-    else:
-        tt, uu = t[None, :], u[:, None]
-    theta = (A.a * tt * tt - 2.0 * tt * (uu - A.tau)
-             - 2.0 * uu * (A.d * A.tau - A.b * A.eta)
-             + A.d * (uu * uu + A.tau * A.tau)) / (2.0 * A.b) - math.pi / 4.0
-    r = 1.0 / math.sqrt(2.0 * math.pi * A.b)
-    return r * np.cos(theta), r * np.sin(theta)
-
-
-def qolct_direct(f: QField, plan: QolctPlan) -> QField:
-    """Brute-force kernel quadrature; the reference oracle for qolct_forward."""
-    _require_positive_b(plan.A1, "axis 1")
-    _require_positive_b(plan.A2, "axis 2")
-    if f.grid != plan.input_grid:
-        raise ValueError("field grid does not match plan input grid")
-    t1 = f.grid.axis_coords(1)
-    t2 = f.grid.axis_coords(2)
-    u1 = plan.output_grid.axis_coords(1)
-    u2 = plan.output_grid.axis_coords(2)
-    cos2, sin2 = _kernel_matrices(plan.A2, t2, u2, transposed=True)
-    if _mutation.active("right-kernel-sign"):
-        sin2 = -sin2
-    out = np.empty((plan.output_grid.n1, plan.output_grid.n2, 4))
-    for lo in range(0, plan.output_grid.n1, _CONTRACT_BLOCK):
-        cos1, sin1 = _kernel_matrices(plan.A1, t1, u1[lo:lo + _CONTRACT_BLOCK],
-                                      transposed=False)
-        g = _left_contract(cos1, sin1, plan.lam, f.samples, f.grid.spacing1)
-        out[lo:lo + _CONTRACT_BLOCK] = _right_contract(
-            g, cos2, sin2, plan.mu, f.grid.spacing2)
-    return QField(plan.output_grid, out)
-
-
 def qolct_inverse(F: QField, plan: QolctPlan) -> QField:
     """Inverse transform: conj-kernel quadrature, computed by unwinding the
     factorization (inverse output factors, inverse QFT, inverse chirps)."""
@@ -264,21 +201,6 @@ def qolct_quartet(f: QField, plan: QolctPlan) -> ComponentQuartet:
     return _forward_quartet(f.samples, plan, chirps, factors)
 
 
-def analysis_quartet(f: QField, plan: QolctPlan) -> ComponentQuartet:
-    """Quartet of the chirp-multiplied signal: members C1 * F{g_k} * C2 for
-    the real components g_k of g = chirp * f * chirp.
-
-    Its pointwise norm equals the component norm of the reduced QFT input
-    (the two quartets are related by a constant orthogonal mixing), which is
-    the norm the spread, moment and weighted inequalities are stated in.
-    For unchirped signals along an axis (a = tau = 0) it coincides with
-    :func:`qolct_quartet` along that axis's contribution.
-    """
-    chirps, factors = _plan_factors(plan)
-    return _forward_quartet(sandwich(f.samples, plan.lam, plan.mu, *chirps),
-                            plan, (None, None), factors)
-
-
 def _forward_quartet(samples, plan: QolctPlan, pre, post) -> ComponentQuartet:
     """Forward engine transforms of the real components of ``samples``,
     with per-axis factors ``pre`` before and ``post`` after the QFT."""
@@ -288,40 +210,43 @@ def _forward_quartet(samples, plan: QolctPlan, pre, post) -> ComponentQuartet:
 
 
 def _energy_density(f: QField, plan: QolctPlan) -> np.ndarray:
-    """``analysis_quartet(f, plan).norm_field() ** 2`` from two FFTs.
+    """``oracle.analysis_quartet(f, plan).norm_field() ** 2`` from two
+    transforms per kernel sign pair.
 
     The output factors have constant modulus (2 pi b)^(-1/2), and for each
-    real component g_k of the chirped signal, with complex centered FFT G_k
-    and c = lam . mu, the planes split gives
+    real component g_k of the chirped signal, with complex centered transform
+    G_k and c = lam . mu, the planes split gives
     |F{g_k}(v)|^2 = (1+c)/2 |G_k(v1, v2)|^2 + (1-c)/2 |G_k(v1, -v2)|^2.
-    On a v-grid centered at 0, -v is an index reversal and G_k(-v) =
-    conj(G_k(v)), so the FFTs H of g0 + i g1 and g2 + i g3 give
-    sum_k |G_k(v)|^2 as the fold (P(v) + P(-v))/2 of P = |H1|^2 + |H2|^2.
-    v-grids not centered at 0 take the quartet.
+    As G_k(-v) = conj(G_k(v)), the transforms H of g0 + i g1 and g2 + i g3
+    give sum_k |G_k(v)|^2 as the fold (P(v) + P(-v))/2 of P = |H1|^2 + |H2|^2.
+    P(s1 v1, s2 v2) is an index reversal along an axis whose v-grid is
+    centered at 0, and a transform with that axis's kernel sign flipped
+    along any other; a v-grid centered at 0 takes two FFTs in all.
     """
     chirps, _ = _plan_factors(plan)
     vgrid = plan.scaled_freq_grid()
-    if not (vgrid.center1 == 0.0 and vgrid.center2 == 0.0):
-        return analysis_quartet(f, plan).norm_field() ** 2
+    centered = (vgrid.center1 == 0.0, vgrid.center2 == 0.0)
     g = sandwich(f.samples, plan.lam, plan.mu, *chirps)
-    power = np.zeros((vgrid.n1, vgrid.n2))
-    for m in (0, 2):
-        h = centered_ft2(g[..., m] + 1j * g[..., m + 1], plan.input_grid, vgrid)
-        power += h.real * h.real + h.imag * h.imag
+    powers = {}  # P on each kernel sign pair transformed
+
+    def power(s1, s2):
+        """P(s1 v1, s2 v2)."""
+        steps = [s if c else 1 for s, c in zip((s1, s2), centered)]
+        signs = (-s1 * steps[0], -s2 * steps[1])
+        if signs not in powers:
+            powers[signs] = np.zeros((vgrid.n1, vgrid.n2))
+            for m in (0, 2):
+                h = centered_ft2(g[..., m] + 1j * g[..., m + 1], plan.input_grid,
+                                 vgrid, signs)
+                powers[signs] += h.real * h.real + h.imag * h.imag
+        return powers[signs][::steps[0], ::steps[1]]
+
     fold = 1.0 if _mutation.active("density-fold") else 0.5
-    folded = fold * (power + power[::-1, ::-1])
+    same = fold * (power(1, 1) + power(-1, -1))
+    cross = fold * (power(1, -1) + power(-1, 1))
     c = float(plan.lam.array @ plan.mu.array)
-    return (((1.0 + c) / 2.0) * folded + ((1.0 - c) / 2.0) * folded[:, ::-1]) / (
+    return (((1.0 + c) / 2.0) * same + ((1.0 - c) / 2.0) * cross) / (
         4.0 * math.pi ** 2 * plan.A1.b * plan.A2.b)
-
-
-def output_in_scaled_coords(F: QField, plan: QolctPlan) -> QField:
-    """Relabel a transform output onto the v-grid, v_k = u_k / b_k.
-
-    The samples are unchanged; sample q then holds O{f}(b1 v1[q], b2 v2[q]),
-    the argument scaling used by the Hardy/Beurling/Pitt statements.
-    """
-    return QField(plan.scaled_freq_grid(), F.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -413,100 +338,3 @@ def _spline(x, y, xq, axis: int):
     h11 = (h * t * t * (t - 1.0)).reshape(shape)
     out = h00 * y[k] + h01 * y[k + 1] + h10 * s[k] + h11 * s[k + 1]
     return np.moveaxis(out, 0, axis)
-
-
-# ---------------------------------------------------------------------------
-# Covariance and moment reports.
-
-def _shifted_output_plan(plan: QolctPlan, s1: float, s2: float) -> QolctPlan:
-    g = plan.output_grid
-    shifted = Grid2D(g.n1, g.n2, g.center1 - s1, g.center2 - s2,
-                     g.spacing1, g.spacing2)
-    return QolctPlan(plan.A1, plan.A2, plan.lam, plan.mu,
-                     plan.input_grid, shifted)
-
-
-def _check_containment(f: QField, k1: float, k2: float):
-    g = f.grid
-    m1 = max(2, int(math.ceil(abs(k1) / g.spacing1)) + 2)
-    m2 = max(2, int(math.ceil(abs(k2) / g.spacing2)) + 2)
-    if 2 * m1 >= g.n1 or 2 * m2 >= g.n2:
-        raise ValueError("shift too large for the grid")
-    e2 = np.sum(f.samples * f.samples, axis=-1)
-    total = float(e2.sum())
-    interior = float(e2[m1:-m1, m2:-m2].sum())
-    if total > 0.0 and (total - interior) > 1e-9 * total:
-        raise ValueError("shifted signal is not well-contained in the grid")
-
-
-def shift_covariance_check(f: QField, plan: QolctPlan, k) -> IdentityReport:
-    """Compare O{f(.-k)} with the phase-factored O{f}(u - k*a).
-
-    The phase per axis is c*(2*k*u - a*k^2)/2 + k*(a*eta - c*tau); the
-    offset coupling drops out when tau = eta = 0.
-    """
-    k1, k2 = k
-    _check_containment(f, k1, k2)
-    lhs = qolct_forward(fourier_shift(f, k1, k2), plan)
-    split_plan = _shifted_output_plan(plan, k1 * plan.A1.a, k2 * plan.A2.a)
-    base = qolct_forward(f, split_plan)
-    u1 = plan.output_grid.axis_coords(1)
-    u2 = plan.output_grid.axis_coords(2)
-    A1, A2 = plan.A1, plan.A2
-    ph1 = (A1.c * (2.0 * k1 * u1 - A1.a * k1 ** 2) / 2.0
-           + k1 * (A1.a * A1.eta - A1.c * A1.tau))
-    ph2 = (A2.c * (2.0 * k2 * u2 - A2.a * k2 ** 2) / 2.0
-           + k2 * (A2.a * A2.eta - A2.c * A2.tau))
-    return _factored_report(lhs, base, plan, np.exp(1j * ph1), np.exp(1j * ph2))
-
-
-def modulation_covariance_check(f: QField, plan: QolctPlan, xi) -> IdentityReport:
-    """Compare O{e^(lam t1 xi1) f e^(mu t2 xi2)} with the phase-factored
-    O{f}(u - b*xi); phases re-derived as -(d/2)(b xi^2 - 2 u xi) - xi (d tau - b eta)."""
-    xi1, xi2 = xi
-    lhs = qolct_forward(apply_chirp(f, plan.lam, xi1, 0.0, plan.mu, xi2, 0.0),
-                        plan)
-    split_plan = _shifted_output_plan(plan, plan.A1.b * xi1, plan.A2.b * xi2)
-    base = qolct_forward(f, split_plan)
-    u1 = plan.output_grid.axis_coords(1)
-    u2 = plan.output_grid.axis_coords(2)
-    A1, A2 = plan.A1, plan.A2
-    ph1 = -(A1.d / 2.0 * (A1.b * xi1 ** 2 - 2.0 * u1 * xi1)
-            + xi1 * (A1.d * A1.tau - A1.b * A1.eta))
-    ph2 = -(A2.d / 2.0 * (A2.b * xi2 ** 2 - 2.0 * u2 * xi2)
-            + xi2 * (A2.d * A2.tau - A2.b * A2.eta))
-    return _factored_report(lhs, base, plan, np.exp(1j * ph1), np.exp(1j * ph2))
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    lhs: float
-    rhs: float
-    relerr: float
-
-
-def moment_identity_check(f: QField, plan: QolctPlan, axis: int) -> MomentReport:
-    """Second-moment identity: the u_k^2-weighted transform energy equals the
-    b_k^2-weighted energy of lam*(a t/b + tau/b) f + df/dt (axis 1) or of
-    (a t/b + tau/b) f mu + df/dt (axis 2; mu multiplies from the right).
-
-    The transform energy is measured in the analysis-quartet norm; with the
-    plain component quartet the two sides differ for signals whose phase
-    varies along the axis (the cross term 2 s Sc(lam f conj(df)) survives).
-    """
-    if axis not in (1, 2):
-        raise ValueError("axis must be 1 or 2")
-    w2 = _energy_density(f, plan)
-    uk = plan.output_grid.axis_coords(axis)
-    uk2 = uk[:, None] ** 2 if axis == 1 else uk[None, :] ** 2
-    lhs = float(np.sum(uk2 * w2)) * plan.output_grid.cell_area
-
-    A = plan.A1 if axis == 1 else plan.A2
-    tk = f.grid.axis_coords(axis)
-    slope = 1j * (A.a * tk + A.tau) / A.b  # lam*slope on the left, mu*slope on the right
-    lin = sandwich(f.samples, plan.lam, plan.mu,
-                   *((slope, None) if axis == 1 else (None, slope)))
-    r = lin + partial_derivative(f, axis).samples
-    rhs = A.b ** 2 * float(np.sum(r * r)) * f.grid.cell_area
-    rel = abs(lhs - rhs) / rhs if rhs else abs(lhs - rhs)
-    return MomentReport(lhs, rhs, rel)

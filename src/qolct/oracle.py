@@ -1,6 +1,13 @@
-"""Analytic ground truth for Gaussian signals.
+"""Oracles: other routes to the numbers the transforms produce.
 
-The transform of beta * exp(-(alpha1 t1^2 + alpha2 t2^2)) factors per axis
+Dense quadratures evaluate the kernel sums sample by sample: ``qft_direct``
+for the QFT, ``qolct_direct`` and ``kernel`` for the QOLCT, ``kernel_sum``
+for plans with b = 0 axes, and ``_qlct_reference``, an independently coded
+QLCT quadrature.  ``analysis_quartet`` transforms the chirped signal's four
+real components one by one, the long way to the energy density.  No
+production module imports this one.
+
+Analytic ground truth for Gaussian signals: the transform of beta * exp(-(alpha1 t1^2 + alpha2 t2^2)) factors per axis
 into a real envelope, a plane square-root constant and a quadratic phase.
 Every axis factor lives in the plane spanned by {1, axis}, so ordinary
 complex branch rules apply; the square roots use the principal branch with
@@ -16,9 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import Grid2D, QField
-from .olct import OffsetParams
-from .quat import PureUnit, Quaternion, plane_to_quat, qmul
+from . import _mutation
+from .field import ComponentQuartet, Grid2D, QField
+from .olct import (
+    OffsetParams,
+    QolctPlan,
+    _forward_quartet,
+    _plan_factors,
+    _require_positive_b,
+)
+from .qft import QftPlan
+from .quat import UNIT_I, UNIT_J, PureUnit, Quaternion, plane_to_quat, qmul, sandwich
 
 
 @dataclass(frozen=True)
@@ -134,3 +149,168 @@ def gaussian_qolct_log_modulus(spec: GaussianSpec, A1: OffsetParams,
     beta = (abs(complex(spec.beta11, spec.beta12))
             * abs(complex(spec.beta21, spec.beta22)))
     return logs[0][:, None] + logs[1][None, :] + math.log(beta)
+
+
+# ---------------------------------------------------------------------------
+# Dense quaternion quadrature (arbitrary axes and grids).
+
+#: rows of kernel matrix materialized at once in dense contractions
+_CONTRACT_BLOCK = 1024
+
+
+def _left_contract(cosm, sinm, lam, samples, weight):
+    """sum_p (cos + lam*sin)[q, p] * samples[p, ...] * weight."""
+    lam_f = qmul(lam.array, samples)
+    out = np.tensordot(cosm, samples, axes=(1, 0))
+    out += np.tensordot(sinm, lam_f, axes=(1, 0))
+    return out * weight
+
+
+def _right_contract(samples, cosm, sinm, mu, weight):
+    """sum_p samples[:, p, :] * (cos + mu*sin)[p, q] * weight."""
+    f_mu = qmul(samples, mu.array)
+    out = np.tensordot(samples, cosm, axes=(1, 0))
+    out += np.tensordot(f_mu, sinm, axes=(1, 0))
+    return np.moveaxis(out, -1, 1) * weight
+
+
+def _direct_apply(f: QField, plan: QftPlan, sign: int, scale: float) -> QField:
+    tgrid = f.grid
+    ugrid = plan.output_grid
+    t1, t2 = tgrid.axis_coords(1), tgrid.axis_coords(2)
+    u1, u2 = ugrid.axis_coords(1), ugrid.axis_coords(2)
+    th2 = sign * np.outer(t2, u2)
+    cos2, sin2 = np.cos(th2), np.sin(th2)
+    out = np.empty((ugrid.n1, ugrid.n2, 4))
+    for lo in range(0, ugrid.n1, _CONTRACT_BLOCK):
+        th1 = sign * np.outer(u1[lo:lo + _CONTRACT_BLOCK], t1)
+        g = _left_contract(np.cos(th1), np.sin(th1), plan.lam, f.samples,
+                           tgrid.spacing1)
+        out[lo:lo + _CONTRACT_BLOCK] = _right_contract(
+            g, cos2, sin2, plan.mu, tgrid.spacing2 * scale)
+    return QField(ugrid, out)
+
+
+def qft_direct(f: QField, plan: QftPlan) -> QField:
+    """Reference O(N^3) quadrature of the forward transform."""
+    if plan.direction != "forward":
+        raise ValueError("qft_direct requires a forward plan")
+    if f.grid != plan.input_grid:
+        raise ValueError("field grid does not match plan input grid")
+    return _direct_apply(f, plan, -1, 1.0)
+
+
+def kernel(A: OffsetParams, lam: PureUnit, t: float, u: float) -> Quaternion:
+    """Evaluate the transform kernel K_A(t, u) on axis ``lam``."""
+    _require_positive_b(A, "kernel")
+    theta = (A.a * t * t - 2.0 * t * (u - A.tau)
+             - 2.0 * u * (A.d * A.tau - A.b * A.eta)
+             + A.d * (u * u + A.tau * A.tau)) / (2.0 * A.b)
+    z = np.exp(1j * (theta - math.pi / 4.0)) / math.sqrt(2.0 * math.pi * A.b)
+    return Quaternion.from_array(plane_to_quat(z, lam))
+
+
+def _kernel_matrices(A: OffsetParams, t, u, transposed: bool):
+    """Cos/sin parts of the kernel on a (u, t) mesh (or (t, u) if transposed)."""
+    if transposed:
+        tt, uu = t[:, None], u[None, :]
+    else:
+        tt, uu = t[None, :], u[:, None]
+    theta = (A.a * tt * tt - 2.0 * tt * (uu - A.tau)
+             - 2.0 * uu * (A.d * A.tau - A.b * A.eta)
+             + A.d * (uu * uu + A.tau * A.tau)) / (2.0 * A.b) - math.pi / 4.0
+    r = 1.0 / math.sqrt(2.0 * math.pi * A.b)
+    return r * np.cos(theta), r * np.sin(theta)
+
+
+def qolct_direct(f: QField, plan: QolctPlan) -> QField:
+    """Brute-force kernel quadrature; the reference oracle for qolct_forward."""
+    _require_positive_b(plan.A1, "axis 1")
+    _require_positive_b(plan.A2, "axis 2")
+    if f.grid != plan.input_grid:
+        raise ValueError("field grid does not match plan input grid")
+    t1 = f.grid.axis_coords(1)
+    t2 = f.grid.axis_coords(2)
+    u1 = plan.output_grid.axis_coords(1)
+    u2 = plan.output_grid.axis_coords(2)
+    cos2, sin2 = _kernel_matrices(plan.A2, t2, u2, transposed=True)
+    if _mutation.active("right-kernel-sign"):
+        sin2 = -sin2
+    out = np.empty((plan.output_grid.n1, plan.output_grid.n2, 4))
+    for lo in range(0, plan.output_grid.n1, _CONTRACT_BLOCK):
+        cos1, sin1 = _kernel_matrices(plan.A1, t1, u1[lo:lo + _CONTRACT_BLOCK],
+                                      transposed=False)
+        g = _left_contract(cos1, sin1, plan.lam, f.samples, f.grid.spacing1)
+        out[lo:lo + _CONTRACT_BLOCK] = _right_contract(
+            g, cos2, sin2, plan.mu, f.grid.spacing2)
+    return QField(plan.output_grid, out)
+
+
+def _axis_matrix(A: OffsetParams, unit: PureUnit, t, u) -> np.ndarray:
+    """(n_u, n_t, 4) quaternion matrix of one axis of the forward transform:
+    the kernel times the spacing for b > 0, else the substitution
+    t = d (u - tau), which must hit a sample, times
+    sqrt(d) e^{i(c d (u - tau)^2/2 + u eta)}."""
+    h = t[1] - t[0]
+    if A.b > 0.0:
+        return np.array([[kernel(A, unit, tp, uq).array for tp in t]
+                         for uq in u]) * h
+    sub = A.d * (u - A.tau)
+    hit = np.rint((sub - t[0]) / h).astype(int)
+    if (hit.min() < 0 or hit.max() >= t.size
+            or np.abs(t[hit] - sub).max() > 1e-12):
+        raise ValueError("the substitution t = d (u - tau) misses a sample")
+    op = np.zeros((u.size, t.size, 4))
+    op[np.arange(u.size), hit] = math.sqrt(A.d) * plane_to_quat(
+        np.exp(1j * (A.c * A.d * (u - A.tau) ** 2 / 2.0 + u * A.eta)), unit)
+    return op
+
+
+def kernel_sum(f: QField, plan: QolctPlan) -> np.ndarray:
+    """The forward transform's samples as a per-sample kernel sum, left axis
+    matrix times f times right axis matrix, for b > 0 and b = 0 axes alike."""
+    left, right = (_axis_matrix(A, unit, f.grid.axis_coords(k),
+                                plan.output_grid.axis_coords(k))
+                   for k, A, unit in ((1, plan.A1, plan.lam), (2, plan.A2, plan.mu)))
+    mid = qmul(left[:, :, None, :], f.samples[None]).sum(axis=1)
+    return qmul(mid[:, :, None, :], np.swapaxes(right, 0, 1)[None]).sum(axis=1)
+
+
+def _qlct_reference(f: QField, A1: OffsetParams, A2: OffsetParams,
+                    ugrid: Grid2D) -> np.ndarray:
+    """Independently coded QLCT kernel quadrature (tau = eta = 0 form)."""
+    t1 = f.grid.axis_coords(1)
+    t2 = f.grid.axis_coords(2)
+    u1 = ugrid.axis_coords(1)
+    u2 = ugrid.axis_coords(2)
+    th1 = ((A1.a * t1[None, :] ** 2 - 2 * t1[None, :] * u1[:, None]
+            + A1.d * u1[:, None] ** 2) / (2 * A1.b) - math.pi / 4)
+    th2 = ((A2.a * t2[:, None] ** 2 - 2 * t2[:, None] * u2[None, :]
+            + A2.d * u2[None, :] ** 2) / (2 * A2.b) - math.pi / 4)
+    k1 = np.exp(1j * th1) / math.sqrt(2 * math.pi * A1.b)
+    k2 = np.exp(1j * th2) / math.sqrt(2 * math.pi * A2.b)
+    left = plane_to_quat(k1, UNIT_I)      # (n_u1, n_t1, 4)
+    right = plane_to_quat(k2, UNIT_J)     # (n_t2, n_u2, 4)
+    acc = np.zeros((u1.size, u2.size, 4))
+    for q1 in range(u1.size):
+        mid = qmul(left[q1][:, None, :], f.samples)        # (n_t1, n_t2, 4)
+        for q2 in range(u2.size):
+            term = qmul(mid, right[:, q2][None, :, :])
+            acc[q1, q2] = term.sum(axis=(0, 1))
+    return acc * f.grid.cell_area
+
+
+def analysis_quartet(f: QField, plan: QolctPlan) -> ComponentQuartet:
+    """Quartet of the chirp-multiplied signal: members C1 * F{g_k} * C2 for
+    the real components g_k of g = chirp * f * chirp.
+
+    Its pointwise norm equals the component norm of the reduced QFT input
+    (the two quartets are related by a constant orthogonal mixing), which is
+    the norm the spread, moment and weighted inequalities are stated in;
+    ``olct._energy_density`` computes its squared norm field directly.
+    For unchirped signals along an axis (a = tau = 0) it coincides with
+    :func:`olct.qolct_quartet` along that axis's contribution.
+    """
+    chirps, factors = _plan_factors(plan)
+    return _forward_quartet(sandwich(f.samples, plan.lam, plan.mu, *chirps),
+                            plan, (None, None), factors)

@@ -12,8 +12,8 @@ Hitzer & Sangwine (arXiv:1306.2157) turns the two-sided kernel into two
 complex separable transforms, each axis a centered FFT where the grids allow
 (equal sample counts, du*dt = 2*pi/n) and a dense complex matrix elsewhere.
 Per-axis phase factors before and after the transform carry the offset
-linear canonical transform of ``olct`` on it.  ``qft_direct`` evaluates the
-O(N^3) dense quaternion quadrature; it is the oracle.
+linear canonical transform of ``olct`` on it.  The O(N^3) dense quaternion
+quadrature ``qft_direct`` is an oracle and lives in ``oracle``.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _mutation
-from .field import ComponentQuartet, Grid2D, QField, partial_derivative
-from .quat import UNIT_I, UNIT_J, PureUnit, in_planes, phase_plane, qmul, qnorm, sandwich
+from .field import ComponentQuartet, Grid2D, QField
+from .quat import UNIT_I, UNIT_J, PureUnit, in_planes, phase_plane
 
 
 class PlanViolationError(ValueError):
@@ -132,55 +132,6 @@ def centered_ft2(x: np.ndarray, tgrid: Grid2D, ugrid: Grid2D,
 
 
 # ---------------------------------------------------------------------------
-# Dense quaternion quadrature (the oracle; arbitrary axes and grids).
-
-#: rows of kernel matrix materialized at once in dense contractions
-_CONTRACT_BLOCK = 1024
-
-
-def _left_contract(cosm, sinm, lam, samples, weight):
-    """sum_p (cos + lam*sin)[q, p] * samples[p, ...] * weight."""
-    lam_f = qmul(lam.array, samples)
-    out = np.tensordot(cosm, samples, axes=(1, 0))
-    out += np.tensordot(sinm, lam_f, axes=(1, 0))
-    return out * weight
-
-
-def _right_contract(samples, cosm, sinm, mu, weight):
-    """sum_p samples[:, p, :] * (cos + mu*sin)[p, q] * weight."""
-    f_mu = qmul(samples, mu.array)
-    out = np.tensordot(samples, cosm, axes=(1, 0))
-    out += np.tensordot(f_mu, sinm, axes=(1, 0))
-    return np.moveaxis(out, -1, 1) * weight
-
-
-def _direct_apply(f: QField, plan: QftPlan, sign: int, scale: float) -> QField:
-    tgrid = f.grid
-    ugrid = plan.output_grid
-    t1, t2 = tgrid.axis_coords(1), tgrid.axis_coords(2)
-    u1, u2 = ugrid.axis_coords(1), ugrid.axis_coords(2)
-    th2 = sign * np.outer(t2, u2)
-    cos2, sin2 = np.cos(th2), np.sin(th2)
-    out = np.empty((ugrid.n1, ugrid.n2, 4))
-    for lo in range(0, ugrid.n1, _CONTRACT_BLOCK):
-        th1 = sign * np.outer(u1[lo:lo + _CONTRACT_BLOCK], t1)
-        g = _left_contract(np.cos(th1), np.sin(th1), plan.lam, f.samples,
-                           tgrid.spacing1)
-        out[lo:lo + _CONTRACT_BLOCK] = _right_contract(
-            g, cos2, sin2, plan.mu, tgrid.spacing2 * scale)
-    return QField(ugrid, out)
-
-
-def qft_direct(f: QField, plan: QftPlan) -> QField:
-    """Reference O(N^3) quadrature of the forward transform."""
-    if plan.direction != "forward":
-        raise ValueError("qft_direct requires a forward plan")
-    if f.grid != plan.input_grid:
-        raise ValueError("field grid does not match plan input grid")
-    return _direct_apply(f, plan, -1, 1.0)
-
-
-# ---------------------------------------------------------------------------
 # The planes-split engine (any pure-unit axes, any grids).
 
 def _planes_ft(samples, tgrid: Grid2D, ugrid: Grid2D, lam: PureUnit,
@@ -212,7 +163,7 @@ def _two_sided(samples, plan: QftPlan) -> np.ndarray:
 
 def qft_fast_ij(f: QField, plan: QftPlan) -> QField:
     """Forward transform on any axes and grids through the planes-split
-    engine; same contract as qft_direct."""
+    engine; same contract as ``oracle.qft_direct``."""
     if plan.direction != "forward":
         raise ValueError("qft_fast_ij requires a forward plan")
     if f.grid != plan.input_grid:
@@ -240,40 +191,3 @@ def _quartet(samples, grid: Grid2D, transform) -> ComponentQuartet:
     """``transform`` of each real component of ``samples``, on ``grid``."""
     return ComponentQuartet(tuple(QField(grid, transform(samples[..., m]))
                                   for m in range(4)))
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    lhs: QField
-    rhs: QField
-    maxerr: float
-    relerr: float
-
-
-def _factored_report(lhs: QField, base: QField, plan, left, right) -> IdentityReport:
-    """Compare lhs with left(x1) base right(x2), the per-axis complex factors
-    on the plan's lam and mu, relative to the latter's peak modulus."""
-    rhs = QField(lhs.grid, sandwich(base.samples, plan.lam, plan.mu, left, right))
-    maxerr = float(qnorm(lhs.samples - rhs.samples).max())
-    scale = float(qnorm(rhs.samples).max())
-    return IdentityReport(lhs, rhs, maxerr, maxerr / scale if scale else maxerr)
-
-
-def derivative_identity_check(f: QField, plan: QftPlan, m: int,
-                              n: int) -> IdentityReport:
-    """Compare F{d^(m+n) f} against (lam u1)^m F{f} (mu u2)^n.
-
-    The derivative side uses finite differences; the multiplier side applies
-    the powers in the stated left/right order, which is load-bearing.
-    """
-    if m + n > 2 or m < 0 or n < 0:
-        raise ValueError("orders must satisfy 0 <= m + n <= 2")
-    df = f
-    for _ in range(m):
-        df = partial_derivative(df, 1)
-    for _ in range(n):
-        df = partial_derivative(df, 2)
-    u1 = plan.output_grid.axis_coords(1)
-    u2 = plan.output_grid.axis_coords(2)
-    return _factored_report(qft_fast_ij(df, plan), qft_fast_ij(f, plan), plan,
-                            (1j * u1) ** m, (1j * u2) ** n)

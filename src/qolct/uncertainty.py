@@ -20,7 +20,6 @@ from .olct import (
     _chirped_signal,
     _energy_density,
     _require_positive_b,
-    output_in_scaled_coords,
     qolct_forward,
 )
 from .qft import PlanViolationError
@@ -220,8 +219,8 @@ def hardy_report(f: QField, plan: QolctPlan) -> HardyReport:
     for axis, A in ((1, plan.A1), (2, plan.A2)):
         _require_positive_b(A, f"axis {axis}")
     sig = hardy_envelope_fit(f)
-    F = qolct_forward(f, plan)
-    scaled = output_in_scaled_coords(F, plan)
+    # sample q of the forward holds O{f}(b1 v1[q], b2 v2[q]) on the v-grid
+    scaled = QField(plan.scaled_freq_grid(), qolct_forward(f, plan).samples)
     trans = hardy_envelope_fit(scaled)
     return HardyReport(sig.alpha, trans.alpha, sig.alpha * trans.alpha, sig, trans)
 

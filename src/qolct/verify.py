@@ -3,38 +3,48 @@
 Each check returns a record ``{check, params, observed, tolerance, pass}``;
 ``observed`` is the measured defect (error magnitude, slack deficit, ...)
 compared against ``tolerance``.  All randomness flows from one seed, so a
-report is reproducible bit for bit.
+report is reproducible bit for bit.  The identity checks below compare the
+two sides of the paper's derivative, covariance and moment identities; the
+other routes to the transforms' numbers live in ``oracle``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .field import Grid2D, QField, l2_norm, quartet_l2_norm, synth_gaussian
+from .field import (
+    Grid2D,
+    QField,
+    apply_chirp,
+    l2_norm,
+    partial_derivative,
+    quartet_l2_norm,
+    synth_gaussian,
+)
 from .olct import (
     OffsetParams,
     QolctPlan,
     _energy_density,
-    analysis_quartet,
-    kernel,
-    modulation_covariance_check,
-    moment_identity_check,
-    qolct_direct,
     qolct_forward,
     qolct_inverse,
     qolct_quartet,
-    shift_covariance_check,
 )
 from .oracle import (
     GaussianSpec,
+    _qlct_reference,
+    analysis_quartet,
     gaussian_integral_complex_offset,
     gaussian_qolct_closed_form,
     gaussian_qolct_closed_form_field,
     gaussian_qolct_log_modulus,
+    kernel_sum,
+    qft_direct,
+    qolct_direct,
 )
-from .qft import QftPlan, derivative_identity_check, iqft, qft_direct, qft_fast_ij, qft_quartet
+from .qft import QftPlan, iqft, qft_fast_ij, qft_quartet
 from .quat import (
     UNIT_I,
     UNIT_J,
@@ -49,6 +59,7 @@ from .quat import (
     qconj,
     qmul,
     qnorm,
+    sandwich,
 )
 from .uncertainty import (
     LOG_UP_CONSTANT,
@@ -101,6 +112,157 @@ def random_offset_params(rng, b_range=(0.5, 2.0), with_offsets=True,
             break
     tau, eta = (rng.uniform(-1.0, 1.0, 2) if with_offsets else (0.0, 0.0))
     return OffsetParams(a, b, c, d, float(tau), float(eta))
+
+
+# ---------------------------------------------------------------------------
+# Identity checks: both sides of an identity, and their distance.
+
+def fourier_shift(f: QField, k1: float, k2: float) -> QField:
+    """Resample f(t - k) by spectral interpolation of each real component.
+
+    Exact for signals whose periodized spectrum is well-contained on the
+    grid; intended for smooth, decaying test signals.
+    """
+    g = f.grid
+    shifted = np.empty_like(f.samples)
+    w1 = np.fft.fftfreq(g.n1, g.spacing1) * 2.0 * np.pi
+    w2 = np.fft.fftfreq(g.n2, g.spacing2) * 2.0 * np.pi
+    phase = np.exp(-1j * (w1[:, None] * k1 + w2[None, :] * k2))
+    for m in range(4):
+        spec = np.fft.fft2(f.samples[..., m])
+        shifted[..., m] = np.fft.ifft2(spec * phase).real
+    return QField(g, shifted)
+
+
+@dataclass(frozen=True)
+class IdentityReport:
+    lhs: QField
+    rhs: QField
+    maxerr: float
+    relerr: float
+
+
+def _factored_report(lhs: QField, base: QField, plan, left, right) -> IdentityReport:
+    """Compare lhs with left(x1) base right(x2), the per-axis complex factors
+    on the plan's lam and mu, relative to the latter's peak modulus."""
+    rhs = QField(lhs.grid, sandwich(base.samples, plan.lam, plan.mu, left, right))
+    maxerr = float(qnorm(lhs.samples - rhs.samples).max())
+    scale = float(qnorm(rhs.samples).max())
+    return IdentityReport(lhs, rhs, maxerr, maxerr / scale if scale else maxerr)
+
+
+def derivative_identity_check(f: QField, plan: QftPlan, m: int,
+                              n: int) -> IdentityReport:
+    """Compare F{d^(m+n) f} against (lam u1)^m F{f} (mu u2)^n.
+
+    The derivative side uses finite differences; the multiplier side applies
+    the powers in the stated left/right order, which is load-bearing.
+    """
+    if m + n > 2 or m < 0 or n < 0:
+        raise ValueError("orders must satisfy 0 <= m + n <= 2")
+    df = f
+    for _ in range(m):
+        df = partial_derivative(df, 1)
+    for _ in range(n):
+        df = partial_derivative(df, 2)
+    u1 = plan.output_grid.axis_coords(1)
+    u2 = plan.output_grid.axis_coords(2)
+    return _factored_report(qft_fast_ij(df, plan), qft_fast_ij(f, plan), plan,
+                            (1j * u1) ** m, (1j * u2) ** n)
+
+
+def _shifted_output_plan(plan: QolctPlan, s1: float, s2: float) -> QolctPlan:
+    g = plan.output_grid
+    shifted = Grid2D(g.n1, g.n2, g.center1 - s1, g.center2 - s2,
+                     g.spacing1, g.spacing2)
+    return QolctPlan(plan.A1, plan.A2, plan.lam, plan.mu,
+                     plan.input_grid, shifted)
+
+
+def _check_containment(f: QField, k1: float, k2: float):
+    g = f.grid
+    m1 = max(2, int(math.ceil(abs(k1) / g.spacing1)) + 2)
+    m2 = max(2, int(math.ceil(abs(k2) / g.spacing2)) + 2)
+    if 2 * m1 >= g.n1 or 2 * m2 >= g.n2:
+        raise ValueError("shift too large for the grid")
+    e2 = np.sum(f.samples * f.samples, axis=-1)
+    total = float(e2.sum())
+    interior = float(e2[m1:-m1, m2:-m2].sum())
+    if total > 0.0 and (total - interior) > 1e-9 * total:
+        raise ValueError("shifted signal is not well-contained in the grid")
+
+
+def shift_covariance_check(f: QField, plan: QolctPlan, k) -> IdentityReport:
+    """Compare O{f(.-k)} with the phase-factored O{f}(u - k*a).
+
+    The phase per axis is c*(2*k*u - a*k^2)/2 + k*(a*eta - c*tau); the
+    offset coupling drops out when tau = eta = 0.
+    """
+    k1, k2 = k
+    _check_containment(f, k1, k2)
+    lhs = qolct_forward(fourier_shift(f, k1, k2), plan)
+    split_plan = _shifted_output_plan(plan, k1 * plan.A1.a, k2 * plan.A2.a)
+    base = qolct_forward(f, split_plan)
+    u1 = plan.output_grid.axis_coords(1)
+    u2 = plan.output_grid.axis_coords(2)
+    A1, A2 = plan.A1, plan.A2
+    ph1 = (A1.c * (2.0 * k1 * u1 - A1.a * k1 ** 2) / 2.0
+           + k1 * (A1.a * A1.eta - A1.c * A1.tau))
+    ph2 = (A2.c * (2.0 * k2 * u2 - A2.a * k2 ** 2) / 2.0
+           + k2 * (A2.a * A2.eta - A2.c * A2.tau))
+    return _factored_report(lhs, base, plan, np.exp(1j * ph1), np.exp(1j * ph2))
+
+
+def modulation_covariance_check(f: QField, plan: QolctPlan, xi) -> IdentityReport:
+    """Compare O{e^(lam t1 xi1) f e^(mu t2 xi2)} with the phase-factored
+    O{f}(u - b*xi); phases re-derived as -(d/2)(b xi^2 - 2 u xi) - xi (d tau - b eta)."""
+    xi1, xi2 = xi
+    lhs = qolct_forward(apply_chirp(f, plan.lam, xi1, 0.0, plan.mu, xi2, 0.0),
+                        plan)
+    split_plan = _shifted_output_plan(plan, plan.A1.b * xi1, plan.A2.b * xi2)
+    base = qolct_forward(f, split_plan)
+    u1 = plan.output_grid.axis_coords(1)
+    u2 = plan.output_grid.axis_coords(2)
+    A1, A2 = plan.A1, plan.A2
+    ph1 = -(A1.d / 2.0 * (A1.b * xi1 ** 2 - 2.0 * u1 * xi1)
+            + xi1 * (A1.d * A1.tau - A1.b * A1.eta))
+    ph2 = -(A2.d / 2.0 * (A2.b * xi2 ** 2 - 2.0 * u2 * xi2)
+            + xi2 * (A2.d * A2.tau - A2.b * A2.eta))
+    return _factored_report(lhs, base, plan, np.exp(1j * ph1), np.exp(1j * ph2))
+
+
+@dataclass(frozen=True)
+class MomentReport:
+    lhs: float
+    rhs: float
+    relerr: float
+
+
+def moment_identity_check(f: QField, plan: QolctPlan, axis: int) -> MomentReport:
+    """Second-moment identity: the u_k^2-weighted transform energy equals the
+    b_k^2-weighted energy of lam*(a t/b + tau/b) f + df/dt (axis 1) or of
+    (a t/b + tau/b) f mu + df/dt (axis 2; mu multiplies from the right).
+
+    The transform energy is measured in the analysis-quartet norm; with the
+    plain component quartet the two sides differ for signals whose phase
+    varies along the axis (the cross term 2 s Sc(lam f conj(df)) survives).
+    """
+    if axis not in (1, 2):
+        raise ValueError("axis must be 1 or 2")
+    w2 = _energy_density(f, plan)
+    uk = plan.output_grid.axis_coords(axis)
+    uk2 = uk[:, None] ** 2 if axis == 1 else uk[None, :] ** 2
+    lhs = float(np.sum(uk2 * w2)) * plan.output_grid.cell_area
+
+    A = plan.A1 if axis == 1 else plan.A2
+    tk = f.grid.axis_coords(axis)
+    slope = 1j * (A.a * tk + A.tau) / A.b  # lam*slope on the left, mu*slope on the right
+    lin = sandwich(f.samples, plan.lam, plan.mu,
+                   *((slope, None) if axis == 1 else (None, slope)))
+    r = lin + partial_derivative(f, axis).samples
+    rhs = A.b ** 2 * float(np.sum(r * r)) * f.grid.cell_area
+    rel = abs(lhs - rhs) / rhs if rhs else abs(lhs - rhs)
+    return MomentReport(lhs, rhs, rel)
 
 
 # ---------------------------------------------------------------------------
@@ -357,54 +519,12 @@ def qolct_checks(seed: int):
                                   input_grid=g24),
                  QolctPlan(random_offset_params(rng), deg[1], lam, mu, g24,
                            Grid2D(16, 16, 0.1, deg[1].tau, 0.9, g24.spacing2))):
-        left, right = (_axis_operator(A, unit, t, plan.output_grid.axis_coords(k))
-                       for k, A, unit in ((1, plan.A1, lam), (2, plan.A2, mu)))
-        mid = qmul(left[:, :, None, :], f24.samples[None]).sum(axis=1)
-        want = qmul(mid[:, :, None, :], np.swapaxes(right, 0, 1)[None]).sum(axis=1)
+        want = kernel_sum(f24, plan)
         got = qolct_forward(f24, plan).samples
         worst = max(worst, float(qnorm(got - want).max() / qnorm(want).max()))
     out.append(_record("degenerate-equals-kernel-sum",
                        "b1 = 0 and b2 = 0 with c, eta != 0, 24^2", worst, 1e-12))
     return out
-
-
-def _axis_operator(A: OffsetParams, unit: PureUnit, t, u) -> np.ndarray:
-    """(n_u, n_t, 4) quaternion matrix of one axis of the forward transform: the
-    kernel times the spacing for b > 0, else the substitution t = d (u - tau),
-    which must hit a sample, times sqrt(d) e^{i(c d (u - tau)^2/2 + u eta)}."""
-    h = t[1] - t[0]
-    if A.b > 0.0:
-        return np.array([[kernel(A, unit, tp, uq).array for tp in t]
-                         for uq in u]) * h
-    op = np.zeros((u.size, t.size, 4))
-    hit = np.rint((A.d * (u - A.tau) - t[0]) / h).astype(int)
-    op[np.arange(u.size), hit] = math.sqrt(A.d) * plane_to_quat(
-        np.exp(1j * (A.c * A.d * (u - A.tau) ** 2 / 2.0 + u * A.eta)), unit)
-    return op
-
-
-def _qlct_reference(f: QField, A1: OffsetParams, A2: OffsetParams,
-                    ugrid: Grid2D) -> np.ndarray:
-    """Independently coded QLCT kernel quadrature (tau = eta = 0 form)."""
-    t1 = f.grid.axis_coords(1)
-    t2 = f.grid.axis_coords(2)
-    u1 = ugrid.axis_coords(1)
-    u2 = ugrid.axis_coords(2)
-    th1 = ((A1.a * t1[None, :] ** 2 - 2 * t1[None, :] * u1[:, None]
-            + A1.d * u1[:, None] ** 2) / (2 * A1.b) - math.pi / 4)
-    th2 = ((A2.a * t2[:, None] ** 2 - 2 * t2[:, None] * u2[None, :]
-            + A2.d * u2[None, :] ** 2) / (2 * A2.b) - math.pi / 4)
-    k1 = np.exp(1j * th1) / math.sqrt(2 * math.pi * A1.b)
-    k2 = np.exp(1j * th2) / math.sqrt(2 * math.pi * A2.b)
-    left = plane_to_quat(k1, UNIT_I)      # (n_u1, n_t1, 4)
-    right = plane_to_quat(k2, UNIT_J)     # (n_t2, n_u2, 4)
-    acc = np.zeros((u1.size, u2.size, 4))
-    for q1 in range(u1.size):
-        mid = qmul(left[q1][:, None, :], f.samples)        # (n_t1, n_t2, 4)
-        for q2 in range(u2.size):
-            term = qmul(mid, right[:, q2][None, :, :])
-            acc[q1, q2] = term.sum(axis=(0, 1))
-    return acc * f.grid.cell_area
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,7 @@ from qolct import (
     synth_gaussian,
 )
 from qolct.field import quartet_l2_norm
-from qolct.olct import moment_identity_check, modulation_covariance_check, \
-    shift_covariance_check
 from qolct.oracle import gaussian_qolct_closed_form_field
-from qolct.qft import derivative_identity_check
 from qolct.quat import inv_sqrt_unit, qmul, qnorm
 from qolct.uncertainty import (
     digamma,
@@ -44,7 +41,13 @@ from qolct.uncertainty import (
     pitt_check,
     pitt_constants,
 )
-from qolct.verify import random_offset_params
+from qolct.verify import (
+    derivative_identity_check,
+    modulation_covariance_check,
+    moment_identity_check,
+    random_offset_params,
+    shift_covariance_check,
+)
 
 from conftest import corpus_signals, parameter_sets, rel_max_err
 

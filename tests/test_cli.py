@@ -289,6 +289,37 @@ def test_non_finite_input_exit_code(tmp_path, qft_params):
     assert not (tmp_path / "o.qsig").exists()
 
 
+#: every float flag of ``synth``, and of ``uncertainty`` with the report
+#: that reads it
+SYNTH_FLOAT_FLAGS = ("--extent", "--alpha1", "--alpha2", "--beta11", "--beta12",
+                     "--beta21", "--beta22", "--center1", "--center2",
+                     "--grid-center1", "--grid-center2", "--chirp1", "--chirp2",
+                     "--lin1", "--lin2")
+UNCERTAINTY_FLOAT_FLAGS = {"--alpha": "pitt", "--d": "beurling",
+                           "--radius": "beurling"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", [*SYNTH_FLOAT_FLAGS, *UNCERTAINTY_FLOAT_FLAGS])
+def test_float_flags_reject_non_finite(tmp_path, qft_params, capsys, flag, value):
+    # a usage error at parse time: exit 2, nothing computed or written
+    from qolct import cli
+
+    out = tmp_path / "out"
+    if flag in SYNTH_FLOAT_FLAGS:
+        argv = ["synth", "chirped-gaussian", "--n", "16", "--out", str(out)]
+    else:
+        sig = str(tmp_path / "f.qsig")
+        write_signal(sig, synth_gaussian(Grid2D.centered(16, 8.0), 0.5, 0.5))
+        argv = ["uncertainty", "--in", sig, "--params", qft_params,
+                "--which", UNCERTAINTY_FLOAT_FLAGS[flag], "--json", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_singular_weight_exit_code(tmp_path, qft_params):
     # odd n: the centered grids sample t = 0 and v = 0, where |v|^(-alpha)
     # and ln|v|, ln|t| are infinite; the CLI must not write Infinity

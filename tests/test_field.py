@@ -8,11 +8,11 @@ from qolct.field import (
     ComponentQuartet,
     GridTooSmallError,
     apply_chirp,
-    fourier_shift,
     partial_derivative,
     quartet_l2_norm,
 )
 from qolct.quat import Quaternion, qnorm
+from qolct.verify import fourier_shift
 
 
 def test_grid_is_cell_centered():

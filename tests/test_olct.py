@@ -25,18 +25,17 @@ from qolct import (
     synth_gaussian,
 )
 from qolct.field import apply_chirp, quartet_l2_norm
-from qolct.olct import (
-    InterpolationDomainError,
-    _energy_density,
-    _spline,
-    modulation_covariance_check,
-    moment_identity_check,
-    shift_covariance_check,
-)
+from qolct.olct import InterpolationDomainError, _energy_density, _spline
+from qolct.oracle import kernel_sum
 from qolct.qft import PlanViolationError
 from qolct.quat import PureUnit, inv_sqrt_unit, plane_to_quat, qmul
 from qolct.uncertainty import heisenberg_report
-from qolct.verify import random_offset_params
+from qolct.verify import (
+    modulation_covariance_check,
+    moment_identity_check,
+    random_offset_params,
+    shift_covariance_check,
+)
 
 from conftest import corpus_signals, parameter_sets, rel_max_err
 
@@ -228,21 +227,29 @@ def _density_case(n1, n2, axes, seed, shifted=False):
 
 
 def _spy_on_quartet(monkeypatch) -> list:
-    """Count the density's calls of its quartet fallback."""
-    from qolct import olct
+    """Count calls of the oracle quartet through its module."""
+    from qolct import oracle
     calls = []
 
-    def spy(*args, _real=olct.analysis_quartet):
+    def spy(*args, _real=oracle.analysis_quartet):
         calls.append(1)
         return _real(*args)
 
-    monkeypatch.setattr(olct, "analysis_quartet", spy)
+    monkeypatch.setattr(oracle, "analysis_quartet", spy)
     return calls
 
 
 def _density_err(f, plan):
     want = analysis_quartet(f, plan).norm_field() ** 2
     return float(np.abs(_energy_density(f, plan) - want).max() / want.max())
+
+
+def _recentered(plan, center1, center2):
+    """``plan`` with its output grid moved to center (center1, center2)."""
+    og = plan.output_grid
+    return QolctPlan(plan.A1, plan.A2, plan.lam, plan.mu, plan.input_grid,
+                     Grid2D(og.n1, og.n2, center1, center2, og.spacing1,
+                            og.spacing2))
 
 
 @pytest.mark.parametrize("n1, n2", [(64, 64), (63, 63), (64, 48), (33, 50)])
@@ -252,13 +259,17 @@ def test_energy_density_equals_analysis_quartet(monkeypatch, n1, n2, axes):
     for seed, shifted in ((n1 * n2, False), (n1 + n2, True)):
         f, plan = _density_case(n1, n2, axes, seed, shifted)
         assert _density_err(f, plan) <= 1e-12, (seed, shifted)
+        # off center along one axis or both, -v is no index reversal there
+        for center in ((0.3, -0.2), (0.3, 0.0), (0.0, -0.2)):
+            err = _density_err(f, _recentered(plan, *center))
+            assert err <= 1e-12, (seed, shifted, center)
     # a smaller, finer centered output grid is not FFT-compatible: its two
     # transforms take the engine's dense branch
     og = plan.output_grid
     fine = Grid2D(20, 16, 0.0, 0.0, og.spacing1 / 2, og.spacing2 / 2)
     plan = QolctPlan(plan.A1, plan.A2, plan.lam, plan.mu, plan.input_grid, fine)
     assert _density_err(f, plan) <= 1e-12
-    assert not calls  # every grid takes the two-transform path
+    assert not calls  # the density never runs the oracle
 
 
 #: every draw of :func:`_density_case` up to 32^2
@@ -268,9 +279,12 @@ _DENSITY_CASES = dict(n1=st.integers(2, 32), n2=st.integers(2, 32),
 
 
 @settings(max_examples=60, deadline=None)
-@given(**_DENSITY_CASES)
-def test_energy_density_property(n1, n2, axes, shifted, seed):
+@given(**_DENSITY_CASES, offset=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+def test_energy_density_property(n1, n2, axes, shifted, seed, offset):
+    # output grids centered at 0 and moved by up to two samples per axis
     f, plan = _density_case(n1, n2, axes, seed, shifted)
+    og = plan.output_grid
+    plan = _recentered(plan, offset[0] * og.spacing1, offset[1] * og.spacing2)
     assert _density_err(f, plan) <= 1e-12
 
 
@@ -281,19 +295,6 @@ def test_inverse_round_trip_property(n1, n2, axes, shifted, seed):
     back = qolct_inverse(qolct_forward(f, plan), plan)
     assert back.grid == f.grid
     assert rel_max_err(back.samples, f.samples) <= 1e-12
-
-
-def test_energy_density_falls_back_to_the_quartet(monkeypatch):
-    # off center, -v is no index reversal
-    f, plan = _density_case(32, 24, "free", 7)
-    g = plan.output_grid
-    og = Grid2D(g.n1, g.n2, 0.3, -0.2, g.spacing1, g.spacing2)
-    plan = QolctPlan(plan.A1, plan.A2, plan.lam, plan.mu, plan.input_grid, og)
-    calls = _spy_on_quartet(monkeypatch)
-    got = _energy_density(f, plan)
-    assert len(calls) == 1
-    want = analysis_quartet(f, plan).norm_field() ** 2
-    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -360,22 +361,6 @@ def test_degenerate_branch_exact_when_substitution_hits_samples():
     assert rel_max_err(got.samples, want) <= 1e-12
 
 
-def _axis_operator(A, unit, t, u, h):
-    """(n_u, n_t, 4) quaternion matrix of one axis of the transform: the
-    kernel times h for b > 0, else the chirped substitution t = d (u - tau),
-    which must hit a sample."""
-    if A.b > 0.0:
-        return np.array([[kernel(A, unit, tp, uq).array for tp in t]
-                         for uq in u]) * h
-    sub = A.d * (u - A.tau)
-    p = np.rint((sub - t[0]) / h).astype(int)
-    assert np.abs(t[p] - sub).max() <= 1e-12
-    chirp = np.exp(1j * (A.c * A.d * (u - A.tau) ** 2 / 2 + u * A.eta))
-    op = np.zeros((u.size, t.size, 4))
-    op[np.arange(u.size), p] = math.sqrt(A.d) * plane_to_quat(chirp, unit)
-    return op
-
-
 @pytest.mark.parametrize("zero_axes", ["b1_zero", "b2_zero", "both_zero"])
 def test_forward_serves_b_zero_axes(zero_axes):
     # qolct_forward picks the substitution for every b = 0 axis from the
@@ -395,13 +380,11 @@ def test_forward_serves_b_zero_axes(zero_axes):
     plan = QolctPlan(A1, A2, UNIT_I, UNIT_J, g, og)
     got = qolct_forward(f, plan)
 
-    t1, t2 = g.axis_coords(1), g.axis_coords(2)
-    left = _axis_operator(A1, UNIT_I, t1, og.axis_coords(1), h)
-    right = np.swapaxes(_axis_operator(A2, UNIT_J, t2, og.axis_coords(2), h), 0, 1)
-    mid = qmul(left[:, :, None, :], f.samples[None]).sum(axis=1)
-    want = qmul(mid[:, :, None, :], right[None]).sum(axis=1)
     assert got.grid == og
-    assert rel_max_err(got.samples, want) <= 1e-12
+    assert rel_max_err(got.samples, kernel_sum(f, plan)) <= 1e-12
+    half = Grid2D(16, 16, c1 + h / 2, c2 + h / 2, h, h)  # between the samples
+    with pytest.raises(ValueError, match="misses a sample"):
+        kernel_sum(f, QolctPlan(A1, A2, UNIT_I, UNIT_J, g, half))
 
     for transform in (qolct_quartet, analysis_quartet, qolct_direct):
         with pytest.raises(ValueError, match="require b > 0"):
@@ -439,15 +422,7 @@ def test_forward_property(n1, n2, shifted, derived, zero, seed):
     (A1, m1, c1, s1), (A2, m2, c2, s2) = axes
     plan = QolctPlan(A1, A2, plan.lam, plan.mu, f.grid,
                      Grid2D(m1, m2, c1, c2, s1, s2))
-    if zero == "none":
-        want = qolct_direct(f, plan).samples
-    else:
-        left, right = (_axis_operator(A, unit, f.grid.axis_coords(k),
-                                      plan.output_grid.axis_coords(k), h)
-                       for k, A, unit, h in ((1, A1, plan.lam, f.grid.spacing1),
-                                             (2, A2, plan.mu, f.grid.spacing2)))
-        mid = qmul(left[:, :, None, :], f.samples[None]).sum(axis=1)
-        want = qmul(mid[:, :, None, :], np.swapaxes(right, 0, 1)[None]).sum(axis=1)
+    want = qolct_direct(f, plan).samples if zero == "none" else kernel_sum(f, plan)
     assert rel_max_err(qolct_forward(f, plan).samples, want) <= 1e-12
 
 

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,3 +197,26 @@ def test_spec_validation():
                                    OffsetParams(1.0, 0.0, 0.0, 1.0),
                                    OffsetParams.qft_case(), UNIT_I, UNIT_J,
                                    (0.0, 0.0))
+
+
+#: the production modules that may import one of the two: the package root
+#: re-exports the oracles, and the CLI's ``verify`` command runs the suites
+BOUNDARY_EXCEPTIONS = {"__init__": {"oracle"}, "cli": {"verify"}}
+
+
+def test_production_modules_import_no_oracle_or_verify():
+    import qolct
+
+    modules = sorted(Path(qolct.__file__).parent.glob("*.py"))
+    assert len(modules) > 2
+    for path in modules:
+        if path.stem in ("oracle", "verify"):
+            continue
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").rsplit(".", 1)[-1])
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported |= {a.name.rsplit(".", 1)[-1] for a in node.names}
+        forbidden = {"oracle", "verify"} - BOUNDARY_EXCEPTIONS.get(path.stem, set())
+        assert not imported & forbidden, path.name

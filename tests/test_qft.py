@@ -17,13 +17,10 @@ from qolct import (
     synth_gaussian,
 )
 from qolct.field import quartet_l2_norm
-from qolct.qft import (
-    PlanViolationError,
-    _direct_apply,
-    centered_ft2,
-    derivative_identity_check,
-)
+from qolct.oracle import _direct_apply
+from qolct.qft import PlanViolationError, centered_ft2
 from qolct.quat import PureUnit, qmul
+from qolct.verify import derivative_identity_check
 
 from conftest import rel_max_err
 
@@ -112,18 +109,18 @@ def test_engine_equals_direct(axes, monkeypatch):
     dense quadrature on any axes and grids; the quadrature is only the oracle."""
     from qolct import QolctPlan, analysis_quartet, qolct_direct
     from qolct import qolct_forward, qolct_inverse, qolct_quartet
-    from qolct import qft as qft_mod
+    from qolct import oracle
     from qolct.field import apply_chirp
     from qolct.verify import random_offset_params
 
     direct_calls = []
-    real_direct = qft_mod._direct_apply
+    real_direct = oracle._direct_apply
 
     def spy(*args):
         direct_calls.append(args[2])
         return real_direct(*args)
 
-    monkeypatch.setattr(qft_mod, "_direct_apply", spy)
+    monkeypatch.setattr(oracle, "_direct_apply", spy)
     lam, mu = ENGINE_AXES[axes]
     rng = np.random.default_rng(23)
     for g in (Grid2D.centered(32, 6.0), Grid2D(32, 24, 0.0, 0.0, 0.2, 0.25)):
