@@ -20,7 +20,8 @@ import numpy as np
 
 from . import _mutation, verify as verify_mod
 from .field import Grid2D, QField, apply_chirp, l2_norm, synth_gaussian
-from .olct import QolctPlan, _energy_density, qolct_forward, qolct_inverse
+from .olct import (QolctPlan, _energy_density, _require_positive_b, qolct_forward,
+                   qolct_inverse)
 from .qft import PlanViolationError
 from .quat import PureUnit
 from .signalio import (
@@ -111,6 +112,8 @@ def cmd_transform(args) -> int:
 
     A1, A2 = params.A1, params.A2
     if args.inverse:
+        for axis, A in ((1, A1), (2, A2)):  # before the plan checks b = 0 axes
+            _require_positive_b(A, f"axis {axis}")
         tgrid = QolctPlan.derived_output_grid(A1, A2, f.grid)
         plan = QolctPlan(A1, A2, params.lam, params.mu, tgrid, f.grid)
         out_field = qolct_inverse(f, plan)
@@ -165,14 +168,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failed else EXIT_VERIFY_FAILED
 
 
-def _radial_profile(values_sq: np.ndarray, grid: Grid2D, nbins: int = 48):
+_RADIAL_BINS = 48
+
+
+def _radial_profile(values_sq: np.ndarray, grid: Grid2D):
     t1, t2 = grid.meshgrid()
     r = np.sqrt(t1 ** 2 + t2 ** 2).ravel()
     v = values_sq.ravel()
-    edges = np.linspace(0.0, float(r.max()), nbins + 1)
-    idx = np.clip(np.digitize(r, edges) - 1, 0, nbins - 1)
-    sums = np.bincount(idx, weights=v, minlength=nbins)
-    counts = np.maximum(np.bincount(idx, minlength=nbins), 1)
+    edges = np.linspace(0.0, float(r.max()), _RADIAL_BINS + 1)
+    idx = np.clip(np.digitize(r, edges) - 1, 0, _RADIAL_BINS - 1)
+    sums = np.bincount(idx, weights=v, minlength=_RADIAL_BINS)
+    counts = np.maximum(np.bincount(idx, minlength=_RADIAL_BINS), 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return centers, sums / counts
 

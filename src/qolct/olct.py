@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _mutation
 from .field import ComponentQuartet, Grid2D, QField
-from .qft import PlanViolationError, QftPlan, _planes_ft, _quartet, centered_ft2
+from .qft import PlanViolationError, _planes_ft, _quartet, centered_ft2, check_nyquist
 from .quat import UNIT_I, UNIT_J, PureUnit, sandwich
 
 
@@ -75,32 +75,40 @@ class QolctPlan:
     output_grid: Grid2D
 
     def __post_init__(self):
-        for axis, A in ((1, self.A1), (2, self.A2)):
+        g, out = self.input_grid, self.output_grid
+        axes = ((1, self.A1, g.spacing1, g.extent1, out.spacing1),
+                (2, self.A2, g.spacing2, g.extent2, out.spacing2))
+        for axis, A, h, extent, _ in axes:
             if A.b < 0.0:
                 raise ValueError(f"axis {axis}: b < 0 is not supported; "
                                  "normalize the matrix to b >= 0")
             if A.b == 0.0:
-                if A.d == 0.0:
-                    raise ValueError(f"axis {axis}: b = 0 with d = 0 violates "
-                                     "a*d - b*c = 1")
                 continue
-            h = self.input_grid.spacing1 if axis == 1 else self.input_grid.spacing2
-            extent = self.input_grid.extent1 if axis == 1 else self.input_grid.extent2
             bound = abs(A.a) / (2.0 * A.b) * h * extent
             if bound > math.pi * (1.0 + 1e-9):
                 raise PlanViolationError(
                     f"axis {axis}: chirp resolution |a|/(2b)*h*L = {bound:g} "
                     "exceeds pi; refine the input grid")
-        if self.A1.b > 0.0 and self.A2.b > 0.0:  # the embedded Nyquist bound
-            QftPlan(self.input_grid, self.scaled_freq_grid(), self.lam, self.mu)
+        for axis, A, _, _, du in axes:  # the bounds that read the output grid
+            t = g.axis_coords(axis)
+            if A.b > 0.0:
+                check_nyquist(axis, t, du / A.b)  # on the v = u/b grid
+            elif A.d <= 0.0:
+                raise ValueError(f"axis {axis}: the degenerate branch requires "
+                                 "d > 0 (b = 0 and the square-root convention "
+                                 "fixes the sign)")
+            else:
+                tprime = A.d * (out.axis_coords(axis) - A.tau)
+                pad = 1e-9 * (t[-1] - t[0])
+                if tprime.min() < t[0] - pad or tprime.max() > t[-1] + pad:
+                    raise InterpolationDomainError(
+                        f"axis {axis}: substituted coordinates d*(u - tau) "
+                        "fall outside the sampled grid")
 
     @classmethod
     def create(cls, A1: OffsetParams, A2: OffsetParams,
-               lam: PureUnit = UNIT_I, mu: PureUnit = UNIT_J,
-               input_grid: Grid2D | None = None,
-               output_grid: Grid2D | None = None) -> "QolctPlan":
-        if input_grid is None:
-            raise ValueError("input_grid is required")
+               lam: PureUnit = UNIT_I, mu: PureUnit = UNIT_J, *,
+               input_grid: Grid2D, output_grid: Grid2D | None = None) -> "QolctPlan":
         if output_grid is None:
             output_grid = cls.derived_output_grid(A1, A2, input_grid)
         return cls(A1, A2, lam, mu, input_grid, output_grid)
@@ -170,7 +178,7 @@ def qolct_forward(f: QField, plan: QolctPlan) -> QField:
         if A.b > 0.0:
             axes.append((-1, *_axis_factors(A, t, u, 1.0)))
         else:
-            data = _spline(t, data, _substituted_coords(A, u, t), axis=axis - 1)
+            data = _spline(t, data, A.d * (u - A.tau), axis=axis - 1)
             axes.append((0, None, _degenerate_chirp(A, u)))
     return QField(plan.output_grid, _planes_ft(
         data, plan.input_grid, plan.scaled_freq_grid(), plan.lam, plan.mu, axes))
@@ -251,19 +259,6 @@ def _energy_density(f: QField, plan: QolctPlan) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Degenerate branches (b = 0 on one or both axes).
-
-def _substituted_coords(A: OffsetParams, u, t_coords):
-    if A.d <= 0.0:
-        raise ValueError("degenerate branch requires d > 0 (b = 0 and the "
-                         "square-root convention fixes the sign)")
-    tprime = A.d * (u - A.tau)
-    lo, hi = t_coords[0], t_coords[-1]
-    pad = 1e-9 * (hi - lo)
-    if tprime.min() < lo - pad or tprime.max() > hi + pad:
-        raise InterpolationDomainError(
-            "substituted coordinates d*(u - tau) fall outside the sampled grid")
-    return tprime
-
 
 def _degenerate_chirp(A: OffsetParams, u):
     """sqrt(d) exp(i*(c d (u - tau)^2 / 2 + u eta)) as complex values.

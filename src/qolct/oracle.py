@@ -4,8 +4,9 @@ Dense quadratures evaluate the kernel sums sample by sample: ``qft_direct``
 for the QFT, ``qolct_direct`` and ``kernel`` for the QOLCT, ``kernel_sum``
 for plans with b = 0 axes, and ``_qlct_reference``, an independently coded
 QLCT quadrature.  ``analysis_quartet`` transforms the chirped signal's four
-real components one by one, the long way to the energy density.  No
-production module imports this one.
+real components one by one, the long way to the energy density; ``digamma``
+is a series, the other route to the logarithmic constant.  No production
+module imports this one.
 
 Analytic ground truth for Gaussian signals: the transform of beta * exp(-(alpha1 t1^2 + alpha2 t2^2)) factors per axis
 into a real envelope, a plane square-root constant and a quadratic phase.
@@ -193,8 +194,6 @@ def _direct_apply(f: QField, plan: QftPlan, sign: int, scale: float) -> QField:
 
 def qft_direct(f: QField, plan: QftPlan) -> QField:
     """Reference O(N^3) quadrature of the forward transform."""
-    if plan.direction != "forward":
-        raise ValueError("qft_direct requires a forward plan")
     if f.grid != plan.input_grid:
         raise ValueError("field grid does not match plan input grid")
     return _direct_apply(f, plan, -1, 1.0)
@@ -298,6 +297,28 @@ def _qlct_reference(f: QField, A1: OffsetParams, A2: OffsetParams,
             term = qmul(mid, right[:, q2][None, :, :])
             acc[q1, q2] = term.sum(axis=(0, 1))
     return acc * f.grid.cell_area
+
+
+# B_{2n}/(2n) for the asymptotic digamma tail
+_DIGAMMA_TAIL = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0,
+                 1.0 / 132.0, -691.0 / 32760.0, 1.0 / 12.0)
+
+
+def digamma(x: float) -> float:
+    """psi(x) = Gamma'(x)/Gamma(x) by recurrence into the asymptotic regime."""
+    if x <= 0.0:
+        raise ValueError("digamma requires x > 0")
+    acc = 0.0
+    while x < 10.0:
+        acc -= 1.0 / x
+        x += 1.0
+    inv2 = 1.0 / (x * x)
+    tail = 0.0
+    power = inv2
+    for coef in _DIGAMMA_TAIL:
+        tail += coef * power
+        power *= inv2
+    return acc + math.log(x) - 0.5 / x - tail
 
 
 def analysis_quartet(f: QField, plan: QolctPlan) -> ComponentQuartet:

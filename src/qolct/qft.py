@@ -39,45 +39,34 @@ def default_output_grid(grid: Grid2D) -> Grid2D:
                   2.0 * math.pi / (grid.n2 * grid.spacing2))
 
 
+def check_nyquist(axis: int, t, du: float):
+    """Phase resolution: from one output sample to the next, ``du`` on, the
+    kernel phase at the input reach max|t| may advance by at most pi."""
+    reach = max(abs(t[0]), abs(t[-1]))
+    if du * reach > math.pi * (1.0 + 1e-9):
+        raise PlanViolationError(
+            f"axis {axis}: output spacing {du:g} times input reach "
+            f"{reach:g} exceeds pi; refine the output grid")
+
+
 @dataclass(frozen=True)
 class QftPlan:
+    """The transform from ``input_grid`` (t) to ``output_grid`` (u) on axes
+    (lam, mu); :func:`iqft` runs the same plan from u back to t."""
+
     input_grid: Grid2D
     output_grid: Grid2D
     lam: PureUnit
     mu: PureUnit
-    direction: str = "forward"
 
     def __post_init__(self):
-        if self.direction not in ("forward", "inverse"):
-            raise ValueError("direction must be 'forward' or 'inverse'")
-        # Phase resolution: between adjacent output samples the kernel phase
-        # at the far edge of the input grid may advance by at most pi.
-        tgrid, ugrid = self.signal_grid, self.freq_grid
-        for axis in (1, 2):
-            du = ugrid.spacing1 if axis == 1 else ugrid.spacing2
-            t = tgrid.axis_coords(axis)
-            reach = max(abs(t[0]), abs(t[-1]))
-            if du * reach > math.pi * (1.0 + 1e-9):
-                raise PlanViolationError(
-                    f"axis {axis}: output spacing {du:g} times input reach "
-                    f"{reach:g} exceeds pi; refine the output grid")
-
-    @property
-    def signal_grid(self) -> Grid2D:
-        return self.input_grid if self.direction == "forward" else self.output_grid
-
-    @property
-    def freq_grid(self) -> Grid2D:
-        return self.output_grid if self.direction == "forward" else self.input_grid
+        check_nyquist(1, self.input_grid.axis_coords(1), self.output_grid.spacing1)
+        check_nyquist(2, self.input_grid.axis_coords(2), self.output_grid.spacing2)
 
     @classmethod
     def forward(cls, grid: Grid2D, lam: PureUnit = UNIT_I, mu: PureUnit = UNIT_J,
                 output_grid: Grid2D | None = None) -> "QftPlan":
-        return cls(grid, output_grid or default_output_grid(grid), lam, mu, "forward")
-
-    def inverted(self) -> "QftPlan":
-        return QftPlan(self.output_grid, self.input_grid, self.lam, self.mu,
-                       "inverse" if self.direction == "forward" else "forward")
+        return cls(grid, output_grid or default_output_grid(grid), lam, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +85,7 @@ def _axis_ramps(n, t0, dt, u0, du, sign):
     return pre, post
 
 
-def centered_ft2(x: np.ndarray, tgrid: Grid2D, ugrid: Grid2D,
-                 signs=(-1, -1)) -> np.ndarray:
+def centered_ft2(x: np.ndarray, tgrid: Grid2D, ugrid: Grid2D, signs) -> np.ndarray:
     """Exact evaluation of sum_t x(t) e^{s1*i*u1*t1} e^{s2*i*u2*t2} dt.
 
     Axis by axis: where the sample counts match and du*dt = 2*pi/n, one FFT
@@ -153,38 +141,31 @@ def _planes_ft(samples, tgrid: Grid2D, ugrid: Grid2D, lam: PureUnit,
     return in_planes(samples, lam, mu, per_plane, scale)
 
 
-def _two_sided(samples, plan: QftPlan) -> np.ndarray:
-    """The plan's transform of ``samples``: kernel signs -1 forward, +1
-    inverse."""
-    s = -1 if plan.direction == "forward" else 1
-    return _planes_ft(samples, plan.input_grid, plan.output_grid, plan.lam,
-                      plan.mu, ((s, None, None), (s, None, None)))
-
-
 def qft_fast_ij(f: QField, plan: QftPlan) -> QField:
     """Forward transform on any axes and grids through the planes-split
     engine; same contract as ``oracle.qft_direct``."""
-    if plan.direction != "forward":
-        raise ValueError("qft_fast_ij requires a forward plan")
     if f.grid != plan.input_grid:
         raise ValueError("field grid does not match plan input grid")
-    return QField(plan.output_grid, _two_sided(f.samples, plan))
+    return QField(plan.output_grid, _planes_ft(
+        f.samples, plan.input_grid, plan.output_grid, plan.lam, plan.mu,
+        ((-1, None, None), (-1, None, None))))
 
 
 def iqft(F: QField, plan: QftPlan) -> QField:
-    """Inverse transform (1/4pi^2) sum_u e^{+lam u1 t1} F(u) e^{+mu u2 t2} du."""
-    if plan.direction != "inverse":
-        raise ValueError("iqft requires an inverse plan")
-    if F.grid != plan.input_grid:
-        raise ValueError("field grid does not match plan input grid")
-    return QField(plan.output_grid, _two_sided(F.samples, plan))
+    """Inverse of the forward ``plan``, from F on its output grid back to its
+    input grid: (1/4pi^2) sum_u e^{+lam u1 t1} F(u) e^{+mu u2 t2} du."""
+    if F.grid != plan.output_grid:
+        raise ValueError("field grid does not match plan output grid")
+    return QField(plan.input_grid, _planes_ft(
+        F.samples, plan.output_grid, plan.input_grid, plan.lam, plan.mu,
+        ((1, None, None), (1, None, None))))
 
 
 def qft_quartet(f: QField, plan: QftPlan) -> ComponentQuartet:
     """Transforms (F{f_0}, ..., F{f_3}) of the four real components."""
-    if plan.direction != "forward":
-        raise ValueError("qft_quartet requires a forward plan")
-    return _quartet(f.samples, plan.output_grid, lambda x: _two_sided(x, plan))
+    return _quartet(f.samples, plan.output_grid, lambda x: _planes_ft(
+        x, plan.input_grid, plan.output_grid, plan.lam, plan.mu,
+        ((-1, None, None), (-1, None, None))))
 
 
 def _quartet(samples, grid: Grid2D, transform) -> ComponentQuartet:

@@ -94,10 +94,6 @@ class Quaternion:
             return self.__mul__(1.0 / other)
         return self * _coerce(other).inverse()
 
-    def isclose(self, other, tol=1e-12) -> bool:
-        other = _coerce(other)
-        return bool(np.all(np.abs(self.array - other.array) <= tol))
-
 
 def _coerce(value) -> Quaternion:
     if isinstance(value, Quaternion):
@@ -111,12 +107,7 @@ def _coerce(value) -> Quaternion:
 
 def mul(p: Quaternion, q: Quaternion) -> Quaternion:
     """Hamilton product p*q (non-commutative)."""
-    return Quaternion(
-        p.q0 * q.q0 - p.q1 * q.q1 - p.q2 * q.q2 - p.q3 * q.q3,
-        p.q0 * q.q1 + p.q1 * q.q0 + p.q2 * q.q3 - p.q3 * q.q2,
-        p.q0 * q.q2 - p.q1 * q.q3 + p.q2 * q.q0 + p.q3 * q.q1,
-        p.q0 * q.q3 + p.q1 * q.q2 - p.q2 * q.q1 + p.q3 * q.q0,
-    )
+    return Quaternion.from_array(qmul(p.array, q.array))
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,7 @@ from .quat import UNIT_I, UNIT_J, qnorm
 
 
 # ---------------------------------------------------------------------------
-# Gamma and digamma.
-
-# B_{2n}/(2n) for the asymptotic digamma tail
-_DIGAMMA_TAIL = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0,
-                 1.0 / 132.0, -691.0 / 32760.0, 1.0 / 12.0)
-
+# Gamma and the logarithmic constant.
 
 def gamma_fn(x: float) -> float:
     """Gamma function on x > 0."""
@@ -41,25 +36,8 @@ def gamma_fn(x: float) -> float:
     return math.gamma(x)
 
 
-def digamma(x: float) -> float:
-    """psi(x) = Gamma'(x)/Gamma(x) by recurrence into the asymptotic regime."""
-    if x <= 0.0:
-        raise ValueError("digamma requires x > 0")
-    acc = 0.0
-    while x < 10.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    tail = 0.0
-    power = inv2
-    for coef in _DIGAMMA_TAIL:
-        tail += coef * power
-        power *= inv2
-    return acc + math.log(x) - 0.5 / x - tail
-
-
 #: constant of the logarithmic inequality: ln 2 + psi(1/2) = -gamma - ln 2
-LOG_UP_CONSTANT = math.log(2.0) + digamma(0.5)
+LOG_UP_CONSTANT = -np.euler_gamma - math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -178,16 +156,14 @@ class EnvelopeFit:
     log_modulus: np.ndarray  # log|g(t)|_Q there
 
 
-def hardy_envelope_fit(g: QField, floor_rel: float = 1e-6) -> EnvelopeFit:
-    """Least-squares fit of log|g(t)|_Q against log(C) - alpha |t|^2.
-
-    Only samples with modulus above ``floor_rel * max`` enter the fit.
-    """
+def hardy_envelope_fit(g: QField) -> EnvelopeFit:
+    """Least-squares fit of log|g(t)|_Q against log(C) - alpha |t|^2 over the
+    samples whose modulus is above 1e-6 times the peak."""
     mod = g.modulus()
     peak = float(mod.max())
     if peak == 0.0:
         raise ValueError("cannot fit an envelope to the zero field")
-    mask = mod > floor_rel * peak
+    mask = mod > 1e-6 * peak
     if int(mask.sum()) < 8:
         raise ValueError("too few samples above the fitting floor")
     t1, t2 = g.grid.meshgrid()

@@ -31,10 +31,9 @@ from qolct import (
     synth_gaussian,
 )
 from qolct.field import quartet_l2_norm
-from qolct.oracle import gaussian_qolct_closed_form_field
+from qolct.oracle import digamma, gaussian_qolct_closed_form_field
 from qolct.quat import inv_sqrt_unit, qmul, qnorm
 from qolct.uncertainty import (
-    digamma,
     gamma_fn,
     hardy_report,
     heisenberg_report,

@@ -369,6 +369,24 @@ def test_degenerate_branch_cli(tmp_path):
     assert sidecar["plancherel_ratio"] is None
 
 
+def test_degenerate_branch_cli_checks_the_other_axis(tmp_path):
+    # b1 = 0 beside a b2 = 1 axis whose grid is moved by 2: the derived
+    # spacing 0.785 times the reach 5.94 passes pi, as it does with b1 = 1
+    sig = str(tmp_path / "s.qsig")
+    run_cli("synth", "gaussian", "--n", "64", "--extent", "8",
+            "--grid-center2", "2", "--out", sig, check=True)
+    params = tmp_path / "b1zero.json"
+    params.write_text('{"A1": {"a": 1, "b": 0, "c": 0.5, "d": 1}, '
+                      '"A2": {"a": 1, "b": 1, "c": 0, "d": 1}, '
+                      '"lambda": [1,0,0], "mu": [0,1,0]}')
+    out = tmp_path / "o.qsig"
+    proc = run_cli("transform", "--in", sig, "--params", str(params),
+                   "--out", str(out))
+    assert proc.returncode == 4, proc.stderr
+    assert "axis 2: output spacing 0.785398 times input reach 5.9375" in proc.stderr
+    assert not out.exists()
+
+
 def test_verify_exit_codes_and_mutations(tmp_path):
     report = str(tmp_path / "v.json")
     proc = run_cli("verify", "algebra", "--seed", "5", "--json", report)
@@ -522,6 +540,20 @@ def test_uncertainty_rejects_b_zero_plans(tmp_path):
         assert "require b > 0" in proc.stderr, which
         assert "Traceback" not in proc.stderr, which
         assert "RuntimeWarning" not in proc.stderr, which
+
+
+def test_inverse_rejects_b_zero_plans(tmp_path):
+    # the inverse has no b = 0 branch: say so, whatever the substitution hits
+    sig = str(tmp_path / "F.qsig")
+    write_signal(sig, synth_gaussian(Grid2D.centered(32, 16.0), 0.5, 0.5))
+    params = tmp_path / "b1zero.json"
+    params.write_text('{"A1": {"a": 1, "b": 0, "c": 0.5, "d": 1, "tau": 0.25}, '
+                      '"A2": {"a": 0, "b": 1, "c": -1, "d": 0}, '
+                      '"lambda": [1,0,0], "mu": [0,1,0]}')
+    proc = run_cli("transform", "--in", sig, "--params", str(params), "--inverse",
+                   "--out", str(tmp_path / "f.qsig"))
+    assert proc.returncode == 2, proc.stderr
+    assert "require b > 0" in proc.stderr
 
 
 @pytest.mark.parametrize("tsv", [False, True])

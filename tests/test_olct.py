@@ -71,6 +71,18 @@ def test_plan_rejects_negative_b_and_unresolved_chirp():
                          input_grid=Grid2D.centered(16, 4.0))
 
 
+@pytest.mark.parametrize("zero_axis", [1, 2])
+def test_plan_checks_nyquist_beside_a_b_zero_axis(zero_axis):
+    # the b = 1 axis of a grid moved by 2 along it reaches 5.9375, and its
+    # derived spacing 0.785 puts the product past pi whatever the other holds
+    deg, main = OffsetParams(1.0, 0.0, 0.5, 1.0), OffsetParams(1.0, 1.0, 0.0, 1.0)
+    A1, A2 = (deg, main) if zero_axis == 1 else (main, deg)
+    QolctPlan.create(A1, A2, input_grid=Grid2D.centered(64, 8.0))
+    moved = Grid2D.centered(64, 8.0, (2.0, 0.0) if zero_axis == 2 else (0.0, 2.0))
+    with pytest.raises(PlanViolationError, match=f"axis {3 - zero_axis}: output"):
+        QolctPlan.create(A1, A2, input_grid=moved)
+
+
 def test_kernel_values():
     # QFT-case kernel: (1/sqrt(2 pi)) e^{-i pi/4} e^{-i t u}
     A = OffsetParams.qft_case()
@@ -475,14 +487,14 @@ def test_spline_needs_two_knots():
 
 def test_degenerate_rejects_bad_inputs():
     g = Grid2D.centered(32, 8.0)
-    f = synth_gaussian(g, 1.0, 1.0)
     ident = OffsetParams(1.0, 0.0, 0.0, 1.0)
-    plan = QolctPlan.create(ident, ident, input_grid=g)
-    # substituted coordinates outside the grid are rejected
+    QolctPlan.create(ident, ident, input_grid=g)
+    # substituted coordinates outside the grid are rejected with the plan
     wide = Grid2D(32, 32, 0.0, 0.0, 1.0, 1.0)
-    plan_wide = QolctPlan(ident, ident, UNIT_I, UNIT_J, g, wide)
     with pytest.raises(InterpolationDomainError):
-        qolct_forward(f, plan_wide)
+        QolctPlan(ident, ident, UNIT_I, UNIT_J, g, wide)
+    with pytest.raises(ValueError, match="requires d > 0"):
+        QolctPlan(OffsetParams(-1.0, 0.0, 0.0, -1.0), ident, UNIT_I, UNIT_J, g, g)
     with pytest.raises(ValueError):
         QolctPlan.create(OffsetParams(0.0, 0.0, 1.0, 0.0), ident, input_grid=g)
 

@@ -17,13 +17,13 @@ from qolct import (
 )
 from qolct.field import apply_chirp
 from qolct.olct import _energy_density
+from qolct.oracle import digamma
 from qolct.qft import PlanViolationError
 from qolct.quat import PureUnit, Quaternion, plane_to_quat, qmul
 from qolct.uncertainty import (
     LOG_UP_CONSTANT,
     beurling_integral,
     beurling_sweep,
-    digamma,
     gamma_fn,
     hardy_envelope_fit,
     hardy_report,
