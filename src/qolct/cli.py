@@ -15,13 +15,13 @@ import datetime
 import json
 import math
 import sys
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
 from . import _mutation, verify as verify_mod
 from .field import Grid2D, QField, apply_chirp, l2_norm, synth_gaussian
-from .olct import (QolctPlan, _energy_density, _require_positive_b, qolct_forward,
-                   qolct_inverse)
+from .olct import QolctPlan, _require_positive_b, qolct_forward, qolct_inverse
 from .qft import PlanViolationError
 from .quat import PureUnit
 from .signalio import (
@@ -32,9 +32,10 @@ from .signalio import (
     write_signal,
 )
 from .uncertainty import (
+    HeisenbergReport,
     beurling_sweep,
     hardy_report,
-    heisenberg_report,
+    heisenberg_sweep,
     log_up_check,
     pitt_sweep,
 )
@@ -76,11 +77,6 @@ def _parse_axis_flag(text: str, label: str) -> PureUnit:
         return PureUnit(x, y, z)
     except ValueError as exc:
         raise ValueError(f"--{label} expects three comma-separated numbers") from exc
-
-
-def _grid_doc(g: Grid2D) -> dict:
-    return {"n1": g.n1, "n2": g.n2, "center1": g.center1, "center2": g.center2,
-            "spacing1": g.spacing1, "spacing2": g.spacing2}
 
 
 def _load_signal(path: str, as_csv: bool) -> QField:
@@ -132,8 +128,8 @@ def cmd_transform(args) -> int:
     write_signal(args.out, out_field)
     sidecar = {
         "direction": direction,
-        "input_grid": _grid_doc(f.grid),
-        "output_grid": _grid_doc(out_field.grid),
+        "input_grid": asdict(f.grid),
+        "output_grid": asdict(out_field.grid),
         "params": params_doc(params),
         "l2_in": l2_in,
         "l2_out": l2_out,
@@ -189,23 +185,16 @@ def cmd_uncertainty(args) -> int:
     plan = QolctPlan.create(params.A1, params.A2, params.lam, params.mu,
                             input_grid=f.grid)
     doc = {"which": args.which, "params": params_doc(params),
-           "grid": _grid_doc(f.grid), "timestamp": _timestamp()}
+           "grid": asdict(f.grid), "timestamp": _timestamp()}
     tsv_rows = None  # built only when --tsv asks for them
 
     if args.which == "heisenberg":
-        reports = [heisenberg_report(f, plan, axis) for axis in (1, 2)]
-        doc["axes"] = [{
-            "axis": r.axis, "spatial_spread": r.spatial_spread,
-            "spectral_spread": r.spectral_spread, "base_bound": r.base_bound,
-            "cov": r.cov, "lhs": r.lhs, "rhs": r.rhs, "gap": r.gap,
-            "relative_gap": r.gap / r.rhs if r.rhs else None,
-        } for r in reports]
+        reports = heisenberg_sweep(f, plan, (1, 2))
+        doc["axes"] = [{**asdict(r), "relative_gap": r.gap / r.rhs if r.rhs else None}
+                       for r in reports]
         if args.tsv:
-            tsv_rows = [("axis", "spatial_spread", "spectral_spread",
-                         "base_bound", "cov", "lhs", "rhs", "gap")]
-            tsv_rows += [(r.axis, r.spatial_spread, r.spectral_spread,
-                          r.base_bound, r.cov, r.lhs, r.rhs, r.gap)
-                         for r in reports]
+            tsv_rows = [tuple(x.name for x in fields(HeisenbergReport))]
+            tsv_rows += [astuple(r) for r in reports]
 
     elif args.which == "hardy":
         rep = hardy_report(f, plan)
@@ -238,8 +227,7 @@ def cmd_uncertainty(args) -> int:
         if args.tsv:
             e2 = np.sum(f.samples ** 2, axis=-1)
             r_sig, p_sig = _radial_profile(e2, f.grid)
-            r_tr, p_tr = _radial_profile(_energy_density(f, plan),
-                                         plan.scaled_freq_grid())
+            r_tr, p_tr = _radial_profile(rep.density, plan.scaled_freq_grid())
             tsv_rows = [("domain", "radius", "energy_density")]
             tsv_rows += [("signal", float(a), float(b))
                          for a, b in zip(r_sig, p_sig)]
@@ -247,12 +235,11 @@ def cmd_uncertainty(args) -> int:
                          for a, b in zip(r_tr, p_tr)]
 
     elif args.which == "beurling":
-        density, vgrid = _energy_density(f, plan), plan.scaled_freq_grid()
         radius = args.radius
         if radius is None:
             radius = 0.45 * min(f.grid.extent1, f.grid.extent2)
         fracs = (0.25, 0.5, 0.75, 1.0) if args.tsv else (1.0, 0.5)
-        values = dict(zip(fracs, beurling_sweep(f, density, vgrid, args.d,
+        values = dict(zip(fracs, beurling_sweep(f, plan, args.d,
                                                 [radius * k for k in fracs])))
         half, full = values[0.5], values[1.0]
         if args.tsv:

@@ -184,12 +184,6 @@ def qolct_forward(f: QField, plan: QolctPlan) -> QField:
         data, plan.input_grid, plan.scaled_freq_grid(), plan.lam, plan.mu, axes))
 
 
-def _chirped_signal(f: QField, plan: QolctPlan) -> QField:
-    """The plan's input chirps sandwiching f: chirp1(t1) f chirp2(t2)."""
-    chirps, _ = _plan_factors(plan)
-    return QField(f.grid, sandwich(f.samples, plan.lam, plan.mu, *chirps))
-
-
 def qolct_inverse(F: QField, plan: QolctPlan) -> QField:
     """Inverse transform: conj-kernel quadrature, computed by unwinding the
     factorization (inverse output factors, inverse QFT, inverse chirps)."""
@@ -217,13 +211,24 @@ def _forward_quartet(samples, plan: QolctPlan, pre, post) -> ComponentQuartet:
         x, plan.input_grid, vgrid, plan.lam, plan.mu, axes))
 
 
-def _energy_density(f: QField, plan: QolctPlan) -> np.ndarray:
-    """``oracle.analysis_quartet(f, plan).norm_field() ** 2`` from two
-    transforms per kernel sign pair.
+@dataclass(frozen=True)
+class Analysis:
+    """What every uncertainty report reads of one (signal, plan) pair."""
 
-    The output factors have constant modulus (2 pi b)^(-1/2), and for each
-    real component g_k of the chirped signal, with complex centered transform
-    G_k and c = lam . mu, the planes split gives
+    chirped: np.ndarray  # chirp1(t1) f chirp2(t2), the reduced QFT input
+    density: np.ndarray  # ||O{f}||^2 on the v = u/b grid
+    e2: np.ndarray  # |f(t)|^2
+    energy: float  # ||f||^2
+
+
+def analysis(f: QField, plan: QolctPlan) -> Analysis:
+    """The chirped signal, the energy density, |f|^2 and the energy of f.
+
+    The density is ``oracle.analysis_quartet(f, plan).norm_field() ** 2``
+    from two transforms per kernel sign pair.  The output factors have
+    constant modulus (2 pi b)^(-1/2), and for each real component g_k of the
+    chirped signal, with complex centered transform G_k and c = lam . mu,
+    the planes split gives
     |F{g_k}(v)|^2 = (1+c)/2 |G_k(v1, v2)|^2 + (1-c)/2 |G_k(v1, -v2)|^2.
     As G_k(-v) = conj(G_k(v)), the transforms H of g0 + i g1 and g2 + i g3
     give sum_k |G_k(v)|^2 as the fold (P(v) + P(-v))/2 of P = |H1|^2 + |H2|^2.
@@ -232,6 +237,14 @@ def _energy_density(f: QField, plan: QolctPlan) -> np.ndarray:
     along any other; a v-grid centered at 0 takes two FFTs in all.
     """
     chirps, _ = _plan_factors(plan)
+    if f.grid != plan.input_grid:
+        raise ValueError("field grid does not match plan input grid")
+    with np.errstate(over="ignore"):
+        sq = f.samples * f.samples
+        energy = float(np.sum(sq)) * f.grid.cell_area
+    if not math.isfinite(energy):
+        raise PlanViolationError("the signal energy overflows the largest float "
+                                 "(or a sample is not finite)")
     vgrid = plan.scaled_freq_grid()
     centered = (vgrid.center1 == 0.0, vgrid.center2 == 0.0)
     g = sandwich(f.samples, plan.lam, plan.mu, *chirps)
@@ -253,8 +266,9 @@ def _energy_density(f: QField, plan: QolctPlan) -> np.ndarray:
     same = fold * (power(1, 1) + power(-1, -1))
     cross = fold * (power(1, -1) + power(-1, 1))
     c = float(plan.lam.array @ plan.mu.array)
-    return (((1.0 + c) / 2.0) * same + ((1.0 - c) / 2.0) * cross) / (
+    density = (((1.0 + c) / 2.0) * same + ((1.0 - c) / 2.0) * cross) / (
         4.0 * math.pi ** 2 * plan.A1.b * plan.A2.b)
+    return Analysis(g, density, np.sum(sq, axis=-1), energy)
 
 
 # ---------------------------------------------------------------------------

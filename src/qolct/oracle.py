@@ -328,7 +328,8 @@ def analysis_quartet(f: QField, plan: QolctPlan) -> ComponentQuartet:
     Its pointwise norm equals the component norm of the reduced QFT input
     (the two quartets are related by a constant orthogonal mixing), which is
     the norm the spread, moment and weighted inequalities are stated in;
-    ``olct._energy_density`` computes its squared norm field directly.
+    ``olct.analysis`` computes its squared norm field directly, as the
+    density every uncertainty report reads.
     For unchirped signals along an axis (a = tau = 0) it coincides with
     :func:`olct.qolct_quartet` along that axis's contribution.
     """

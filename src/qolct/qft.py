@@ -163,6 +163,8 @@ def iqft(F: QField, plan: QftPlan) -> QField:
 
 def qft_quartet(f: QField, plan: QftPlan) -> ComponentQuartet:
     """Transforms (F{f_0}, ..., F{f_3}) of the four real components."""
+    if f.grid != plan.input_grid:
+        raise ValueError("field grid does not match plan input grid")
     return _quartet(f.samples, plan.output_grid, lambda x: _planes_ft(
         x, plan.input_grid, plan.output_grid, plan.lam, plan.mu,
         ((-1, None, None), (-1, None, None))))

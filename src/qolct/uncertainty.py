@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import QField, partial_derivative
-from .olct import (
-    QolctPlan,
-    _chirped_signal,
-    _energy_density,
-    _require_positive_b,
-    qolct_forward,
-)
+from .olct import QolctPlan, _require_positive_b, analysis, qolct_forward
 from .qft import PlanViolationError
 from .quat import UNIT_I, UNIT_J, qnorm
 
@@ -63,10 +57,6 @@ def _weighted_energy(values_sq: np.ndarray, weights: np.ndarray, cell: float) ->
     return float(np.sum(values_sq * weights)) * cell
 
 
-def _signal_energy(f: QField) -> float:
-    return float(np.sum(f.samples * f.samples)) * f.grid.cell_area
-
-
 def _require_ij(plan: QolctPlan, what: str):
     if plan.lam != UNIT_I or plan.mu != UNIT_J:
         raise ValueError(f"{what} is stated for lam=i, mu=j")
@@ -102,6 +92,33 @@ class HeisenbergReport:
     gap: float
 
 
+def heisenberg_sweep(f: QField, plan: QolctPlan, axes) -> list:
+    """:func:`heisenberg_report` on each axis in ``axes``, from one analysis."""
+    if not set(axes) <= {1, 2}:
+        raise ValueError("axis must be 1 or 2")
+    an = analysis(f, plan)  # rejects b = 0 before the weights divide by b
+    gmod = qnorm(an.chirped)
+    live = gmod > 1e-12 * float(gmod.max())
+    w = QField(f.grid, np.where(live[..., None],
+                                an.chirped / np.where(live, gmod, 1.0)[..., None],
+                                0.0))
+    base = an.energy ** 2 / (16.0 * math.pi ** 2)
+    og, reports = plan.output_grid, []
+    for axis in axes:
+        shape = (-1, 1) if axis == 1 else (1, -1)
+        tk = f.grid.axis_coords(axis)
+        spatial = _weighted_energy(an.e2, tk.reshape(shape) ** 2, f.grid.cell_area)
+        xk = og.axis_coords(axis) / (2.0 * math.pi * (plan.A1, plan.A2)[axis - 1].b)
+        spectral = _weighted_energy(an.density, xk.reshape(shape) ** 2, og.cell_area)
+        dw = partial_derivative(w, axis)
+        cov = (float(np.sum(an.e2 * np.abs(tk).reshape(shape) * qnorm(dw.samples)))
+               * f.grid.cell_area / (2.0 * math.pi))
+        lhs, rhs = spatial * spectral, base + cov ** 2
+        reports.append(HeisenbergReport(axis, spatial, spectral, base, cov, lhs,
+                                        rhs, lhs - rhs))
+    return reports
+
+
 def heisenberg_report(f: QField, plan: QolctPlan, axis: int) -> HeisenbergReport:
     """Spread product versus (1/16 pi^2)|f|^4 + COV^2.
 
@@ -109,38 +126,7 @@ def heisenberg_report(f: QField, plan: QolctPlan, axis: int) -> HeisenbergReport
     (the u-dependent kernel factors are constant unit quaternions and drop
     out of |t_k d/dt_k w|); w is zeroed where |g| underflows.
     """
-    if axis not in (1, 2):
-        raise ValueError("axis must be 1 or 2")
-    for k, A in ((1, plan.A1), (2, plan.A2)):
-        _require_positive_b(A, f"axis {k}")
-    tk = f.grid.axis_coords(axis)
-    tk2 = tk[:, None] ** 2 if axis == 1 else tk[None, :] ** 2
-    e2 = np.sum(f.samples * f.samples, axis=-1)
-    spatial = _weighted_energy(e2, tk2, f.grid.cell_area)
-
-    og = plan.output_grid
-    bk = plan.A1.b if axis == 1 else plan.A2.b
-    xk = og.axis_coords(axis) / (2.0 * math.pi * bk)
-    xk2 = xk[:, None] ** 2 if axis == 1 else xk[None, :] ** 2
-    spectral = _weighted_energy(_energy_density(f, plan), xk2, og.cell_area)
-
-    g = _chirped_signal(f, plan)
-    gmod = g.modulus()
-    floor = 1e-12 * float(gmod.max())
-    live = gmod > floor
-    w = QField(f.grid, np.where(live[..., None],
-                                g.samples / np.where(live, gmod, 1.0)[..., None],
-                                0.0))
-    dw = partial_derivative(w, axis)
-    tk_abs = np.abs(tk).reshape((-1, 1) if axis == 1 else (1, -1))
-    cov = (float(np.sum(e2 * tk_abs * qnorm(dw.samples)))
-           * f.grid.cell_area / (2.0 * math.pi))
-
-    energy = _signal_energy(f)
-    base = energy ** 2 / (16.0 * math.pi ** 2)
-    lhs = spatial * spectral
-    rhs = base + cov ** 2
-    return HeisenbergReport(axis, spatial, spectral, base, cov, lhs, rhs, lhs - rhs)
+    return heisenberg_sweep(f, plan, [axis])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +204,14 @@ def _radial_mass(weights: np.ndarray, grid) -> tuple:
     return radii, np.bincount(index.ravel(), weights=weights.ravel())
 
 
-def beurling_sweep(f: QField, density: np.ndarray, vgrid, d: float,
-                   truncations) -> list:
+def beurling_sweep(f: QField, plan: QolctPlan, d: float, truncations) -> list:
     """:func:`beurling_integral` at each radius in ``truncations``, on one
     grouping of each side by radius; a radius that overflows is rejected."""
     if d < 0.0:
         raise ValueError("d must be nonnegative")
+    vgrid = plan.scaled_freq_grid()
     rt, wt = _radial_mass(f.modulus(), f.grid)
-    rv, wv = _radial_mass(np.sqrt(density), vgrid)
+    rv, wv = _radial_mass(np.sqrt(analysis(f, plan).density), vgrid)
     cells = f.grid.cell_area * vgrid.cell_area
     values = []
     for truncation in truncations:
@@ -253,17 +239,17 @@ def beurling_sweep(f: QField, density: np.ndarray, vgrid, d: float,
     return values
 
 
-def beurling_integral(f: QField, density: np.ndarray, vgrid, d: float,
+def beurling_integral(f: QField, plan: QolctPlan, d: float,
                       truncation: float) -> float:
     """Truncated double integral of |f(t)| ||F(v)|| e^{|t||v|} / (1+|t|+|v|)^d.
 
-    ``density`` holds ||F(v)||^2 (``olct._energy_density``) on the grid
-    ``vgrid`` of v = u/b (``QolctPlan.scaled_freq_grid``).  The kernel
-    depends only on |t| and |v|, so each side's weights are summed per
-    distinct radius first.  Purely diagnostic: compare truncation radii to
-    read off the growth trend; no pass/fail semantics.
+    ||F(v)||^2 is the analysis density on the grid of v = u/b
+    (``QolctPlan.scaled_freq_grid``).  The kernel depends only on |t| and
+    |v|, so each side's weights are summed per distinct radius first.
+    Purely diagnostic: compare truncation radii to read off the growth
+    trend; no pass/fail semantics.
     """
-    return beurling_sweep(f, density, vgrid, d, [truncation])[0]
+    return beurling_sweep(f, plan, d, [truncation])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -279,20 +265,19 @@ class PittReport:
 
 
 def pitt_sweep(f: QField, plan: QolctPlan, alphas) -> list:
-    """:func:`pitt_check` at each alpha in ``alphas``, on one energy density."""
+    """:func:`pitt_check` at each alpha in ``alphas``, from one analysis."""
     _require_ij(plan, "Pitt's inequality")
     consts = [pitt_constants(alpha) for alpha in alphas]
-    w2 = _energy_density(f, plan)  # rejects b = 0 before the weights divide by b
+    an = analysis(f, plan)  # rejects b = 0 before the weights divide by b
     og = plan.output_grid
     rv = _radius(og, plan.A1.b, plan.A2.b)
     if max(alphas) > 0.0:
         _require_off_origin(rv, og, "|v|^(-alpha)")
     rt = _radius(f.grid)
-    e2 = np.sum(f.samples * f.samples, axis=-1)
     reports = []
     for c in consts:
-        lhs = _weighted_energy(w2, rv ** (-c.alpha), og.cell_area)
-        rhs = c.D * _weighted_energy(e2, rt ** c.alpha, f.grid.cell_area)
+        lhs = _weighted_energy(an.density, rv ** (-c.alpha), og.cell_area)
+        rhs = c.D * _weighted_energy(an.e2, rt ** c.alpha, f.grid.cell_area)
         reports.append(PittReport(c.alpha, lhs, rhs, rhs - lhs, c))
     return reports
 
@@ -312,22 +297,22 @@ class LogUpReport:
     signal_term: float
     energy: float
     constant: float
+    density: np.ndarray  # the ln|v|-weighted energy density
 
 
 def log_up_check(f: QField, plan: QolctPlan) -> LogUpReport:
     """ln|v|-weighted transform energy plus ln|t|-weighted signal energy
     against (ln 2 + psi(1/2)) times the signal energy; slack >= 0."""
     _require_ij(plan, "the logarithmic inequality")
-    w2 = _energy_density(f, plan)  # rejects b = 0 before the weights divide by b
+    an = analysis(f, plan)  # rejects b = 0 before the weights divide by b
     og = plan.output_grid
     rv = _radius(og, plan.A1.b, plan.A2.b)
     _require_off_origin(rv, og, "ln|v|")
     rt = _radius(f.grid)
     _require_off_origin(rt, f.grid, "ln|t|")
-    zterm = _weighted_energy(w2, np.log(rv), og.cell_area)
-    e2 = np.sum(f.samples * f.samples, axis=-1)
-    tterm = _weighted_energy(e2, np.log(rt), f.grid.cell_area)
-    energy = _signal_energy(f)
-    rhs = LOG_UP_CONSTANT * energy
+    zterm = _weighted_energy(an.density, np.log(rv), og.cell_area)
+    tterm = _weighted_energy(an.e2, np.log(rt), f.grid.cell_area)
+    rhs = LOG_UP_CONSTANT * an.energy
     lhs = zterm + tterm
-    return LogUpReport(lhs, rhs, lhs - rhs, zterm, tterm, energy, LOG_UP_CONSTANT)
+    return LogUpReport(lhs, rhs, lhs - rhs, zterm, tterm, an.energy,
+                       LOG_UP_CONSTANT, an.density)

@@ -27,7 +27,7 @@ from .field import (
 from .olct import (
     OffsetParams,
     QolctPlan,
-    _energy_density,
+    analysis,
     qolct_forward,
     qolct_inverse,
     qolct_quartet,
@@ -64,6 +64,7 @@ from .quat import (
 from .uncertainty import (
     LOG_UP_CONSTANT,
     beurling_integral,
+    beurling_sweep,
     gamma_fn,
     hardy_report,
     heisenberg_report,
@@ -248,7 +249,7 @@ def moment_identity_check(f: QField, plan: QolctPlan, axis: int) -> MomentReport
     """
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
-    w2 = _energy_density(f, plan)
+    w2 = analysis(f, plan).density
     uk = plan.output_grid.axis_coords(axis)
     uk2 = uk[:, None] ** 2 if axis == 1 else uk[None, :] ** 2
     lhs = float(np.sum(uk2 * w2)) * plan.output_grid.cell_area
@@ -501,7 +502,7 @@ def qolct_checks(seed: int):
                               _random_axis(rng), _random_axis(rng), input_grid=g32)
     f32 = QField(g32, _random_quat(rng, (32, 32)))
     want = analysis_quartet(f32, plan32).norm_field() ** 2
-    diff = np.abs(_energy_density(f32, plan32) - want).max() / want.max()
+    diff = np.abs(analysis(f32, plan32).density - want).max() / want.max()
     out.append(_record("density-equals-analysis-quartet",
                        "random params and axes, 32^2", diff, 1e-12))
 
@@ -653,11 +654,10 @@ def uncertainty_checks(seed: int):
     f32 = synth_gaussian(g32, 1.0, 1.0)
     plan32 = QolctPlan.create(OffsetParams.qft_case(), OffsetParams.qft_case(),
                               input_grid=g32)
-    density, vgrid = _energy_density(f32, plan32), plan32.scaled_freq_grid()
-    vals = [beurling_integral(f32, density, vgrid, 4.0, R) for R in (2.0, 4.0)]
+    vals = beurling_sweep(f32, plan32, 4.0, (2.0, 4.0))
     out.append(_record("beurling-growth-with-radius", "value(R/2) < value(R)",
                        0.0 if vals[0] < vals[1] else 1.0, 0.0))
-    vals_d = [beurling_integral(f32, density, vgrid, d, 4.0) for d in (4.0, 50.0)]
+    vals_d = [beurling_integral(f32, plan32, d, 4.0) for d in (4.0, 50.0)]
     out.append(_record("beurling-decreasing-in-d", "d = 4 vs d = 50",
                        0.0 if vals_d[1] < vals_d[0] else 1.0, 0.0))
     return out

@@ -486,43 +486,61 @@ def test_uncertainty_hardy_tsv(tmp_path, qft_params):
     assert any(line.startswith("transform\t") for line in lines[1:])
 
 
-# --which: (the report's costly call, its count; --tsv adds none)
+# --which: how often it runs the analysis and the forward; --tsv adds none
 UNCERTAINTY_CALLS = {
-    "heisenberg": ("heisenberg_report", 2),
-    "hardy": ("qolct_forward", 1),
-    "pitt": ("_energy_density", 1),
-    "logup": ("_energy_density", 1),
-    "beurling": ("beurling_sweep", 1),
+    "heisenberg": {"analysis": 1, "qolct_forward": 0},
+    "hardy": {"analysis": 0, "qolct_forward": 1},
+    "pitt": {"analysis": 1, "qolct_forward": 0},
+    "logup": {"analysis": 1, "qolct_forward": 0},
+    "beurling": {"analysis": 1, "qolct_forward": 0},
 }
 
 
 @pytest.mark.parametrize("which, tsv", [
     *(pytest.param(which, False, id=which) for which in sorted(UNCERTAINTY_CALLS)),
-    *(pytest.param(which, True, id=f"{which}-tsv")
-      for which in ("beurling", "hardy", "pitt"))])
+    *(pytest.param(which, True, id=f"{which}-tsv") for which in sorted(UNCERTAINTY_CALLS))])
 def test_uncertainty_computes_only_what_it_prints(tmp_path, qft_params,
                                                   monkeypatch, which, tsv):
     from qolct import cli, uncertainty
 
-    name, want = UNCERTAINTY_CALLS[which]
-    calls = []
+    calls = {name: 0 for name in UNCERTAINTY_CALLS[which]}
     for module in (cli, uncertainty):
-        real = getattr(module, name, None)
-        if real is None:
-            continue
+        for name in calls:
+            real = getattr(module, name, None)
+            if real is None:
+                continue
 
-        def spy(*args, _real=real, **kwargs):
-            calls.append(name)
-            return _real(*args, **kwargs)
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, spy)
+            monkeypatch.setattr(module, name, spy)
     sig = str(tmp_path / "f.qsig")
     write_signal(sig, synth_gaussian(Grid2D.centered(64, 16.0), 0.5, 0.5))
     out = str(tmp_path / "u.json")
     tsv_args = ["--tsv", str(tmp_path / "u.tsv")] if tsv else []
     assert cli.main(["uncertainty", "--in", sig, "--params", qft_params,
                      "--which", which, "--json", out, *tsv_args]) == 0
-    assert len(calls) == want
+    assert calls == UNCERTAINTY_CALLS[which]
+
+
+def test_uncertainty_rejects_overflowing_signal_energy(tmp_path, qft_params):
+    # |f|^2 of a 1e300 gaussian overflows: every report that reads the
+    # analysis exits 4 before any transform; Hardy fits log|f| and runs
+    sig = str(tmp_path / "big.qsig")
+    run_cli("synth", "gaussian", "--n", "64", "--extent", "16", "--beta11", "1e300",
+            "--out", sig, check=True)
+    for which in ("heisenberg", "pitt", "logup", "beurling"):
+        out = tmp_path / f"{which}.json"
+        proc = run_cli("uncertainty", "--in", sig, "--params", qft_params,
+                       "--which", which, "--json", str(out))
+        assert proc.returncode == 4, (which, proc.stderr)
+        assert "overflows" in proc.stderr, which
+        assert "Traceback" not in proc.stderr, which
+        assert "RuntimeWarning" not in proc.stderr, which
+        assert not out.exists(), which
+    run_cli("uncertainty", "--in", sig, "--params", qft_params, "--which", "hardy",
+            "--json", str(tmp_path / "hardy.json"), check=True)
 
 
 def test_uncertainty_rejects_b_zero_plans(tmp_path):

@@ -25,7 +25,7 @@ from qolct import (
     synth_gaussian,
 )
 from qolct.field import apply_chirp, quartet_l2_norm
-from qolct.olct import InterpolationDomainError, _energy_density, _spline
+from qolct.olct import InterpolationDomainError, _spline, analysis
 from qolct.oracle import kernel_sum
 from qolct.qft import PlanViolationError
 from qolct.quat import PureUnit, inv_sqrt_unit, plane_to_quat, qmul
@@ -253,7 +253,7 @@ def _spy_on_quartet(monkeypatch) -> list:
 
 def _density_err(f, plan):
     want = analysis_quartet(f, plan).norm_field() ** 2
-    return float(np.abs(_energy_density(f, plan) - want).max() / want.max())
+    return float(np.abs(analysis(f, plan).density - want).max() / want.max())
 
 
 def _recentered(plan, center1, center2):
@@ -298,6 +298,21 @@ def test_energy_density_property(n1, n2, axes, shifted, seed, offset):
     og = plan.output_grid
     plan = _recentered(plan, offset[0] * og.spacing1, offset[1] * og.spacing2)
     assert _density_err(f, plan) <= 1e-12
+
+
+def test_analysis_checks_its_signal_before_any_transform(monkeypatch, grid64):
+    # a field off the plan's input grid, or one whose energy overflows, is
+    # rejected before the density's transforms run, and without a warning
+    from qolct import olct
+    calls = []
+    monkeypatch.setattr(olct, "centered_ft2", lambda *args: calls.append(1))
+    plan = QolctPlan.create(A1_REF, A2_REF, input_grid=grid64)
+    with pytest.raises(ValueError, match="plan input grid"):
+        analysis(synth_gaussian(Grid2D.centered(64, 12.0), 0.5, 0.5), plan)
+    huge = QField(grid64, synth_gaussian(grid64, 0.5, 0.5).samples * 1e300)
+    with np.errstate(all="raise"), pytest.raises(PlanViolationError, match="overflows"):
+        analysis(huge, plan)
+    assert not calls
 
 
 @settings(max_examples=60, deadline=None)

@@ -238,6 +238,15 @@ def test_quartet_structure_and_plancherel():
     assert abs(ratio - 1.0) <= 1e-12
 
 
+def test_quartet_rejects_a_field_off_the_plan_grid():
+    # the quartet reads the samples on the plan's input grid, like qft_fast_ij
+    f = synth_gaussian(Grid2D.centered(16, 6.0), 1.0, 1.0)
+    plan = QftPlan.forward(Grid2D.centered(16, 4.0))
+    for transform in (qft_fast_ij, qft_quartet):
+        with pytest.raises(ValueError, match="field grid does not match plan input grid"):
+            transform(f, plan)
+
+
 def test_quartet_plancherel_general_axes():
     g = Grid2D.centered(64, 14.0)
     f = synth_gaussian(g, 0.7, 1.1, (1.0, 0.4), (0.8, -0.3),

@@ -16,7 +16,7 @@ from qolct import (
     synth_gaussian,
 )
 from qolct.field import apply_chirp
-from qolct.olct import _energy_density
+from qolct.olct import analysis
 from qolct.oracle import digamma
 from qolct.qft import PlanViolationError
 from qolct.quat import PureUnit, Quaternion, plane_to_quat, qmul
@@ -226,15 +226,14 @@ def test_beurling_diagnostic(grid64):
     f = synth_gaussian(grid64, 1.0, 1.0)
     A = OffsetParams.qft_case()
     plan = QolctPlan.create(A, A, input_grid=grid64)
-    density, vgrid = _energy_density(f, plan), plan.scaled_freq_grid()
-    zero = beurling_integral(QField.zeros(grid64), density, vgrid, 4.0, 4.0)
+    zero = beurling_integral(QField.zeros(grid64), plan, 4.0, 4.0)
     assert zero == 0.0
-    values = [beurling_integral(f, density, vgrid, 4.0, R) for R in (1.0, 2.0, 4.0)]
+    values = [beurling_integral(f, plan, 4.0, R) for R in (1.0, 2.0, 4.0)]
     assert values[0] < values[1] < values[2]  # grows with truncation radius
-    by_d = [beurling_integral(f, density, vgrid, d, 4.0) for d in (4.0, 10.0, 50.0)]
+    by_d = [beurling_integral(f, plan, d, 4.0) for d in (4.0, 10.0, 50.0)]
     assert by_d[0] > by_d[1] > by_d[2]  # monotone in d
     with pytest.raises(ValueError):
-        beurling_integral(f, density, vgrid, -1.0, 4.0)
+        beurling_integral(f, plan, -1.0, 4.0)
 
 
 def _beurling_all_pairs(f, density, vgrid, d, truncation):
@@ -263,13 +262,13 @@ def test_beurling_radius_sums_match_all_pairs(n):
                  QolctPlan.create(*parameter_sets(1, seed=4)[0], input_grid=grid)):
         for name in ("quaternion", "shifted"):
             f = signals[name]
-            density, vgrid = _energy_density(f, plan), plan.scaled_freq_grid()
+            density, vgrid = analysis(f, plan).density, plan.scaled_freq_grid()
             radii = (1.0, 2.5, 0.45 * 14.0)
-            swept = beurling_sweep(f, density, vgrid, 4.0, radii)
+            swept = beurling_sweep(f, plan, 4.0, radii)
             for R, value in zip(radii, swept):
                 want = _beurling_all_pairs(f, density, vgrid, 4.0, R)
                 assert abs(value - want) <= 1e-12 * want, (name, R)
-                assert beurling_integral(f, density, vgrid, 4.0, R) == value
+                assert beurling_integral(f, plan, 4.0, R) == value
 
 
 def test_beurling_rejects_overflowing_truncations():
@@ -279,19 +278,19 @@ def test_beurling_rejects_overflowing_truncations():
     f = synth_gaussian(grid, 0.5, 0.5)
     A = OffsetParams.qft_case()
     plan = QolctPlan.create(A, A, input_grid=grid)
-    density, vgrid = _energy_density(f, plan), plan.scaled_freq_grid()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert math.isfinite(beurling_integral(f, density, vgrid, 4.0, 30.0))
+        assert math.isfinite(beurling_integral(f, plan, 4.0, 30.0))
         for radii in ([100.0], [30.0, 100.0]):
             with pytest.raises(PlanViolationError, match=r"ln\(max float\) = 709\.78"):
-                beurling_sweep(f, density, vgrid, 4.0, radii)
-    # every e^(|t||v|) is finite at radius 30, but this sum is not
-    huge = QField(grid, f.samples * 1e300)
+                beurling_sweep(f, plan, 4.0, radii)
+    # every e^(|t||v|) is finite at radius 30, but this sum is not; the
+    # signal energy (about 1e280 times f's) still is, so the sum is reached
+    huge = QField(grid, f.samples * 1e140)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(PlanViolationError, match="overflows"):
-            beurling_integral(huge, density, vgrid, 4.0, 30.0)
+        with pytest.raises(PlanViolationError, match="weighted sum exceeds"):
+            beurling_integral(huge, plan, 4.0, 30.0)
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +342,11 @@ def test_pitt_sweep_is_pitt_check_on_one_density(monkeypatch, grid64):
     want = [pitt_check(f, plan, alpha) for alpha in alphas]
     calls = []
 
-    def spy(*args, _real=uncertainty._energy_density):
+    def spy(*args, _real=uncertainty.analysis):
         calls.append(1)
         return _real(*args)
 
-    monkeypatch.setattr(uncertainty, "_energy_density", spy)
+    monkeypatch.setattr(uncertainty, "analysis", spy)
     assert pitt_sweep(f, plan, alphas) == want
     assert len(calls) == 1
     # any alpha > 0 puts the singular weight on the odd grid's origin sample
