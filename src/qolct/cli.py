@@ -121,28 +121,33 @@ def cmd_transform(args) -> int:
                 (False, True): "b2"}.get((A1.b == 0.0, A2.b == 0.0))
         direction = f"degenerate:{zero}_zero" if zero else "forward"
 
-    l2_in, l2_out = l2_norm(f), l2_norm(out_field)
-    ratio = None
-    if direction == "forward" and l2_in > 0:  # the two-sided kernel is an isometry
-        ratio = l2_out / l2_in
+    with np.errstate(over="ignore"):  # an overflowing figure is rejected below
+        l2_in, l2_out = l2_norm(f), l2_norm(out_field)
+        ratio = None
+        if direction == "forward" and l2_in > 0:  # the kernel is an isometry
+            ratio = l2_out / l2_in
+        sidecar = {
+            "direction": direction,
+            "input_grid": asdict(f.grid),
+            "output_grid": asdict(out_field.grid),
+            "params": params_doc(params),
+            "l2_in": l2_in,
+            "l2_out": l2_out,
+            "plancherel_ratio": ratio,
+            "timestamp": _timestamp(),
+        }
+        if args.reference:
+            ref = read_signal(args.reference)
+            if ref.grid != out_field.grid:
+                raise ValueError("--reference grid does not match the output grid")
+            num = float(np.sqrt(np.sum((out_field.samples - ref.samples) ** 2)))
+            den = float(np.sqrt(np.sum(ref.samples ** 2)))
+            sidecar["l2_rel_distance_to_reference"] = num / den if den else num
+    bad = [k for k, v in sidecar.items()
+           if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        raise PlanViolationError(f"sidecar {', '.join(bad)} overflow the largest float")
     write_signal(args.out, out_field)
-    sidecar = {
-        "direction": direction,
-        "input_grid": asdict(f.grid),
-        "output_grid": asdict(out_field.grid),
-        "params": params_doc(params),
-        "l2_in": l2_in,
-        "l2_out": l2_out,
-        "plancherel_ratio": ratio,
-        "timestamp": _timestamp(),
-    }
-    if args.reference:
-        ref = read_signal(args.reference)
-        if ref.grid != out_field.grid:
-            raise ValueError("--reference grid does not match the output grid")
-        num = float(np.sqrt(np.sum((out_field.samples - ref.samples) ** 2)))
-        den = float(np.sqrt(np.sum(ref.samples ** 2)))
-        sidecar["l2_rel_distance_to_reference"] = num / den if den else num
     _dump_json(sidecar, args.out + ".json")
     print(f"wrote {args.out} (+ sidecar {args.out}.json)")
     return EXIT_OK

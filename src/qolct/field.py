@@ -78,14 +78,19 @@ class QField:
 
     ``samples`` has shape (n1, n2, 4), component order (scalar, i, j, k).
     The array is frozen after construction; derive new fields instead of
-    mutating.
+    mutating.  A writeable array, a view or a non-float64 array is copied; a
+    read-only float64 array that owns its data (as the engine returns) is
+    kept without a copy, and whoever made it must leave it read-only.
     """
 
     grid: Grid2D
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = np.array(self.samples, dtype=float)  # own copy, then freeze
+        samples = self.samples
+        if not (type(samples) is np.ndarray and samples.dtype == np.float64
+                and samples.flags.owndata and not samples.flags.writeable):
+            samples = np.array(samples, dtype=float)  # own copy, then freeze
         if samples.shape != (self.grid.n1, self.grid.n2, 4):
             raise ValueError(
                 f"samples shape {samples.shape} does not match grid "

@@ -249,6 +249,7 @@ def analysis(f: QField, plan: QolctPlan) -> Analysis:
     centered = (vgrid.center1 == 0.0, vgrid.center2 == 0.0)
     g = sandwich(f.samples, plan.lam, plan.mu, *chirps)
     powers = {}  # P on each kernel sign pair transformed
+    h = np.empty((vgrid.n1, vgrid.n2), dtype=complex)
 
     def power(s1, s2):
         """P(s1 v1, s2 v2)."""
@@ -257,8 +258,8 @@ def analysis(f: QField, plan: QolctPlan) -> Analysis:
         if signs not in powers:
             powers[signs] = np.zeros((vgrid.n1, vgrid.n2))
             for m in (0, 2):
-                h = centered_ft2(g[..., m] + 1j * g[..., m + 1], plan.input_grid,
-                                 vgrid, signs)
+                centered_ft2(g[..., m] + 1j * g[..., m + 1], plan.input_grid, vgrid,
+                             ((signs[0], None, None), (signs[1], None, None)), h)
                 powers[signs] += h.real * h.real + h.imag * h.imag
         return powers[signs][::steps[0], ::steps[1]]
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _mutation
 from .field import ComponentQuartet, Grid2D, QField
-from .quat import UNIT_I, UNIT_J, PureUnit, in_planes, phase_plane
+from .quat import UNIT_I, UNIT_J, PureUnit, in_planes
 
 
 class PlanViolationError(ValueError):
@@ -85,37 +85,56 @@ def _axis_ramps(n, t0, dt, u0, du, sign):
     return pre, post
 
 
-def centered_ft2(x: np.ndarray, tgrid: Grid2D, ugrid: Grid2D, signs) -> np.ndarray:
-    """Exact evaluation of sum_t x(t) e^{s1*i*u1*t1} e^{s2*i*u2*t2} dt.
+def centered_ft2(x: np.ndarray, tgrid: Grid2D, ugrid: Grid2D, axes,
+                 out: np.ndarray) -> np.ndarray:
+    """Write sum_t pre(t) x(t) e^{s1*i*u1*t1} e^{s2*i*u2*t2} post(u) dt into
+    ``out`` and return it; ``axes`` holds per axis (sign, pre, post), the
+    factors complex vectors on that axis or None for 1.
 
-    Axis by axis: where the sample counts match and du*dt = 2*pi/n, one FFT
-    between phase ramps (grid centers are arbitrary; the ramps absorb them);
-    on any other axis a dense complex matrix e^{s*i*u (x) t}.  An axis with
-    sign 0 is left untouched and adds no spacing to dt.
+    Where the sample counts match and du*dt = 2*pi/n an axis is one in-place
+    FFT whose phase ramps (they absorb the grid centers) join its pre and
+    post vectors; any other axis is a dense complex matrix e^{s*i*u (x) t}
+    with pre and post folded into its columns and rows.  A sign-0 axis is not
+    transformed, its factors act as one vector, and it adds no spacing to dt.
+    ``x`` may be a strided view and is left untouched: the pre multiply
+    writes the one contiguous working copy, the post multiply ``out``.
     """
-    out, weight = x, 1.0
-    specs = ((tgrid.n1, tgrid.center1, tgrid.spacing1, ugrid.n1, ugrid.center1,
-              ugrid.spacing1, signs[0]),
-             (tgrid.n2, tgrid.center2, tgrid.spacing2, ugrid.n2, ugrid.center2,
-              ugrid.spacing2, signs[1]))
-    for axis, (n, t0, dt, nu, u0, du, sign) in enumerate(specs):
+    last = 1 if axes[1][0] else 0  # the cell weight rides on the last transformed axis
+    weight = 1.0
+    pre, post, mats = [1.0, 1.0], [1.0, 1.0], [None, None]
+    specs = ((tgrid.center1, tgrid.spacing1, ugrid.n1, ugrid.center1, ugrid.spacing1),
+             (tgrid.center2, tgrid.spacing2, ugrid.n2, ugrid.center2, ugrid.spacing2))
+    for axis, ((sign, a, b), (t0, dt, nu, u0, du)) in enumerate(zip(axes, specs)):
+        a, b = (1.0 if v is None else v for v in (a, b))
         if sign == 0:
+            pre[axis] = a * b
             continue
-        weight *= dt  # the cell weight rides on the last transformed axis
-        w = weight if axis == 1 or signs[1] == 0 else 1.0
-        shape = (-1, 1) if axis == 0 else (1, -1)
+        n = x.shape[axis]
+        weight *= dt
+        w = weight if axis == last else 1.0
         if n == nu and abs(dt * du * n - 2.0 * math.pi) <= 1e-9 * 2.0 * math.pi:
-            pre, post = _axis_ramps(n, t0, dt, u0, du, sign)
-            out = out * pre.reshape(shape)  # a new array: x itself stays untouched
-            if sign < 0:
-                out = np.fft.fft(out, axis=axis)
-            else:
-                out = np.fft.ifft(out, axis=axis, norm="forward")
-            out *= (post * w).reshape(shape)
+            ramp_pre, ramp_post = _axis_ramps(n, t0, dt, u0, du, sign)
+            pre[axis], post[axis] = ramp_pre * a, ramp_post * w * b
         else:
-            mat = np.exp(1j * sign * np.outer(ugrid.axis_coords(axis + 1),
-                                              tgrid.axis_coords(axis + 1))) * w
-            out = mat @ out if axis == 0 else out @ mat.T
+            mats[axis] = np.reshape(b, (-1, 1)) * np.exp(1j * sign * np.outer(
+                ugrid.axis_coords(axis + 1), tgrid.axis_coords(axis + 1))) * w * a
+    z = _outer_times(x, *pre, np.empty(x.shape, dtype=complex))
+    for axis, (sign, _, _) in enumerate(axes):
+        if mats[axis] is not None:
+            z = mats[0] @ z if axis == 0 else z @ mats[1].T
+        elif sign < 0:  # FFT axes, in place
+            np.fft.fft(z, axis=axis, out=z)
+        elif sign > 0:
+            np.fft.ifft(z, axis=axis, norm="forward", out=z)
+    return _outer_times(z, *post, out)
+
+
+def _outer_times(x, left, right, out):
+    """out = left[:, None] * x * right[None, :], each factor a vector or the
+    scalar 1.0; a scalar right factor costs no pass."""
+    np.multiply(x, np.reshape(left, (-1, 1)), out=out)
+    if np.ndim(right):
+        out *= right
     return out
 
 
@@ -125,20 +144,20 @@ def centered_ft2(x: np.ndarray, tgrid: Grid2D, ugrid: Grid2D, signs) -> np.ndarr
 def _planes_ft(samples, tgrid: Grid2D, ugrid: Grid2D, lam: PureUnit,
                mu: PureUnit, axes):
     """Split ``samples`` (an (n1, n2, 4) stack or a real (n1, n2) field) into
-    the planes of ``quat.in_planes``; on each, per axis ``(sign, pre, post)``
-    of ``axes``: pre factor, one :func:`centered_ft2` (axis-2 sign flipped on
-    the plane that conjugates right-hand factors), post factor, None standing
-    for 1; map back.  Both signs +1 (the inverse) carry 1/4pi^2."""
-    (s1, pre1, post1), (s2, pre2, post2) = axes
+    the planes of ``quat.in_planes``; on each, one :func:`centered_ft2` with
+    per axis ``(sign, pre, post)`` of ``axes`` (axis 2 conjugated on the plane
+    that conjugates right-hand factors); map back.  Both signs +1 (the
+    inverse) carry 1/4pi^2."""
+    (s1, _, _), (s2, pre2, post2) = axes
     scale = 1.0
     if s1 == s2 == 1 and not _mutation.active("iqft-scale"):
         scale = 1.0 / (4.0 * math.pi ** 2)
+    conj_axes = (axes[0], (-s2, *(None if v is None else np.conj(v)
+                                  for v in (pre2, post2))))
 
-    def per_plane(z, conj):
-        y = centered_ft2(phase_plane(z, pre1, pre2, conj), tgrid, ugrid,
-                         (s1, -s2 if conj else s2))
-        return phase_plane(y, post1, post2, conj)
-    return in_planes(samples, lam, mu, per_plane, scale)
+    def per_plane(z, out, conj):
+        centered_ft2(z, tgrid, ugrid, conj_axes if conj else axes, out)
+    return in_planes(samples, lam, mu, (ugrid.n1, ugrid.n2), per_plane, scale)
 
 
 def qft_fast_ij(f: QField, plan: QftPlan) -> QField:

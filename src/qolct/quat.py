@@ -254,42 +254,35 @@ def plane_basis(lam: PureUnit, mu: PureUnit) -> np.ndarray:
     return np.stack(columns, axis=1)
 
 
-def in_planes(samples, lam: PureUnit, mu: PureUnit, per_plane,
+def in_planes(samples, lam: PureUnit, mu: PureUnit, shape, per_plane,
               scale: float = 1.0) -> np.ndarray:
     """Map an (n1, n2, 4) stack, or a real (n1, n2) field as its scalar part,
-    to planes z+, z-; set each z_k to ``per_plane(z_k, conj)``, conj marking
-    the + plane, where right-hand factors act conjugated; map back * scale.
-    ``per_plane`` may return its plane on another grid (another shape)."""
+    to planes z+, z-; ``per_plane(z_k, out_k, conj)`` fills slot out_k of the
+    output planes on the (m1, m2) ``shape`` from the strided plane z_k, conj
+    marking the + plane, where right-hand factors act conjugated; map back *
+    scale into a new read-only (m1, m2, 4) array."""
     basis = plane_basis(lam, mu)
     if samples.ndim == 2:
         coefs = samples[..., None] * basis[0]
     else:
         coefs = (samples.reshape(-1, 4) @ basis).reshape(samples.shape)
-    z = out = coefs.view(complex)
+    z = coefs.view(complex)  # the output planes too, unless the grid changes
+    out = z if z.shape[:2] == shape else np.empty(shape + (2,), dtype=complex)
     conj_plane = 1 if _mutation.active("planes-conj") else 0
     for k in (0, 1):
-        y = per_plane(z[..., k], k == conj_plane)
-        if y.shape != out.shape[:-1]:  # in place unless the grid changes
-            out = np.empty(y.shape + (2,), dtype=complex)
-        out[..., k] = y
-        del y  # free it before the next plane's result is allocated
-    coefs = out.view(float)
-    return (coefs.reshape(-1, 4) @ (scale * basis.T)).reshape(coefs.shape)
-
-
-def phase_plane(z, left, right, conj: bool) -> np.ndarray:
-    """z *= left[:, None] * right[None, :] in place, right conjugated when
-    ``conj`` is set; None stands for 1."""
-    if left is not None:
-        z *= left[:, None]
-    if right is not None:
-        z *= (np.conj(right) if conj else right)[None, :]
-    return z
+        per_plane(z[..., k], out[..., k], k == conj_plane)
+    result = np.empty(shape + (4,))
+    np.matmul(out.view(float).reshape(-1, 4), scale * basis.T, out=result.reshape(-1, 4))
+    result.setflags(write=False)
+    return result
 
 
 def sandwich(samples, lam: PureUnit, mu: PureUnit, left, right) -> np.ndarray:
     """left(x1) * samples * right(x2) for an (n1, n2, 4) stack (or a real
     (n1, n2) field) and complex per-axis factors embedded on lam (left) and
     mu (right), None standing for 1: two complex multiplies in the planes."""
-    return in_planes(samples, lam, mu,
-                     lambda z, conj: phase_plane(z, left, right, conj))
+    def per_plane(z, out, conj):
+        np.multiply(z, 1.0 if left is None else left[:, None], out=out)
+        if right is not None:
+            out *= np.conj(right) if conj else right
+    return in_planes(samples, lam, mu, samples.shape[:2], per_plane)

@@ -102,7 +102,6 @@ def heisenberg_sweep(f: QField, plan: QolctPlan, axes) -> list:
     w = QField(f.grid, np.where(live[..., None],
                                 an.chirped / np.where(live, gmod, 1.0)[..., None],
                                 0.0))
-    base = an.energy ** 2 / (16.0 * math.pi ** 2)
     og, reports = plan.output_grid, []
     for axis in axes:
         shape = (-1, 1) if axis == 1 else (1, -1)
@@ -113,7 +112,14 @@ def heisenberg_sweep(f: QField, plan: QolctPlan, axes) -> list:
         dw = partial_derivative(w, axis)
         cov = (float(np.sum(an.e2 * np.abs(tk).reshape(shape) * qnorm(dw.samples)))
                * f.grid.cell_area / (2.0 * math.pi))
-        lhs, rhs = spatial * spectral, base + cov ** 2
+        try:  # a Python float's ** raises on overflow
+            base, cov2 = an.energy ** 2 / (16.0 * math.pi ** 2), cov ** 2
+        except OverflowError:
+            base = cov2 = math.inf
+        lhs, rhs = spatial * spectral, base + cov2
+        if not math.isfinite(lhs - rhs):
+            raise PlanViolationError("the Heisenberg spread product or bound "
+                                     "overflows the largest float")
         reports.append(HeisenbergReport(axis, spatial, spectral, base, cov, lhs,
                                         rhs, lhs - rhs))
     return reports

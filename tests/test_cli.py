@@ -543,6 +543,37 @@ def test_uncertainty_rejects_overflowing_signal_energy(tmp_path, qft_params):
             "--json", str(tmp_path / "hardy.json"), check=True)
 
 
+def test_heisenberg_rejects_overflowing_bound(tmp_path, general_params):
+    # the energy of a 1e140 gaussian is finite but its square is not
+    sig = str(tmp_path / "big.qsig")
+    run_cli("synth", "gaussian", "--n", "64", "--extent", "16", "--beta11", "1e140",
+            "--out", sig, check=True)
+    out, tsv = tmp_path / "h.json", tmp_path / "h.tsv"
+    for extra in ((), ("--tsv", str(tsv))):
+        proc = run_cli("uncertainty", "--in", sig, "--params", general_params,
+                       "--which", "heisenberg", "--json", str(out), *extra)
+        assert proc.returncode == 4, proc.stderr
+        assert "overflows the largest float" in proc.stderr
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        assert not out.exists() and not tsv.exists()
+
+
+def test_transform_rejects_overflowing_sidecar(tmp_path, qft_params):
+    # the transform of a 1e300 gaussian is finite but its L2 norm is not:
+    # nothing is written, neither the signal nor its sidecar
+    sig = str(tmp_path / "big.qsig")
+    run_cli("synth", "gaussian", "--n", "64", "--extent", "16", "--beta11", "1e300",
+            "--out", sig, check=True)
+    for extra in ((), ("--inverse",)):
+        out = tmp_path / "o.qsig"
+        proc = run_cli("transform", "--in", sig, "--params", qft_params,
+                       "--out", str(out), *extra)
+        assert proc.returncode == 4, (extra, proc.stderr)
+        assert "overflow the largest float" in proc.stderr
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        assert not out.exists() and not (tmp_path / "o.qsig.json").exists()
+
+
 def test_uncertainty_rejects_b_zero_plans(tmp_path):
     # every report needs v = u/b: a b1 = 0 plan is a usage error, not a crash
     sig = str(tmp_path / "f.qsig")

@@ -171,3 +171,46 @@ def test_qfield_immutable_and_validated():
         f.samples[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         QField(g, np.zeros((4, 4, 4)))
+
+
+def test_qfield_copies_what_a_caller_could_still_write(monkeypatch):
+    """A writeable array, a read-only view and a non-float64 array are copied:
+    changing the caller's data later leaves the field as it was.  Engine
+    results are read-only float64 arrays that own their data, and the field
+    keeps them without a copy."""
+    from qolct import QftPlan, QolctPlan, iqft, qft_fast_ij, qolct_forward, qolct_inverse
+    from qolct import qft
+    from qolct.olct import OffsetParams
+
+    g = Grid2D.centered(16, 4.0)
+    data = np.random.default_rng(4).normal(size=(16, 16, 4))
+    f = QField(g, data)
+    data[0, 0, 0] += 1.0
+    assert f.samples[0, 0, 0] != data[0, 0, 0]
+    base = data.copy()
+    base.setflags(write=False)
+    view = base[...]  # read-only, but its owner is still writeable
+    assert not np.shares_memory(QField(g, view).samples, base)
+    as_f32 = base.astype(np.float32)
+    as_f32.setflags(write=False)
+    assert QField(g, as_f32).samples.dtype == np.float64
+    assert QField(g, base).samples is base  # read-only and owned: kept
+
+    results = []
+    engine = qft.in_planes
+
+    def spy(*args):
+        results.append(engine(*args))
+        return results[-1]
+
+    monkeypatch.setattr(qft, "in_planes", spy)
+    plan = QftPlan.forward(g)
+    A = OffsetParams(0.5, 1.0, -1.2, -0.4, 0.3, -0.2)
+    qplan = QolctPlan.create(A, A, input_grid=g)
+    F = qft_fast_ij(f, plan)
+    O = qolct_forward(f, qplan)
+    fields = [F, O, iqft(F, plan), qolct_inverse(O, qplan)]
+    assert len(results) == len(fields)
+    for field, result in zip(fields, results):
+        assert field.samples is result
+        assert field.samples.flags.owndata and not field.samples.flags.writeable

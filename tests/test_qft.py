@@ -34,33 +34,59 @@ def test_plan_nyquist_validation():
         QftPlan(g, coarse, UNIT_I, UNIT_J)
 
 
-def _brute_ft2(x, tg, ug, signs):
-    """sum_t x(t) e^{s1 i u1 t1} e^{s2 i u2 t2} dt as two explicit matrices;
-    a zero sign is the identity on its axis."""
+def _brute_ft2(x, tg, ug, axes):
+    """sum_t pre(t) x(t) e^{s1 i u1 t1} e^{s2 i u2 t2} post(u) dt as two
+    explicit matrices, per axis (sign, pre, post); a zero sign is the
+    identity on its axis and None a factor of 1."""
     mats = []
-    for axis, (sign, h) in enumerate(zip(signs, (tg.spacing1, tg.spacing2)), 1):
+    for axis, ((sign, pre, post), h) in enumerate(zip(axes, (tg.spacing1, tg.spacing2)), 1):
         t, u = tg.axis_coords(axis), ug.axis_coords(axis)
-        mats.append(np.exp(1j * sign * np.outer(u, t)) * h if sign
-                    else np.eye(t.size))
+        mat = np.exp(1j * sign * np.outer(u, t)) * h if sign else np.eye(t.size)
+        if pre is not None:
+            mat = mat * pre[None, :]
+        if post is not None:
+            mat = post[:, None] * mat
+        mats.append(mat)
     return mats[0] @ x @ mats[1].T
 
 
 def test_centered_ft2_matches_brute_force():
+    """Every axis kind (FFT, dense matrix, sign 0), with and without per-axis
+    pre and post factors, on a strided input plane written into a strided
+    output slot; the input is left untouched, and so is the other slot."""
     rng = np.random.default_rng(0)
     n = 8
     tg = Grid2D(n, n, 0.3, -0.2, 0.7, 0.45)
     ug = Grid2D(n, n, 1.1, -0.4, 2 * np.pi / (n * 0.7), 2 * np.pi / (n * 0.45))
     dense = Grid2D(n, n, 1.1, -0.4, 0.6, 1.3)  # spacings no FFT serves
     fewer = Grid2D(5, 5, 1.1, -0.4, ug.spacing1, ug.spacing2)  # 8 -> 5 samples
+    mixed = Grid2D(n, 5, 1.1, -0.4, ug.spacing1, 1.3)  # FFT, then a matrix
     both = ((-1, -1), (-1, 1), (1, 1), (1, -1))
     one = ((0, -1), (0, 1), (-1, 0), (1, 0), (0, 0))  # a zero sign on each axis
-    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    stack = rng.normal(size=(n, n, 2)) + 1j * rng.normal(size=(n, n, 2))
+    before = stack.copy()
+    x = stack[..., 1]  # a strided plane, as the planes engine hands it over
+
+    def factor(m):
+        return np.exp(1j * rng.uniform(-3.0, 3.0, m)) * rng.uniform(0.5, 2.0, m)
+
     for out_grid, sign_sets in ((ug, both), (dense, both), (fewer, both),
-                                (ug, one), (dense, one)):
+                                (mixed, both), (ug, one), (dense, one),
+                                (mixed, one)):
         for signs in sign_sets:
-            got = centered_ft2(x, tg, out_grid, signs)
-            want = _brute_ft2(x, tg, out_grid, signs)
-            assert np.abs(got - want).max() <= 1e-12, (out_grid, signs)
+            shape = tuple(nu if s else n for s, nu in
+                          zip(signs, (out_grid.n1, out_grid.n2)))
+            for factors in (False, True):
+                axes = tuple((s, factor(n) if factors else None,
+                              factor(m) if factors else None)
+                             for s, m in zip(signs, shape))
+                slots = np.zeros(shape + (2,), dtype=complex)
+                got = centered_ft2(x, tg, out_grid, axes, slots[..., 0])
+                want = _brute_ft2(x, tg, out_grid, axes)
+                assert np.shares_memory(got, slots)
+                assert np.abs(slots[..., 0] - want).max() <= 1e-12, (out_grid, axes)
+                assert not slots[..., 1].any()
+                assert np.array_equal(stack, before)
 
 
 def test_gaussian_transform_analytic():
