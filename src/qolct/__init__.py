@@ -1,25 +1,14 @@
 """Quaternionic offset linear canonical transform toolkit."""
 
-import os as _os
-
-# Cap BLAS/OpenMP parallelism before numpy loads its backends.  Honored when
-# this package is the first importer of numpy (always true for the CLI).
-_threads = _os.environ.get("QOLCT_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-
 from .quat import (
-    ONE,
     UNIT_I,
     UNIT_J,
     UNIT_K,
     PureUnit,
-    Quaternion,
     axis_exp,
     inv_sqrt_unit,
-    mul,
     polar,
+    qmul,
 )
 from .field import (
     ComponentQuartet,

@@ -102,24 +102,37 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _near_grid(ref: Grid2D, g: Grid2D) -> bool:
+    """Same sample counts, each center and spacing within 1e-12 of g's spacing."""
+    return all(n == m and abs(c - d) <= 1e-12 * h and abs(s - h) <= 1e-12 * h
+               for n, m, c, d, s, h in (
+                   (ref.n1, g.n1, ref.center1, g.center1, ref.spacing1, g.spacing1),
+                   (ref.n2, g.n2, ref.center2, g.center2, ref.spacing2, g.spacing2)))
+
+
 def cmd_transform(args) -> int:
     f = _load_signal(args.infile, args.csv)
     params = read_params(args.params)
+    ref = read_signal(args.reference) if args.reference else None
 
     A1, A2 = params.A1, params.A2
     if args.inverse:
         for axis, A in ((1, A1), (2, A2)):  # before the plan checks b = 0 axes
             _require_positive_b(A, f"axis {axis}")
         tgrid = QolctPlan.derived_output_grid(A1, A2, f.grid)
+        if ref is not None and _near_grid(ref.grid, tgrid):
+            tgrid = ref.grid  # undo the rounding of the forward's grid formula
         plan = QolctPlan(A1, A2, params.lam, params.mu, tgrid, f.grid)
-        out_field = qolct_inverse(f, plan)
-        direction = "inverse"
+        transform, out_grid, direction = qolct_inverse, tgrid, "inverse"
     else:
         plan = QolctPlan.create(A1, A2, params.lam, params.mu, input_grid=f.grid)
-        out_field = qolct_forward(f, plan)
         zero = {(True, True): "both", (True, False): "b1",
                 (False, True): "b2"}.get((A1.b == 0.0, A2.b == 0.0))
         direction = f"degenerate:{zero}_zero" if zero else "forward"
+        transform, out_grid = qolct_forward, plan.output_grid
+    if ref is not None and ref.grid != out_grid:
+        raise ValueError("--reference grid does not match the output grid")
+    out_field = transform(f, plan)
 
     with np.errstate(over="ignore"):  # an overflowing figure is rejected below
         l2_in, l2_out = l2_norm(f), l2_norm(out_field)
@@ -136,10 +149,7 @@ def cmd_transform(args) -> int:
             "plancherel_ratio": ratio,
             "timestamp": _timestamp(),
         }
-        if args.reference:
-            ref = read_signal(args.reference)
-            if ref.grid != out_field.grid:
-                raise ValueError("--reference grid does not match the output grid")
+        if ref is not None:
             num = float(np.sqrt(np.sum((out_field.samples - ref.samples) ** 2)))
             den = float(np.sqrt(np.sum(ref.samples ** 2)))
             sidecar["l2_rel_distance_to_reference"] = num / den if den else num

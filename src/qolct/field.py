@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quat import PureUnit, Quaternion, qnorm, sandwich
+from .quat import PureUnit, qmul, qnorm, sandwich
 
 
 class GridTooSmallError(ValueError):
@@ -173,22 +173,21 @@ def synth_gaussian(grid: Grid2D, alpha1: float, alpha2: float,
         raise ValueError("gaussian widths alpha1, alpha2 must be positive")
     b11, b12 = beta1_pair
     b21, b22 = beta2_pair
-    beta1 = Quaternion(b11, 0.0, 0.0, 0.0)
+    beta1 = np.array([b11, 0.0, 0.0, 0.0])
     if b12 != 0.0:
         if lam is None:
             raise ValueError("beta1 has an imaginary part; pass lam")
-        beta1 = beta1 + b12 * lam.quaternion
-    beta2 = Quaternion(b21, 0.0, 0.0, 0.0)
+        beta1 = beta1 + b12 * lam.array
+    beta2 = np.array([b21, 0.0, 0.0, 0.0])
     if b22 != 0.0:
         if mu is None:
             raise ValueError("beta2 has an imaginary part; pass mu")
-        beta2 = beta2 + b22 * mu.quaternion
-    beta = beta1 * beta2
+        beta2 = beta2 + b22 * mu.array
 
     t1, t2 = grid.meshgrid()
     envelope = np.exp(-(alpha1 * (t1 - center[0]) ** 2
                         + alpha2 * (t2 - center[1]) ** 2))
-    return QField(grid, envelope[..., None] * beta.array)
+    return QField(grid, envelope[..., None] * qmul(beta1, beta2))
 
 
 def apply_chirp(f: QField, lam: PureUnit, lin1: float, quad1: float,

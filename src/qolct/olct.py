@@ -116,13 +116,13 @@ class QolctPlan:
     @staticmethod
     def derived_output_grid(A1: OffsetParams, A2: OffsetParams,
                             grid: Grid2D) -> Grid2D:
-        """Default u-grid: b_k times the QFT frequencies on b>0 axes, the
-        substitution-aligned grid u = t/d + tau on degenerate axes."""
+        """Default u-grid: |b_k| times the QFT frequencies on b != 0 axes,
+        the substitution-aligned grid u = t/d + tau on degenerate axes."""
         spacing, center = [], []
         for A, n, h, c in ((A1, grid.n1, grid.spacing1, grid.center1),
                            (A2, grid.n2, grid.spacing2, grid.center2)):
-            if A.b > 0.0:
-                spacing.append(A.b * 2.0 * math.pi / (n * h))
+            if A.b != 0.0:
+                spacing.append(abs(A.b) * 2.0 * math.pi / (n * h))
                 center.append(0.0)
             else:
                 if A.d <= 0.0:

@@ -34,7 +34,7 @@ from .olct import (
     _require_positive_b,
 )
 from .qft import QftPlan
-from .quat import UNIT_I, UNIT_J, PureUnit, Quaternion, plane_to_quat, qmul, sandwich
+from .quat import UNIT_I, UNIT_J, PureUnit, plane_to_quat, qmul, qnorm, sandwich
 
 
 @dataclass(frozen=True)
@@ -54,30 +54,31 @@ class GaussianSpec:
             raise ValueError("gaussian widths must be positive")
 
 
-def gaussian_integral_complex_offset(z: Quaternion, zprime: Quaternion,
-                                     lam: PureUnit | None = None) -> Quaternion:
+def gaussian_integral_complex_offset(z, zprime,
+                                     lam: PureUnit | None = None) -> np.ndarray:
     """The offset Gaussian integral: integral of exp(-z (t + z')^2) dt.
 
     Equals sqrt(pi/z) for Sc(z) > 0 regardless of the same-plane offset z'.
-    Both arguments must lie in span{1, lam} for one pure unit lam; the axis
-    is inferred from whichever argument has a vector part if not given.
+    Both (4,) arguments must lie in span{1, lam} for one pure unit lam; the
+    axis is inferred from whichever argument has a vector part if not given.
     """
+    z, zprime = np.asarray(z, dtype=float), np.asarray(zprime, dtype=float)
     if lam is None:
         for cand in (z, zprime):
-            v = cand.vector
+            v = cand[1:]
             if float(v @ v) > 0.0:
                 lam = PureUnit(float(v[0]), float(v[1]), float(v[2]))
                 break
         else:
             lam = PureUnit(1.0, 0.0, 0.0)  # both real: plane is immaterial
+    axis = lam.array[1:]
     for arg in (z, zprime):
-        if float(np.abs(np.cross(arg.vector, np.array([lam.x, lam.y, lam.z]))).max()) > 1e-13 * max(arg.norm(), 1.0):
+        if float(np.abs(np.cross(arg[1:], axis)).max()) > 1e-13 * max(float(qnorm(arg)), 1.0):
             raise ValueError("arguments must lie in one common axis plane")
-    if z.scalar <= 0.0:
+    if z[0] <= 0.0:
         raise ValueError("requires Sc(z) > 0 for convergence")
-    zc = complex(z.scalar, float(z.vector @ np.array([lam.x, lam.y, lam.z])))
-    w = cmath.sqrt(math.pi / zc)
-    return Quaternion.from_array(plane_to_quat(np.asarray(w), lam))
+    zc = complex(z[0], float(z[1:] @ axis))
+    return plane_to_quat(np.asarray(cmath.sqrt(math.pi / zc)), lam)
 
 
 def _axis_factor(alpha: float, A: OffsetParams, u, root_variant: str):
@@ -108,7 +109,7 @@ def _axis_factor(alpha: float, A: OffsetParams, u, root_variant: str):
 
 def gaussian_qolct_closed_form(spec: GaussianSpec, A1: OffsetParams,
                                A2: OffsetParams, lam: PureUnit, mu: PureUnit,
-                               u, root_variant: str = "derivation") -> Quaternion:
+                               u, root_variant: str = "derivation") -> np.ndarray:
     """Closed-form transform of the Gaussian at one output point u = (u1, u2)."""
     u1, u2 = float(u[0]), float(u[1])
     env1, z1 = _axis_factor(spec.alpha1, A1, np.asarray(u1), root_variant)
@@ -117,8 +118,7 @@ def gaussian_qolct_closed_form(spec: GaussianSpec, A1: OffsetParams,
     beta2 = complex(spec.beta21, spec.beta22)
     left = plane_to_quat(np.asarray(beta1 * complex(z1)), lam)
     right = plane_to_quat(np.asarray(complex(z2) * beta2), mu)
-    out = qmul(left, right) * float(env1 * env2)
-    return Quaternion.from_array(out)
+    return qmul(left, right) * float(env1 * env2)
 
 
 def gaussian_qolct_closed_form_field(spec: GaussianSpec, A1: OffsetParams,
@@ -199,14 +199,14 @@ def qft_direct(f: QField, plan: QftPlan) -> QField:
     return _direct_apply(f, plan, -1, 1.0)
 
 
-def kernel(A: OffsetParams, lam: PureUnit, t: float, u: float) -> Quaternion:
+def kernel(A: OffsetParams, lam: PureUnit, t: float, u: float) -> np.ndarray:
     """Evaluate the transform kernel K_A(t, u) on axis ``lam``."""
     _require_positive_b(A, "kernel")
     theta = (A.a * t * t - 2.0 * t * (u - A.tau)
              - 2.0 * u * (A.d * A.tau - A.b * A.eta)
              + A.d * (u * u + A.tau * A.tau)) / (2.0 * A.b)
     z = np.exp(1j * (theta - math.pi / 4.0)) / math.sqrt(2.0 * math.pi * A.b)
-    return Quaternion.from_array(plane_to_quat(z, lam))
+    return plane_to_quat(z, lam)
 
 
 def _kernel_matrices(A: OffsetParams, t, u, transposed: bool):
@@ -252,7 +252,7 @@ def _axis_matrix(A: OffsetParams, unit: PureUnit, t, u) -> np.ndarray:
     sqrt(d) e^{i(c d (u - tau)^2/2 + u eta)}."""
     h = t[1] - t[0]
     if A.b > 0.0:
-        return np.array([[kernel(A, unit, tp, uq).array for tp in t]
+        return np.array([[kernel(A, unit, tp, uq) for tp in t]
                          for uq in u]) * h
     sub = A.d * (u - A.tau)
     hit = np.rint((sub - t[0]) / h).astype(int)

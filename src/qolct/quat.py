@@ -1,10 +1,10 @@
 """Quaternion algebra: Hamilton products, polar form, axis exponentials.
 
-Scalars are represented by the frozen :class:`Quaternion` dataclass with
-component order (scalar, i, j, k).  Sampled signals store their values as
-numpy arrays of shape ``(..., 4)`` in the same component order; the
-``q*``-prefixed module functions operate on those arrays and broadcast like
-ordinary numpy ufuncs.
+A quaternion is a numpy array of shape (4,) with component order (scalar,
+i, j, k), and a sampled signal a stack of them, shape ``(..., 4)``; the
+``q*``-prefixed functions broadcast over the leading axes like ordinary
+numpy ufuncs.  :class:`PureUnit` is the one quaternion type: an axis,
+checked to be a nonzero direction and normalized.
 """
 
 from __future__ import annotations
@@ -19,95 +19,6 @@ from . import _mutation
 
 class DegenerateAxisError(ValueError):
     """Polar decomposition of a real quaternion has no canonical axis."""
-
-
-@dataclass(frozen=True)
-class Quaternion:
-    """A quaternion q0 + i*q1 + j*q2 + k*q3 with 64-bit float components."""
-
-    q0: float
-    q1: float
-    q2: float
-    q3: float
-
-    @classmethod
-    def from_array(cls, a) -> "Quaternion":
-        a = np.asarray(a, dtype=float)
-        return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array([self.q0, self.q1, self.q2, self.q3])
-
-    @property
-    def scalar(self) -> float:
-        return self.q0
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.q1, self.q2, self.q3])
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.q0, -self.q1, -self.q2, -self.q3)
-
-    def norm(self) -> float:
-        return math.sqrt(self.q0 ** 2 + self.q1 ** 2 + self.q2 ** 2 + self.q3 ** 2)
-
-    def inverse(self) -> "Quaternion":
-        n2 = self.q0 ** 2 + self.q1 ** 2 + self.q2 ** 2 + self.q3 ** 2
-        if n2 == 0.0:
-            raise ZeroDivisionError("zero quaternion has no inverse")
-        return Quaternion(self.q0 / n2, -self.q1 / n2, -self.q2 / n2, -self.q3 / n2)
-
-    def __add__(self, other):
-        other = _coerce(other)
-        return Quaternion(self.q0 + other.q0, self.q1 + other.q1,
-                          self.q2 + other.q2, self.q3 + other.q3)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        return Quaternion(self.q0 - other.q0, self.q1 - other.q1,
-                          self.q2 - other.q2, self.q3 - other.q3)
-
-    def __rsub__(self, other):
-        return _coerce(other).__sub__(self)
-
-    def __neg__(self):
-        return Quaternion(-self.q0, -self.q1, -self.q2, -self.q3)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Quaternion(self.q0 * other, self.q1 * other,
-                              self.q2 * other, self.q3 * other)
-        other = _coerce(other)
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return self.__mul__(other)
-        return _coerce(other).__mul__(self)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return self.__mul__(1.0 / other)
-        return self * _coerce(other).inverse()
-
-
-def _coerce(value) -> Quaternion:
-    if isinstance(value, Quaternion):
-        return value
-    if isinstance(value, (int, float)):
-        return Quaternion(float(value), 0.0, 0.0, 0.0)
-    if isinstance(value, PureUnit):
-        return value.quaternion
-    raise TypeError(f"cannot interpret {type(value).__name__} as a quaternion")
-
-
-def mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    """Hamilton product p*q (non-commutative)."""
-    return Quaternion.from_array(qmul(p.array, q.array))
 
 
 @dataclass(frozen=True)
@@ -131,10 +42,6 @@ class PureUnit:
         object.__setattr__(self, "z", self.z / n)
 
     @property
-    def quaternion(self) -> Quaternion:
-        return Quaternion(0.0, self.x, self.y, self.z)
-
-    @property
     def array(self) -> np.ndarray:
         return np.array([0.0, self.x, self.y, self.z])
 
@@ -142,38 +49,46 @@ class PureUnit:
 UNIT_I = PureUnit(1.0, 0.0, 0.0)
 UNIT_J = PureUnit(0.0, 1.0, 0.0)
 UNIT_K = PureUnit(0.0, 0.0, 1.0)
-ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 
 
-def polar(q: Quaternion, fallback_axis: PureUnit | None = None):
-    """Decompose q = magnitude * (cos(angle) + axis*sin(angle)).
+def polar(q, fallback_axis: PureUnit | None = None):
+    """Decompose a (4,) quaternion q = magnitude * (cos(angle) + axis*sin(angle)).
 
     Returns ``(magnitude, axis, angle)`` with ``angle`` in [0, pi].  When the
     vector part vanishes (q real) there is no canonical axis; the caller must
     supply ``fallback_axis`` or a :class:`DegenerateAxisError` is raised.
     """
-    vec = q.vector
+    q0, q1, q2, q3 = (float(v) for v in q)
+    vec = np.array([q1, q2, q3])
     vnorm = math.sqrt(float(vec @ vec))
-    mag = q.norm()
-    angle = math.atan2(vnorm, q.scalar)
+    mag = math.sqrt(q0 ** 2 + q1 ** 2 + q2 ** 2 + q3 ** 2)
+    angle = math.atan2(vnorm, q0)
     if vnorm <= 1e-300:
         if fallback_axis is None:
             raise DegenerateAxisError(
                 "quaternion has (numerically) zero vector part; pass fallback_axis")
         return mag, fallback_axis, angle
-    axis = PureUnit(float(vec[0]), float(vec[1]), float(vec[2]))
-    return mag, axis, angle
+    return mag, PureUnit(q1, q2, q3), angle
 
 
-def axis_exp(axis: PureUnit, theta: float) -> Quaternion:
+def axis_exp(axis: PureUnit, theta: float) -> np.ndarray:
     """exp(axis*theta) = cos(theta) + axis*sin(theta); always unit norm."""
     c, s = math.cos(theta), math.sin(theta)
-    return Quaternion(c, s * axis.x, s * axis.y, s * axis.z)
+    return np.array([c, s * axis.x, s * axis.y, s * axis.z])
 
 
-def inv_sqrt_unit(axis: PureUnit) -> Quaternion:
+def inv_sqrt_unit(axis: PureUnit) -> np.ndarray:
     """The reciprocal square root exp(-axis*pi/4) = (sqrt(2)/2)(1 - axis)."""
     return axis_exp(axis, -math.pi / 4.0)
+
+
+def qinv(q) -> np.ndarray:
+    """conj(q)/|q|^2 of a (4,) quaternion; zero has no inverse."""
+    q0, q1, q2, q3 = (float(v) for v in q)
+    n2 = q0 ** 2 + q1 ** 2 + q2 ** 2 + q3 ** 2
+    if n2 == 0.0:
+        raise ZeroDivisionError("zero quaternion has no inverse")
+    return np.array([q0 / n2, -q1 / n2, -q2 / n2, -q3 / n2])
 
 
 # ---------------------------------------------------------------------------

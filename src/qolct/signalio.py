@@ -98,10 +98,10 @@ def _parse_matrix(obj, label: str) -> OffsetParams:
 
 
 def _parse_axis(obj, label: str) -> PureUnit:
-    try:
-        x, y, z = (float(v) for v in obj)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{label}: expected three components: {exc}") from None
+    if not (isinstance(obj, list) and len(obj) == 3 and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)):
+        raise ValueError(f"{label}: expected a list of three numbers, got {obj!r}")
+    x, y, z = (float(v) for v in obj)
     if x == 0.0 and y == 0.0 and z == 0.0:
         raise ValueError(f"{label}: axis vector must be nonzero")
     return PureUnit(x, y, z)
@@ -113,6 +113,8 @@ def read_params(path) -> TransformParams:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     for key in ("A1", "A2", "lambda", "mu"):
         if key not in doc:
             raise ValueError(f"{path}: missing key {key!r}")

@@ -50,13 +50,12 @@ from .quat import (
     UNIT_J,
     UNIT_K,
     PureUnit,
-    Quaternion,
     axis_exp,
     inv_sqrt_unit,
-    mul,
     plane_to_quat,
     polar,
     qconj,
+    qinv,
     qmul,
     qnorm,
     sandwich,
@@ -271,13 +270,13 @@ def algebra_checks(seed: int):
     rng = np.random.default_rng(seed)
     out = []
 
-    units = {"i": UNIT_I.quaternion, "j": UNIT_J.quaternion, "k": UNIT_K.quaternion}
+    units = {"i": UNIT_I.array, "j": UNIT_J.array, "k": UNIT_K.array}
     table = [("i", "j", units["k"]), ("j", "k", units["i"]), ("k", "i", units["j"]),
              ("j", "i", -units["k"]), ("k", "j", -units["i"]), ("i", "k", -units["j"])]
     worst = 0.0
     for a, b, want in table:
-        got = mul(units[a], units[b])
-        worst = max(worst, float(np.abs(got.array - want.array).max()))
+        got = qmul(units[a], units[b])
+        worst = max(worst, float(np.abs(got - want).max()))
     out.append(_record("hamilton-multiplication-table", "ij=k and cyclic", worst, 0.0))
 
     p = _random_quat(rng, (1000,))
@@ -301,36 +300,36 @@ def algebra_checks(seed: int):
     for _ in range(200):
         ax = _random_axis(rng)
         alpha, beta = rng.uniform(-6.0, 6.0, 2)
-        lhs = mul(axis_exp(ax, alpha), axis_exp(ax, beta))
+        lhs = qmul(axis_exp(ax, alpha), axis_exp(ax, beta))
         rhs = axis_exp(ax, alpha + beta)
-        worst = max(worst, float(np.abs(lhs.array - rhs.array).max()))
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
     out.append(_record("same-axis-exponential-addition", "200 random axes/angles",
                        worst, 1e-13))
 
     worst = 0.0
     for _ in range(100):
         ax = _random_axis(rng)
-        sq = mul(inv_sqrt_unit(ax).inverse(), inv_sqrt_unit(ax).inverse())
-        worst = max(worst, float(np.abs(sq.array - ax.quaternion.array).max()))
+        sq = qmul(qinv(inv_sqrt_unit(ax)), qinv(inv_sqrt_unit(ax)))
+        worst = max(worst, float(np.abs(sq - ax.array).max()))
     out.append(_record("inverse-sqrt-squares-to-axis", "100 random axes", worst, 1e-14))
 
     worst = 0.0
     for _ in range(200):
-        qq = Quaternion.from_array(rng.uniform(-1, 1, 4))
-        if qq.norm() < 1e-3:
+        qq = rng.uniform(-1, 1, 4)
+        if qnorm(qq) < 1e-3:
             continue
         mag, ax, ang = polar(qq, fallback_axis=UNIT_I)
         rec = mag * axis_exp(ax, ang)
-        worst = max(worst, float(np.abs(rec.array - qq.array).max()))
+        worst = max(worst, float(np.abs(rec - qq).max()))
     out.append(_record("polar-reconstruction", "200 random quaternions", worst, 1e-13))
 
     worst = 0.0
     for _ in range(200):
-        qq = Quaternion.from_array(rng.uniform(-1, 1, 4))
-        if qq.norm() < 1e-3:
+        qq = rng.uniform(-1, 1, 4)
+        if qnorm(qq) < 1e-3:
             continue
-        got = qq * qq.inverse()
-        worst = max(worst, float(np.abs(got.array - np.array([1, 0, 0, 0])).max()))
+        got = qmul(qq, qinv(qq))
+        worst = max(worst, float(np.abs(got - np.array([1, 0, 0, 0])).max()))
     out.append(_record("inverse-identity", "200 random quaternions", worst, 1e-14))
     return out
 
@@ -447,8 +446,8 @@ def qolct_checks(seed: int):
     planq = QolctPlan.create(qft_case, qft_case, input_grid=g64)
     O = qolct_forward(gau, planq)
     Fq = qft_fast_ij(gau, QftPlan.forward(g64))
-    pred = qmul(qmul(inv_sqrt_unit(UNIT_I).array, Fq.samples),
-                inv_sqrt_unit(UNIT_J).array) / (2.0 * math.pi)
+    pred = qmul(qmul(inv_sqrt_unit(UNIT_I), Fq.samples),
+                inv_sqrt_unit(UNIT_J)) / (2.0 * math.pi)
     out.append(_record("qft-reduction", "A = (0,1,-1,0|0,0) both axes",
                        qnorm(O.samples - pred).max(), 1e-10))
 
@@ -560,14 +559,14 @@ def oracle_checks(seed: int):
     rel = qnorm(got.samples - want.samples).max() / qnorm(want.samples).max()
     out.append(_record("closed-form-vs-forward", "random params, 128^2", rel, 1e-6))
 
-    peak = gaussian_qolct_closed_form(spec2, A1b, A2b, UNIT_I, UNIT_J,
-                                      (A1b.tau, A2b.tau)).norm()
+    peak = float(qnorm(gaussian_qolct_closed_form(spec2, A1b, A2b, UNIT_I, UNIT_J,
+                                                  (A1b.tau, A2b.tau))))
     log_mod = gaussian_qolct_log_modulus(spec2, A1b, A2b, plan2.output_grid)
     out.append(_record("envelope-peak-at-offset", "modulus peaks at u = tau, > 0",
                        envelope_peak_defect(want.samples, peak, log_mod), 1e-12))
 
-    z = Quaternion(1.0, 0.0, 0.6, 0.0)
-    zp = Quaternion(0.3, 0.0, -0.4, 0.0)
+    z = np.array([1.0, 0.0, 0.6, 0.0])
+    zp = np.array([0.3, 0.0, -0.4, 0.0])
     got = gaussian_integral_complex_offset(z, zp)
     t = np.linspace(-30.0, 30.0, 600001)
     zc = complex(1.0, 0.6)
@@ -575,7 +574,7 @@ def oracle_checks(seed: int):
     ref = np.trapezoid(np.exp(-zc * (t + zpc) ** 2), t)
     refq = plane_to_quat(np.asarray(ref), UNIT_J)
     out.append(_record("offset-gaussian-integral", "z = 1 + 0.6j (j-plane)",
-                       float(np.abs(got.array - refq).max()), 1e-10))
+                       float(np.abs(got - refq).max()), 1e-10))
     return out
 
 

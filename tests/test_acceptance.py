@@ -142,8 +142,8 @@ def test_criterion_05_qft_reduction():
     plan = QolctPlan.create(A, A, input_grid=g)
     O = qolct_forward(f, plan)
     F = qft_fast_ij(f, QftPlan.forward(g))
-    pred = qmul(qmul(inv_sqrt_unit(UNIT_I).array, F.samples),
-                inv_sqrt_unit(UNIT_J).array) / (2.0 * math.pi)
+    pred = qmul(qmul(inv_sqrt_unit(UNIT_I), F.samples),
+                inv_sqrt_unit(UNIT_J)) / (2.0 * math.pi)
     report(5, "O{f} = (1/2pi) e^{-l pi/4} F{f} e^{-m pi/4} pointwise",
            float(qnorm(O.samples - pred).max()), 1e-10)
 
@@ -275,19 +275,19 @@ def test_criterion_11_logarithmic_constant():
 
 
 def test_criterion_12_hardy_case_ii():
-    from qolct.quat import Quaternion, plane_to_quat
+    from qolct.quat import plane_to_quat
 
     g = Grid2D.centered(128, 16.0)
     A1 = OffsetParams(0.7, 1.2, 0.5, 2.2857142857142856, 0.4, -0.1)
     A2 = OffsetParams(-0.5, 0.9, -0.8, -0.5599999999999999, -0.3, 0.2)
     alpha = 0.5
-    amp = Quaternion(1.0, 0.5, -0.3, 0.2)
+    amp = np.array([1.0, 0.5, -0.3, 0.2])
 
     def case_ii(alpha_val):
         t1 = g.axis_coords(1)
         t2 = g.axis_coords(2)
         base = synth_gaussian(g, alpha_val, alpha_val)
-        mid = qmul(np.broadcast_to(amp.array, base.samples.shape), base.samples)
+        mid = qmul(amp, base.samples)
         left = plane_to_quat(np.exp(-1j * (A1.a / (2 * A1.b) * t1 ** 2
                                            + t1 * A1.tau / A1.b)), UNIT_I)
         right = plane_to_quat(np.exp(-1j * (A2.a / (2 * A2.b) * t2 ** 2

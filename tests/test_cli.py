@@ -299,7 +299,7 @@ UNCERTAINTY_FLOAT_FLAGS = {"--alpha": "pitt", "--d": "beurling",
                            "--radius": "beurling"}
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
 @pytest.mark.parametrize("flag", [*SYNTH_FLOAT_FLAGS, *UNCERTAINTY_FLOAT_FLAGS])
 def test_float_flags_reject_non_finite(tmp_path, qft_params, capsys, flag, value):
     # a usage error at parse time: exit 2, nothing computed or written
@@ -317,6 +317,17 @@ def test_float_flags_reject_non_finite(tmp_path, qft_params, capsys, flag, value
         cli.main([*argv, f"{flag}={value}"])
     assert exc.value.code == 2
     assert f"argument {flag}: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--lambda", "1,0"), ("--mu", "a,b,c")])
+def test_synth_rejects_a_malformed_axis_flag(tmp_path, capsys, flag, value):
+    from qolct import cli
+
+    out = tmp_path / "f.qsig"
+    assert cli.main(["synth", "gaussian", "--n", "16", flag, value,
+                     "--out", str(out)]) == 2
+    assert f"{flag} expects three comma-separated numbers" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -654,3 +665,104 @@ def test_chirped_synth_and_csv_transform(tmp_path, qft_params):
     csv.write_text("\n".join(lines) + "\n")
     run_cli("transform", "--in", str(csv), "--csv", "--params", qft_params,
             "--out", str(tmp_path / "o.qsig"), check=True)
+
+
+def test_inverse_lands_on_the_reference_grid(tmp_path, capsys):
+    # at extent 14 the t-grid derived back from this b's u-grid misses the
+    # signal's spacing by 1 ulp: a reference that close is the inverse's grid
+    from qolct import QolctPlan, cli
+
+    A = OffsetParams(1.0, 1.5429003725608816, 0.0, 1.0)
+    params = str(tmp_path / "p.json")
+    write_params(params, TransformParams(A, A, UNIT_I, UNIT_J))
+    sig, fwd, back = (str(tmp_path / name) for name in ("f.qsig", "F.qsig", "back.qsig"))
+    grid = Grid2D.centered(128, 14.0)
+    write_signal(sig, synth_gaussian(grid, 1.0, 1.0))
+    assert cli.main(["transform", "--in", sig, "--params", params, "--out", fwd]) == 0
+    assert QolctPlan.derived_output_grid(A, A, read_signal(fwd).grid) != grid
+    assert cli.main(["transform", "--in", fwd, "--params", params, "--inverse",
+                     "--reference", sig, "--out", back]) == 0
+    assert read_signal(back).grid == grid
+    sidecar = json.loads((tmp_path / "back.qsig.json").read_text())
+    assert sidecar["l2_rel_distance_to_reference"] <= 1e-7
+
+    # any other grid is rejected before anything is computed or written
+    moved = str(tmp_path / "moved.qsig")
+    write_signal(moved, synth_gaussian(Grid2D.centered(128, 14.0, (0.5, 0.0)), 1.0, 1.0))
+    out = tmp_path / "o.qsig"
+    for argv in (["--in", fwd, "--inverse", "--reference", moved],
+                 ["--in", sig, "--reference", sig]):
+        assert cli.main(["transform", *argv, "--params", params, "--out", str(out)]) == 2
+        assert "--reference grid does not match the output grid" in capsys.readouterr().err
+        assert not out.exists()
+
+
+_QFT_MATRIX = {"a": 0, "b": 1, "c": -1, "d": 0}
+_PARAMS = {"A1": _QFT_MATRIX, "A2": _QFT_MATRIX, "lambda": [1, 0, 0], "mu": [0, 1, 0]}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("null", "expected a JSON object, got NoneType"),
+    ("3", "expected a JSON object, got int"),
+    (json.dumps(list(_PARAMS)), "expected a JSON object, got list"),
+    ('{"A1": ', "invalid JSON"),
+    (json.dumps({k: v for k, v in _PARAMS.items() if k != "mu"}), "missing key 'mu'"),
+    (json.dumps({**_PARAMS, "lambda": "100"}), "lambda: expected a list of three numbers"),
+    (json.dumps({**_PARAMS, "mu": [0, 1]}), "mu: expected a list of three numbers"),
+    (json.dumps({**_PARAMS, "mu": [True, 0, 0]}), "mu: expected a list of three numbers"),
+    (json.dumps({**_PARAMS, "A1": {"a": 0, "b": 1, "c": -1}}), "A1: expected keys"),
+    (json.dumps({**_PARAMS, "A2": {**_QFT_MATRIX, "b": "x"}}), "A2: expected keys"),
+], ids=["null", "number", "key-list", "invalid-json", "missing-key", "axis-string",
+        "axis-two-numbers", "axis-bool", "matrix-missing-entry", "matrix-entry-text"])
+def test_transform_rejects_malformed_parameter_files(tmp_path, capsys, text, message):
+    from qolct import cli
+
+    sig = str(tmp_path / "f.qsig")
+    write_signal(sig, synth_gaussian(Grid2D.centered(16, 8.0), 1.0, 1.0))
+    params = tmp_path / "p.json"
+    params.write_text(text)
+    out = tmp_path / "o.qsig"
+    assert cli.main(["transform", "--in", sig, "--params", str(params),
+                     "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _csv(points, value="1"):
+    return "t1,t2,q0,q1,q2,q3\n" + "".join(f"{a},{b},{value},0,0,0\n"
+                                           for a, b in points)
+
+
+#: a malformed signal file per input check of the QSIG1 and CSV readers:
+#: its content and the message it must draw
+_BAD_SIGNALS = {
+    "short.qsig": (MAGIC + bytes(10), "truncated header"),
+    "empty.csv": ("", "empty CSV"),
+    "columns.csv": ("t1,t2,q0,q1,q2,q3\n0,0,1,0,0\n", "columns.csv:2: expected 6 columns"),
+    "text.csv": (_csv([(0, 0), (0, 1)], "one"), "text.csv:2: non-numeric value"),
+    "header.csv": (_csv([]), "no data rows"),
+    "line.csv": (_csv([(0, 0), (0, 1)]), "need at least 2 distinct t1 values"),
+    "uneven.csv": (_csv([(a, b) for a in (0, 1, 3) for b in (0, 1)]),
+                   "t1 coordinates are not uniformly spaced"),
+    "holes.csv": (_csv([(0, 0), (0, 0), (1, 0), (1, 1)]),
+                  "grid has missing (t1, t2) combinations"),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_SIGNALS))
+def test_transform_rejects_malformed_signal_files(tmp_path, capsys, qft_params, name):
+    from qolct import cli
+
+    content, message = _BAD_SIGNALS[name]
+    sig = tmp_path / name
+    if isinstance(content, bytes):
+        sig.write_bytes(content)
+    else:
+        sig.write_text(content)
+    out = tmp_path / "o.qsig"
+    csv_flag = ["--csv"] if name.endswith(".csv") else []
+    assert cli.main(["transform", "--in", str(sig), *csv_flag, "--params", qft_params,
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and message in err
+    assert not out.exists()

@@ -11,7 +11,7 @@ from qolct.field import (
     partial_derivative,
     quartet_l2_norm,
 )
-from qolct.quat import Quaternion, qnorm
+from qolct.quat import qmul, qnorm
 from qolct.verify import fourier_shift
 
 
@@ -30,6 +30,8 @@ def test_grid_validation():
         Grid2D(0, 4)
     with pytest.raises(ValueError):
         Grid2D(4, 4, spacing1=-1.0)
+    with pytest.raises(ValueError, match="axis must be 1 or 2"):
+        Grid2D(4, 4).axis_coords(3)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -48,10 +50,9 @@ def test_l2_norm_values():
     f = synth_gaussian(g, 0.5, 0.5)
     assert l2_norm(f) == pytest.approx(math.sqrt(math.pi), rel=1e-10)
     # scaling by a quaternion constant scales the norm by its modulus
-    c = Quaternion(1.0, -2.0, 0.5, 0.3)
-    from qolct.quat import qmul
-    scaled = QField(g, qmul(np.broadcast_to(c.array, f.samples.shape), f.samples))
-    assert l2_norm(scaled) == pytest.approx(c.norm() * l2_norm(f), rel=1e-12)
+    c = np.array([1.0, -2.0, 0.5, 0.3])
+    scaled = QField(g, qmul(c, f.samples))
+    assert l2_norm(scaled) == pytest.approx(qnorm(c) * l2_norm(f), rel=1e-12)
 
 
 def test_gaussian_truncation_converged():
@@ -68,10 +69,14 @@ def test_synth_gaussian_values_and_norm():
     assert np.allclose(f.component(0), np.exp(-(t1 ** 2 + t2 ** 2)))
     assert np.abs(f.samples[..., 1:]).max() == 0.0
 
-    beta = (Quaternion(1, 0.5, 0, 0) * Quaternion(0.7, 0, -0.4, 0))
+    beta = qmul([1, 0.5, 0, 0], [0.7, 0, -0.4, 0])
     fq = synth_gaussian(g, 1.0, 0.25, (1.0, 0.5), (0.7, -0.4), UNIT_I, UNIT_J)
-    want = beta.norm() ** 2 * math.pi / (2.0 * math.sqrt(1.0 * 0.25))
+    want = qnorm(beta) ** 2 * math.pi / (2.0 * math.sqrt(1.0 * 0.25))
     assert l2_norm(fq) ** 2 == pytest.approx(want, rel=1e-8)
+    with pytest.raises(ValueError, match="pass lam"):
+        synth_gaussian(g, 1.0, 1.0, (1.0, 0.5), (1.0, 0.0), mu=UNIT_J)
+    with pytest.raises(ValueError, match="pass mu"):
+        synth_gaussian(g, 1.0, 1.0, (1.0, 0.0), (0.7, -0.4), UNIT_I)
 
     with pytest.raises(ValueError):
         synth_gaussian(g, -1.0, 1.0)
@@ -137,6 +142,8 @@ def test_partial_derivative_grid_too_small():
     g = Grid2D(4, 8, 0.0, 0.0, 1.0, 1.0)
     with pytest.raises(GridTooSmallError):
         partial_derivative(QField.zeros(g), 1)
+    with pytest.raises(ValueError, match="axis must be 1 or 2"):
+        partial_derivative(QField.zeros(g), 0)
 
 
 def test_apply_chirp_order_and_modulus():

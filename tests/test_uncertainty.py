@@ -19,7 +19,7 @@ from qolct.field import apply_chirp
 from qolct.olct import analysis
 from qolct.oracle import digamma
 from qolct.qft import PlanViolationError
-from qolct.quat import PureUnit, Quaternion, plane_to_quat, qmul
+from qolct.quat import PureUnit, plane_to_quat, qmul
 from qolct.uncertainty import (
     LOG_UP_CONSTANT,
     beurling_integral,
@@ -28,6 +28,7 @@ from qolct.uncertainty import (
     hardy_envelope_fit,
     hardy_report,
     heisenberg_report,
+    heisenberg_sweep,
     log_up_check,
     pitt_check,
     pitt_constants,
@@ -109,6 +110,8 @@ def test_heisenberg_classical_minimizer(grid128):
                                                     rel=1e-10)
         assert abs(rep.cov) <= 1e-12
         assert abs(rep.gap) / rep.rhs <= 1e-2  # classical equality
+    with pytest.raises(ValueError, match="axis must be 1 or 2"):
+        heisenberg_sweep(f, plan, (1, 3))
 
 
 def test_heisenberg_chirped_equality_case():
@@ -151,8 +154,12 @@ def test_envelope_fit_exact_model(grid64):
     assert fit.alpha == pytest.approx(2.0, abs=1e-10)
     assert fit.amplitude == pytest.approx(1.0, abs=1e-10)
     assert fit.residual <= 1e-10
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero field"):
         hardy_envelope_fit(QField.zeros(grid64))
+    spike = np.zeros((64, 64, 4))
+    spike[10:12, 20:23, 0] = 1.0  # 6 samples above the floor, 8 needed
+    with pytest.raises(ValueError, match="too few samples"):
+        hardy_envelope_fit(QField(grid64, spike))
 
 
 def test_hardy_critical_product_qft_case(grid128):
@@ -169,7 +176,7 @@ def _case_ii_signal(grid, alpha, A1, A2, amp):
     t1 = grid.axis_coords(1)
     t2 = grid.axis_coords(2)
     base = synth_gaussian(grid, alpha, alpha)
-    mid = qmul(np.broadcast_to(amp.array, base.samples.shape), base.samples)
+    mid = qmul(amp, base.samples)
     left = plane_to_quat(np.exp(-1j * (A1.a / (2 * A1.b) * t1 ** 2
                                        + t1 * A1.tau / A1.b)), UNIT_I)
     right = plane_to_quat(np.exp(-1j * (A2.a / (2 * A2.b) * t2 ** 2
@@ -182,7 +189,7 @@ def test_hardy_case_ii_general_params(grid128):
     A1 = OffsetParams(0.7, 1.2, 0.5, 2.2857142857142856, 0.4, -0.1)
     A2 = OffsetParams(-0.5, 0.9, -0.8, -0.5599999999999999, -0.3, 0.2)
     alpha = 0.5
-    amp = Quaternion(1.0, 0.5, -0.3, 0.2)
+    amp = np.array([1.0, 0.5, -0.3, 0.2])
     f = _case_ii_signal(grid128, alpha, A1, A2, amp)
     plan = QolctPlan.create(A1, A2, input_grid=grid128)
     rep = hardy_report(f, plan)
@@ -212,7 +219,7 @@ def test_hardy_case_ii_real_amplitude_commuted_order(grid128):
     commuted = QField(grid128, amp * qmul(qmul(base.samples, left[:, None, :]),
                                           right[None, :, :]))
     sandwiched = _case_ii_signal(grid128, alpha, A1, A2,
-                                 Quaternion(amp, 0, 0, 0))
+                                 np.array([amp, 0.0, 0.0, 0.0]))
     assert np.abs(commuted.samples - sandwiched.samples).max() <= 1e-14
     plan = QolctPlan.create(A1, A2, input_grid=grid128)
     rep = hardy_report(commuted, plan)
