@@ -18,8 +18,9 @@ MUTATIONS = {
                   "hands to the two-sided transform engine",
     "planes-conj": "swap which plane of the planes split takes the conjugated "
                    "right-hand factor, in the FFT engine and every sandwich",
-    "density-fold": "drop the 1/2 of the (P(v) + P(-v))/2 fold in the "
-                    "two-FFT energy density every uncertainty report reads",
+    "density-fold": "double the energy density every uncertainty report "
+                    "reads: 1/2 in place of the 1/4 of its average over the "
+                    "four mirror images of the forward transform",
     "degenerate-chirp": "flip the sign of the phase of the output chirp on a "
                         "b = 0 axis of the forward QOLCT",
 }

@@ -253,6 +253,8 @@ def cmd_uncertainty(args) -> int:
         radius = args.radius
         if radius is None:
             radius = 0.45 * min(f.grid.extent1, f.grid.extent2)
+        elif radius <= 0.0:
+            raise ValueError(f"--radius must be positive, got {radius:g}")
         fracs = (0.25, 0.5, 0.75, 1.0) if args.tsv else (1.0, 0.5)
         values = dict(zip(fracs, beurling_sweep(f, plan, args.d,
                                                 [radius * k for k in fracs])))

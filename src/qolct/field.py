@@ -21,6 +21,10 @@ class GridTooSmallError(ValueError):
     """Grid has too few samples along the requested axis."""
 
 
+class PlanViolationError(ValueError):
+    """A numerical precondition fails, such as a plan's resolution bound."""
+
+
 @dataclass(frozen=True)
 class Grid2D:
     n1: int
@@ -42,6 +46,8 @@ class Grid2D:
     @classmethod
     def centered(cls, n: int, extent: float, center=(0.0, 0.0)) -> "Grid2D":
         """Square n x n grid of total width ``extent`` on each axis."""
+        if n < 1:
+            raise ValueError("sample counts must be positive")
         h = extent / n
         return cls(n, n, center[0], center[1], h, h)
 
@@ -185,8 +191,13 @@ def synth_gaussian(grid: Grid2D, alpha1: float, alpha2: float,
         beta2 = beta2 + b22 * mu.array
 
     t1, t2 = grid.meshgrid()
-    envelope = np.exp(-(alpha1 * (t1 - center[0]) ** 2
-                        + alpha2 * (t2 - center[1]) ** 2))
+    with np.errstate(over="ignore"):  # an overflowing exponent is rejected below
+        exponent = alpha1 * (t1 - center[0]) ** 2 + alpha2 * (t2 - center[1]) ** 2
+    envelope = np.exp(-exponent)
+    if not (np.isfinite(exponent).all() and envelope.any()):
+        raise PlanViolationError(
+            "the gaussian's exponent overflows the largest float, or its "
+            "envelope underflows to 0 at every sample of the grid")
     return QField(grid, envelope[..., None] * qmul(beta1, beta2))
 
 

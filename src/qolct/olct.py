@@ -21,14 +21,14 @@ dense kernel quadrature ``qolct_direct``, the mutual oracle, lives in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _mutation
 from .field import ComponentQuartet, Grid2D, QField
-from .qft import PlanViolationError, _planes_ft, _quartet, centered_ft2, check_nyquist
-from .quat import UNIT_I, UNIT_J, PureUnit, sandwich
+from .qft import PlanViolationError, _planes_ft, _quartet, check_nyquist
+from .quat import UNIT_I, UNIT_J, PureUnit, qmul
 
 
 class InterpolationDomainError(ValueError):
@@ -200,14 +200,8 @@ def qolct_quartet(f: QField, plan: QolctPlan) -> ComponentQuartet:
     chirps, factors = _plan_factors(plan)
     if f.grid != plan.input_grid:
         raise ValueError("field grid does not match plan input grid")
-    return _forward_quartet(f.samples, plan, chirps, factors)
-
-
-def _forward_quartet(samples, plan: QolctPlan, pre, post) -> ComponentQuartet:
-    """Forward engine transforms of the real components of ``samples``,
-    with per-axis factors ``pre`` before and ``post`` after the QFT."""
-    axes, vgrid = tuple(zip((-1, -1), pre, post)), plan.scaled_freq_grid()
-    return _quartet(samples, plan.output_grid, lambda x: _planes_ft(
+    axes, vgrid = tuple(zip((-1, -1), chirps, factors)), plan.scaled_freq_grid()
+    return _quartet(f.samples, plan.output_grid, lambda x: _planes_ft(
         x, plan.input_grid, vgrid, plan.lam, plan.mu, axes))
 
 
@@ -215,28 +209,23 @@ def _forward_quartet(samples, plan: QolctPlan, pre, post) -> ComponentQuartet:
 class Analysis:
     """What every uncertainty report reads of one (signal, plan) pair."""
 
-    chirped: np.ndarray  # chirp1(t1) f chirp2(t2), the reduced QFT input
     density: np.ndarray  # ||O{f}||^2 on the v = u/b grid
     e2: np.ndarray  # |f(t)|^2
     energy: float  # ||f||^2
 
 
 def analysis(f: QField, plan: QolctPlan) -> Analysis:
-    """The chirped signal, the energy density, |f|^2 and the energy of f.
+    """The energy density, |f|^2 and the energy of f.
 
-    The density is ``oracle.analysis_quartet(f, plan).norm_field() ** 2``
-    from two transforms per kernel sign pair.  The output factors have
-    constant modulus (2 pi b)^(-1/2), and for each real component g_k of the
-    chirped signal, with complex centered transform G_k and c = lam . mu,
-    the planes split gives
-    |F{g_k}(v)|^2 = (1+c)/2 |G_k(v1, v2)|^2 + (1-c)/2 |G_k(v1, -v2)|^2.
-    As G_k(-v) = conj(G_k(v)), the transforms H of g0 + i g1 and g2 + i g3
-    give sum_k |G_k(v)|^2 as the fold (P(v) + P(-v))/2 of P = |H1|^2 + |H2|^2.
-    P(s1 v1, s2 v2) is an index reversal along an axis whose v-grid is
-    centered at 0, and a transform with that axis's kernel sign flipped
-    along any other; a v-grid centered at 0 takes two FFTs in all.
+    The density is ``oracle.analysis_quartet(f, plan).norm_field() ** 2``,
+    read off the forward transform O: with c = lam . mu and T(q) = lam q mu,
+    density(u) = 1/4 sum_{e1, e2 = +-1} [|O|^2 - c e1 e2 <O, T(O)>](e1 u1, e2 u2).
+    O(-u) along an axis is the forward on the mirrored output grid, indices
+    reversed; a grid centered at 0 is its own mirror image (-0.0 == 0.0), so
+    there the density takes one forward, and any grid at most four.
     """
-    chirps, _ = _plan_factors(plan)
+    for axis, A in ((1, plan.A1), (2, plan.A2)):
+        _require_positive_b(A, f"axis {axis}")
     if f.grid != plan.input_grid:
         raise ValueError("field grid does not match plan input grid")
     with np.errstate(over="ignore"):
@@ -245,31 +234,21 @@ def analysis(f: QField, plan: QolctPlan) -> Analysis:
     if not math.isfinite(energy):
         raise PlanViolationError("the signal energy overflows the largest float "
                                  "(or a sample is not finite)")
-    vgrid = plan.scaled_freq_grid()
-    centered = (vgrid.center1 == 0.0, vgrid.center2 == 0.0)
-    g = sandwich(f.samples, plan.lam, plan.mu, *chirps)
-    powers = {}  # P on each kernel sign pair transformed
-    h = np.empty((vgrid.n1, vgrid.n2), dtype=complex)
-
-    def power(s1, s2):
-        """P(s1 v1, s2 v2)."""
-        steps = [s if c else 1 for s, c in zip((s1, s2), centered)]
-        signs = (-s1 * steps[0], -s2 * steps[1])
-        if signs not in powers:
-            powers[signs] = np.zeros((vgrid.n1, vgrid.n2))
-            for m in (0, 2):
-                centered_ft2(g[..., m] + 1j * g[..., m + 1], plan.input_grid, vgrid,
-                             ((signs[0], None, None), (signs[1], None, None)), h)
-                powers[signs] += h.real * h.real + h.imag * h.imag
-        return powers[signs][::steps[0], ::steps[1]]
-
-    fold = 1.0 if _mutation.active("density-fold") else 0.5
-    same = fold * (power(1, 1) + power(-1, -1))
-    cross = fold * (power(1, -1) + power(-1, 1))
     c = float(plan.lam.array @ plan.mu.array)
-    density = (((1.0 + c) / 2.0) * same + ((1.0 - c) / 2.0) * cross) / (
-        4.0 * math.pi ** 2 * plan.A1.b * plan.A2.b)
-    return Analysis(g, density, np.sum(sq, axis=-1), energy)
+    T = qmul(qmul(plan.lam.array, np.eye(4)), plan.mu.array)  # T(q) = q @ T
+    og, reduced = plan.output_grid, {}  # per grid, the fields for e1 e2 = +1, -1
+    density = np.zeros((og.n1, og.n2))
+    for e1, e2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        grid = Grid2D(og.n1, og.n2, e1 * og.center1, e2 * og.center2,
+                      og.spacing1, og.spacing2)
+        if grid not in reduced:
+            o = qolct_forward(f, replace(plan, output_grid=grid)).samples
+            norm2 = np.einsum("...m,...m->...", o, o)
+            cross = c * np.einsum("...m,...m->...", o, o @ T)
+            reduced[grid] = (norm2 - cross, norm2 + cross)
+        density += reduced[grid][e1 != e2][::e1, ::e2]
+    density *= 0.5 if _mutation.active("density-fold") else 0.25
+    return Analysis(density, np.sum(sq, axis=-1), energy)
 
 
 # ---------------------------------------------------------------------------

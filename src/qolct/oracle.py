@@ -3,10 +3,12 @@
 Dense quadratures evaluate the kernel sums sample by sample: ``qft_direct``
 for the QFT, ``qolct_direct`` and ``kernel`` for the QOLCT, ``kernel_sum``
 for plans with b = 0 axes, and ``_qlct_reference``, an independently coded
-QLCT quadrature.  ``analysis_quartet`` transforms the chirped signal's four
-real components one by one, the long way to the energy density; ``digamma``
-is a series, the other route to the logarithmic constant.  No production
-module imports this one.
+QLCT quadrature.  ``analysis_quartet`` is the dense quadrature of the chirped
+signal's four real components, with its own chirps and the chirp phase
+divided out of the kernel: the long way to the energy density, sharing no
+code with the engine or the planes split.  ``digamma`` is a series, the
+other route to the logarithmic constant.  No production module imports
+this one.
 
 Analytic ground truth for Gaussian signals: the transform of beta * exp(-(alpha1 t1^2 + alpha2 t2^2)) factors per axis
 into a real envelope, a plane square-root constant and a quadratic phase.
@@ -26,15 +28,9 @@ import numpy as np
 
 from . import _mutation
 from .field import ComponentQuartet, Grid2D, QField
-from .olct import (
-    OffsetParams,
-    QolctPlan,
-    _forward_quartet,
-    _plan_factors,
-    _require_positive_b,
-)
+from .olct import OffsetParams, QolctPlan, _require_positive_b
 from .qft import QftPlan
-from .quat import UNIT_I, UNIT_J, PureUnit, plane_to_quat, qmul, qnorm, sandwich
+from .quat import UNIT_I, UNIT_J, PureUnit, plane_to_quat, qmul, qnorm
 
 
 @dataclass(frozen=True)
@@ -321,18 +317,44 @@ def digamma(x: float) -> float:
     return acc + math.log(x) - 0.5 / x - tail
 
 
+def _chirp_phase(A: OffsetParams, t):
+    """Phase (tau t + a t^2/2)/b of one axis's input chirp."""
+    return (A.tau * t + A.a * t * t / 2.0) / A.b
+
+
 def analysis_quartet(f: QField, plan: QolctPlan) -> ComponentQuartet:
-    """Quartet of the chirp-multiplied signal: members C1 * F{g_k} * C2 for
-    the real components g_k of g = chirp * f * chirp.
+    """Quartet of the chirp-multiplied signal by dense quadrature: members
+    C1 * F{g_k} * C2 for the real components g_k of g = chirp1 * f * chirp2,
+    each the kernel sum with the input chirps divided out of the kernel.
 
     Its pointwise norm equals the component norm of the reduced QFT input
     (the two quartets are related by a constant orthogonal mixing), which is
     the norm the spread, moment and weighted inequalities are stated in;
-    ``olct.analysis`` computes its squared norm field directly, as the
-    density every uncertainty report reads.
+    ``olct.analysis`` reads its squared norm field off the forward transform,
+    as the density every uncertainty report reads.
     For unchirped signals along an axis (a = tau = 0) it coincides with
     :func:`olct.qolct_quartet` along that axis's contribution.
     """
-    chirps, factors = _plan_factors(plan)
-    return _forward_quartet(sandwich(f.samples, plan.lam, plan.mu, *chirps),
-                            plan, (None, None), factors)
+    _require_positive_b(plan.A1, "axis 1")
+    _require_positive_b(plan.A2, "axis 2")
+    if f.grid != plan.input_grid:
+        raise ValueError("field grid does not match plan input grid")
+    t1, t2 = f.grid.axis_coords(1), f.grid.axis_coords(2)
+    u1, u2 = plan.output_grid.axis_coords(1), plan.output_grid.axis_coords(2)
+    left = plane_to_quat(np.exp(1j * _chirp_phase(plan.A1, t1)), plan.lam)
+    right = plane_to_quat(np.exp(1j * _chirp_phase(plan.A2, t2)), plan.mu)
+    g = qmul(qmul(left[:, None], f.samples), right[None])
+    kernels = []
+    for A, t, u, transposed in ((plan.A1, t1, u1, False), (plan.A2, t2, u2, True)):
+        cosm, sinm = _kernel_matrices(A, t, u, transposed)
+        phase = _chirp_phase(A, t).reshape((-1, 1) if transposed else (1, -1))
+        kernels.append((cosm * np.cos(phase) + sinm * np.sin(phase),
+                        sinm * np.cos(phase) - cosm * np.sin(phase)))
+    members = []
+    for m in range(4):
+        gm = np.zeros_like(g)
+        gm[..., 0] = g[..., m]
+        mid = _left_contract(*kernels[0], plan.lam, gm, f.grid.spacing1)
+        members.append(QField(plan.output_grid, _right_contract(
+            mid, *kernels[1], plan.mu, f.grid.spacing2)))
+    return ComponentQuartet(tuple(members))

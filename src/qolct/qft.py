@@ -24,12 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _mutation
-from .field import ComponentQuartet, Grid2D, QField
+from .field import ComponentQuartet, Grid2D, PlanViolationError, QField
 from .quat import UNIT_I, UNIT_J, PureUnit, in_planes
-
-
-class PlanViolationError(ValueError):
-    """A transform plan fails its resolution/compatibility preconditions."""
 
 
 def default_output_grid(grid: Grid2D) -> Grid2D:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,31 +78,39 @@ class TransformParams:
     mu: PureUnit
 
 
+def _floats(values, error: str) -> list:
+    """``values`` as floats, each a JSON number within the float range (json
+    reads true and false as the ints 1 and 0); else ValueError(error)."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               and abs(v) <= sys.float_info.max for v in values):
+        raise ValueError(error)
+    return [float(v) for v in values]
+
+
 def _parse_matrix(obj, label: str) -> OffsetParams:
+    expected = f"{label}: expected keys a, b, c, d (tau, eta optional) holding numbers"
     try:
-        entries = {k: float(obj[k]) for k in ("a", "b", "c", "d")}
-        tau = float(obj.get("tau", 0.0))
-        eta = float(obj.get("eta", 0.0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{label}: expected keys a, b, c, d (tau, eta "
-                         f"optional): {exc}") from None
-    det = entries["a"] * entries["d"] - entries["b"] * entries["c"]
+        values = [obj[k] for k in ("a", "b", "c", "d")]
+        values += [obj.get(k, 0.0) for k in ("tau", "eta")]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{expected}: {exc}") from None
+    a, b, c, d, tau, eta = _floats(values, f"{expected}, got {obj!r}")
+    det = a * d - b * c
     if abs(det - 1.0) > 1e-9:
         raise ValueError(f"{label}: determinant {det!r} is not 1 (tol 1e-9)")
     # renormalize d so the construction-time 1e-12 invariant holds
-    if entries["a"] != 0.0:
-        entries["d"] = (1.0 + entries["b"] * entries["c"]) / entries["a"]
-    elif entries["c"] != 0.0:
-        entries["b"] = (entries["a"] * entries["d"] - 1.0) / entries["c"]
-    return OffsetParams(entries["a"], entries["b"], entries["c"],
-                        entries["d"], tau, eta)
+    if a != 0.0:
+        d = (1.0 + b * c) / a
+    elif c != 0.0:
+        b = (a * d - 1.0) / c
+    return OffsetParams(a, b, c, d, tau, eta)
 
 
 def _parse_axis(obj, label: str) -> PureUnit:
-    if not (isinstance(obj, list) and len(obj) == 3 and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)):
-        raise ValueError(f"{label}: expected a list of three numbers, got {obj!r}")
-    x, y, z = (float(v) for v in obj)
+    error = f"{label}: expected a list of three numbers, got {obj!r}"
+    if not (isinstance(obj, list) and len(obj) == 3):
+        raise ValueError(error)
+    x, y, z = _floats(obj, error)
     if x == 0.0 and y == 0.0 and z == 0.0:
         raise ValueError(f"{label}: axis vector must be nonzero")
     return PureUnit(x, y, z)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import QField, partial_derivative
-from .olct import QolctPlan, _require_positive_b, analysis, qolct_forward
+from .olct import QolctPlan, _plan_factors, _require_positive_b, analysis, qolct_forward
 from .qft import PlanViolationError
-from .quat import UNIT_I, UNIT_J, qnorm
+from .quat import UNIT_I, UNIT_J, qnorm, sandwich
 
 
 # ---------------------------------------------------------------------------
@@ -97,11 +97,11 @@ def heisenberg_sweep(f: QField, plan: QolctPlan, axes) -> list:
     if not set(axes) <= {1, 2}:
         raise ValueError("axis must be 1 or 2")
     an = analysis(f, plan)  # rejects b = 0 before the weights divide by b
-    gmod = qnorm(an.chirped)
+    g = sandwich(f.samples, plan.lam, plan.mu, *_plan_factors(plan)[0])
+    gmod = qnorm(g)
     live = gmod > 1e-12 * float(gmod.max())
     w = QField(f.grid, np.where(live[..., None],
-                                an.chirped / np.where(live, gmod, 1.0)[..., None],
-                                0.0))
+                                g / np.where(live, gmod, 1.0)[..., None], 0.0))
     og, reports = plan.output_grid, []
     for axis in axes:
         shape = (-1, 1) if axis == 1 else (1, -1)

@@ -320,6 +320,22 @@ def test_float_flags_reject_non_finite(tmp_path, qft_params, capsys, flag, value
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, code, message", [
+    (["--n", "0"], 2, "sample counts must be positive"),
+    (["--extent", "1e300"], 4, "exponent overflows"),
+    (["--n", "65", "--extent", "1e300"], 4, "exponent overflows"),  # t = 0 sampled
+    (["--n", "4", "--extent", "64", "--alpha1", "1e3"], 4, "underflows to 0"),
+], ids=["no-samples", "overflow", "overflow-odd", "underflow"])
+def test_synth_rejects_a_gaussian_it_cannot_sample(tmp_path, capsys, argv, code, message):
+    from qolct import cli
+
+    out = tmp_path / "f.qsig"
+    assert cli.main(["synth", "gaussian", *argv, "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--lambda", "1,0"), ("--mu", "a,b,c")])
 def test_synth_rejects_a_malformed_axis_flag(tmp_path, capsys, flag, value):
     from qolct import cli
@@ -398,6 +414,29 @@ def test_degenerate_branch_cli_checks_the_other_axis(tmp_path):
     assert not out.exists()
 
 
+#: the checks each defect fixture fails at seed 5; an entry may be added,
+#: never dropped
+_FIXTURE_FAILURES = {
+    "right-kernel-sign": {"oracle:closed-form-vs-direct", "qolct:forward-equals-direct"},
+    "iqft-scale": {"qft:inversion-round-trip", "qolct:inversion-round-trip"},
+    "chirp-sign": {"oracle:closed-form-vs-forward", "qolct:degenerate-equals-kernel-sum",
+                   "qolct:density-equals-analysis-quartet",
+                   "qolct:forward-equals-direct", "qolct:qlct-reduction",
+                   "qolct:shift-covariance-general"},
+    "planes-conj": {"oracle:closed-form-vs-forward", "qft:fast-equals-direct",
+                    "qolct:degenerate-equals-kernel-sum",
+                    "qolct:density-equals-analysis-quartet",
+                    "qolct:forward-equals-direct", "qolct:qft-reduction",
+                    "qolct:qlct-reduction"},
+    "density-fold": {"qolct:density-equals-analysis-quartet",
+                     "qolct:moment-identity-axis1", "qolct:moment-identity-axis2",
+                     "uncertainty:heisenberg-classical-equality",
+                     "uncertainty:pitt-equality-alpha0",
+                     "uncertainty:pitt-slack-nonnegative"},
+    "degenerate-chirp": {"qolct:degenerate-equals-kernel-sum"},
+}
+
+
 def test_verify_exit_codes_and_mutations(tmp_path):
     report = str(tmp_path / "v.json")
     proc = run_cli("verify", "algebra", "--seed", "5", "--json", report)
@@ -406,13 +445,14 @@ def test_verify_exit_codes_and_mutations(tmp_path):
     assert doc["n_failed"] == 0
     assert all(rec["pass"] for rec in doc["checks"])
 
-    for name in ("right-kernel-sign", "iqft-scale", "chirp-sign", "planes-conj",
-                 "density-fold", "degenerate-chirp"):
+    for name, expected in _FIXTURE_FAILURES.items():
         proc = run_cli("verify", "all", "--seed", "5", "--mutate", name,
                        "--json", str(tmp_path / f"m-{name}.json"))
         assert proc.returncode == 1, name
         doc = json.loads((tmp_path / f"m-{name}.json").read_text())
-        assert doc["n_failed"] >= 1
+        failed = {rec["check"] for rec in doc["checks"] if not rec["pass"]}
+        assert doc["n_failed"] == len(failed)
+        assert expected <= failed, (name, sorted(expected - failed))
 
 
 def test_algebra_suite_is_fast():
@@ -633,6 +673,21 @@ def test_beurling_overflow_exit_code(tmp_path, qft_params, tsv):
     assert not out.exists() and not (tmp_path / "b.tsv").exists()
 
 
+@pytest.mark.parametrize("radius", ["-5", "0"])
+def test_beurling_rejects_a_radius_that_is_not_positive(tmp_path, qft_params, capsys,
+                                                         radius):
+    from qolct import cli
+
+    sig = str(tmp_path / "f.qsig")
+    write_signal(sig, synth_gaussian(Grid2D.centered(32, 16.0), 0.5, 0.5))
+    out = tmp_path / "b.json"
+    assert cli.main(["uncertainty", "--in", sig, "--params", qft_params,
+                     "--which", "beurling", "--radius", radius,
+                     "--json", str(out)]) == 2
+    assert "--radius must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pitt_rejects_non_ij_axes(tmp_path):
     sig = str(tmp_path / "f.qsig")
     write_signal(sig, synth_gaussian(Grid2D.centered(32, 16.0), 0.5, 0.5))
@@ -712,8 +767,15 @@ _PARAMS = {"A1": _QFT_MATRIX, "A2": _QFT_MATRIX, "lambda": [1, 0, 0], "mu": [0, 
     (json.dumps({**_PARAMS, "mu": [True, 0, 0]}), "mu: expected a list of three numbers"),
     (json.dumps({**_PARAMS, "A1": {"a": 0, "b": 1, "c": -1}}), "A1: expected keys"),
     (json.dumps({**_PARAMS, "A2": {**_QFT_MATRIX, "b": "x"}}), "A2: expected keys"),
+    (json.dumps({**_PARAMS, "A1": {**_QFT_MATRIX, "a": "0"}}), "A1: expected keys"),
+    (json.dumps({**_PARAMS, "A1": {**_QFT_MATRIX, "b": True}}), "A1: expected keys"),
+    (json.dumps({**_PARAMS, "A2": {**_QFT_MATRIX, "tau": "0.5"}}), "A2: expected keys"),
+    (json.dumps({**_PARAMS, "A2": {**_QFT_MATRIX, "eta": 10 ** 400}}), "A2: expected keys"),
+    (json.dumps({**_PARAMS, "mu": [0, 10 ** 400, 0]}), "mu: expected a list of three numbers"),
 ], ids=["null", "number", "key-list", "invalid-json", "missing-key", "axis-string",
-        "axis-two-numbers", "axis-bool", "matrix-missing-entry", "matrix-entry-text"])
+        "axis-two-numbers", "axis-bool", "matrix-missing-entry", "matrix-entry-text",
+        "matrix-entry-number-string", "matrix-entry-bool", "offset-string",
+        "offset-past-float-range", "axis-past-float-range"])
 def test_transform_rejects_malformed_parameter_files(tmp_path, capsys, text, message):
     from qolct import cli
 

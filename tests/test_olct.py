@@ -213,7 +213,7 @@ def test_analysis_quartet_matches_component_quartet_for_gaussians(grid64):
 
 
 # ---------------------------------------------------------------------------
-# The two-FFT energy density.
+# The energy density, read off the forward transform.
 
 def _density_case(n1, n2, axes, seed, shifted=False):
     """A random field and plan on an n1 x n2 grid with h*L = 2 pi per axis,
@@ -236,16 +236,15 @@ def _density_case(n1, n2, axes, seed, shifted=False):
     return QField(grid, rng.normal(size=(n1, n2, 4))), plan
 
 
-def _spy_on_quartet(monkeypatch) -> list:
-    """Count calls of the oracle quartet through its module."""
-    from qolct import oracle
+def _spy_on(monkeypatch, module, name) -> list:
+    """Count calls of ``module.name`` through that module."""
     calls = []
 
-    def spy(*args, _real=oracle.analysis_quartet):
+    def spy(*args, _real=getattr(module, name)):
         calls.append(1)
         return _real(*args)
 
-    monkeypatch.setattr(oracle, "analysis_quartet", spy)
+    monkeypatch.setattr(module, name, spy)
     return calls
 
 
@@ -265,20 +264,32 @@ def _recentered(plan, center1, center2):
 @pytest.mark.parametrize("n1, n2", [(64, 64), (63, 63), (64, 48), (33, 50)])
 @pytest.mark.parametrize("axes", ["ij", "free", "same", "opposite"])
 def test_energy_density_equals_analysis_quartet(monkeypatch, n1, n2, axes):
-    calls = _spy_on_quartet(monkeypatch)
+    from qolct import olct, oracle
+    calls = _spy_on(monkeypatch, oracle, "analysis_quartet")
+    engine = _spy_on(monkeypatch, olct, "_planes_ft")
+
+    def density_err(f, plan):
+        # one forward per distinct mirror image of the output grid: one on
+        # a grid centered at 0, two or four off center
+        engine.clear()
+        err = _density_err(f, plan)
+        og = plan.output_grid
+        assert len(engine) == 2 ** ((og.center1 != 0.0) + (og.center2 != 0.0))
+        return err
+
     for seed, shifted in ((n1 * n2, False), (n1 + n2, True)):
         f, plan = _density_case(n1, n2, axes, seed, shifted)
-        assert _density_err(f, plan) <= 1e-12, (seed, shifted)
-        # off center along one axis or both, -v is no index reversal there
+        assert density_err(f, plan) <= 1e-12, (seed, shifted)
+        # off center along one axis or both, -u is no index reversal there
         for center in ((0.3, -0.2), (0.3, 0.0), (0.0, -0.2)):
-            err = _density_err(f, _recentered(plan, *center))
+            err = density_err(f, _recentered(plan, *center))
             assert err <= 1e-12, (seed, shifted, center)
-    # a smaller, finer centered output grid is not FFT-compatible: its two
-    # transforms take the engine's dense branch
+    # a smaller, finer centered output grid is not FFT-compatible: its one
+    # forward takes the engine's dense branch
     og = plan.output_grid
     fine = Grid2D(20, 16, 0.0, 0.0, og.spacing1 / 2, og.spacing2 / 2)
     plan = QolctPlan(plan.A1, plan.A2, plan.lam, plan.mu, plan.input_grid, fine)
-    assert _density_err(f, plan) <= 1e-12
+    assert density_err(f, plan) <= 1e-12
     assert not calls  # the density never runs the oracle
 
 
@@ -310,17 +321,22 @@ def test_transforms_reject_a_field_off_the_plan_grid():
 
 
 def test_analysis_checks_its_signal_before_any_transform(monkeypatch, grid64):
-    # a field off the plan's input grid, or one whose energy overflows, is
-    # rejected before the density's transforms run, and without a warning
+    # a b = 0 plan, a field off the plan's input grid, or one whose energy
+    # overflows, is rejected before the density's transforms run, and
+    # without a warning
     from qolct import olct
     calls = []
-    monkeypatch.setattr(olct, "centered_ft2", lambda *args: calls.append(1))
+    monkeypatch.setattr(olct, "_planes_ft", lambda *args: calls.append(1))
     plan = QolctPlan.create(A1_REF, A2_REF, input_grid=grid64)
     with pytest.raises(ValueError, match="plan input grid"):
         analysis(synth_gaussian(Grid2D.centered(64, 12.0), 0.5, 0.5), plan)
     huge = QField(grid64, synth_gaussian(grid64, 0.5, 0.5).samples * 1e300)
     with np.errstate(all="raise"), pytest.raises(PlanViolationError, match="overflows"):
         analysis(huge, plan)
+    degenerate = QolctPlan.create(OffsetParams(1.0, 0.0, 0.0, 1.0), A2_REF,
+                                  input_grid=grid64)
+    with pytest.raises(ValueError, match="require b > 0"):
+        analysis(synth_gaussian(grid64, 0.5, 0.5), degenerate)
     assert not calls
 
 
@@ -673,7 +689,7 @@ def test_factor_pairs_run_no_field_sized_hamilton_product(monkeypatch, grid64):
     lam, mu = PureUnit(1.0, 2.0, -0.5), PureUnit(0.3, -1.0, 2.0)
     plan = QolctPlan.create(A1_REF, A2_REF, lam, mu, input_grid=grid64)
     qolct_inverse(qolct_forward(f, plan), plan)
-    analysis_quartet(f, plan)
+    analysis(f, plan)
     heisenberg_report(f, plan, 1)
     apply_chirp(f, lam, 0.3, 0.2, mu, -0.1, 0.4)
     assert sizes and max(sizes) <= 16
