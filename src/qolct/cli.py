@@ -51,8 +51,27 @@ def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _dump_json(doc, path=None):
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+def _non_finite_keys(node, key: str) -> list:
+    """The key paths of the NaN and +-inf floats in a JSON document."""
+    if isinstance(node, dict):
+        return [b for k, v in node.items()
+                for b in _non_finite_keys(v, f"{key}.{k}" if key else k)]
+    if isinstance(node, list):
+        return [b for i, v in enumerate(node) for b in _non_finite_keys(v, f"{key}[{i}]")]
+    return [key] if isinstance(node, float) and not math.isfinite(node) else []
+
+
+def _strict_json(doc) -> str:
+    """``doc`` as strict JSON; a non-finite figure is a numerical failure,
+    raised before the command writes anything."""
+    bad = _non_finite_keys(doc, "")
+    if bad:
+        raise PlanViolationError(f"{', '.join(bad)}: not finite (the figures "
+                                 "overflow the largest float or are undefined)")
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _dump_json(text: str, path=None):
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -89,11 +108,15 @@ def cmd_synth(args) -> int:
     grid = Grid2D.centered(args.n, args.extent, (args.grid_center1, args.grid_center2))
     lam = _parse_axis_flag(args.lam, "lambda")
     mu = _parse_axis_flag(args.mu, "mu")
-    f = synth_gaussian(grid, args.alpha1, args.alpha2,
-                       (args.beta11, args.beta12), (args.beta21, args.beta22),
-                       lam, mu, center=(args.center1, args.center2))
-    if args.kind == "chirped-gaussian":
-        f = apply_chirp(f, lam, args.lin1, args.chirp1, mu, args.lin2, args.chirp2)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        f = synth_gaussian(grid, args.alpha1, args.alpha2,
+                           (args.beta11, args.beta12), (args.beta21, args.beta22),
+                           lam, mu, center=(args.center1, args.center2))
+        if args.kind == "chirped-gaussian":
+            f = apply_chirp(f, lam, args.lin1, args.chirp1, mu, args.lin2, args.chirp2)
+    if not np.isfinite(f.samples).all():
+        raise PlanViolationError("a sample of the signal overflows the largest "
+                                 "float (amplitude or chirp phase too large)")
     write_signal(args.out, f)
     peak = float(f.modulus().max())
     print(f"wrote {args.out}: {grid.n1}x{grid.n2} grid, spacing "
@@ -153,12 +176,9 @@ def cmd_transform(args) -> int:
             num = float(np.sqrt(np.sum((out_field.samples - ref.samples) ** 2)))
             den = float(np.sqrt(np.sum(ref.samples ** 2)))
             sidecar["l2_rel_distance_to_reference"] = num / den if den else num
-    bad = [k for k, v in sidecar.items()
-           if isinstance(v, float) and not math.isfinite(v)]
-    if bad:
-        raise PlanViolationError(f"sidecar {', '.join(bad)} overflow the largest float")
+    text = _strict_json(sidecar)
     write_signal(args.out, out_field)
-    _dump_json(sidecar, args.out + ".json")
+    _dump_json(text, args.out + ".json")
     print(f"wrote {args.out} (+ sidecar {args.out}.json)")
     return EXIT_OK
 
@@ -170,7 +190,7 @@ def cmd_verify(args) -> int:
     doc = {"suite": args.suite, "seed": args.seed, "mutation": args.mutate,
            "checks": records, "n_failed": len(failed),
            "timestamp": _timestamp()}
-    _dump_json(doc, args.json)
+    _dump_json(_strict_json(doc), args.json)
     for r in records:
         status = "PASS" if r["pass"] else "FAIL"
         print(f"[{status}] {r['check']}: observed {r['observed']:.3e} "
@@ -183,8 +203,7 @@ _RADIAL_BINS = 48
 
 
 def _radial_profile(values_sq: np.ndarray, grid: Grid2D):
-    t1, t2 = grid.meshgrid()
-    r = np.sqrt(t1 ** 2 + t2 ** 2).ravel()
+    r = grid.radius().ravel()
     v = values_sq.ravel()
     edges = np.linspace(0.0, float(r.max()), _RADIAL_BINS + 1)
     idx = np.clip(np.digitize(r, edges) - 1, 0, _RADIAL_BINS - 1)
@@ -266,7 +285,7 @@ def cmd_uncertainty(args) -> int:
                     "value_half_radius": half,
                     "growth_ratio": full / half if half else None})
 
-    _dump_json(doc, args.json)
+    _dump_json(_strict_json(doc), args.json)
     if args.json:
         print(f"wrote {args.json}")
     if tsv_rows:

@@ -65,6 +65,12 @@ class Grid2D:
         t2 = self.axis_coords(2)
         return np.meshgrid(t1, t2, indexing="ij")
 
+    def radius(self) -> np.ndarray:
+        """|x| at every sample, shape (n1, n2).  Centered coordinates negate
+        exactly, so mirrored samples share one radius."""
+        x1, x2 = self.axis_coords(1), self.axis_coords(2)
+        return np.sqrt(x1[:, None] ** 2 + x2[None, :] ** 2)
+
     @property
     def extent1(self) -> float:
         return self.n1 * self.spacing1

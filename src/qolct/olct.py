@@ -139,17 +139,27 @@ class QolctPlan:
                       g.spacing1 / b1, g.spacing2 / b2)
 
 
-def _axis_factors(A: OffsetParams, t, u, sign: float):
+def _axis_factors(axis: int, A: OffsetParams, t, u, sign: float):
     """One b > 0 axis's input chirp e^{i(tau t + a t^2/2)/b} and output factor
     C(u) = (2 pi b)^(-1/2) e^{-i pi/4} e^{i(-2u(d tau - b eta) + d(u^2 +
     tau^2))/(2b)} as complex values (sign +1), or their inverses (sign -1)."""
     lin, quad = sign * A.tau / A.b, sign * A.a / (2.0 * A.b)
     if _mutation.active("chirp-sign"):
         quad = -quad
-    phi = (-2.0 * u * (A.d * A.tau - A.b * A.eta)
-           + A.d * (u * u + A.tau * A.tau)) / (2.0 * A.b) - math.pi / 4.0
-    return (np.exp(1j * (lin * t + quad * t * t)),
-            np.exp(1j * sign * phi) * (2.0 * math.pi * A.b) ** (-0.5 * sign))
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        phi = (-2.0 * u * (A.d * A.tau - A.b * A.eta)
+               + A.d * (u * u + A.tau * A.tau)) / (2.0 * A.b) - math.pi / 4.0
+        factors = (np.exp(1j * (lin * t + quad * t * t)),
+                   np.exp(1j * sign * phi) * (2.0 * math.pi * A.b) ** (-0.5 * sign))
+    _require_finite(axis, *factors)
+    return factors
+
+
+def _require_finite(axis: int, *factors):
+    if not all(np.isfinite(x).all() for x in factors):
+        raise PlanViolationError(
+            f"axis {axis}: a kernel phase overflows the largest float; the "
+            "offsets or matrix entries are too large for this grid")
 
 
 def _plan_factors(plan: QolctPlan, sign: float = 1.0):
@@ -157,7 +167,7 @@ def _plan_factors(plan: QolctPlan, sign: float = 1.0):
     pairs = []
     for axis, A in ((1, plan.A1), (2, plan.A2)):
         _require_positive_b(A, f"axis {axis}")
-        pairs.append(_axis_factors(A, plan.input_grid.axis_coords(axis),
+        pairs.append(_axis_factors(axis, A, plan.input_grid.axis_coords(axis),
                                    plan.output_grid.axis_coords(axis), sign))
     return tuple(zip(*pairs))
 
@@ -172,14 +182,14 @@ def qolct_forward(f: QField, plan: QolctPlan) -> QField:
     """
     if f.grid != plan.input_grid:
         raise ValueError("field grid does not match plan input grid")
-    data, axes = f.samples, []  # (sign, pre, post) per axis
-    for axis, A in ((1, plan.A1), (2, plan.A2)):
-        t, u = plan.input_grid.axis_coords(axis), plan.output_grid.axis_coords(axis)
+    g, data, axes = plan.input_grid, f.samples, []  # (sign, pre, post) per axis
+    for axis, A, h in ((1, plan.A1, g.spacing1), (2, plan.A2, g.spacing2)):
+        t, u = g.axis_coords(axis), plan.output_grid.axis_coords(axis)
         if A.b > 0.0:
-            axes.append((-1, *_axis_factors(A, t, u, 1.0)))
+            axes.append((-1, *_axis_factors(axis, A, t, u, 1.0)))
         else:
-            data = _spline(t, data, A.d * (u - A.tau), axis=axis - 1)
-            axes.append((0, None, _degenerate_chirp(A, u)))
+            axes.append((0, None, _degenerate_chirp(axis, A, u)))
+            data = _spline(t, h, data, A.d * (u - A.tau), axis=axis - 1)
     return QField(plan.output_grid, _planes_ft(
         data, plan.input_grid, plan.scaled_freq_grid(), plan.lam, plan.mu, axes))
 
@@ -229,8 +239,8 @@ def analysis(f: QField, plan: QolctPlan) -> Analysis:
     if f.grid != plan.input_grid:
         raise ValueError("field grid does not match plan input grid")
     with np.errstate(over="ignore"):
-        sq = f.samples * f.samples
-        energy = float(np.sum(sq)) * f.grid.cell_area
+        mod2 = np.einsum("...m,...m->...", f.samples, f.samples)
+        energy = float(np.sum(mod2)) * f.grid.cell_area
     if not math.isfinite(energy):
         raise PlanViolationError("the signal energy overflows the largest float "
                                  "(or a sample is not finite)")
@@ -248,58 +258,52 @@ def analysis(f: QField, plan: QolctPlan) -> Analysis:
             reduced[grid] = (norm2 - cross, norm2 + cross)
         density += reduced[grid][e1 != e2][::e1, ::e2]
     density *= 0.5 if _mutation.active("density-fold") else 0.25
-    return Analysis(density, np.sum(sq, axis=-1), energy)
+    return Analysis(density, mod2, energy)
 
 
 # ---------------------------------------------------------------------------
 # Degenerate branches (b = 0 on one or both axes).
 
-def _degenerate_chirp(A: OffsetParams, u):
+def _degenerate_chirp(axis: int, A: OffsetParams, u):
     """sqrt(d) exp(i*(c d (u - tau)^2 / 2 + u eta)) as complex values.
 
     The linear phase carries eta: that is the b -> 0 limit of the
     main-branch kernel (see the limit-consistency test).
     """
-    phase = A.c * A.d * (u - A.tau) ** 2 / 2.0 + u * A.eta
-    if _mutation.active("degenerate-chirp"):
-        phase = -phase
-    return math.sqrt(A.d) * np.exp(1j * phase)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        phase = A.c * A.d * (u - A.tau) ** 2 / 2.0 + u * A.eta
+        if _mutation.active("degenerate-chirp"):
+            phase = -phase
+        chirp = math.sqrt(A.d) * np.exp(1j * phase)
+    _require_finite(axis, chirp)
+    return chirp
 
 
-def _not_a_knot_slopes(x, y):
-    """First derivatives at the knots x of the not-a-knot cubic spline
-    through y (knots along axis 0 of y), as scipy's ``CubicSpline`` defines
+def _not_a_knot_slopes(h: float, y):
+    """First derivatives at the knots, spaced h along axis 0 of y, of the
+    not-a-knot cubic spline through y, as scipy's ``CubicSpline`` defines
     it: two knots give the straight line and three the parabola.
 
-    The slopes solve one tridiagonal system, swept by the Thomas algorithm
-    over all trailing columns at once.  Its pivots depend only on the knots
-    and stay positive for any increasing x, so no pivoting is needed.
+    On uniform knots the slope system, divided by h, has rows (1, 4, 1)
+    inside and end rows (1, 2) and (2, 1): the third derivative is
+    continuous at the second and penultimate knots.  Its Thomas sweep runs
+    over all trailing columns at once; the pivots depend only on n and
+    stay positive, so no pivoting is needed.
     """
-    n = x.size
-    dx = np.diff(x)
-    col = (-1,) + (1,) * (y.ndim - 1)
-    slope = np.diff(y, axis=0) / dx.reshape(col)
+    n = y.shape[0]
+    slope = np.diff(y, axis=0) / h
     if n == 2:
         return np.concatenate([slope, slope])
-    h = dx.tolist()
-    lower, diag, upper = [0.0] * n, [1.0] * n, [0.0] * n
+    if n == 3:  # the parabola: its slope at the middle knot is the mean secant
+        mid = (slope[0] + slope[1]) / 2.0
+        return np.stack([2.0 * slope[0] - mid, mid, 2.0 * slope[1] - mid])
     rhs = np.empty_like(slope, shape=y.shape)
-    for i in range(1, n - 1):  # slope continuity at interior knots
-        lower[i], diag[i], upper[i] = h[i], 2.0 * (h[i - 1] + h[i]), h[i - 1]
-    rhs[1:-1] = 3.0 * (dx[1:].reshape(col) * slope[:-1]
-                       + dx[:-1].reshape(col) * slope[1:])
-    if n == 3:  # the parabola: end slopes average to the secant slope
-        upper[0] = lower[2] = 1.0
-        rhs[0] = 2.0 * slope[0]
-        rhs[2] = 2.0 * slope[1]
-    else:  # third derivative continuous at the second and penultimate knots
-        w0, wn = x[2] - x[0], x[-1] - x[-3]
-        diag[0], upper[0] = h[1], w0
-        rhs[0] = ((h[0] + 2.0 * w0) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / w0
-        lower[-1], diag[-1] = wn, h[-2]
-        rhs[-1] = (h[-1] ** 2 * slope[-2] + (2.0 * wn + h[-1]) * h[-2] * slope[-1]) / wn
+    rhs[0] = (5.0 * slope[0] + slope[1]) / 2.0
+    rhs[1:-1] = 3.0 * (slope[:-1] + slope[1:])
+    rhs[-1] = (slope[-2] + 5.0 * slope[-1]) / 2.0
+    diag, upper = [1.0] + [4.0] * (n - 2) + [1.0], [2.0] + [1.0] * (n - 2)
     for i in range(1, n):
-        m = lower[i] / diag[i - 1]
+        m = (2.0 if i == n - 1 else 1.0) / diag[i - 1]
         diag[i] -= m * upper[i - 1]
         rhs[i] -= m * rhs[i - 1]
     rhs[-1] /= diag[-1]
@@ -309,21 +313,19 @@ def _not_a_knot_slopes(x, y):
     return rhs
 
 
-def _spline(x, y, xq, axis: int):
-    """Evaluate the not-a-knot cubic spline through samples y at knots x
-    (along ``axis`` of y) at the points xq, in cubic Hermite form on the
-    knot interval of each point; the end intervals extend past the knots."""
+def _spline(x, h: float, y, xq, axis: int):
+    """Evaluate the not-a-knot cubic spline through samples y at the knots
+    x, spaced h (along ``axis`` of y), at the points xq, in cubic Hermite
+    form on the knot interval of each point; the end intervals extend past
+    the knots."""
     if x.size < 2:
         raise ValueError("a cubic spline needs at least 2 knots")
     y = np.ascontiguousarray(np.moveaxis(y, axis, 0))  # unit-stride sweep rows
-    s = _not_a_knot_slopes(x, y)
+    s = _not_a_knot_slopes(h, y)
     k = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
-    h = x[k + 1] - x[k]
-    t = (xq - x[k]) / h
-    shape = (-1,) + (1,) * (y.ndim - 1)
-    h00 = ((2.0 * t - 3.0) * t * t + 1.0).reshape(shape)
-    h01 = ((3.0 - 2.0 * t) * t * t).reshape(shape)
-    h10 = (h * t * (1.0 - t) ** 2).reshape(shape)
-    h11 = (h * t * t * (t - 1.0)).reshape(shape)
-    out = h00 * y[k] + h01 * y[k + 1] + h10 * s[k] + h11 * s[k + 1]
+    t = ((xq - x[k]) / h).reshape((-1,) + (1,) * (y.ndim - 1))
+    out = y[k] * ((2.0 * t - 3.0) * t * t + 1.0)
+    out += y[k + 1] * ((3.0 - 2.0 * t) * t * t)
+    out += s[k] * (h * t * (1.0 - t) ** 2)
+    out += s[k + 1] * (h * t * t * (t - 1.0))
     return np.moveaxis(out, 0, axis)

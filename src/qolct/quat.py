@@ -34,12 +34,15 @@ class PureUnit:
     z: float
 
     def __post_init__(self):
-        n = math.sqrt(self.x ** 2 + self.y ** 2 + self.z ** 2)
-        if n == 0.0 or not math.isfinite(n):
+        v = (self.x, self.y, self.z)
+        if not (all(map(math.isfinite, v)) and any(v)):
             raise ValueError("pure unit axis requires a nonzero finite vector part")
-        object.__setattr__(self, "x", self.x / n)
-        object.__setattr__(self, "y", self.y / n)
-        object.__setattr__(self, "z", self.z / n)
+        # an exact power-of-two scale keeps the squares from over- or underflowing
+        e = math.frexp(max(map(abs, v)))[1]
+        v = [math.ldexp(c, -e) for c in v]
+        n = math.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2)
+        for name, c in zip("xyz", v):
+            object.__setattr__(self, name, c / n)
 
     @property
     def array(self) -> np.ndarray:

@@ -62,13 +62,6 @@ def _require_ij(plan: QolctPlan, what: str):
         raise ValueError(f"{what} is stated for lam=i, mu=j")
 
 
-def _radius(grid, b1: float = 1.0, b2: float = 1.0) -> np.ndarray:
-    """|x| on the grid with its axes divided by (b1, b2)."""
-    x1 = grid.axis_coords(1) / b1
-    x2 = grid.axis_coords(2) / b2
-    return np.sqrt(x1[:, None] ** 2 + x2[None, :] ** 2)
-
-
 def _require_off_origin(r: np.ndarray, grid, weight: str):
     """A weight singular at the origin cannot be summed over a sample there."""
     if not (r > 0.0).all():
@@ -96,18 +89,18 @@ def heisenberg_sweep(f: QField, plan: QolctPlan, axes) -> list:
     """:func:`heisenberg_report` on each axis in ``axes``, from one analysis."""
     if not set(axes) <= {1, 2}:
         raise ValueError("axis must be 1 or 2")
-    an = analysis(f, plan)  # rejects b = 0 before the weights divide by b
-    g = sandwich(f.samples, plan.lam, plan.mu, *_plan_factors(plan)[0])
-    gmod = qnorm(g)
-    live = gmod > 1e-12 * float(gmod.max())
-    w = QField(f.grid, np.where(live[..., None],
-                                g / np.where(live, gmod, 1.0)[..., None], 0.0))
-    og, reports = plan.output_grid, []
+    an = analysis(f, plan)  # rejects b = 0 plans
+    mod = np.sqrt(an.e2)
+    mod[mod <= 1e-12 * float(mod.max())] = np.inf  # w is 0 off the live set
+    # the chirps are unit, so g/|g| of the chirped signal g is c1 (f/|f|) c2
+    w = QField(f.grid, sandwich(f.samples / mod[..., None], plan.lam, plan.mu,
+                                *_plan_factors(plan)[0]))
+    og, vgrid, reports = plan.output_grid, plan.scaled_freq_grid(), []
     for axis in axes:
         shape = (-1, 1) if axis == 1 else (1, -1)
         tk = f.grid.axis_coords(axis)
         spatial = _weighted_energy(an.e2, tk.reshape(shape) ** 2, f.grid.cell_area)
-        xk = og.axis_coords(axis) / (2.0 * math.pi * (plan.A1, plan.A2)[axis - 1].b)
+        xk = vgrid.axis_coords(axis) / (2.0 * math.pi)
         spectral = _weighted_energy(an.density, xk.reshape(shape) ** 2, og.cell_area)
         dw = partial_derivative(w, axis)
         cov = (float(np.sum(an.e2 * np.abs(tk).reshape(shape) * qnorm(dw.samples)))
@@ -129,8 +122,9 @@ def heisenberg_report(f: QField, plan: QolctPlan, axis: int) -> HeisenbergReport
     """Spread product versus (1/16 pi^2)|f|^4 + COV^2.
 
     The covariance uses the unit-phase field w = g/|g| of the chirped signal
-    (the u-dependent kernel factors are constant unit quaternions and drop
-    out of |t_k d/dt_k w|); w is zeroed where |g| underflows.
+    g (the u-dependent kernel factors are constant unit quaternions and drop
+    out of |t_k d/dt_k w|); w is zeroed where |f| = |g| is below 1e-12 of
+    its peak.
     """
     return heisenberg_sweep(f, plan, [axis])[0]
 
@@ -203,10 +197,8 @@ _LN_MAX_FLOAT = math.log(np.finfo(float).max)
 
 def _radial_mass(weights: np.ndarray, grid) -> tuple:
     """The distinct radii |x| of the grid, ascending, and the summed
-    ``weights`` of the samples at each.  Centered coordinates negate exactly,
-    so mirrored samples share one radius."""
-    x1, x2 = grid.meshgrid()
-    radii, index = np.unique(np.sqrt(x1 ** 2 + x2 ** 2), return_inverse=True)
+    ``weights`` of the samples at each."""
+    radii, index = np.unique(grid.radius(), return_inverse=True)
     return radii, np.bincount(index.ravel(), weights=weights.ravel())
 
 
@@ -215,9 +207,9 @@ def beurling_sweep(f: QField, plan: QolctPlan, d: float, truncations) -> list:
     grouping of each side by radius; a radius that overflows is rejected."""
     if d < 0.0:
         raise ValueError("d must be nonnegative")
-    vgrid = plan.scaled_freq_grid()
-    rt, wt = _radial_mass(f.modulus(), f.grid)
-    rv, wv = _radial_mass(np.sqrt(analysis(f, plan).density), vgrid)
+    an, vgrid = analysis(f, plan), plan.scaled_freq_grid()
+    rt, wt = _radial_mass(np.sqrt(an.e2), f.grid)
+    rv, wv = _radial_mass(np.sqrt(an.density), vgrid)
     cells = f.grid.cell_area * vgrid.cell_area
     values = []
     for truncation in truncations:
@@ -274,12 +266,12 @@ def pitt_sweep(f: QField, plan: QolctPlan, alphas) -> list:
     """:func:`pitt_check` at each alpha in ``alphas``, from one analysis."""
     _require_ij(plan, "Pitt's inequality")
     consts = [pitt_constants(alpha) for alpha in alphas]
-    an = analysis(f, plan)  # rejects b = 0 before the weights divide by b
+    an = analysis(f, plan)  # rejects b = 0 plans
     og = plan.output_grid
-    rv = _radius(og, plan.A1.b, plan.A2.b)
+    rv = plan.scaled_freq_grid().radius()
     if max(alphas) > 0.0:
         _require_off_origin(rv, og, "|v|^(-alpha)")
-    rt = _radius(f.grid)
+    rt = f.grid.radius()
     reports = []
     for c in consts:
         lhs = _weighted_energy(an.density, rv ** (-c.alpha), og.cell_area)
@@ -310,11 +302,11 @@ def log_up_check(f: QField, plan: QolctPlan) -> LogUpReport:
     """ln|v|-weighted transform energy plus ln|t|-weighted signal energy
     against (ln 2 + psi(1/2)) times the signal energy; slack >= 0."""
     _require_ij(plan, "the logarithmic inequality")
-    an = analysis(f, plan)  # rejects b = 0 before the weights divide by b
+    an = analysis(f, plan)  # rejects b = 0 plans
     og = plan.output_grid
-    rv = _radius(og, plan.A1.b, plan.A2.b)
+    rv = plan.scaled_freq_grid().radius()
     _require_off_origin(rv, og, "ln|v|")
-    rt = _radius(f.grid)
+    rt = f.grid.radius()
     _require_off_origin(rt, f.grid, "ln|t|")
     zterm = _weighted_energy(an.density, np.log(rv), og.cell_area)
     tterm = _weighted_energy(an.e2, np.log(rt), f.grid.cell_area)

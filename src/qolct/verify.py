@@ -627,9 +627,9 @@ def uncertainty_checks(seed: int):
     out.append(_record("pitt-slack-nonnegative", "alpha in {0.5, 1, 1.5}",
                        worst, 1e-6))
 
-    rep = log_up_check(f, planq)
+    logrep = log_up_check(f, planq)
     out.append(_record("logup-slack-nonnegative", "gaussian, QFT case",
-                       -rep.slack / rep.energy, 1e-5))
+                       -logrep.slack / logrep.energy, 1e-5))
 
     chirped = synth_gaussian(g, 0.9, 0.7, (1.0, 0.3), (1.0, -0.5), UNIT_I, UNIT_J)
     worst = 0.0
@@ -659,6 +659,10 @@ def uncertainty_checks(seed: int):
     vals_d = [beurling_integral(f32, plan32, d, 4.0) for d in (4.0, 50.0)]
     out.append(_record("beurling-decreasing-in-d", "d = 4 vs d = 50",
                        0.0 if vals_d[1] < vals_d[0] else 1.0, 0.0))
+    # Beckner, Proc. AMS 123 (1995): the isotropic Gaussian leaves slack
+    # ln 2 * E; the quadrature error is 0.028 at 64^2 and falls as h
+    out.append(_record("logup-gaussian-sharp", "|slack/E - ln 2|, gaussian 64^2",
+                       abs(logrep.slack / logrep.energy - math.log(2.0)), 0.04))
     return out
 
 

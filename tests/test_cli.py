@@ -322,18 +322,37 @@ def test_float_flags_reject_non_finite(tmp_path, qft_params, capsys, flag, value
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv, code, message", [
-    (["--n", "0"], 2, "sample counts must be positive"),
-    (["--extent", "1e300"], 4, "exponent overflows"),
-    (["--n", "65", "--extent", "1e300"], 4, "exponent overflows"),  # t = 0 sampled
-    (["--n", "4", "--extent", "64", "--alpha1", "1e3"], 4, "underflows to 0"),
-], ids=["no-samples", "overflow", "overflow-odd", "underflow"])
+    (["gaussian", "--n", "0"], 2, "sample counts must be positive"),
+    (["gaussian", "--extent", "1e300"], 4, "exponent overflows"),
+    (["gaussian", "--n", "65", "--extent", "1e300"], 4, "exponent overflows"),  # t = 0
+    (["gaussian", "--n", "4", "--extent", "64", "--alpha1", "1e3"], 4, "underflows to 0"),
+    (["chirped-gaussian", "--n", "16", "--extent", "8", "--chirp1", "1e308"], 4,
+     "overflows the largest float"),  # the chirp phase: NaN samples
+    (["gaussian", "--beta11", "1e200", "--beta21", "1e200"], 4,
+     "overflows the largest float"),  # the amplitude: inf samples
+], ids=["no-samples", "overflow", "overflow-odd", "underflow", "chirp-phase",
+        "amplitude"])
 def test_synth_rejects_a_gaussian_it_cannot_sample(tmp_path, capsys, argv, code, message):
     from qolct import cli
 
     out = tmp_path / "f.qsig"
-    assert cli.main(["synth", "gaussian", *argv, "--out", str(out)]) == code
+    assert cli.main(["synth", *argv, "--out", str(out)]) == code
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("axis, code", [("1e200,1e200,0", 0), ("1e-320,0,0", 0),
+                                        ("0,0,0", 2)])
+def test_synth_normalizes_every_finite_nonzero_axis(tmp_path, capsys, axis, code):
+    from qolct import cli
+
+    out = tmp_path / "f.qsig"
+    assert cli.main(["synth", "gaussian", "--n", "16", "--beta12", "0.5",
+                     "--lambda", axis, "--out", str(out)]) == code
+    assert out.exists() == (code == 0)
+    if code:
+        assert "--lambda expects three comma-separated numbers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [("--lambda", "1,0"), ("--mu", "a,b,c")])
@@ -788,6 +807,81 @@ def test_transform_rejects_malformed_parameter_files(tmp_path, capsys, text, mes
                      "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("axis, unit", [([1e200, 1e200, 0], [0.5 ** 0.5, 0.5 ** 0.5, 0.0]),
+                                        ([1e-320, 0, 0], [1.0, 0.0, 0.0])])
+def test_transform_normalizes_every_finite_nonzero_axis(tmp_path, axis, unit):
+    from qolct import cli
+
+    sig = str(tmp_path / "f.qsig")
+    write_signal(sig, synth_gaussian(Grid2D.centered(16, 8.0), 1.0, 1.0))
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({**_PARAMS, "lambda": axis}))
+    out = tmp_path / "o.qsig"
+    assert cli.main(["transform", "--in", sig, "--params", str(params),
+                     "--out", str(out)]) == 0
+    lam = json.loads((tmp_path / "o.qsig.json").read_text())["params"]["lambda"]
+    assert lam == pytest.approx(unit, rel=2e-16, abs=0.0)
+
+
+#: parameter files whose kernel phase overflows on a b > 0 axis 1 of a 32^2 grid
+_OVERFLOWING_PHASE = {
+    "tau": {**_PARAMS, "A1": {**_QFT_MATRIX, "tau": 1e300}},
+    "b": {**_PARAMS, "A1": {"a": 0, "b": 1e300, "c": -1e-300, "d": 0}},
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("which", ["transform", "heisenberg", "hardy", "pitt",
+                                   "logup", "beurling"])
+@pytest.mark.parametrize("name", list(_OVERFLOWING_PHASE))
+def test_an_overflowing_kernel_phase_exits_4(tmp_path, capsys, name, which):
+    # rejected where the factors are built, naming the axis: no NaN transform,
+    # no invalid JSON, nothing written
+    from qolct import cli
+
+    sig = str(tmp_path / "f.qsig")
+    write_signal(sig, synth_gaussian(Grid2D.centered(32, 16.0), 0.5, 0.5))
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps(_OVERFLOWING_PHASE[name]))
+    out = tmp_path / "out"
+    argv = ["--in", sig, "--params", str(params)]
+    if which == "transform":
+        argv = ["transform", *argv, "--out", str(out)]
+    else:
+        argv = ["uncertainty", *argv, "--which", which, "--json", str(out),
+                "--tsv", str(tmp_path / "out.tsv")]
+    assert cli.main(argv) == 4
+    assert "axis 1: a kernel phase overflows" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.qsig", "p.json"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_uncertainty_rejects_a_non_finite_figure(tmp_path, capsys, qft_params):
+    # the |t|^1.9-weighted energy of a 1e153 gaussian overflows: exit 4 names
+    # the figures, and neither the JSON nor the TSV is written
+    from qolct import cli
+
+    sig = str(tmp_path / "big.qsig")
+    write_signal(sig, synth_gaussian(Grid2D.centered(64, 16.0), 1.0, 1.0, (1e153, 0.0)))
+    out, tsv = tmp_path / "p.json", tmp_path / "p.tsv"
+    assert cli.main(["uncertainty", "--in", sig, "--params", qft_params,
+                     "--which", "pitt", "--alpha", "1.9", "--json", str(out),
+                     "--tsv", str(tsv)]) == 4
+    assert "rhs, slack: not finite" in capsys.readouterr().err
+    assert not out.exists() and not tsv.exists()
+
+
+def test_json_finiteness_check_names_nested_keys():
+    from qolct import cli
+    from qolct.qft import PlanViolationError
+
+    assert cli._strict_json({"a": [1.0, {"b": 2}]}) == \
+        json.dumps({"a": [1.0, {"b": 2}]}, indent=2, sort_keys=True)
+    with pytest.raises(PlanViolationError, match=r"^a\[1\]\.b, c: not finite"):
+        cli._strict_json({"a": [1.0, {"b": math.inf}], "c": math.nan, "d": None})
 
 
 def _csv(points, value="1"):

@@ -503,26 +503,39 @@ def test_degenerate_single_axis_consistent_with_main_limit():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 256])
 def test_spline_against_scipy(n, axis):
     # the b = 0 substitution spline is scipy's not-a-knot CubicSpline
-    # (line for n = 2, parabola for n = 3), on uniform and uneven knots
+    # (line for n = 2, parabola for n = 3) on the uniform knots of a grid
     rng = np.random.default_rng(n + 10 * axis)
     m = 3
-    uniform = np.linspace(-2.0, 3.0, n)
-    uneven = np.cumsum(rng.uniform(0.2, 1.0, n)) - 1.0
-    for x in (uniform, uneven):
-        y = rng.normal(size=(n, m, 4))
-        if axis == 1:
-            y = np.moveaxis(y, 0, 1)
-        xq = np.concatenate([x, [x[0], x[-1]],
-                             rng.uniform(x[0], x[-1], 40)])
-        want = CubicSpline(x, y, axis=axis)(xq)
-        got = _spline(x, y, xq, axis)
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    x, h = np.linspace(-2.0, 3.0, n), 5.0 / (n - 1)
+    y = rng.normal(size=(n, m, 4))
+    if axis == 1:
+        y = np.moveaxis(y, 0, 1)
+    xq = np.concatenate([x, [x[0], x[-1]],
+                         rng.uniform(x[0], x[-1], 40)])
+    want = CubicSpline(x, y, axis=axis)(xq)
+    got = _spline(x, h, y, xq, axis)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_spline_needs_two_knots():
     with pytest.raises(ValueError):
-        _spline(np.array([0.0]), np.ones((1, 2, 4)), np.array([0.0]), 0)
+        _spline(np.array([0.0]), 1.0, np.ones((1, 2, 4)), np.array([0.0]), 0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("A, axis", [
+    (OffsetParams(0.0, 1.0, -1.0, 0.0, 1e300, 0.0), 1),  # tau^2 overflows
+    (OffsetParams(0.0, 1e300, -1e-300, 0.0), 2),  # u^2 overflows on the u-grid
+    (OffsetParams(1.0, 0.0, 0.0, 1.0, 0.0, 1e308), 2),  # b = 0: u * eta overflows
+], ids=["tau", "b", "degenerate-eta"])
+def test_forward_rejects_an_overflowing_kernel_phase(A, axis):
+    # rejected before any transform runs, naming the axis, never NaN
+    g = Grid2D.centered(16, 8.0)
+    qft = OffsetParams.qft_case()
+    plan = QolctPlan.create(*((A, qft) if axis == 1 else (qft, A)), input_grid=g)
+    with pytest.raises(PlanViolationError, match=f"axis {axis}: a kernel phase overflows"):
+        qolct_forward(synth_gaussian(g, 0.5, 0.5), plan)
 
 
 def test_degenerate_rejects_bad_inputs():

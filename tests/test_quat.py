@@ -166,6 +166,17 @@ def test_pure_unit_normalizes_and_squares_to_minus_one():
         PureUnit(0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("v, want", [
+    ((1e200, 1e200, 0.0), (math.sqrt(0.5), math.sqrt(0.5), 0.0)),  # squares overflow
+    ((1e308, -1e308, 1e308), (1 / math.sqrt(3.0), -1 / math.sqrt(3.0), 1 / math.sqrt(3.0))),
+    ((1e-320, 0.0, 0.0), (1.0, 0.0, 0.0)),  # subnormal: squares underflow to 0
+    ((0.0, 5e-324, -5e-324), (0.0, math.sqrt(0.5), -math.sqrt(0.5))),
+], ids=["1e200", "1e308", "1e-320", "5e-324"])
+def test_pure_unit_normalizes_every_finite_nonzero_vector(v, want):
+    axis = PureUnit(*v)
+    assert (axis.x, axis.y, axis.z) == pytest.approx(want, rel=2e-16, abs=0.0)
+
+
 def test_plane_to_quat():
     z = np.array([1 + 2j, -0.5j])
     emb = plane_to_quat(z, UNIT_K)
