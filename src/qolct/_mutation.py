@@ -32,6 +32,11 @@ def active(name: str) -> bool:
     return _current == name
 
 
+def armed() -> str | None:
+    """The name of the armed mutation, or None."""
+    return _current
+
+
 @contextmanager
 def inject(name: str | None):
     """Arm a named mutation for the duration of the context."""

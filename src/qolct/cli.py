@@ -259,8 +259,7 @@ def cmd_uncertainty(args) -> int:
                     "slack": rep.slack, "transform_term": rep.transform_term,
                     "signal_term": rep.signal_term, "energy": rep.energy})
         if args.tsv:
-            e2 = np.sum(f.samples ** 2, axis=-1)
-            r_sig, p_sig = _radial_profile(e2, f.grid)
+            r_sig, p_sig = _radial_profile(rep.e2, f.grid)
             r_tr, p_tr = _radial_profile(rep.density, plan.scaled_freq_grid())
             tsv_rows = [("domain", "radius", "energy_density")]
             tsv_rows += [("signal", float(a), float(b))

@@ -21,6 +21,7 @@ dense kernel quadrature ``qolct_direct``, the mutual oracle, lives in
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -224,6 +225,10 @@ class Analysis:
     energy: float  # ||f||^2
 
 
+#: the last analysis: (weak reference to f, (plan, armed mutation), Analysis)
+_last: list = []
+
+
 def analysis(f: QField, plan: QolctPlan) -> Analysis:
     """The energy density, |f|^2 and the energy of f.
 
@@ -233,7 +238,16 @@ def analysis(f: QField, plan: QolctPlan) -> Analysis:
     O(-u) along an axis is the forward on the mirrored output grid, indices
     reversed; a grid centered at 0 is its own mirror image (-0.0 == 0.0), so
     there the density takes one forward, and any grid at most four.
+
+    The last result is kept until ``f`` is collected or another pair is
+    analysed: the same ``QField`` object with an equal plan, under the same
+    armed mutation, gets it back with no transform.  Its arrays are
+    read-only, so no caller can change what a later call returns.
     """
+    key = (plan, _mutation.armed())
+    if _last and _last[0][0]() is f and _last[0][1] == key:
+        return _last[0][2]
+    _last.clear()  # before the transforms, so at most one density is held
     for axis, A in ((1, plan.A1), (2, plan.A2)):
         _require_positive_b(A, f"axis {axis}")
     if f.grid != plan.input_grid:
@@ -244,21 +258,32 @@ def analysis(f: QField, plan: QolctPlan) -> Analysis:
     if not math.isfinite(energy):
         raise PlanViolationError("the signal energy overflows the largest float "
                                  "(or a sample is not finite)")
+    if energy < np.finfo(float).tiny and f.samples.any():
+        raise PlanViolationError("the signal energy underflows the smallest normal "
+                                 "float; rescale the signal")
     c = float(plan.lam.array @ plan.mu.array)
     T = qmul(qmul(plan.lam.array, np.eye(4)), plan.mu.array)  # T(q) = q @ T
     og, reduced = plan.output_grid, {}  # per grid, the fields for e1 e2 = +1, -1
     density = np.zeros((og.n1, og.n2))
-    for e1, e2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        grid = Grid2D(og.n1, og.n2, e1 * og.center1, e2 * og.center2,
-                      og.spacing1, og.spacing2)
-        if grid not in reduced:
-            o = qolct_forward(f, replace(plan, output_grid=grid)).samples
-            norm2 = np.einsum("...m,...m->...", o, o)
-            cross = c * np.einsum("...m,...m->...", o, o @ T)
-            reduced[grid] = (norm2 - cross, norm2 + cross)
-        density += reduced[grid][e1 != e2][::e1, ::e2]
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        for e1, e2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            grid = Grid2D(og.n1, og.n2, e1 * og.center1, e2 * og.center2,
+                          og.spacing1, og.spacing2)
+            if grid not in reduced:
+                o = qolct_forward(f, replace(plan, output_grid=grid)).samples
+                norm2 = np.einsum("...m,...m->...", o, o)
+                cross = c * np.einsum("...m,...m->...", o, o @ T)
+                reduced[grid] = (norm2 - cross, norm2 + cross)
+            density += reduced[grid][e1 != e2][::e1, ::e2]
+    if not np.isfinite(density).all():
+        raise PlanViolationError("the energy density overflows the largest float")
     density *= 0.5 if _mutation.active("density-fold") else 0.25
-    return Analysis(density, mod2, energy)
+    density.setflags(write=False)
+    mod2.setflags(write=False)
+    # the reference lives only in its entry, so its callback clears that entry
+    _last.append((weakref.ref(f, lambda _: _last.clear()), key,
+                  Analysis(density, mod2, energy)))
+    return _last[0][2]
 
 
 # ---------------------------------------------------------------------------

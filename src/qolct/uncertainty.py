@@ -54,7 +54,16 @@ def pitt_constants(alpha: float) -> PittConstants:
 # Shared quadrature helpers.
 
 def _weighted_energy(values_sq: np.ndarray, weights: np.ndarray, cell: float) -> float:
-    return float(np.sum(values_sq * weights)) * cell
+    with np.errstate(over="ignore", invalid="ignore"):  # the report rejects inf, NaN
+        return float(np.sum(values_sq * weights)) * cell
+
+
+def _require_finite_figures(what: str, **figures: float):
+    """A report whose figures overflow is rejected, never returned."""
+    bad = [name for name, x in figures.items() if not math.isfinite(x)]
+    if bad:
+        raise PlanViolationError(f"{what}: {', '.join(bad)}: not finite; a "
+                                 "figure overflows the largest float")
 
 
 def _require_ij(plan: QolctPlan, what: str):
@@ -110,9 +119,8 @@ def heisenberg_sweep(f: QField, plan: QolctPlan, axes) -> list:
         except OverflowError:
             base = cov2 = math.inf
         lhs, rhs = spatial * spectral, base + cov2
-        if not math.isfinite(lhs - rhs):
-            raise PlanViolationError("the Heisenberg spread product or bound "
-                                     "overflows the largest float")
+        _require_finite_figures(f"Heisenberg on axis {axis}", lhs=lhs, rhs=rhs,
+                                gap=lhs - rhs)
         reports.append(HeisenbergReport(axis, spatial, spectral, base, cov, lhs,
                                         rhs, lhs - rhs))
     return reports
@@ -276,6 +284,8 @@ def pitt_sweep(f: QField, plan: QolctPlan, alphas) -> list:
     for c in consts:
         lhs = _weighted_energy(an.density, rv ** (-c.alpha), og.cell_area)
         rhs = c.D * _weighted_energy(an.e2, rt ** c.alpha, f.grid.cell_area)
+        _require_finite_figures(f"Pitt at alpha = {c.alpha:g}", lhs=lhs, rhs=rhs,
+                                slack=rhs - lhs)
         reports.append(PittReport(c.alpha, lhs, rhs, rhs - lhs, c))
     return reports
 
@@ -296,6 +306,7 @@ class LogUpReport:
     energy: float
     constant: float
     density: np.ndarray  # the ln|v|-weighted energy density
+    e2: np.ndarray  # the ln|t|-weighted |f|^2
 
 
 def log_up_check(f: QField, plan: QolctPlan) -> LogUpReport:
@@ -312,5 +323,7 @@ def log_up_check(f: QField, plan: QolctPlan) -> LogUpReport:
     tterm = _weighted_energy(an.e2, np.log(rt), f.grid.cell_area)
     rhs = LOG_UP_CONSTANT * an.energy
     lhs = zterm + tterm
+    _require_finite_figures("the logarithmic inequality", lhs=lhs, rhs=rhs,
+                            slack=lhs - rhs)
     return LogUpReport(lhs, rhs, lhs - rhs, zterm, tterm, an.energy,
-                       LOG_UP_CONSTANT, an.density)
+                       LOG_UP_CONSTANT, an.density, an.e2)

@@ -613,6 +613,23 @@ def test_uncertainty_rejects_overflowing_signal_energy(tmp_path, qft_params):
             "--json", str(tmp_path / "hardy.json"), check=True)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_uncertainty_rejects_underflowing_signal_energy(tmp_path, capsys, qft_params):
+    # |f|^2 of a 1e-160 gaussian is subnormal: every report that reads the
+    # analysis exits 4, where it printed zeros (lhs = rhs = gap = 0)
+    from qolct import cli
+
+    sig = str(tmp_path / "tiny.qsig")
+    run_cli("synth", "gaussian", "--n", "64", "--extent", "16", "--beta11", "1e-160",
+            "--out", sig, check=True)
+    out = tmp_path / "u.json"
+    for which in ("heisenberg", "pitt", "logup", "beurling"):
+        assert cli.main(["uncertainty", "--in", sig, "--params", qft_params,
+                         "--which", which, "--json", str(out)]) == 4, which
+        assert "signal energy underflows" in capsys.readouterr().err, which
+        assert not out.exists(), which
+
+
 def test_heisenberg_rejects_overflowing_bound(tmp_path, general_params):
     # the energy of a 1e140 gaussian is finite but its square is not
     sig = str(tmp_path / "big.qsig")

@@ -1,4 +1,7 @@
+import gc
 import math
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from qolct.olct import InterpolationDomainError, _spline, analysis
 from qolct.oracle import kernel_sum
 from qolct.qft import PlanViolationError
 from qolct.quat import PureUnit, inv_sqrt_unit, plane_to_quat, qconj, qmul, qnorm
-from qolct.uncertainty import heisenberg_report
+from qolct.uncertainty import heisenberg_report, log_up_check, pitt_check
 from qolct.verify import (
     modulation_covariance_check,
     moment_identity_check,
@@ -337,7 +340,112 @@ def test_analysis_checks_its_signal_before_any_transform(monkeypatch, grid64):
                                   input_grid=grid64)
     with pytest.raises(ValueError, match="require b > 0"):
         analysis(synth_gaussian(grid64, 0.5, 0.5), degenerate)
+    # a nonzero signal whose energy underflows
+    tiny = QField(grid64, synth_gaussian(grid64, 0.5, 0.5).samples * 1e-160)
+    with pytest.raises(PlanViolationError, match="underflows"):
+        analysis(tiny, plan)
     assert not calls
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_analysis_rejects_an_overflowing_density():
+    # a flat field's transform peaks at its energy times L^2 / (4 pi^2):
+    # past the largest float at L = 64, though the energy itself is finite
+    g = Grid2D.centered(64, 64.0)
+    A = OffsetParams.qft_case()
+    flat = QField(g, np.full((64, 64, 4), math.sqrt(1e307 / 4096.0) / 2.0))
+    with pytest.raises(PlanViolationError, match="energy density overflows"):
+        analysis(flat, QolctPlan.create(A, A, input_grid=g))
+
+
+# ---------------------------------------------------------------------------
+# The analysis keeps its last result for the same signal object and plan.
+
+def _memo_pair():
+    g = Grid2D.centered(32, 8.0)
+    return synth_gaussian(g, 0.5, 0.7), QolctPlan.create(A1_REF, A2_REF, input_grid=g)
+
+
+def _count_transforms(monkeypatch):
+    from qolct import olct
+    calls = []
+
+    def spy(*args, _real=olct._planes_ft):
+        calls.append(1)
+        return _real(*args)
+
+    monkeypatch.setattr(olct, "_planes_ft", spy)
+    return calls
+
+
+_MEMO_REPORTS = {"pitt": lambda f, plan: pitt_check(f, plan, 1.0),
+                 "logup": lambda f, plan: log_up_check(f, plan).slack,
+                 "heisenberg": lambda f, plan: heisenberg_report(f, plan, 1)}
+
+
+@pytest.mark.parametrize("first", sorted(_MEMO_REPORTS))
+def test_analysis_memo_serves_later_reports_on_the_pair(monkeypatch, first):
+    f, plan = _memo_pair()
+    want = _MEMO_REPORTS[first](f, plan)
+    calls = _count_transforms(monkeypatch)
+    got = {name: report(f, plan) for name, report in _MEMO_REPORTS.items()}
+    assert not calls and got[first] == want
+
+
+_PLAN_CHANGES = {
+    "A1": lambda plan: {"A1": replace(plan.A1, tau=0.5)},
+    "A2": lambda plan: {"A2": replace(plan.A2, eta=0.1)},
+    "lam": lambda plan: {"lam": PureUnit(0.0, 0.0, 1.0)},
+    "mu": lambda plan: {"mu": PureUnit(1.0, 0.0, 0.0)},
+    "output_grid": lambda plan: {"output_grid": replace(
+        plan.output_grid, center1=plan.output_grid.spacing1 / 2.0)},
+}
+
+
+@pytest.mark.parametrize("change", ["signal", *_PLAN_CHANGES])
+def test_analysis_memo_recomputes_another_pair(monkeypatch, change):
+    f, plan = _memo_pair()
+    first = analysis(f, plan)
+    other_f, other_plan = f, plan
+    if change == "signal":  # equal values, another object
+        other_f = QField(f.grid, f.samples.copy())
+    else:
+        other_plan = replace(plan, **_PLAN_CHANGES[change](plan))
+    calls = _count_transforms(monkeypatch)
+    again = analysis(other_f, other_plan)
+    assert calls and again is not first
+    if change == "signal":
+        np.testing.assert_array_equal(again.density, first.density)
+    # a hit never skips the checks: a plan on another input grid is refused
+    with pytest.raises(ValueError, match="plan input grid"):
+        analysis(f, replace(plan, input_grid=Grid2D.centered(32, 6.0)))
+
+
+def test_analysis_memo_keys_on_the_armed_mutation():
+    from qolct import _mutation
+    f, plan = _memo_pair()
+    want = analysis(f, plan).density.copy()
+    with _mutation.inject("density-fold"):
+        np.testing.assert_array_equal(analysis(f, plan).density, 2.0 * want)
+    np.testing.assert_array_equal(analysis(f, plan).density, want)
+
+
+def test_analysis_memo_hands_out_read_only_arrays():
+    f, plan = _memo_pair()
+    an = analysis(f, plan)
+    assert log_up_check(f, plan).e2 is an.e2  # the logup TSV's |f|^2, no copy
+    for values in (an.density, an.e2):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0, 0] = 0.0
+
+
+def test_analysis_memo_lets_its_signal_go():
+    f, plan = _memo_pair()
+    density = weakref.ref(analysis(f, plan).density)
+    assert density() is not None  # the memo holds it while f lives
+    del f
+    gc.collect()
+    assert density() is None
 
 
 @settings(max_examples=60, deadline=None)

@@ -364,6 +364,28 @@ def test_pitt_sweep_is_pitt_check_on_one_density(monkeypatch, grid64):
                    [0.0, 0.25])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_weighted_reports_reject_non_finite_figures():
+    # a 1e153 gaussian has a finite energy, but D_1.9 times its
+    # |t|^1.9-weighted energy does not: the report raises, it returns no inf
+    grid = Grid2D.centered(64, 16.0)
+    A = OffsetParams.qft_case()
+    plan = QolctPlan.create(A, A, input_grid=grid)
+    big = synth_gaussian(grid, 1.0, 1.0, (1e153, 0.0))
+    assert math.isfinite(pitt_check(big, plan, 1.0).slack)
+    with pytest.raises(PlanViolationError, match=r"alpha = 1\.9: rhs, slack: not finite"):
+        pitt_sweep(big, plan, [1.0, 1.9])
+    # a gaussian of energy 1e308 centered at (10, 10), on unit cells: its
+    # lhs is about 2.4e308 and its slack 3.6e308, past the largest float
+    grid = Grid2D.centered(64, 64.0)
+    plan = QolctPlan.create(A, A, input_grid=grid)
+    far = synth_gaussian(grid, 0.5, 0.5, (math.sqrt(1e308 / math.pi), 0.0),
+                         center=(10.0, 10.0))
+    assert math.isfinite(analysis(far, plan).energy)
+    with pytest.raises(PlanViolationError, match="logarithmic inequality: lhs, slack"):
+        log_up_check(far, plan)
+
+
 def test_pitt_alpha_zero_is_plancherel(grid128):
     f = synth_gaussian(grid128, 0.5, 0.5)
     for A1, A2 in parameter_sets(2, seed=9):
