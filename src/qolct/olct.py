@@ -245,8 +245,9 @@ def analysis(f: QField, plan: QolctPlan) -> Analysis:
     read-only, so no caller can change what a later call returns.
     """
     key = (plan, _mutation.armed())
-    if _last and _last[0][0]() is f and _last[0][1] == key:
-        return _last[0][2]
+    entry = _last[0] if _last else None  # test one entry: another call may replace it
+    if entry is not None and entry[0]() is f and entry[1] == key:
+        return entry[2]
     _last.clear()  # before the transforms, so at most one density is held
     for axis, A in ((1, plan.A1), (2, plan.A2)):
         _require_positive_b(A, f"axis {axis}")
@@ -265,25 +266,26 @@ def analysis(f: QField, plan: QolctPlan) -> Analysis:
     T = qmul(qmul(plan.lam.array, np.eye(4)), plan.mu.array)  # T(q) = q @ T
     og, reduced = plan.output_grid, {}  # per grid, the fields for e1 e2 = +1, -1
     density = np.zeros((og.n1, og.n2))
-    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-        for e1, e2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            grid = Grid2D(og.n1, og.n2, e1 * og.center1, e2 * og.center2,
-                          og.spacing1, og.spacing2)
-            if grid not in reduced:
-                o = qolct_forward(f, replace(plan, output_grid=grid)).samples
+    for e1, e2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        grid = Grid2D(og.n1, og.n2, e1 * og.center1, e2 * og.center2,
+                      og.spacing1, og.spacing2)
+        if grid not in reduced:
+            o = qolct_forward(f, replace(plan, output_grid=grid)).samples
+            with np.errstate(over="ignore", invalid="ignore"):  # rejected below
                 norm2 = np.einsum("...m,...m->...", o, o)
                 cross = c * np.einsum("...m,...m->...", o, o @ T)
                 reduced[grid] = (norm2 - cross, norm2 + cross)
+        with np.errstate(over="ignore", invalid="ignore"):
             density += reduced[grid][e1 != e2][::e1, ::e2]
     if not np.isfinite(density).all():
         raise PlanViolationError("the energy density overflows the largest float")
     density *= 0.5 if _mutation.active("density-fold") else 0.25
     density.setflags(write=False)
     mod2.setflags(write=False)
+    an = Analysis(density, mod2, energy)
     # the reference lives only in its entry, so its callback clears that entry
-    _last.append((weakref.ref(f, lambda _: _last.clear()), key,
-                  Analysis(density, mod2, energy)))
-    return _last[0][2]
+    _last[:] = [(weakref.ref(f, lambda _: _last.clear()), key, an)]
+    return an
 
 
 # ---------------------------------------------------------------------------
