@@ -11,7 +11,7 @@ import argparse
 import numpy as np
 
 from qolct import Grid2D, OffsetParams, QolctPlan, synth_gaussian
-from qolct.uncertainty import log_up_check, pitt_sweep
+from qolct.uncertainty import log_up_check, pitt_check
 
 
 def main():
@@ -31,7 +31,7 @@ def main():
     for width in (0.25, 0.5, 1.0, 2.0):
         f = synth_gaussian(grid, width, width)
         logup = log_up_check(f, plan)
-        reports = pitt_sweep(f, plan, [float(a) for a in np.arange(0.0, 2.0, 0.25)])
+        reports = [pitt_check(f, plan, float(a)) for a in np.arange(0.0, 2.0, 0.25)]
         for rep in reports:
             rows.append((width, rep.alpha, rep.lhs, rep.rhs,
                          rep.slack / rep.rhs,

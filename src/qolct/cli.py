@@ -20,9 +20,9 @@ from dataclasses import asdict, astuple, fields
 import numpy as np
 
 from . import _mutation, verify as verify_mod
-from .field import Grid2D, QField, apply_chirp, l2_norm, synth_gaussian
-from .olct import QolctPlan, _require_positive_b, qolct_forward, qolct_inverse
-from .qft import PlanViolationError
+from .field import (Grid2D, PlanViolationError, QField, apply_chirp, l2_norm,
+                    synth_gaussian)
+from .olct import QolctPlan, _require_positive_b, analysis, qolct_forward, qolct_inverse
 from .quat import PureUnit
 from .signalio import (
     params_doc,
@@ -33,11 +33,11 @@ from .signalio import (
 )
 from .uncertainty import (
     HeisenbergReport,
-    beurling_sweep,
+    beurling_integral,
     hardy_report,
-    heisenberg_sweep,
+    heisenberg_report,
     log_up_check,
-    pitt_sweep,
+    pitt_check,
 )
 
 EXIT_OK = 0
@@ -223,7 +223,7 @@ def cmd_uncertainty(args) -> int:
     tsv_rows = None  # built only when --tsv asks for them
 
     if args.which == "heisenberg":
-        reports = heisenberg_sweep(f, plan, (1, 2))
+        reports = [heisenberg_report(f, plan, axis) for axis in (1, 2)]
         doc["axes"] = [{**asdict(r), "relative_gap": r.gap / r.rhs if r.rhs else None}
                        for r in reports]
         if args.tsv:
@@ -244,14 +244,14 @@ def cmd_uncertainty(args) -> int:
                              for a, b in zip(fit.r2, fit.log_modulus)]
 
     elif args.which == "pitt":
-        sweep = [float(a) for a in np.arange(0.0, 2.0, 0.25)] if args.tsv else []
-        rep, *swept = pitt_sweep(f, plan, [args.alpha] + sweep)
+        rep = pitt_check(f, plan, args.alpha)
         doc.update({"alpha": rep.alpha, "lhs": rep.lhs, "rhs": rep.rhs,
                     "slack": rep.slack, "C_alpha": rep.constants.C,
                     "D_alpha": rep.constants.D})
         if args.tsv:
             tsv_rows = [("alpha", "lhs", "rhs", "slack")]
-            tsv_rows += [(r.alpha, r.lhs, r.rhs, r.slack) for r in swept]
+            tsv_rows += [(r.alpha, r.lhs, r.rhs, r.slack) for r in (
+                pitt_check(f, plan, float(a)) for a in np.arange(0.0, 2.0, 0.25))]
 
     elif args.which == "logup":
         rep = log_up_check(f, plan)
@@ -259,8 +259,9 @@ def cmd_uncertainty(args) -> int:
                     "slack": rep.slack, "transform_term": rep.transform_term,
                     "signal_term": rep.signal_term, "energy": rep.energy})
         if args.tsv:
-            r_sig, p_sig = _radial_profile(rep.e2, f.grid)
-            r_tr, p_tr = _radial_profile(rep.density, plan.scaled_freq_grid())
+            an = analysis(f, plan)  # kept from log_up_check: no transform
+            r_sig, p_sig = _radial_profile(an.e2, f.grid)
+            r_tr, p_tr = _radial_profile(an.density, plan.scaled_freq_grid())
             tsv_rows = [("domain", "radius", "energy_density")]
             tsv_rows += [("signal", float(a), float(b))
                          for a, b in zip(r_sig, p_sig)]
@@ -274,8 +275,7 @@ def cmd_uncertainty(args) -> int:
         elif radius <= 0.0:
             raise ValueError(f"--radius must be positive, got {radius:g}")
         fracs = (0.25, 0.5, 0.75, 1.0) if args.tsv else (1.0, 0.5)
-        values = dict(zip(fracs, beurling_sweep(f, plan, args.d,
-                                                [radius * k for k in fracs])))
+        values = {k: beurling_integral(f, plan, args.d, radius * k) for k in fracs}
         half, full = values[0.5], values[1.0]
         if args.tsv:
             tsv_rows = [("radius", "value")]

@@ -158,6 +158,13 @@ class ComponentQuartet:
         return np.sqrt(acc)
 
 
+def _cell_sum(values: np.ndarray, cell: float) -> float:
+    """sum(values) * cell.  The cell's power of two scales each term before
+    the sum, exactly, so only a result past the largest float overflows."""
+    exponent = math.frexp(cell)[1] - 1  # cell / 2^exponent lies in [1, 2)
+    return float(np.sum(np.ldexp(values, exponent))) * math.ldexp(cell, -exponent)
+
+
 def l2_norm(f: QField) -> float:
     """sqrt(integral of |f(t)|_Q^2)."""
     return float(np.sqrt(np.sum(f.samples * f.samples) * f.grid.cell_area))

@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _mutation
-from .field import ComponentQuartet, Grid2D, QField
-from .qft import PlanViolationError, _planes_ft, _quartet, check_nyquist
+from .field import ComponentQuartet, Grid2D, PlanViolationError, QField, _cell_sum
+from .qft import _planes_ft, _quartet, check_nyquist
 from .quat import UNIT_I, UNIT_J, PureUnit, qmul
 
 
@@ -255,7 +255,7 @@ def analysis(f: QField, plan: QolctPlan) -> Analysis:
         raise ValueError("field grid does not match plan input grid")
     with np.errstate(over="ignore"):
         mod2 = np.einsum("...m,...m->...", f.samples, f.samples)
-        energy = float(np.sum(mod2)) * f.grid.cell_area
+        energy = _cell_sum(mod2, f.grid.cell_area)
     if not math.isfinite(energy):
         raise PlanViolationError("the signal energy overflows the largest float "
                                  "(or a sample is not finite)")

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import QField, partial_derivative
+from .field import PlanViolationError, QField, _cell_sum, partial_derivative
 from .olct import QolctPlan, _plan_factors, _require_positive_b, analysis, qolct_forward
-from .qft import PlanViolationError
 from .quat import UNIT_I, UNIT_J, qnorm, sandwich
 
 
@@ -55,7 +54,7 @@ def pitt_constants(alpha: float) -> PittConstants:
 
 def _weighted_energy(values_sq: np.ndarray, weights: np.ndarray, cell: float) -> float:
     with np.errstate(over="ignore", invalid="ignore"):  # the report rejects inf, NaN
-        return float(np.sum(values_sq * weights)) * cell
+        return _cell_sum(values_sq * weights, cell)
 
 
 def _require_finite_figures(what: str, **figures: float):
@@ -94,38 +93,6 @@ class HeisenbergReport:
     gap: float
 
 
-def heisenberg_sweep(f: QField, plan: QolctPlan, axes) -> list:
-    """:func:`heisenberg_report` on each axis in ``axes``, from one analysis."""
-    if not set(axes) <= {1, 2}:
-        raise ValueError("axis must be 1 or 2")
-    an = analysis(f, plan)  # rejects b = 0 plans
-    mod = np.sqrt(an.e2)
-    mod[mod <= 1e-12 * float(mod.max())] = np.inf  # w is 0 off the live set
-    # the chirps are unit, so g/|g| of the chirped signal g is c1 (f/|f|) c2
-    w = QField(f.grid, sandwich(f.samples / mod[..., None], plan.lam, plan.mu,
-                                *_plan_factors(plan)[0]))
-    og, vgrid, reports = plan.output_grid, plan.scaled_freq_grid(), []
-    for axis in axes:
-        shape = (-1, 1) if axis == 1 else (1, -1)
-        tk = f.grid.axis_coords(axis)
-        spatial = _weighted_energy(an.e2, tk.reshape(shape) ** 2, f.grid.cell_area)
-        xk = vgrid.axis_coords(axis) / (2.0 * math.pi)
-        spectral = _weighted_energy(an.density, xk.reshape(shape) ** 2, og.cell_area)
-        dw = partial_derivative(w, axis)
-        cov = (float(np.sum(an.e2 * np.abs(tk).reshape(shape) * qnorm(dw.samples)))
-               * f.grid.cell_area / (2.0 * math.pi))
-        try:  # a Python float's ** raises on overflow
-            base, cov2 = an.energy ** 2 / (16.0 * math.pi ** 2), cov ** 2
-        except OverflowError:
-            base = cov2 = math.inf
-        lhs, rhs = spatial * spectral, base + cov2
-        _require_finite_figures(f"Heisenberg on axis {axis}", lhs=lhs, rhs=rhs,
-                                gap=lhs - rhs)
-        reports.append(HeisenbergReport(axis, spatial, spectral, base, cov, lhs,
-                                        rhs, lhs - rhs))
-    return reports
-
-
 def heisenberg_report(f: QField, plan: QolctPlan, axis: int) -> HeisenbergReport:
     """Spread product versus (1/16 pi^2)|f|^4 + COV^2.
 
@@ -134,7 +101,31 @@ def heisenberg_report(f: QField, plan: QolctPlan, axis: int) -> HeisenbergReport
     out of |t_k d/dt_k w|); w is zeroed where |f| = |g| is below 1e-12 of
     its peak.
     """
-    return heisenberg_sweep(f, plan, [axis])[0]
+    if axis not in (1, 2):
+        raise ValueError("axis must be 1 or 2")
+    an = analysis(f, plan)  # rejects b = 0 plans
+    mod = np.sqrt(an.e2)
+    mod[mod <= 1e-12 * float(mod.max())] = np.inf  # w is 0 off the live set
+    # the chirps are unit, so g/|g| of the chirped signal g is c1 (f/|f|) c2
+    w = QField(f.grid, sandwich(f.samples / mod[..., None], plan.lam, plan.mu,
+                                *_plan_factors(plan)[0]))
+    shape = (-1, 1) if axis == 1 else (1, -1)
+    tk = f.grid.axis_coords(axis)
+    spatial = _weighted_energy(an.e2, tk.reshape(shape) ** 2, f.grid.cell_area)
+    xk = plan.scaled_freq_grid().axis_coords(axis) / (2.0 * math.pi)
+    spectral = _weighted_energy(an.density, xk.reshape(shape) ** 2,
+                                plan.output_grid.cell_area)
+    dw = partial_derivative(w, axis)
+    cov = _weighted_energy(an.e2 * np.abs(tk).reshape(shape), qnorm(dw.samples),
+                           f.grid.cell_area) / (2.0 * math.pi)
+    try:  # a Python float's ** raises on overflow
+        base, cov2 = an.energy ** 2 / (16.0 * math.pi ** 2), cov ** 2
+    except OverflowError:
+        base = cov2 = math.inf
+    lhs, rhs = spatial * spectral, base + cov2
+    _require_finite_figures(f"Heisenberg on axis {axis}", lhs=lhs, rhs=rhs,
+                            gap=lhs - rhs)
+    return HeisenbergReport(axis, spatial, spectral, base, cov, lhs, rhs, lhs - rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +151,7 @@ def hardy_envelope_fit(g: QField) -> EnvelopeFit:
     mask = mod > 1e-6 * peak
     if int(mask.sum()) < 8:
         raise ValueError("too few samples above the fitting floor")
-    t1, t2 = g.grid.meshgrid()
-    r2 = (t1 ** 2 + t2 ** 2)[mask]
+    r2 = (g.grid.radius() ** 2)[mask]
     y = np.log(mod[mask])
     design = np.stack([np.ones_like(r2), -r2], axis=1)
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
@@ -210,41 +200,6 @@ def _radial_mass(weights: np.ndarray, grid) -> tuple:
     return radii, np.bincount(index.ravel(), weights=weights.ravel())
 
 
-def beurling_sweep(f: QField, plan: QolctPlan, d: float, truncations) -> list:
-    """:func:`beurling_integral` at each radius in ``truncations``, on one
-    grouping of each side by radius; a radius that overflows is rejected."""
-    if d < 0.0:
-        raise ValueError("d must be nonnegative")
-    an, vgrid = analysis(f, plan), plan.scaled_freq_grid()
-    rt, wt = _radial_mass(np.sqrt(an.e2), f.grid)
-    rv, wv = _radial_mass(np.sqrt(an.density), vgrid)
-    cells = f.grid.cell_area * vgrid.cell_area
-    values = []
-    for truncation in truncations:
-        nt = int(np.searchsorted(rt, truncation, side="right"))
-        nv = int(np.searchsorted(rv, truncation, side="right"))
-        v, w = rv[None, :nv], wv[:nv]
-        reach = float(rt[nt - 1] * rv[nv - 1]) if nt and nv else 0.0
-        if reach > _LN_MAX_FLOAT:  # checked before any exp is computed
-            raise PlanViolationError(
-                f"Beurling truncation {truncation:g} overflows: its largest |t||v| "
-                f"= {reach:.6g} must stay below ln(max float) = {_LN_MAX_FLOAT:.2f}")
-        total = 0.0
-        # every exp is finite, but the sum may overflow: rejected below
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, nt, _BEURLING_BLOCK):
-                hi = min(lo + _BEURLING_BLOCK, nt)
-                r = rt[lo:hi, None]
-                kernel = np.exp(r * v) / (1.0 + r + v) ** d
-                total += float(wt[lo:hi] @ (kernel @ w))
-        if not math.isfinite(total * cells):
-            raise PlanViolationError(
-                f"Beurling truncation {truncation:g} overflows: its weighted sum "
-                "exceeds the largest float")
-        values.append(total * cells)
-    return values
-
-
 def beurling_integral(f: QField, plan: QolctPlan, d: float,
                       truncation: float) -> float:
     """Truncated double integral of |f(t)| ||F(v)|| e^{|t||v|} / (1+|t|+|v|)^d.
@@ -255,7 +210,33 @@ def beurling_integral(f: QField, plan: QolctPlan, d: float,
     Purely diagnostic: compare truncation radii to read off the growth
     trend; no pass/fail semantics.
     """
-    return beurling_sweep(f, plan, d, [truncation])[0]
+    if d < 0.0:
+        raise ValueError("d must be nonnegative")
+    an, vgrid = analysis(f, plan), plan.scaled_freq_grid()
+    rt, wt = _radial_mass(np.sqrt(an.e2), f.grid)
+    rv, wv = _radial_mass(np.sqrt(an.density), vgrid)
+    nt = int(np.searchsorted(rt, truncation, side="right"))
+    nv = int(np.searchsorted(rv, truncation, side="right"))
+    v, w = rv[None, :nv], wv[:nv]
+    reach = float(rt[nt - 1] * rv[nv - 1]) if nt and nv else 0.0
+    if reach > _LN_MAX_FLOAT:  # checked before any exp is computed
+        raise PlanViolationError(
+            f"Beurling truncation {truncation:g} overflows: its largest |t||v| "
+            f"= {reach:.6g} must stay below ln(max float) = {_LN_MAX_FLOAT:.2f}")
+    total = 0.0
+    # every exp is finite, but the sum may overflow: rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, nt, _BEURLING_BLOCK):
+            hi = min(lo + _BEURLING_BLOCK, nt)
+            r = rt[lo:hi, None]
+            kernel = np.exp(r * v) / (1.0 + r + v) ** d
+            total += float(wt[lo:hi] @ (kernel @ w))
+    value = total * (f.grid.cell_area * vgrid.cell_area)
+    if not math.isfinite(value):
+        raise PlanViolationError(
+            f"Beurling truncation {truncation:g} overflows: its weighted sum "
+            "exceeds the largest float")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -270,30 +251,21 @@ class PittReport:
     constants: PittConstants
 
 
-def pitt_sweep(f: QField, plan: QolctPlan, alphas) -> list:
-    """:func:`pitt_check` at each alpha in ``alphas``, from one analysis."""
-    _require_ij(plan, "Pitt's inequality")
-    consts = [pitt_constants(alpha) for alpha in alphas]
-    an = analysis(f, plan)  # rejects b = 0 plans
-    og = plan.output_grid
-    rv = plan.scaled_freq_grid().radius()
-    if max(alphas) > 0.0:
-        _require_off_origin(rv, og, "|v|^(-alpha)")
-    rt = f.grid.radius()
-    reports = []
-    for c in consts:
-        lhs = _weighted_energy(an.density, rv ** (-c.alpha), og.cell_area)
-        rhs = c.D * _weighted_energy(an.e2, rt ** c.alpha, f.grid.cell_area)
-        _require_finite_figures(f"Pitt at alpha = {c.alpha:g}", lhs=lhs, rhs=rhs,
-                                slack=rhs - lhs)
-        reports.append(PittReport(c.alpha, lhs, rhs, rhs - lhs, c))
-    return reports
-
-
 def pitt_check(f: QField, plan: QolctPlan, alpha: float) -> PittReport:
     """|v|^(-alpha)-weighted transform energy against the |t|^alpha-weighted
     signal energy times C_alpha/(4 pi^2); slack = rhs - lhs >= 0."""
-    return pitt_sweep(f, plan, [alpha])[0]
+    _require_ij(plan, "Pitt's inequality")
+    c = pitt_constants(alpha)
+    an = analysis(f, plan)  # rejects b = 0 plans
+    og = plan.output_grid
+    rv = plan.scaled_freq_grid().radius()
+    if alpha > 0.0:
+        _require_off_origin(rv, og, "|v|^(-alpha)")
+    lhs = _weighted_energy(an.density, rv ** (-alpha), og.cell_area)
+    rhs = c.D * _weighted_energy(an.e2, f.grid.radius() ** alpha, f.grid.cell_area)
+    _require_finite_figures(f"Pitt at alpha = {alpha:g}", lhs=lhs, rhs=rhs,
+                            slack=rhs - lhs)
+    return PittReport(alpha, lhs, rhs, rhs - lhs, c)
 
 
 @dataclass(frozen=True)
@@ -305,8 +277,6 @@ class LogUpReport:
     signal_term: float
     energy: float
     constant: float
-    density: np.ndarray  # the ln|v|-weighted energy density
-    e2: np.ndarray  # the ln|t|-weighted |f|^2
 
 
 def log_up_check(f: QField, plan: QolctPlan) -> LogUpReport:
@@ -326,4 +296,4 @@ def log_up_check(f: QField, plan: QolctPlan) -> LogUpReport:
     _require_finite_figures("the logarithmic inequality", lhs=lhs, rhs=rhs,
                             slack=lhs - rhs)
     return LogUpReport(lhs, rhs, lhs - rhs, zterm, tterm, an.energy,
-                       LOG_UP_CONSTANT, an.density, an.e2)
+                       LOG_UP_CONSTANT)

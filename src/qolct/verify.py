@@ -63,14 +63,12 @@ from .quat import (
 from .uncertainty import (
     LOG_UP_CONSTANT,
     beurling_integral,
-    beurling_sweep,
     gamma_fn,
     hardy_report,
     heisenberg_report,
     log_up_check,
     pitt_check,
     pitt_constants,
-    pitt_sweep,
 )
 
 SUITES = ("algebra", "qft", "qolct", "oracle", "uncertainty")
@@ -622,8 +620,8 @@ def uncertainty_checks(seed: int):
     rep = pitt_check(f, planq, 0.0)
     out.append(_record("pitt-equality-alpha0", "gaussian, alpha = 0",
                        abs(rep.slack) / rep.rhs, 1e-6))
-    worst = max(0.0, *(-r.slack / r.rhs
-                       for r in pitt_sweep(f, plan, (0.5, 1.0, 1.5))))
+    reps = [pitt_check(f, plan, alpha) for alpha in (0.5, 1.0, 1.5)]
+    worst = max(0.0, *(-r.slack / r.rhs for r in reps))
     out.append(_record("pitt-slack-nonnegative", "alpha in {0.5, 1, 1.5}",
                        worst, 1e-6))
 
@@ -653,7 +651,7 @@ def uncertainty_checks(seed: int):
     f32 = synth_gaussian(g32, 1.0, 1.0)
     plan32 = QolctPlan.create(OffsetParams.qft_case(), OffsetParams.qft_case(),
                               input_grid=g32)
-    vals = beurling_sweep(f32, plan32, 4.0, (2.0, 4.0))
+    vals = [beurling_integral(f32, plan32, 4.0, R) for R in (2.0, 4.0)]
     out.append(_record("beurling-growth-with-radius", "value(R/2) < value(R)",
                        0.0 if vals[0] < vals[1] else 1.0, 0.0))
     vals_d = [beurling_integral(f32, plan32, d, 4.0) for d in (4.0, 50.0)]

@@ -450,6 +450,7 @@ _FIXTURE_FAILURES = {
     "density-fold": {"qolct:density-equals-analysis-quartet",
                      "qolct:moment-identity-axis1", "qolct:moment-identity-axis2",
                      "uncertainty:heisenberg-classical-equality",
+                     "uncertainty:logup-gaussian-sharp",
                      "uncertainty:pitt-equality-alpha0",
                      "uncertainty:pitt-slack-nonnegative"},
     "degenerate-chirp": {"qolct:degenerate-equals-kernel-sum"},
@@ -556,42 +557,32 @@ def test_uncertainty_hardy_tsv(tmp_path, qft_params):
     assert any(line.startswith("transform\t") for line in lines[1:])
 
 
-# --which: how often it runs the analysis and the forward; --tsv adds none
-UNCERTAINTY_CALLS = {
-    "heisenberg": {"analysis": 1, "qolct_forward": 0},
-    "hardy": {"analysis": 0, "qolct_forward": 1},
-    "pitt": {"analysis": 1, "qolct_forward": 0},
-    "logup": {"analysis": 1, "qolct_forward": 0},
-    "beurling": {"analysis": 1, "qolct_forward": 0},
-}
+_UNCERTAINTY_REPORTS = ("beurling", "hardy", "heisenberg", "logup", "pitt")
 
 
 @pytest.mark.parametrize("which, tsv", [
-    *(pytest.param(which, False, id=which) for which in sorted(UNCERTAINTY_CALLS)),
-    *(pytest.param(which, True, id=f"{which}-tsv") for which in sorted(UNCERTAINTY_CALLS))])
+    *(pytest.param(which, False, id=which) for which in _UNCERTAINTY_REPORTS),
+    *(pytest.param(which, True, id=f"{which}-tsv") for which in _UNCERTAINTY_REPORTS)])
 def test_uncertainty_computes_only_what_it_prints(tmp_path, qft_params,
                                                   monkeypatch, which, tsv):
-    from qolct import cli, uncertainty
+    # one forward per command, --tsv or not: every figure after the first
+    # reads the kept analysis, and Hardy runs one forward of its own
+    from qolct import cli, olct, uncertainty
 
-    calls = {name: 0 for name in UNCERTAINTY_CALLS[which]}
-    for module in (cli, uncertainty):
-        for name in calls:
-            real = getattr(module, name, None)
-            if real is None:
-                continue
+    calls = []
+    for module in (olct, uncertainty):
+        def spy(*args, _real=module.qolct_forward, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
 
-            def spy(*args, _real=real, _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(module, "qolct_forward", spy)
     sig = str(tmp_path / "f.qsig")
     write_signal(sig, synth_gaussian(Grid2D.centered(64, 16.0), 0.5, 0.5))
     out = str(tmp_path / "u.json")
     tsv_args = ["--tsv", str(tmp_path / "u.tsv")] if tsv else []
     assert cli.main(["uncertainty", "--in", sig, "--params", qft_params,
                      "--which", which, "--json", out, *tsv_args]) == 0
-    assert calls == UNCERTAINTY_CALLS[which]
+    assert len(calls) == 1
 
 
 def test_uncertainty_rejects_overflowing_signal_energy(tmp_path, qft_params):

@@ -23,16 +23,13 @@ from qolct.quat import PureUnit, plane_to_quat, qmul
 from qolct.uncertainty import (
     LOG_UP_CONSTANT,
     beurling_integral,
-    beurling_sweep,
     gamma_fn,
     hardy_envelope_fit,
     hardy_report,
     heisenberg_report,
-    heisenberg_sweep,
     log_up_check,
     pitt_check,
     pitt_constants,
-    pitt_sweep,
 )
 
 from conftest import corpus_signals, parameter_sets, rel_max_err
@@ -111,7 +108,7 @@ def test_heisenberg_classical_minimizer(grid128):
         assert abs(rep.cov) <= 1e-12
         assert abs(rep.gap) / rep.rhs <= 1e-2  # classical equality
     with pytest.raises(ValueError, match="axis must be 1 or 2"):
-        heisenberg_sweep(f, plan, (1, 3))
+        heisenberg_report(f, plan, 3)
 
 
 def test_heisenberg_chirped_equality_case():
@@ -270,12 +267,10 @@ def test_beurling_radius_sums_match_all_pairs(n):
         for name in ("quaternion", "shifted"):
             f = signals[name]
             density, vgrid = analysis(f, plan).density, plan.scaled_freq_grid()
-            radii = (1.0, 2.5, 0.45 * 14.0)
-            swept = beurling_sweep(f, plan, 4.0, radii)
-            for R, value in zip(radii, swept):
+            for R in (1.0, 2.5, 0.45 * 14.0):
+                value = beurling_integral(f, plan, 4.0, R)
                 want = _beurling_all_pairs(f, density, vgrid, 4.0, R)
                 assert abs(value - want) <= 1e-12 * want, (name, R)
-                assert beurling_integral(f, plan, 4.0, R) == value
 
 
 def test_beurling_rejects_overflowing_truncations():
@@ -288,9 +283,8 @@ def test_beurling_rejects_overflowing_truncations():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert math.isfinite(beurling_integral(f, plan, 4.0, 30.0))
-        for radii in ([100.0], [30.0, 100.0]):
-            with pytest.raises(PlanViolationError, match=r"ln\(max float\) = 709\.78"):
-                beurling_sweep(f, plan, 4.0, radii)
+        with pytest.raises(PlanViolationError, match=r"ln\(max float\) = 709\.78"):
+            beurling_integral(f, plan, 4.0, 100.0)
     # every e^(|t||v|) is finite at radius 30, but this sum is not; the
     # signal energy (about 1e280 times f's) still is, so the sum is reached
     huge = QField(grid, f.samples * 1e140)
@@ -339,29 +333,22 @@ def test_singular_weights_reject_origin_samples():
         log_up_check(f, plan)
 
 
-def test_pitt_sweep_is_pitt_check_on_one_density(monkeypatch, grid64):
-    from qolct import uncertainty
+def test_pitt_checks_on_one_pair_share_one_analysis(monkeypatch, grid64):
+    from qolct import olct
     f = synth_gaussian(grid64, 0.7, 0.5, center=(0.4, -0.2))
     plan = QolctPlan.create(OffsetParams(1.0, 1.0, 1.0, 2.0, 0.3, -0.2),
                             OffsetParams(0.5, 1.5, -0.4, 0.8, -0.1, 0.4),
                             input_grid=grid64)
-    alphas = [0.0, 0.5, 1.0, 1.75]
-    want = [pitt_check(f, plan, alpha) for alpha in alphas]
     calls = []
 
-    def spy(*args, _real=uncertainty.analysis):
+    def spy(*args, _real=olct._planes_ft):
         calls.append(1)
         return _real(*args)
 
-    monkeypatch.setattr(uncertainty, "analysis", spy)
-    assert pitt_sweep(f, plan, alphas) == want
-    assert len(calls) == 1
-    # any alpha > 0 puts the singular weight on the odd grid's origin sample
-    odd = Grid2D.centered(33, 10.0)
-    A = OffsetParams.qft_case()
-    with pytest.raises(PlanViolationError, match="singular at the origin"):
-        pitt_sweep(synth_gaussian(odd, 0.5, 0.5), QolctPlan.create(A, A, input_grid=odd),
-                   [0.0, 0.25])
+    monkeypatch.setattr(olct, "_planes_ft", spy)
+    for alpha in (0.0, 0.5, 1.0, 1.75):
+        pitt_check(f, plan, alpha)
+    assert len(calls) == 1  # the grid is centered: one forward
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -374,7 +361,7 @@ def test_weighted_reports_reject_non_finite_figures():
     big = synth_gaussian(grid, 1.0, 1.0, (1e153, 0.0))
     assert math.isfinite(pitt_check(big, plan, 1.0).slack)
     with pytest.raises(PlanViolationError, match=r"alpha = 1\.9: rhs, slack: not finite"):
-        pitt_sweep(big, plan, [1.0, 1.9])
+        pitt_check(big, plan, 1.9)
     # a gaussian of energy 1e308 centered at (10, 10), on unit cells: its
     # lhs is about 2.4e308 and its slack 3.6e308, past the largest float
     grid = Grid2D.centered(64, 64.0)
@@ -384,6 +371,25 @@ def test_weighted_reports_reject_non_finite_figures():
     assert math.isfinite(analysis(far, plan).energy)
     with pytest.raises(PlanViolationError, match="logarithmic inequality: lhs, slack"):
         log_up_check(far, plan)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_weighted_energies_overflow_only_past_the_largest_float():
+    # a field of flat modulus and random signs, energy 1e307 on cells of
+    # 1/16: each sum of |f|^2 times a weight passes the largest float before
+    # the cell scales it, but the weighted energies do not
+    grid = Grid2D.centered(64, 16.0)
+    A = OffsetParams.qft_case()
+    plan = QolctPlan.create(A, A, input_grid=grid)
+    signs = np.random.default_rng(0).choice([-1.0, 1.0], size=(64, 64, 4))
+    f = QField(grid, math.sqrt(1e307 / (4 * 64 * 64 * grid.cell_area)) * signs)
+    rep = log_up_check(f, plan)
+    assert rep.signal_term == pytest.approx(1.71e307, rel=1e-2)
+    assert math.isfinite(rep.slack) and rep.slack > 0.0
+    assert math.isfinite(pitt_check(f, plan, 0.5).slack)
+    # its t^2-weighted energy is past the largest float: rejected, not warned
+    with pytest.raises(PlanViolationError, match="axis 1: lhs, rhs, gap: not finite"):
+        heisenberg_report(f, plan, 1)
 
 
 def test_pitt_alpha_zero_is_plancherel(grid128):
