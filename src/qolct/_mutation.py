@@ -12,8 +12,8 @@ from contextlib import contextmanager
 MUTATIONS = {
     "right-kernel-sign": "flip the sign of the sine part of the right-hand "
                          "kernel in the dense QOLCT quadrature (qolct_direct)",
-    "iqft-scale": "drop the 1/(2*pi)^2 normalization of every inverse "
-                  "transform in the two-sided transform engine",
+    "iqft-scale": "drop the 1/(2*pi) per axis that both inverse transforms, "
+                  "iqft and qolct_inverse, take from qft._inverse_weight",
     "chirp-sign": "flip the sign of the quadratic input-chirp phase the QOLCT "
                   "hands to the two-sided transform engine",
     "planes-conj": "swap which plane of the planes split takes the conjugated "

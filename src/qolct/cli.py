@@ -20,8 +20,8 @@ from dataclasses import asdict, astuple, fields
 import numpy as np
 
 from . import _mutation, verify as verify_mod
-from .field import (Grid2D, PlanViolationError, QField, apply_chirp, l2_norm,
-                    synth_gaussian)
+from .field import (Grid2D, PlanViolationError, QField, _cell_sum, apply_chirp,
+                    l2_norm, synth_gaussian)
 from .olct import QolctPlan, _require_positive_b, analysis, qolct_forward, qolct_inverse
 from .quat import PureUnit
 from .signalio import (
@@ -140,8 +140,7 @@ def cmd_transform(args) -> int:
 
     A1, A2 = params.A1, params.A2
     if args.inverse:
-        for axis, A in ((1, A1), (2, A2)):  # before the plan checks b = 0 axes
-            _require_positive_b(A, f"axis {axis}")
+        _require_positive_b(A1, A2)  # before the plan checks b = 0 axes
         tgrid = QolctPlan.derived_output_grid(A1, A2, f.grid)
         if ref is not None and _near_grid(ref.grid, tgrid):
             tgrid = ref.grid  # undo the rounding of the forward's grid formula
@@ -173,8 +172,8 @@ def cmd_transform(args) -> int:
             "timestamp": _timestamp(),
         }
         if ref is not None:
-            num = float(np.sqrt(np.sum((out_field.samples - ref.samples) ** 2)))
-            den = float(np.sqrt(np.sum(ref.samples ** 2)))
+            d2 = (out_field.samples - ref.samples) ** 2  # summed as l2_norm sums
+            num, den = math.sqrt(_cell_sum(d2, ref.grid.cell_area)), l2_norm(ref)
             sidecar["l2_rel_distance_to_reference"] = num / den if den else num
     text = _strict_json(sidecar)
     write_signal(args.out, out_field)

@@ -167,15 +167,13 @@ def _cell_sum(values: np.ndarray, cell: float) -> float:
 
 def l2_norm(f: QField) -> float:
     """sqrt(integral of |f(t)|_Q^2)."""
-    return float(np.sqrt(np.sum(f.samples * f.samples) * f.grid.cell_area))
+    return math.sqrt(_cell_sum(f.samples * f.samples, f.grid.cell_area))
 
 
 def quartet_l2_norm(q: ComponentQuartet) -> float:
     """sqrt(integral of the squared pointwise quartet norm)."""
-    acc = 0.0
-    for m in q.members:
-        acc += np.sum(m.samples * m.samples)
-    return float(np.sqrt(acc * q.grid.cell_area))
+    return math.sqrt(sum(_cell_sum(m.samples * m.samples, q.grid.cell_area)
+                         for m in q.members))
 
 
 def synth_gaussian(grid: Grid2D, alpha1: float, alpha2: float,

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _mutation
 from .field import ComponentQuartet, Grid2D, PlanViolationError, QField, _cell_sum
-from .qft import _planes_ft, _quartet, check_nyquist
+from .qft import _inverse_weight, _planes_ft, _quartet, check_nyquist
 from .quat import UNIT_I, UNIT_J, PureUnit, qmul
 
 
@@ -61,9 +61,11 @@ class OffsetParams:
         return cls(0.0, 1.0, -1.0, 0.0, 0.0, 0.0)
 
 
-def _require_positive_b(A: OffsetParams, label: str):
-    if A.b <= 0.0:
-        raise ValueError(f"{label}: main-branch transforms require b > 0, got {A.b}")
+def _require_positive_b(A1: OffsetParams, A2: OffsetParams):
+    for axis, A in ((1, A1), (2, A2)):
+        if A.b <= 0.0:
+            raise ValueError(f"axis {axis}: main-branch transforms require "
+                             f"b > 0, got {A.b}")
 
 
 @dataclass(frozen=True)
@@ -109,10 +111,9 @@ class QolctPlan:
     @classmethod
     def create(cls, A1: OffsetParams, A2: OffsetParams,
                lam: PureUnit = UNIT_I, mu: PureUnit = UNIT_J, *,
-               input_grid: Grid2D, output_grid: Grid2D | None = None) -> "QolctPlan":
-        if output_grid is None:
-            output_grid = cls.derived_output_grid(A1, A2, input_grid)
-        return cls(A1, A2, lam, mu, input_grid, output_grid)
+               input_grid: Grid2D) -> "QolctPlan":
+        return cls(A1, A2, lam, mu, input_grid,
+                   cls.derived_output_grid(A1, A2, input_grid))
 
     @staticmethod
     def derived_output_grid(A1: OffsetParams, A2: OffsetParams,
@@ -140,20 +141,23 @@ class QolctPlan:
                       g.spacing1 / b1, g.spacing2 / b2)
 
 
-def _axis_factors(axis: int, A: OffsetParams, t, u, sign: float):
-    """One b > 0 axis's input chirp e^{i(tau t + a t^2/2)/b} and output factor
+def _axis_factors(axis: int, A: OffsetParams, t, u, sign: int):
+    """One b > 0 axis's engine triple (sign, pre, post): the forward (sign
+    -1) takes the input chirp e^{i(tau t + a t^2/2)/b} before its QFT and
     C(u) = (2 pi b)^(-1/2) e^{-i pi/4} e^{i(-2u(d tau - b eta) + d(u^2 +
-    tau^2))/(2b)} as complex values (sign +1), or their inverses (sign -1)."""
-    lin, quad = sign * A.tau / A.b, sign * A.a / (2.0 * A.b)
+    tau^2))/(2b)} after it, the inverse (sign +1) 1/(2 pi C(u)) and 1/chirp."""
+    lin, quad = -sign * A.tau / A.b, -sign * A.a / (2.0 * A.b)
     if _mutation.active("chirp-sign"):
         quad = -quad
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
         phi = (-2.0 * u * (A.d * A.tau - A.b * A.eta)
                + A.d * (u * u + A.tau * A.tau)) / (2.0 * A.b) - math.pi / 4.0
-        factors = (np.exp(1j * (lin * t + quad * t * t)),
-                   np.exp(1j * sign * phi) * (2.0 * math.pi * A.b) ** (-0.5 * sign))
-    _require_finite(axis, *factors)
-    return factors
+        chirp = np.exp(1j * (lin * t + quad * t * t))
+        factor = np.exp(-1j * sign * phi) * (2.0 * math.pi * A.b) ** (0.5 * sign)
+    _require_finite(axis, chirp, factor)
+    if sign < 0:
+        return sign, chirp, factor
+    return sign, factor * _inverse_weight(), chirp
 
 
 def _require_finite(axis: int, *factors):
@@ -163,14 +167,18 @@ def _require_finite(axis: int, *factors):
             "offsets or matrix entries are too large for this grid")
 
 
-def _plan_factors(plan: QolctPlan, sign: float = 1.0):
-    """Both axes' :func:`_axis_factors`, which require b > 0 on each."""
-    pairs = []
+def _plan_factors(plan: QolctPlan, sign: int):
+    """Per axis the engine triple of the forward (sign -1) or the inverse
+    (sign +1): :func:`_axis_factors` on a b > 0 axis; a b = 0 axis of the
+    forward is not transformed, (0, None, :func:`_degenerate_chirp`)."""
+    if sign > 0:
+        _require_positive_b(plan.A1, plan.A2)
+    triples = []
     for axis, A in ((1, plan.A1), (2, plan.A2)):
-        _require_positive_b(A, f"axis {axis}")
-        pairs.append(_axis_factors(axis, A, plan.input_grid.axis_coords(axis),
-                                   plan.output_grid.axis_coords(axis), sign))
-    return tuple(zip(*pairs))
+        t, u = plan.input_grid.axis_coords(axis), plan.output_grid.axis_coords(axis)
+        triples.append(_axis_factors(axis, A, t, u, sign) if A.b > 0.0
+                       else (0, None, _degenerate_chirp(axis, A, u)))
+    return tuple(triples)
 
 
 def qolct_forward(f: QField, plan: QolctPlan) -> QField:
@@ -183,35 +191,31 @@ def qolct_forward(f: QField, plan: QolctPlan) -> QField:
     """
     if f.grid != plan.input_grid:
         raise ValueError("field grid does not match plan input grid")
-    g, data, axes = plan.input_grid, f.samples, []  # (sign, pre, post) per axis
+    g, data, axes = plan.input_grid, f.samples, _plan_factors(plan, -1)
     for axis, A, h in ((1, plan.A1, g.spacing1), (2, plan.A2, g.spacing2)):
-        t, u = g.axis_coords(axis), plan.output_grid.axis_coords(axis)
-        if A.b > 0.0:
-            axes.append((-1, *_axis_factors(axis, A, t, u, 1.0)))
-        else:
-            axes.append((0, None, _degenerate_chirp(axis, A, u)))
-            data = _spline(t, h, data, A.d * (u - A.tau), axis=axis - 1)
+        if A.b == 0.0:
+            u = plan.output_grid.axis_coords(axis)
+            data = _spline(g.axis_coords(axis), h, data, A.d * (u - A.tau), axis=axis - 1)
     return QField(plan.output_grid, _planes_ft(
-        data, plan.input_grid, plan.scaled_freq_grid(), plan.lam, plan.mu, axes))
+        data, g, plan.scaled_freq_grid(), plan.lam, plan.mu, axes))
 
 
 def qolct_inverse(F: QField, plan: QolctPlan) -> QField:
     """Inverse transform: conj-kernel quadrature, computed by unwinding the
     factorization (inverse output factors, inverse QFT, inverse chirps)."""
-    chirps, factors = _plan_factors(plan, -1.0)
+    axes = _plan_factors(plan, 1)
     if F.grid != plan.output_grid:
         raise ValueError("field grid does not match plan output grid")
     return QField(plan.input_grid, _planes_ft(
-        F.samples, plan.scaled_freq_grid(), plan.input_grid, plan.lam, plan.mu,
-        tuple(zip((1, 1), factors, chirps))))
+        F.samples, plan.scaled_freq_grid(), plan.input_grid, plan.lam, plan.mu, axes))
 
 
 def qolct_quartet(f: QField, plan: QolctPlan) -> ComponentQuartet:
     """Transforms of the four real components of f, sharing the output grid."""
-    chirps, factors = _plan_factors(plan)
+    _require_positive_b(plan.A1, plan.A2)
     if f.grid != plan.input_grid:
         raise ValueError("field grid does not match plan input grid")
-    axes, vgrid = tuple(zip((-1, -1), chirps, factors)), plan.scaled_freq_grid()
+    axes, vgrid = _plan_factors(plan, -1), plan.scaled_freq_grid()
     return _quartet(f.samples, plan.output_grid, lambda x: _planes_ft(
         x, plan.input_grid, vgrid, plan.lam, plan.mu, axes))
 
@@ -249,8 +253,7 @@ def analysis(f: QField, plan: QolctPlan) -> Analysis:
     if entry is not None and entry[0]() is f and entry[1] == key:
         return entry[2]
     _last.clear()  # before the transforms, so at most one density is held
-    for axis, A in ((1, plan.A1), (2, plan.A2)):
-        _require_positive_b(A, f"axis {axis}")
+    _require_positive_b(plan.A1, plan.A2)
     if f.grid != plan.input_grid:
         raise ValueError("field grid does not match plan input grid")
     with np.errstate(over="ignore"):

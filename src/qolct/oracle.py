@@ -197,7 +197,8 @@ def qft_direct(f: QField, plan: QftPlan) -> QField:
 
 def kernel(A: OffsetParams, lam: PureUnit, t: float, u: float) -> np.ndarray:
     """Evaluate the transform kernel K_A(t, u) on axis ``lam``."""
-    _require_positive_b(A, "kernel")
+    if A.b <= 0.0:
+        raise ValueError(f"kernel: main-branch transforms require b > 0, got {A.b}")
     theta = (A.a * t * t - 2.0 * t * (u - A.tau)
              - 2.0 * u * (A.d * A.tau - A.b * A.eta)
              + A.d * (u * u + A.tau * A.tau)) / (2.0 * A.b)
@@ -220,8 +221,7 @@ def _kernel_matrices(A: OffsetParams, t, u, transposed: bool):
 
 def qolct_direct(f: QField, plan: QolctPlan) -> QField:
     """Brute-force kernel quadrature; the reference oracle for qolct_forward."""
-    _require_positive_b(plan.A1, "axis 1")
-    _require_positive_b(plan.A2, "axis 2")
+    _require_positive_b(plan.A1, plan.A2)
     if f.grid != plan.input_grid:
         raise ValueError("field grid does not match plan input grid")
     t1 = f.grid.axis_coords(1)
@@ -335,8 +335,7 @@ def analysis_quartet(f: QField, plan: QolctPlan) -> ComponentQuartet:
     For unchirped signals along an axis (a = tau = 0) it coincides with
     :func:`olct.qolct_quartet` along that axis's contribution.
     """
-    _require_positive_b(plan.A1, "axis 1")
-    _require_positive_b(plan.A2, "axis 2")
+    _require_positive_b(plan.A1, plan.A2)
     if f.grid != plan.input_grid:
         raise ValueError("field grid does not match plan input grid")
     t1, t2 = f.grid.axis_coords(1), f.grid.axis_coords(2)

@@ -60,9 +60,9 @@ class QftPlan:
         check_nyquist(2, self.input_grid.axis_coords(2), self.output_grid.spacing2)
 
     @classmethod
-    def forward(cls, grid: Grid2D, lam: PureUnit = UNIT_I, mu: PureUnit = UNIT_J,
-                output_grid: Grid2D | None = None) -> "QftPlan":
-        return cls(grid, output_grid or default_output_grid(grid), lam, mu)
+    def forward(cls, grid: Grid2D, lam: PureUnit = UNIT_I,
+                mu: PureUnit = UNIT_J) -> "QftPlan":
+        return cls(grid, default_output_grid(grid), lam, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +126,10 @@ def centered_ft2(x: np.ndarray, tgrid: Grid2D, ugrid: Grid2D, axes,
 
 
 def _outer_times(x, left, right, out):
-    """out = left[:, None] * x * right[None, :], each factor a vector or the
-    scalar 1.0; a scalar right factor costs no pass."""
+    """out = left[:, None] * x * right[None, :], each factor a vector or a
+    scalar; a right factor of exactly 1.0 costs no pass."""
     np.multiply(x, np.reshape(left, (-1, 1)), out=out)
-    if np.ndim(right):
+    if np.ndim(right) or right != 1.0:
         out *= right
     return out
 
@@ -142,18 +142,19 @@ def _planes_ft(samples, tgrid: Grid2D, ugrid: Grid2D, lam: PureUnit,
     """Split ``samples`` (an (n1, n2, 4) stack or a real (n1, n2) field) into
     the planes of ``quat.in_planes``; on each, one :func:`centered_ft2` with
     per axis ``(sign, pre, post)`` of ``axes`` (axis 2 conjugated on the plane
-    that conjugates right-hand factors); map back.  Both signs +1 (the
-    inverse) carry 1/4pi^2."""
-    (s1, _, _), (s2, pre2, post2) = axes
-    scale = 1.0
-    if s1 == s2 == 1 and not _mutation.active("iqft-scale"):
-        scale = 1.0 / (4.0 * math.pi ** 2)
+    that conjugates right-hand factors); map back."""
+    s2, pre2, post2 = axes[1]
     conj_axes = (axes[0], (-s2, *(None if v is None else np.conj(v)
                                   for v in (pre2, post2))))
 
     def per_plane(z, out, conj):
         centered_ft2(z, tgrid, ugrid, conj_axes if conj else axes, out)
-    return in_planes(samples, lam, mu, (ugrid.n1, ugrid.n2), per_plane, scale)
+    return in_planes(samples, lam, mu, (ugrid.n1, ugrid.n2), per_plane)
+
+
+def _inverse_weight() -> float:
+    """The 1/(2 pi) each axis of ``iqft`` and ``olct.qolct_inverse`` takes."""
+    return 1.0 if _mutation.active("iqft-scale") else 0.5 / math.pi
 
 
 def qft_fast_ij(f: QField, plan: QftPlan) -> QField:
@@ -171,9 +172,10 @@ def iqft(F: QField, plan: QftPlan) -> QField:
     input grid: (1/4pi^2) sum_u e^{+lam u1 t1} F(u) e^{+mu u2 t2} du."""
     if F.grid != plan.output_grid:
         raise ValueError("field grid does not match plan output grid")
+    w = _inverse_weight()  # joins each axis's post ramp or matrix: no extra pass
     return QField(plan.input_grid, _planes_ft(
         F.samples, plan.output_grid, plan.input_grid, plan.lam, plan.mu,
-        ((1, None, None), (1, None, None))))
+        ((1, None, w), (1, None, w))))
 
 
 def qft_quartet(f: QField, plan: QftPlan) -> ComponentQuartet:

@@ -172,13 +172,12 @@ def plane_basis(lam: PureUnit, mu: PureUnit) -> np.ndarray:
     return np.stack(columns, axis=1)
 
 
-def in_planes(samples, lam: PureUnit, mu: PureUnit, shape, per_plane,
-              scale: float = 1.0) -> np.ndarray:
+def in_planes(samples, lam: PureUnit, mu: PureUnit, shape, per_plane) -> np.ndarray:
     """Map an (n1, n2, 4) stack, or a real (n1, n2) field as its scalar part,
     to planes z+, z-; ``per_plane(z_k, out_k, conj)`` fills slot out_k of the
     output planes on the (m1, m2) ``shape`` from the strided plane z_k, conj
-    marking the + plane, where right-hand factors act conjugated; map back *
-    scale into a new read-only (m1, m2, 4) array."""
+    marking the + plane, where right-hand factors act conjugated; map back
+    into a new read-only (m1, m2, 4) array."""
     basis = plane_basis(lam, mu)
     if samples.ndim == 2:
         coefs = samples[..., None] * basis[0]
@@ -190,7 +189,7 @@ def in_planes(samples, lam: PureUnit, mu: PureUnit, shape, per_plane,
     for k in (0, 1):
         per_plane(z[..., k], out[..., k], k == conj_plane)
     result = np.empty(shape + (4,))
-    np.matmul(out.view(float).reshape(-1, 4), scale * basis.T, out=result.reshape(-1, 4))
+    np.matmul(out.view(float).reshape(-1, 4), basis.T, out=result.reshape(-1, 4))
     result.setflags(write=False)
     return result
 

@@ -107,8 +107,8 @@ def heisenberg_report(f: QField, plan: QolctPlan, axis: int) -> HeisenbergReport
     mod = np.sqrt(an.e2)
     mod[mod <= 1e-12 * float(mod.max())] = np.inf  # w is 0 off the live set
     # the chirps are unit, so g/|g| of the chirped signal g is c1 (f/|f|) c2
-    w = QField(f.grid, sandwich(f.samples / mod[..., None], plan.lam, plan.mu,
-                                *_plan_factors(plan)[0]))
+    (_, c1, _), (_, c2, _) = _plan_factors(plan, -1)
+    w = QField(f.grid, sandwich(f.samples / mod[..., None], plan.lam, plan.mu, c1, c2))
     shape = (-1, 1) if axis == 1 else (1, -1)
     tk = f.grid.axis_coords(axis)
     spatial = _weighted_energy(an.e2, tk.reshape(shape) ** 2, f.grid.cell_area)
@@ -176,8 +176,7 @@ def hardy_report(f: QField, plan: QolctPlan) -> HardyReport:
     The transform-side fit runs over the rescaled coordinates v = u/b, on
     which Hardy's critical case pins alpha*beta = 1/4.
     """
-    for axis, A in ((1, plan.A1), (2, plan.A2)):
-        _require_positive_b(A, f"axis {axis}")
+    _require_positive_b(plan.A1, plan.A2)
     sig = hardy_envelope_fit(f)
     # sample q of the forward holds O{f}(b1 v1[q], b2 v2[q]) on the v-grid
     scaled = QField(plan.scaled_freq_grid(), qolct_forward(f, plan).samples)

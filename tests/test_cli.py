@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qolct import Grid2D, UNIT_I, UNIT_J, UNIT_K, synth_gaussian
+from qolct import Grid2D, QField, UNIT_I, UNIT_J, UNIT_K, synth_gaussian
 from qolct.field import apply_chirp
 from qolct.signalio import (
     MAGIC,
@@ -179,6 +179,7 @@ def test_csv_import(tmp_path):
     for a in t:
         for b in t:
             lines.append(f"{a},{b},{np.exp(-a*a-b*b)},0.5,0,-1")
+    lines.insert(len(lines) // 2, "")  # a blank row is skipped
     path.write_text("\n".join(lines) + "\n")
     f = read_csv_signal(path)
     assert (f.grid.n1, f.grid.n2) == (9, 9)
@@ -650,6 +651,48 @@ def test_transform_rejects_overflowing_sidecar(tmp_path, qft_params):
         assert "overflow the largest float" in proc.stderr
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
         assert not out.exists() and not (tmp_path / "o.qsig.json").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_transform_sums_a_finite_norm_near_the_float_limit(tmp_path, capsys, qft_params):
+    # a random-sign 64^2 field of energy 5e307 on extent 16: its squares sum
+    # past the largest float before the 1/16 cell scales them back; both
+    # sidecars read as they do for the same file scaled by 2^-500
+    from qolct import cli
+
+    g = Grid2D.centered(64, 16.0)
+    signs = np.random.default_rng(7).choice([-1.0, 1.0], size=(64, 64, 4))
+    samples = signs * math.sqrt(5e307 / 1024)
+    ratio, distance = {}, {}
+    for name, exponent in (("big", 0), ("small", -500)):
+        sig, fwd, back = (str(tmp_path / f"{name}{s}.qsig") for s in ("", "-F", "-back"))
+        write_signal(sig, QField(g, np.ldexp(samples, exponent)))
+        assert cli.main(["transform", "--in", sig, "--params", qft_params,
+                         "--out", fwd]) == 0, capsys.readouterr().err
+        ratio[name] = json.loads(open(fwd + ".json").read())["plancherel_ratio"]
+        assert cli.main(["transform", "--in", fwd, "--params", qft_params, "--inverse",
+                         "--reference", sig, "--out", back]) == 0, capsys.readouterr().err
+        distance[name] = json.loads(open(back + ".json").read())[
+            "l2_rel_distance_to_reference"]
+    assert abs(ratio["big"] - 1.0) <= 1e-12 and ratio["big"] == ratio["small"]
+    assert 0.0 < distance["big"] == distance["small"] <= 1e-12
+
+
+def test_degenerate_axis_needs_positive_d(tmp_path, capsys):
+    # b = 0 with d < 0 has no derived output grid: a usage error, not a crash
+    from qolct import cli
+
+    sig = str(tmp_path / "f.qsig")
+    write_signal(sig, synth_gaussian(Grid2D.centered(32, 16.0), 0.5, 0.5))
+    params = tmp_path / "p.json"
+    params.write_text('{"A1": {"a": -1, "b": 0, "c": 0.5, "d": -1}, '
+                      '"A2": {"a": 0, "b": 1, "c": -1, "d": 0}, '
+                      '"lambda": [1,0,0], "mu": [0,1,0]}')
+    for argv in (["transform", "--out", str(tmp_path / "o.qsig")],
+                 ["uncertainty", "--which", "hardy"]):
+        assert cli.main([*argv, "--in", sig, "--params", str(params)]) == 2, argv
+        assert "degenerate axis needs d > 0" in capsys.readouterr().err, argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.qsig", "p.json"]
 
 
 def test_uncertainty_rejects_b_zero_plans(tmp_path):

@@ -55,6 +55,24 @@ def test_l2_norm_values():
     assert l2_norm(scaled) == pytest.approx(qnorm(c) * l2_norm(f), rel=1e-12)
 
 
+def test_norms_sum_a_finite_norm_near_the_float_limit():
+    # a random-sign 64^2 field of energy 5e307 on extent 16: its squares sum
+    # past the largest float before the 1/16 cell scales them back
+    from qolct import OffsetParams, QolctPlan, qolct_quartet
+
+    g = Grid2D.centered(64, 16.0)
+    signs = np.random.default_rng(7).choice([-1.0, 1.0], size=(64, 64, 4))
+    big = QField(g, signs * math.sqrt(5e307 / 1024))
+    small = QField(g, np.ldexp(big.samples, -500))
+    assert l2_norm(big) == pytest.approx(math.sqrt(5e307), rel=1e-12)
+    assert l2_norm(big) == math.ldexp(l2_norm(small), 500)
+    qft = OffsetParams.qft_case()
+    plan = QolctPlan.create(qft, qft, input_grid=g)
+    norm = quartet_l2_norm(qolct_quartet(big, plan))
+    assert norm == math.ldexp(quartet_l2_norm(qolct_quartet(small, plan)), 500)
+    assert norm == pytest.approx(l2_norm(big), rel=1e-12)
+
+
 def test_gaussian_truncation_converged():
     # doubling the extent beyond 12 sigma leaves the norm unchanged
     n1 = l2_norm(synth_gaussian(Grid2D.centered(128, 12.0), 1.0, 1.0))

@@ -672,6 +672,9 @@ def test_degenerate_rejects_bad_inputs():
         QolctPlan(OffsetParams(-1.0, 0.0, 0.0, -1.0), ident, UNIT_I, UNIT_J, g, g)
     with pytest.raises(ValueError):
         QolctPlan.create(OffsetParams(0.0, 0.0, 1.0, 0.0), ident, input_grid=g)
+    # b = 0 with d < 0: the derived output grid u = t/d + tau would run backwards
+    with pytest.raises(ValueError, match="degenerate axis needs d > 0"):
+        QolctPlan.derived_output_grid(OffsetParams(-1.0, 0.0, 0.5, -1.0), ident, g)
 
 
 # ---------------------------------------------------------------------------

@@ -37,24 +37,26 @@ def test_plan_nyquist_validation():
 def _brute_ft2(x, tg, ug, axes):
     """sum_t pre(t) x(t) e^{s1 i u1 t1} e^{s2 i u2 t2} post(u) dt as two
     explicit matrices, per axis (sign, pre, post); a zero sign is the
-    identity on its axis and None a factor of 1."""
+    identity on its axis and None a factor of 1; a factor is a vector on
+    its axis or a scalar."""
     mats = []
     for axis, ((sign, pre, post), h) in enumerate(zip(axes, (tg.spacing1, tg.spacing2)), 1):
         t, u = tg.axis_coords(axis), ug.axis_coords(axis)
         mat = np.exp(1j * sign * np.outer(u, t)) * h if sign else np.eye(t.size)
         if pre is not None:
-            mat = mat * pre[None, :]
+            mat = mat * np.reshape(pre, (1, -1))
         if post is not None:
-            mat = post[:, None] * mat
+            mat = np.reshape(post, (-1, 1)) * mat
         mats.append(mat)
     return mats[0] @ x @ mats[1].T
 
 
 def test_centered_ft2_matches_brute_force():
     """Every axis kind (FFT, dense matrix, sign 0), with and without per-axis
-    pre and post factors, on a strided input plane written into a strided
-    output slot; the input is left untouched, and so is the other slot."""
-    rng = np.random.default_rng(0)
+    pre and post factors, vectors or scalars, on a strided input plane
+    written into a strided output slot; the input is left untouched, and so
+    is the other slot."""
+    rng, scalars = np.random.default_rng(0), np.random.default_rng(1)
     n = 8
     tg = Grid2D(n, n, 0.3, -0.2, 0.7, 0.45)
     ug = Grid2D(n, n, 1.1, -0.4, 2 * np.pi / (n * 0.7), 2 * np.pi / (n * 0.45))
@@ -67,8 +69,12 @@ def test_centered_ft2_matches_brute_force():
     before = stack.copy()
     x = stack[..., 1]  # a strided plane, as the planes engine hands it over
 
-    def factor(m):
-        return np.exp(1j * rng.uniform(-3.0, 3.0, m)) * rng.uniform(0.5, 2.0, m)
+    def factor(m, kind):
+        if kind == "scalar":
+            return complex(np.exp(1j * scalars.uniform(-3.0, 3.0)) * scalars.uniform(0.5, 2.0))
+        if kind == "vector":
+            return np.exp(1j * rng.uniform(-3.0, 3.0, m)) * rng.uniform(0.5, 2.0, m)
+        return None
 
     for out_grid, sign_sets in ((ug, both), (dense, both), (fewer, both),
                                 (mixed, both), (ug, one), (dense, one),
@@ -76,9 +82,8 @@ def test_centered_ft2_matches_brute_force():
         for signs in sign_sets:
             shape = tuple(nu if s else n for s, nu in
                           zip(signs, (out_grid.n1, out_grid.n2)))
-            for factors in (False, True):
-                axes = tuple((s, factor(n) if factors else None,
-                              factor(m) if factors else None)
+            for kind in (None, "vector", "scalar"):
+                axes = tuple((s, factor(n, kind), factor(m, kind))
                              for s, m in zip(signs, shape))
                 slots = np.zeros(shape + (2,), dtype=complex)
                 got = centered_ft2(x, tg, out_grid, axes, slots[..., 0])
@@ -110,7 +115,7 @@ def test_zero_maps_to_zero():
     assert np.abs(iqft(zero_spectrum, plan).samples).max() == 0.0
     # iqft runs the forward plan backwards: its field lies on the output grid
     with pytest.raises(ValueError, match="plan output grid"):
-        iqft(QField.zeros(g), QftPlan.forward(g, output_grid=Grid2D.centered(16, 8.0)))
+        iqft(QField.zeros(g), QftPlan(g, Grid2D.centered(16, 8.0), UNIT_I, UNIT_J))
 
 
 def test_fast_path_equals_direct():
