@@ -1,25 +1,15 @@
 """Quaternionic offset linear canonical transform toolkit."""
 
-from .quat import (
-    UNIT_I,
-    UNIT_J,
-    UNIT_K,
-    PureUnit,
-    axis_exp,
-    inv_sqrt_unit,
-    polar,
-    qmul,
-)
+from .quat import UNIT_I, UNIT_J, UNIT_K, PureUnit, qmul
 from .field import (
     ComponentQuartet,
     Grid2D,
     QField,
     l2_norm,
     partial_derivative,
-    quartet_l2_norm,
     synth_gaussian,
 )
-from .qft import QftPlan, iqft, qft_fast_ij, qft_quartet
+from .qft import QftPlan, iqft, qft_fast_ij
 from .olct import OffsetParams, QolctPlan, qolct_forward, qolct_inverse, qolct_quartet
 from .oracle import (
     GaussianSpec,

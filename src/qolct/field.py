@@ -114,22 +114,9 @@ class QField:
     def zeros(cls, grid: Grid2D) -> "QField":
         return cls(grid, np.zeros((grid.n1, grid.n2, 4)))
 
-    @classmethod
-    def from_real(cls, grid: Grid2D, values: np.ndarray) -> "QField":
-        """Embed a real 2D array as the scalar component of a field."""
-        samples = np.zeros((grid.n1, grid.n2, 4))
-        samples[..., 0] = values
-        return cls(grid, samples)
-
-    def component(self, m: int) -> np.ndarray:
-        return self.samples[..., m]
-
     def modulus(self) -> np.ndarray:
         """Pointwise |f(t)|_Q."""
         return qnorm(self.samples)
-
-    def with_samples(self, samples: np.ndarray) -> "QField":
-        return QField(self.grid, samples)
 
 
 @dataclass(frozen=True)
@@ -146,16 +133,21 @@ class ComponentQuartet:
             if m.grid != g:
                 raise ValueError("quartet members must share one grid")
 
+    @classmethod
+    def of(cls, f: QField, transform) -> "ComponentQuartet":
+        """Member m is ``transform`` of the real component f_m of f, embedded
+        as the scalar part of a field on f's grid."""
+        members = []
+        for m in range(4):
+            embedded = np.zeros_like(f.samples)
+            embedded[..., 0] = f.samples[..., m]
+            embedded.setflags(write=False)  # owned and read-only: QField keeps it
+            members.append(transform(QField(f.grid, embedded)))
+        return cls(tuple(members))
+
     @property
     def grid(self) -> Grid2D:
         return self.members[0].grid
-
-    def norm_field(self) -> np.ndarray:
-        """Pointwise quartet norm sqrt(sum_m |q_m|_Q^2) as a 2D array."""
-        acc = np.zeros((self.grid.n1, self.grid.n2))
-        for m in self.members:
-            acc += np.sum(m.samples * m.samples, axis=-1)
-        return np.sqrt(acc)
 
 
 def _cell_sum(values: np.ndarray, cell: float) -> float:
@@ -168,12 +160,6 @@ def _cell_sum(values: np.ndarray, cell: float) -> float:
 def l2_norm(f: QField) -> float:
     """sqrt(integral of |f(t)|_Q^2)."""
     return math.sqrt(_cell_sum(f.samples * f.samples, f.grid.cell_area))
-
-
-def quartet_l2_norm(q: ComponentQuartet) -> float:
-    """sqrt(integral of the squared pointwise quartet norm)."""
-    return math.sqrt(sum(_cell_sum(m.samples * m.samples, q.grid.cell_area)
-                         for m in q.members))
 
 
 def synth_gaussian(grid: Grid2D, alpha1: float, alpha2: float,

@@ -10,8 +10,9 @@ with a*d - b*c = 1.  For b1, b2 > 0 the transform is
 
 with the left kernel on axis lam and the right kernel on axis mu.  The
 kernel factors as input chirp -> QFT -> output factor C(u), so the forward
-and inverse transforms and the quartets hand their per-axis chirps and
-factors to the planes-split engine of ``qft`` (any axes, any grids).
+and inverse transforms hand their per-axis chirps and factors to the
+planes-split engine of ``qft`` (any axes, any grids); the component quartet
+is four forwards.
 ``qolct_forward`` serves every valid plan in one engine call; along a b = 0
 axis it runs no transform, only a spline substitution and a chirp.  The
 dense kernel quadrature ``qolct_direct``, the mutual oracle, lives in
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import _mutation
 from .field import ComponentQuartet, Grid2D, PlanViolationError, QField, _cell_sum
-from .qft import _inverse_weight, _planes_ft, _quartet, check_nyquist
+from .qft import _inverse_weight, _planes_ft, check_nyquist
 from .quat import UNIT_I, UNIT_J, PureUnit, qmul
 
 
@@ -54,11 +55,6 @@ class OffsetParams:
         det = self.a * self.d - self.b * self.c
         if abs(det - 1.0) > 1e-12:
             raise ValueError(f"matrix determinant {det!r} is not 1")
-
-    @classmethod
-    def qft_case(cls) -> "OffsetParams":
-        """(0, 1, -1, 0 | 0, 0): recovers the plain two-sided QFT."""
-        return cls(0.0, 1.0, -1.0, 0.0, 0.0, 0.0)
 
 
 def _require_positive_b(A1: OffsetParams, A2: OffsetParams):
@@ -211,13 +207,9 @@ def qolct_inverse(F: QField, plan: QolctPlan) -> QField:
 
 
 def qolct_quartet(f: QField, plan: QolctPlan) -> ComponentQuartet:
-    """Transforms of the four real components of f, sharing the output grid."""
+    """Forward transforms of the four real components of f (b > 0 axes)."""
     _require_positive_b(plan.A1, plan.A2)
-    if f.grid != plan.input_grid:
-        raise ValueError("field grid does not match plan input grid")
-    axes, vgrid = _plan_factors(plan, -1), plan.scaled_freq_grid()
-    return _quartet(f.samples, plan.output_grid, lambda x: _planes_ft(
-        x, plan.input_grid, vgrid, plan.lam, plan.mu, axes))
+    return ComponentQuartet.of(f, lambda g: qolct_forward(g, plan))
 
 
 @dataclass(frozen=True)
@@ -236,8 +228,9 @@ _last: list = []
 def analysis(f: QField, plan: QolctPlan) -> Analysis:
     """The energy density, |f|^2 and the energy of f.
 
-    The density is ``oracle.analysis_quartet(f, plan).norm_field() ** 2``,
-    read off the forward transform O: with c = lam . mu and T(q) = lam q mu,
+    The density is the squared ``oracle.norm_field`` of
+    ``oracle.analysis_quartet(f, plan)``, read off the forward transform O:
+    with c = lam . mu and T(q) = lam q mu,
     density(u) = 1/4 sum_{e1, e2 = +-1} [|O|^2 - c e1 e2 <O, T(O)>](e1 u1, e2 u2).
     O(-u) along an axis is the forward on the mirrored output grid, indices
     reversed; a grid centered at 0 is its own mirror image (-0.0 == 0.0), so

@@ -6,9 +6,10 @@ for plans with b = 0 axes, and ``_qlct_reference``, an independently coded
 QLCT quadrature.  ``analysis_quartet`` is the dense quadrature of the chirped
 signal's four real components, with its own chirps and the chirp phase
 divided out of the kernel: the long way to the energy density, sharing no
-code with the engine or the planes split.  ``digamma`` is a series, the
-other route to the logarithmic constant.  No production module imports
-this one.
+code with the engine or the planes split; ``norm_field`` is a quartet's
+pointwise norm, and ``plane_to_quat`` embeds complex values x + iy as
+x + axis*y.  ``digamma`` is a series, the other route to the logarithmic
+constant.  No production module imports this one.
 
 Analytic ground truth for Gaussian signals: the transform of beta * exp(-(alpha1 t1^2 + alpha2 t2^2)) factors per axis
 into a real envelope, a plane square-root constant and a quadratic phase.
@@ -30,7 +31,18 @@ from . import _mutation
 from .field import ComponentQuartet, Grid2D, QField
 from .olct import OffsetParams, QolctPlan, _require_positive_b
 from .qft import QftPlan
-from .quat import UNIT_I, UNIT_J, PureUnit, plane_to_quat, qmul, qnorm
+from .quat import UNIT_I, UNIT_J, PureUnit, qmul, qnorm
+
+
+def plane_to_quat(z, axis: PureUnit) -> np.ndarray:
+    """Embed complex values x + iy as quaternions x + axis*y."""
+    z = np.asarray(z)
+    out = np.zeros(z.shape + (4,), dtype=float)
+    out[..., 0] = z.real
+    out[..., 1] = axis.x * z.imag
+    out[..., 2] = axis.y * z.imag
+    out[..., 3] = axis.z * z.imag
+    return out
 
 
 @dataclass(frozen=True)
@@ -322,14 +334,23 @@ def _chirp_phase(A: OffsetParams, t):
     return (A.tau * t + A.a * t * t / 2.0) / A.b
 
 
+def norm_field(q: ComponentQuartet) -> np.ndarray:
+    """Pointwise quartet norm sqrt(sum_m |q_m|_Q^2) as a 2D array."""
+    acc = np.zeros((q.grid.n1, q.grid.n2))
+    for m in q.members:
+        acc += np.sum(m.samples * m.samples, axis=-1)
+    return np.sqrt(acc)
+
+
 def analysis_quartet(f: QField, plan: QolctPlan) -> ComponentQuartet:
     """Quartet of the chirp-multiplied signal by dense quadrature: members
     C1 * F{g_k} * C2 for the real components g_k of g = chirp1 * f * chirp2,
     each the kernel sum with the input chirps divided out of the kernel.
 
-    Its pointwise norm equals the component norm of the reduced QFT input
-    (the two quartets are related by a constant orthogonal mixing), which is
-    the norm the spread, moment and weighted inequalities are stated in;
+    Its pointwise norm (:func:`norm_field`) equals the component norm of
+    the reduced QFT input (the two quartets are related by a constant
+    orthogonal mixing), which is the norm the spread, moment and weighted
+    inequalities are stated in;
     ``olct.analysis`` reads its squared norm field off the forward transform,
     as the density every uncertainty report reads.
     For unchirped signals along an axis (a = tau = 0) it coincides with

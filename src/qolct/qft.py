@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _mutation
-from .field import ComponentQuartet, Grid2D, PlanViolationError, QField
+from .field import Grid2D, PlanViolationError, QField
 from .quat import UNIT_I, UNIT_J, PureUnit, in_planes
 
 
@@ -139,10 +139,10 @@ def _outer_times(x, left, right, out):
 
 def _planes_ft(samples, tgrid: Grid2D, ugrid: Grid2D, lam: PureUnit,
                mu: PureUnit, axes):
-    """Split ``samples`` (an (n1, n2, 4) stack or a real (n1, n2) field) into
-    the planes of ``quat.in_planes``; on each, one :func:`centered_ft2` with
-    per axis ``(sign, pre, post)`` of ``axes`` (axis 2 conjugated on the plane
-    that conjugates right-hand factors); map back."""
+    """Split the (n1, n2, 4) ``samples`` into the planes of
+    ``quat.in_planes``; on each, one :func:`centered_ft2` with per axis
+    ``(sign, pre, post)`` of ``axes`` (axis 2 conjugated on the plane that
+    conjugates right-hand factors); map back."""
     s2, pre2, post2 = axes[1]
     conj_axes = (axes[0], (-s2, *(None if v is None else np.conj(v)
                                   for v in (pre2, post2))))
@@ -177,17 +177,3 @@ def iqft(F: QField, plan: QftPlan) -> QField:
         F.samples, plan.output_grid, plan.input_grid, plan.lam, plan.mu,
         ((1, None, w), (1, None, w))))
 
-
-def qft_quartet(f: QField, plan: QftPlan) -> ComponentQuartet:
-    """Transforms (F{f_0}, ..., F{f_3}) of the four real components."""
-    if f.grid != plan.input_grid:
-        raise ValueError("field grid does not match plan input grid")
-    return _quartet(f.samples, plan.output_grid, lambda x: _planes_ft(
-        x, plan.input_grid, plan.output_grid, plan.lam, plan.mu,
-        ((-1, None, None), (-1, None, None))))
-
-
-def _quartet(samples, grid: Grid2D, transform) -> ComponentQuartet:
-    """``transform`` of each real component of ``samples``, on ``grid``."""
-    return ComponentQuartet(tuple(QField(grid, transform(samples[..., m]))
-                                  for m in range(4)))

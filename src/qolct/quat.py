@@ -1,4 +1,5 @@
-"""Quaternion algebra: Hamilton products, polar form, axis exponentials.
+"""Quaternion arrays: the Hamilton product, the pointwise modulus and the
+orthogonal planes split of a two-sided product.
 
 A quaternion is a numpy array of shape (4,) with component order (scalar,
 i, j, k), and a sampled signal a stack of them, shape ``(..., 4)``; the
@@ -15,10 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _mutation
-
-
-class DegenerateAxisError(ValueError):
-    """Polar decomposition of a real quaternion has no canonical axis."""
 
 
 @dataclass(frozen=True)
@@ -54,46 +51,6 @@ UNIT_J = PureUnit(0.0, 1.0, 0.0)
 UNIT_K = PureUnit(0.0, 0.0, 1.0)
 
 
-def polar(q, fallback_axis: PureUnit | None = None):
-    """Decompose a (4,) quaternion q = magnitude * (cos(angle) + axis*sin(angle)).
-
-    Returns ``(magnitude, axis, angle)`` with ``angle`` in [0, pi].  When the
-    vector part vanishes (q real) there is no canonical axis; the caller must
-    supply ``fallback_axis`` or a :class:`DegenerateAxisError` is raised.
-    """
-    q0, q1, q2, q3 = (float(v) for v in q)
-    vec = np.array([q1, q2, q3])
-    vnorm = math.sqrt(float(vec @ vec))
-    mag = math.sqrt(q0 ** 2 + q1 ** 2 + q2 ** 2 + q3 ** 2)
-    angle = math.atan2(vnorm, q0)
-    if vnorm <= 1e-300:
-        if fallback_axis is None:
-            raise DegenerateAxisError(
-                "quaternion has (numerically) zero vector part; pass fallback_axis")
-        return mag, fallback_axis, angle
-    return mag, PureUnit(q1, q2, q3), angle
-
-
-def axis_exp(axis: PureUnit, theta: float) -> np.ndarray:
-    """exp(axis*theta) = cos(theta) + axis*sin(theta); always unit norm."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([c, s * axis.x, s * axis.y, s * axis.z])
-
-
-def inv_sqrt_unit(axis: PureUnit) -> np.ndarray:
-    """The reciprocal square root exp(-axis*pi/4) = (sqrt(2)/2)(1 - axis)."""
-    return axis_exp(axis, -math.pi / 4.0)
-
-
-def qinv(q) -> np.ndarray:
-    """conj(q)/|q|^2 of a (4,) quaternion; zero has no inverse."""
-    q0, q1, q2, q3 = (float(v) for v in q)
-    n2 = q0 ** 2 + q1 ** 2 + q2 ** 2 + q3 ** 2
-    if n2 == 0.0:
-        raise ZeroDivisionError("zero quaternion has no inverse")
-    return np.array([q0 / n2, -q1 / n2, -q2 / n2, -q3 / n2])
-
-
 # ---------------------------------------------------------------------------
 # Array operations on (..., 4) component stacks.
 
@@ -111,13 +68,6 @@ def qmul(a, b) -> np.ndarray:
     return out
 
 
-def qconj(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    out = a.copy()
-    out[..., 1:] *= -1.0
-    return out
-
-
 def qnorm(a) -> np.ndarray:
     """Pointwise quaternion modulus |q|_Q of a component stack; rows whose
     squares under- or overflow take ``hypot``, which scales by the larger side."""
@@ -130,17 +80,6 @@ def qnorm(a) -> np.ndarray:
         b = rows[far]
         norm[far] = np.hypot(np.hypot(b[:, 0], b[:, 1]), np.hypot(b[:, 2], b[:, 3]))
     return norm.reshape(a.shape[:-1])
-
-
-def plane_to_quat(z, axis: PureUnit) -> np.ndarray:
-    """Embed complex values x + iy as quaternions x + axis*y."""
-    z = np.asarray(z)
-    out = np.zeros(z.shape + (4,), dtype=float)
-    out[..., 0] = z.real
-    out[..., 1] = axis.x * z.imag
-    out[..., 2] = axis.y * z.imag
-    out[..., 3] = axis.z * z.imag
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +112,12 @@ def plane_basis(lam: PureUnit, mu: PureUnit) -> np.ndarray:
 
 
 def in_planes(samples, lam: PureUnit, mu: PureUnit, shape, per_plane) -> np.ndarray:
-    """Map an (n1, n2, 4) stack, or a real (n1, n2) field as its scalar part,
-    to planes z+, z-; ``per_plane(z_k, out_k, conj)`` fills slot out_k of the
-    output planes on the (m1, m2) ``shape`` from the strided plane z_k, conj
-    marking the + plane, where right-hand factors act conjugated; map back
-    into a new read-only (m1, m2, 4) array."""
+    """Map an (n1, n2, 4) stack to planes z+, z-; ``per_plane(z_k, out_k,
+    conj)`` fills slot out_k of the output planes on the (m1, m2) ``shape``
+    from the strided plane z_k, conj marking the + plane, where right-hand
+    factors act conjugated; map back into a new read-only (m1, m2, 4) array."""
     basis = plane_basis(lam, mu)
-    if samples.ndim == 2:
-        coefs = samples[..., None] * basis[0]
-    else:
-        coefs = (samples.reshape(-1, 4) @ basis).reshape(samples.shape)
+    coefs = (samples.reshape(-1, 4) @ basis).reshape(samples.shape)
     z = coefs.view(complex)  # the output planes too, unless the grid changes
     out = z if z.shape[:2] == shape else np.empty(shape + (2,), dtype=complex)
     conj_plane = 1 if _mutation.active("planes-conj") else 0
@@ -195,9 +130,9 @@ def in_planes(samples, lam: PureUnit, mu: PureUnit, shape, per_plane) -> np.ndar
 
 
 def sandwich(samples, lam: PureUnit, mu: PureUnit, left, right) -> np.ndarray:
-    """left(x1) * samples * right(x2) for an (n1, n2, 4) stack (or a real
-    (n1, n2) field) and complex per-axis factors embedded on lam (left) and
-    mu (right), None standing for 1: two complex multiplies in the planes."""
+    """left(x1) * samples * right(x2) for an (n1, n2, 4) stack and complex
+    per-axis factors embedded on lam (left) and mu (right), None standing
+    for 1: two complex multiplies in the planes."""
     def per_plane(z, out, conj):
         np.multiply(z, 1.0 if left is None else left[:, None], out=out)
         if right is not None:

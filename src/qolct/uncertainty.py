@@ -9,6 +9,7 @@ checks are stated for axes lam=i, mu=j and enforce them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -192,11 +193,22 @@ _BEURLING_BLOCK = 512
 _LN_MAX_FLOAT = math.log(np.finfo(float).max)
 
 
+@functools.lru_cache(maxsize=2)  # a t-grid and its v-grid
+def _radial_groups(grid) -> tuple:
+    """The distinct radii |x| of the grid, ascending, and the flat index of
+    each sample's radius among them; read-only, as they are shared."""
+    radii, index = np.unique(grid.radius(), return_inverse=True)
+    index = index.ravel()
+    radii.setflags(write=False)
+    index.setflags(write=False)
+    return radii, index
+
+
 def _radial_mass(weights: np.ndarray, grid) -> tuple:
     """The distinct radii |x| of the grid, ascending, and the summed
     ``weights`` of the samples at each."""
-    radii, index = np.unique(grid.radius(), return_inverse=True)
-    return radii, np.bincount(index.ravel(), weights=weights.ravel())
+    radii, index = _radial_groups(grid)
+    return radii, np.bincount(index, weights=weights.ravel())
 
 
 def beurling_integral(f: QField, plan: QolctPlan, d: float,

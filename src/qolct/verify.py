@@ -5,7 +5,9 @@ Each check returns a record ``{check, params, observed, tolerance, pass}``;
 compared against ``tolerance``.  All randomness flows from one seed, so a
 report is reproducible bit for bit.  The identity checks below compare the
 two sides of the paper's derivative, covariance and moment identities; the
-other routes to the transforms' numbers live in ``oracle``.
+other routes to the transforms' numbers live in ``oracle``.  The quaternion
+helpers only the algebra suite calls (the polar form, axis exponentials,
+``qinv`` and ``qconj``) live here beside it.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import (
+    ComponentQuartet,
     Grid2D,
     QField,
+    _cell_sum,
     apply_chirp,
     l2_norm,
     partial_derivative,
-    quartet_l2_norm,
     synth_gaussian,
 )
 from .olct import (
@@ -41,25 +44,13 @@ from .oracle import (
     gaussian_qolct_closed_form_field,
     gaussian_qolct_log_modulus,
     kernel_sum,
+    norm_field,
+    plane_to_quat,
     qft_direct,
     qolct_direct,
 )
-from .qft import QftPlan, iqft, qft_fast_ij, qft_quartet
-from .quat import (
-    UNIT_I,
-    UNIT_J,
-    UNIT_K,
-    PureUnit,
-    axis_exp,
-    inv_sqrt_unit,
-    plane_to_quat,
-    polar,
-    qconj,
-    qinv,
-    qmul,
-    qnorm,
-    sandwich,
-)
+from .qft import QftPlan, iqft, qft_fast_ij
+from .quat import UNIT_I, UNIT_J, UNIT_K, PureUnit, qmul, qnorm, sandwich
 from .uncertainty import (
     LOG_UP_CONSTANT,
     beurling_integral,
@@ -72,6 +63,9 @@ from .uncertainty import (
 )
 
 SUITES = ("algebra", "qft", "qolct", "oracle", "uncertainty")
+
+#: (0, 1, -1, 0 | 0, 0) on both axes recovers the plain two-sided QFT
+QFT_CASE = OffsetParams(0.0, 1.0, -1.0, 0.0)
 
 
 def _record(check, params, observed, tolerance):
@@ -263,6 +257,66 @@ def moment_identity_check(f: QField, plan: QolctPlan, axis: int) -> MomentReport
 
 
 # ---------------------------------------------------------------------------
+# Quaternion helpers the algebra suite holds to their identities.
+
+class DegenerateAxisError(ValueError):
+    """Polar decomposition of a real quaternion has no canonical axis."""
+
+
+def polar(q, fallback_axis: PureUnit | None = None):
+    """Decompose a (4,) quaternion q = magnitude * (cos(angle) + axis*sin(angle)).
+
+    Returns ``(magnitude, axis, angle)`` with ``angle`` in [0, pi].  When the
+    vector part vanishes (q real) there is no canonical axis; the caller must
+    supply ``fallback_axis`` or a :class:`DegenerateAxisError` is raised.
+    """
+    q0, q1, q2, q3 = (float(v) for v in q)
+    vec = np.array([q1, q2, q3])
+    vnorm = math.sqrt(float(vec @ vec))
+    mag = math.sqrt(q0 ** 2 + q1 ** 2 + q2 ** 2 + q3 ** 2)
+    angle = math.atan2(vnorm, q0)
+    if vnorm <= 1e-300:
+        if fallback_axis is None:
+            raise DegenerateAxisError(
+                "quaternion has (numerically) zero vector part; pass fallback_axis")
+        return mag, fallback_axis, angle
+    return mag, PureUnit(q1, q2, q3), angle
+
+
+def axis_exp(axis: PureUnit, theta: float) -> np.ndarray:
+    """exp(axis*theta) = cos(theta) + axis*sin(theta); always unit norm."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([c, s * axis.x, s * axis.y, s * axis.z])
+
+
+def inv_sqrt_unit(axis: PureUnit) -> np.ndarray:
+    """The reciprocal square root exp(-axis*pi/4) = (sqrt(2)/2)(1 - axis)."""
+    return axis_exp(axis, -math.pi / 4.0)
+
+
+def qinv(q) -> np.ndarray:
+    """conj(q)/|q|^2 of a (4,) quaternion; zero has no inverse."""
+    q0, q1, q2, q3 = (float(v) for v in q)
+    n2 = q0 ** 2 + q1 ** 2 + q2 ** 2 + q3 ** 2
+    if n2 == 0.0:
+        raise ZeroDivisionError("zero quaternion has no inverse")
+    return np.array([q0 / n2, -q1 / n2, -q2 / n2, -q3 / n2])
+
+
+def qconj(a) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    out = a.copy()
+    out[..., 1:] *= -1.0
+    return out
+
+
+def quartet_l2_norm(q: ComponentQuartet) -> float:
+    """sqrt(integral of the squared pointwise quartet norm)."""
+    return math.sqrt(sum(_cell_sum(m.samples * m.samples, q.grid.cell_area)
+                         for m in q.members))
+
+
+# ---------------------------------------------------------------------------
 
 def algebra_checks(seed: int):
     rng = np.random.default_rng(seed)
@@ -347,14 +401,14 @@ def qft_checks(seed: int):
     g64 = Grid2D.centered(64, 14.0)
     gau = synth_gaussian(g64, 0.7, 1.1, (1.0, 0.4), (0.8, -0.3), UNIT_I, UNIT_J)
     plan64 = QftPlan.forward(g64)
-    quartet = qft_quartet(gau, plan64)
+    quartet = ComponentQuartet.of(gau, lambda g: qft_fast_ij(g, plan64))
     ratio = quartet_l2_norm(quartet) ** 2 / (4 * math.pi ** 2 * l2_norm(gau) ** 2)
     out.append(_record("plancherel-4pi2", "gaussian 64^2, axes (i, j)",
                        abs(ratio - 1.0), 1e-6))
 
     lam, mu = _random_axis(rng), _random_axis(rng)
     plan_gen = QftPlan.forward(g64, lam, mu)
-    quartet = qft_quartet(gau, plan_gen)
+    quartet = ComponentQuartet.of(gau, lambda g: qft_fast_ij(g, plan_gen))
     ratio = quartet_l2_norm(quartet) ** 2 / (4 * math.pi ** 2 * l2_norm(gau) ** 2)
     out.append(_record("plancherel-4pi2-random-axes", "gaussian 64^2, random axes",
                        abs(ratio - 1.0), 1e-6))
@@ -440,8 +494,7 @@ def qolct_checks(seed: int):
     rel = qnorm(back.samples - gau.samples).max() / qnorm(gau.samples).max()
     out.append(_record("inversion-round-trip", "general params, 64^2", rel, 1e-7))
 
-    qft_case = OffsetParams.qft_case()
-    planq = QolctPlan.create(qft_case, qft_case, input_grid=g64)
+    planq = QolctPlan.create(QFT_CASE, QFT_CASE, input_grid=g64)
     O = qolct_forward(gau, planq)
     Fq = qft_fast_ij(gau, QftPlan.forward(g64))
     pred = qmul(qmul(inv_sqrt_unit(UNIT_I), Fq.samples),
@@ -498,7 +551,7 @@ def qolct_checks(seed: int):
                               random_offset_params(rng, max_chirp_ratio=1.0),
                               _random_axis(rng), _random_axis(rng), input_grid=g32)
     f32 = QField(g32, _random_quat(rng, (32, 32)))
-    want = analysis_quartet(f32, plan32).norm_field() ** 2
+    want = norm_field(analysis_quartet(f32, plan32)) ** 2
     diff = np.abs(analysis(f32, plan32).density - want).max() / want.max()
     out.append(_record("density-equals-analysis-quartet",
                        "random params and axes, 32^2", diff, 1e-12))
@@ -614,8 +667,7 @@ def uncertainty_checks(seed: int):
     A1 = OffsetParams(1.0, 1.0, 1.0, 2.0, 0.3, -0.2)
     A2 = OffsetParams(0.5, 1.5, -0.4, 0.8, -0.1, 0.4)
     plan = QolctPlan.create(A1, A2, input_grid=g)
-    planq = QolctPlan.create(OffsetParams.qft_case(), OffsetParams.qft_case(),
-                             input_grid=g)
+    planq = QolctPlan.create(QFT_CASE, QFT_CASE, input_grid=g)
 
     rep = pitt_check(f, planq, 0.0)
     out.append(_record("pitt-equality-alpha0", "gaussian, alpha = 0",
@@ -649,8 +701,7 @@ def uncertainty_checks(seed: int):
 
     g32 = Grid2D.centered(32, 10.0)
     f32 = synth_gaussian(g32, 1.0, 1.0)
-    plan32 = QolctPlan.create(OffsetParams.qft_case(), OffsetParams.qft_case(),
-                              input_grid=g32)
+    plan32 = QolctPlan.create(QFT_CASE, QFT_CASE, input_grid=g32)
     vals = [beurling_integral(f32, plan32, 4.0, R) for R in (2.0, 4.0)]
     out.append(_record("beurling-growth-with-radius", "value(R/2) < value(R)",
                        0.0 if vals[0] < vals[1] else 1.0, 0.0))

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from qolct import Grid2D, OffsetParams, UNIT_I, UNIT_J, synth_gaussian
+from qolct import Grid2D, UNIT_I, UNIT_J, synth_gaussian
 from qolct.field import apply_chirp
-from qolct.verify import random_offset_params
+from qolct.verify import QFT_CASE, random_offset_params
 
 
 def rel_max_err(got, want):
@@ -57,4 +57,4 @@ def grid256():
 
 @pytest.fixture(scope="session")
 def qft_case_pair():
-    return OffsetParams.qft_case(), OffsetParams.qft_case()
+    return QFT_CASE, QFT_CASE

@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from qolct import (
+    ComponentQuartet,
     GaussianSpec,
     Grid2D,
     OffsetParams,
@@ -23,16 +24,14 @@ from qolct import (
     UNIT_J,
     l2_norm,
     qft_fast_ij,
-    qft_quartet,
     qolct_direct,
     qolct_forward,
     qolct_inverse,
     qolct_quartet,
     synth_gaussian,
 )
-from qolct.field import quartet_l2_norm
-from qolct.oracle import digamma, gaussian_qolct_closed_form_field
-from qolct.quat import inv_sqrt_unit, qmul, qnorm
+from qolct.oracle import digamma, gaussian_qolct_closed_form_field, plane_to_quat
+from qolct.quat import qmul, qnorm
 from qolct.uncertainty import (
     gamma_fn,
     hardy_report,
@@ -41,9 +40,12 @@ from qolct.uncertainty import (
     pitt_constants,
 )
 from qolct.verify import (
+    QFT_CASE,
     derivative_identity_check,
+    inv_sqrt_unit,
     modulation_covariance_check,
     moment_identity_check,
+    quartet_l2_norm,
     random_offset_params,
     shift_covariance_check,
 )
@@ -138,7 +140,7 @@ def test_criterion_04_inversion_round_trip():
 def test_criterion_05_qft_reduction():
     g = Grid2D.centered(64, 14.0)
     f = synth_gaussian(g, 0.8, 1.2, (1.0, 0.5), (0.7, -0.4), UNIT_I, UNIT_J)
-    A = OffsetParams.qft_case()
+    A = QFT_CASE
     plan = QolctPlan.create(A, A, input_grid=g)
     O = qolct_forward(f, plan)
     F = qft_fast_ij(f, QftPlan.forward(g))
@@ -152,7 +154,8 @@ def test_criterion_06_qft_plancherel_factor():
     g = Grid2D.centered(128, 16.0)
     worst = 0.0
     for name, f in corpus_signals(g).items():
-        quartet = qft_quartet(f, QftPlan.forward(g))
+        plan = QftPlan.forward(g)
+        quartet = ComponentQuartet.of(f, lambda h: qft_fast_ij(h, plan))
         ratio = quartet_l2_norm(quartet) ** 2 / l2_norm(f) ** 2
         worst = max(worst, abs(ratio / (4.0 * math.pi ** 2) - 1.0))
     report(6, "integral ratio vs 4 pi^2 over the corpus", worst, 1e-6)
@@ -182,7 +185,7 @@ def test_criterion_07_derivative_and_moment_identities():
 def test_criterion_08_shift_modulation_covariance():
     g = Grid2D.centered(128, 16.0)
     f = synth_gaussian(g, 1.0, 0.7, (1.0, 0.5), (0.7, -0.4), UNIT_I, UNIT_J)
-    A = OffsetParams.qft_case()
+    A = QFT_CASE
     planq = QolctPlan.create(A, A, input_grid=g)
     worst = max(shift_covariance_check(f, planq, (0.5, 0.0)).maxerr,
                 modulation_covariance_check(f, planq, (1.0, 0.0)).maxerr)
@@ -222,7 +225,7 @@ def test_criterion_09_heisenberg():
                              (rep.base_bound - rep.lhs) / rep.rhs)
     gq = Grid2D.centered(128, 16.0)
     fq = synth_gaussian(gq, 0.5, 0.5)
-    A = OffsetParams.qft_case()
+    A = QFT_CASE
     rep = heisenberg_report(fq, QolctPlan.create(A, A, input_grid=gq), 1)
     classical = abs(rep.gap) / rep.rhs
     ok = worst_weak <= 1e-6 and classical <= 1e-2
@@ -275,8 +278,6 @@ def test_criterion_11_logarithmic_constant():
 
 
 def test_criterion_12_hardy_case_ii():
-    from qolct.quat import plane_to_quat
-
     g = Grid2D.centered(128, 16.0)
     A1 = OffsetParams(0.7, 1.2, 0.5, 2.2857142857142856, 0.4, -0.1)
     A2 = OffsetParams(-0.5, 0.9, -0.8, -0.5599999999999999, -0.3, 0.2)

@@ -24,6 +24,7 @@ from qolct.signalio import (
 )
 from qolct.olct import OffsetParams
 from qolct.quat import PureUnit
+from qolct.verify import QFT_CASE
 
 
 def run_cli(*args, check=False):
@@ -37,7 +38,7 @@ def run_cli(*args, check=False):
 @pytest.fixture()
 def qft_params(tmp_path):
     path = tmp_path / "qft.json"
-    A = OffsetParams.qft_case()
+    A = QFT_CASE
     write_params(path, TransformParams(A, A, UNIT_I, UNIT_J))
     return str(path)
 
@@ -57,7 +58,7 @@ def general_params(tmp_path):
 def test_signal_file_layout_and_round_trip(tmp_path):
     g = Grid2D(6, 5, 0.25, -1.0, 0.5, 0.75)
     rng = np.random.default_rng(3)
-    f = synth_gaussian(g, 1.0, 1.0).with_samples(rng.normal(size=(6, 5, 4)))
+    f = QField(g, rng.normal(size=(6, 5, 4)))
     path = tmp_path / "sig.qsig"
     write_signal(path, f)
     raw = path.read_bytes()
@@ -126,7 +127,7 @@ def test_signal_readers_reject_non_finite(tmp_path):
         samples = f.samples.copy()
         samples[2, 3, 1] = bad
         path = tmp_path / "bad.qsig"
-        write_signal(path, f.with_samples(samples))
+        write_signal(path, QField(g, samples))
         with pytest.raises(ValueError, match="bad.qsig: 1 non-finite"):
             read_signal(path)
     # a non-finite grid field in the header is rejected too, naming the file
@@ -281,7 +282,7 @@ def test_non_finite_input_exit_code(tmp_path, qft_params):
     samples = f.samples.copy()
     samples[5, 7, 0] = math.nan
     sig = str(tmp_path / "nan.qsig")
-    write_signal(sig, f.with_samples(samples))
+    write_signal(sig, QField(f.grid, samples))
     for argv in (("transform", "--out", str(tmp_path / "o.qsig")),
                  ("uncertainty", "--which", "heisenberg")):
         proc = run_cli(argv[0], "--in", sig, "--params", qft_params, *argv[1:])
@@ -586,6 +587,29 @@ def test_uncertainty_computes_only_what_it_prints(tmp_path, qft_params,
     assert len(calls) == 1
 
 
+def test_beurling_groups_each_grid_by_radius_once(tmp_path, qft_params, monkeypatch):
+    # the four-radius TSV sums both sides per distinct radius at every
+    # radius; the grouping (np.unique over every sample) runs once per grid,
+    # here a grid no other test groups
+    from qolct import cli
+
+    calls = []
+
+    def spy(*args, _real=np.unique, **kwargs):
+        calls.append(1)
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    sig = str(tmp_path / "f.qsig")
+    write_signal(sig, synth_gaussian(Grid2D.centered(40, 15.0), 0.5, 0.5))
+    tsv = tmp_path / "b.tsv"
+    assert cli.main(["uncertainty", "--in", sig, "--params", qft_params,
+                     "--which", "beurling", "--json", str(tmp_path / "b.json"),
+                     "--tsv", str(tsv)]) == 0
+    assert len(tsv.read_text().splitlines()) == 5  # a header and four radii
+    assert len(calls) == 2  # the t-grid and the v-grid
+
+
 def test_uncertainty_rejects_overflowing_signal_energy(tmp_path, qft_params):
     # |f|^2 of a 1e300 gaussian overflows: every report that reads the
     # analysis exits 4 before any transform; Hardy fits log|f| and runs
@@ -762,7 +786,7 @@ def test_pitt_rejects_non_ij_axes(tmp_path):
     sig = str(tmp_path / "f.qsig")
     write_signal(sig, synth_gaussian(Grid2D.centered(32, 16.0), 0.5, 0.5))
     params = tmp_path / "ik.json"
-    A = OffsetParams.qft_case()
+    A = QFT_CASE
     write_params(params, TransformParams(A, A, UNIT_I, UNIT_K))
     proc = run_cli("uncertainty", "--in", sig, "--params", str(params),
                    "--which", "pitt")

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from qolct import Grid2D, QField, UNIT_I, UNIT_J, l2_norm, synth_gaussian
-from qolct.field import (
-    ComponentQuartet,
-    GridTooSmallError,
-    apply_chirp,
-    partial_derivative,
-    quartet_l2_norm,
-)
+from qolct.field import ComponentQuartet, GridTooSmallError, apply_chirp, partial_derivative
+from qolct.oracle import plane_to_quat
 from qolct.quat import qmul, qnorm
-from qolct.verify import fourier_shift
+from qolct.verify import QFT_CASE, fourier_shift, quartet_l2_norm
+
+#: a real array x as the scalar part of a field: x[..., None] * SCALAR
+SCALAR = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def test_grid_is_cell_centered():
@@ -58,7 +56,7 @@ def test_l2_norm_values():
 def test_norms_sum_a_finite_norm_near_the_float_limit():
     # a random-sign 64^2 field of energy 5e307 on extent 16: its squares sum
     # past the largest float before the 1/16 cell scales them back
-    from qolct import OffsetParams, QolctPlan, qolct_quartet
+    from qolct import QolctPlan, qolct_quartet
 
     g = Grid2D.centered(64, 16.0)
     signs = np.random.default_rng(7).choice([-1.0, 1.0], size=(64, 64, 4))
@@ -66,8 +64,7 @@ def test_norms_sum_a_finite_norm_near_the_float_limit():
     small = QField(g, np.ldexp(big.samples, -500))
     assert l2_norm(big) == pytest.approx(math.sqrt(5e307), rel=1e-12)
     assert l2_norm(big) == math.ldexp(l2_norm(small), 500)
-    qft = OffsetParams.qft_case()
-    plan = QolctPlan.create(qft, qft, input_grid=g)
+    plan = QolctPlan.create(QFT_CASE, QFT_CASE, input_grid=g)
     norm = quartet_l2_norm(qolct_quartet(big, plan))
     assert norm == math.ldexp(quartet_l2_norm(qolct_quartet(small, plan)), 500)
     assert norm == pytest.approx(l2_norm(big), rel=1e-12)
@@ -84,7 +81,7 @@ def test_synth_gaussian_values_and_norm():
     g = Grid2D.centered(64, 12.0)
     t1, t2 = g.meshgrid()
     f = synth_gaussian(g, 1.0, 1.0)
-    assert np.allclose(f.component(0), np.exp(-(t1 ** 2 + t2 ** 2)))
+    assert np.allclose(f.samples[..., 0], np.exp(-(t1 ** 2 + t2 ** 2)))
     assert np.abs(f.samples[..., 1:]).max() == 0.0
 
     beta = qmul([1, 0.5, 0, 0], [0.7, 0, -0.4, 0])
@@ -119,13 +116,26 @@ def test_quartet_norms():
         ComponentQuartet((f, zero, zero, other))
 
 
+def test_quartet_of_embeds_each_real_component():
+    # member m is the transform of f_m as the scalar part of a field on f's grid
+    g = Grid2D.centered(8, 4.0)
+    f = QField(g, np.random.default_rng(6).normal(size=(8, 8, 4)))
+    seen = []
+    q = ComponentQuartet.of(f, lambda h: seen.append(h) or QField.zeros(Grid2D(3, 2)))
+    assert q.grid == Grid2D(3, 2)
+    for m, h in enumerate(seen):
+        assert h.grid == g
+        assert np.array_equal(h.samples, f.samples[..., m, None] * SCALAR)
+    assert len(seen) == 4
+
+
 def test_partial_derivative_linear_ramp():
     g = Grid2D.centered(32, 8.0)
     t1, _ = g.meshgrid()
-    f = QField.from_real(g, t1.copy())
+    f = QField(g, t1[..., None] * SCALAR)
     d = partial_derivative(f, 1)
-    assert np.abs(d.component(0) - 1.0).max() <= 1e-10
-    const = QField.from_real(g, np.full((32, 32), 3.7))
+    assert np.abs(d.samples[..., 0] - 1.0).max() <= 1e-10
+    const = QField(g, np.full((32, 32, 4), 3.7) * SCALAR)
     assert np.abs(partial_derivative(const, 1).samples).max() <= 1e-10
     assert np.abs(partial_derivative(const, 2).samples).max() <= 1e-10
 
@@ -137,10 +147,10 @@ def test_partial_derivative_gaussian():
         n = int(round(8.0 / h))
         g = Grid2D(n, 16, 0.0, 0.0, h, 0.5)
         t1, _ = g.meshgrid()
-        f = QField.from_real(g, np.exp(-t1 ** 2))
+        f = QField(g, np.exp(-t1 ** 2)[..., None] * SCALAR)
         d = partial_derivative(f, 1)
         want = -2.0 * t1 * np.exp(-t1 ** 2)
-        assert np.abs(d.component(0) - want).max() <= tol
+        assert np.abs(d.samples[..., 0] - want).max() <= tol
 
 
 def test_partial_derivative_fourth_order_convergence():
@@ -148,11 +158,12 @@ def test_partial_derivative_fourth_order_convergence():
     for n in (128, 256):
         g = Grid2D(n, 8, 0.0, 0.0, 8.0 / n, 1.0)
         t1, _ = g.meshgrid()
-        f = QField.from_real(g, np.exp(-t1 ** 2) * np.sin(1.3 * t1))
+        wave = np.exp(-t1 ** 2) * np.sin(1.3 * t1)
+        f = QField(g, wave[..., None] * SCALAR)
         d = partial_derivative(f, 1)
         want = np.exp(-t1 ** 2) * (1.3 * np.cos(1.3 * t1)
                                    - 2.0 * t1 * np.sin(1.3 * t1))
-        errs.append(np.abs(d.component(0) - want).max())
+        errs.append(np.abs(d.samples[..., 0] - want).max())
     assert errs[0] / errs[1] >= 14.0
 
 
@@ -173,7 +184,6 @@ def test_apply_chirp_order_and_modulus():
     assert np.allclose(qnorm(out.samples), qnorm(f.samples))
     t1 = g.axis_coords(1)
     t2 = g.axis_coords(2)
-    from qolct.quat import plane_to_quat, qmul
     left = plane_to_quat(np.exp(1j * (0.3 * t1 + 0.5 * t1 ** 2)), UNIT_I)
     right = plane_to_quat(np.exp(1j * (-0.2 * t2 + 0.1 * t2 ** 2)), UNIT_J)
     want = qmul(qmul(left[:, None, :], f.samples), right[None, :, :])

@@ -27,7 +27,6 @@ DEFAULTED = {
     "olct.QolctPlan.create.mu",
     "qft.QftPlan.forward.lam",
     "qft.QftPlan.forward.mu",
-    "quat.polar.fallback_axis",
 }
 
 

@@ -27,15 +27,19 @@ from qolct import (
     qolct_quartet,
     synth_gaussian,
 )
-from qolct.field import apply_chirp, quartet_l2_norm
+from qolct.field import apply_chirp
 from qolct.olct import InterpolationDomainError, _spline, analysis
-from qolct.oracle import kernel_sum
+from qolct.oracle import kernel_sum, norm_field, plane_to_quat
 from qolct.qft import PlanViolationError
-from qolct.quat import PureUnit, inv_sqrt_unit, plane_to_quat, qconj, qmul, qnorm
+from qolct.quat import PureUnit, qmul, qnorm
 from qolct.uncertainty import heisenberg_report, log_up_check, pitt_check
 from qolct.verify import (
+    QFT_CASE,
+    inv_sqrt_unit,
     modulation_covariance_check,
     moment_identity_check,
+    qconj,
+    quartet_l2_norm,
     random_offset_params,
     shift_covariance_check,
 )
@@ -49,7 +53,7 @@ A2_REF = OffsetParams(0.5, 1.5, -0.4, 0.8, -0.1, 0.4)
 def test_offset_params_validation():
     with pytest.raises(ValueError):
         OffsetParams(1.0, 1.0, 1.0, 1.0)  # det = 0
-    A = OffsetParams.qft_case()
+    A = QFT_CASE
     assert (A.a, A.b, A.c, A.d) == (0.0, 1.0, -1.0, 0.0)
 
 
@@ -70,7 +74,7 @@ def test_plan_rejects_negative_b_and_unresolved_chirp():
     # |a|/(2b) * h * L = 2/(2*0.25) * 0.25 * 4 = 4 > pi
     steep = OffsetParams(2.0, 0.25, 1.0, 0.625)
     with pytest.raises(PlanViolationError):
-        QolctPlan.create(steep, OffsetParams.qft_case(),
+        QolctPlan.create(steep, QFT_CASE,
                          input_grid=Grid2D.centered(16, 4.0))
 
 
@@ -88,7 +92,7 @@ def test_plan_checks_nyquist_beside_a_b_zero_axis(zero_axis):
 
 def test_kernel_values():
     # QFT-case kernel: (1/sqrt(2 pi)) e^{-i pi/4} e^{-i t u}
-    A = OffsetParams.qft_case()
+    A = QFT_CASE
     t, u = 0.7, -1.3
     got = kernel(A, UNIT_I, t, u)
     want_c = np.exp(1j * (-t * u - math.pi / 4)) / math.sqrt(2 * math.pi)
@@ -144,7 +148,7 @@ def test_zero_field_and_real_linearity():
 def test_qft_reduction():
     g = Grid2D.centered(64, 14.0)
     f = synth_gaussian(g, 0.8, 1.2, (1.0, 0.5), (0.7, -0.4), UNIT_I, UNIT_J)
-    A = OffsetParams.qft_case()
+    A = QFT_CASE
     plan = QolctPlan.create(A, A, input_grid=g)
     O = qolct_forward(f, plan)
     F = qft_fast_ij(f, QftPlan.forward(g))
@@ -186,6 +190,22 @@ def test_quartet_component_routing(grid64):
     assert np.allclose(q.members[0].samples, qolct_forward(real, plan).samples)
 
 
+def test_quartet_is_four_forwards_on_general_axes(grid64):
+    # member m is the forward of the real component f_m as a scalar field,
+    # bit for bit, on axes outside (i, j)
+    f = corpus_signals(grid64)["quaternion"]
+    plan = QolctPlan.create(A1_REF, A2_REF, PureUnit(1.0, -0.5, 2.0),
+                            PureUnit(0.3, 1.0, 0.4), input_grid=grid64)
+    q = qolct_quartet(f, plan)
+    for m, member in enumerate(q.members):
+        component = np.zeros_like(f.samples)
+        component[..., 0] = f.samples[..., m]
+        want = qolct_forward(QField(grid64, component), plan)
+        assert member.grid == want.grid
+        assert np.array_equal(member.samples, want.samples)
+        assert not member.samples.flags.writeable
+
+
 def test_quartet_unit_sum_differs_from_full_transform(grid64):
     # sum_m unit_m * O{f_m} != O{f}: the j,k components see a conjugated
     # left kernel, so the unit-weighted member sum cannot rebuild O{f}
@@ -206,8 +226,8 @@ def test_analysis_quartet_matches_component_quartet_for_gaussians(grid64):
     # carry the same pointwise norm field
     f = synth_gaussian(grid64, 1.0, 0.5, (1.0, 0.5), (0.7, -0.4), UNIT_I, UNIT_J)
     plan = QolctPlan.create(A1_REF, A2_REF, input_grid=grid64)
-    n1 = qolct_quartet(f, plan).norm_field()
-    n2 = analysis_quartet(f, plan).norm_field()
+    n1 = norm_field(qolct_quartet(f, plan))
+    n2 = norm_field(analysis_quartet(f, plan))
     assert np.allclose(quartet_l2_norm(qolct_quartet(f, plan)),
                        quartet_l2_norm(analysis_quartet(f, plan)), rtol=1e-12)
     # pointwise the fields differ (mixing), but both integrate to |f|
@@ -252,7 +272,7 @@ def _spy_on(monkeypatch, module, name) -> list:
 
 
 def _density_err(f, plan):
-    want = analysis_quartet(f, plan).norm_field() ** 2
+    want = norm_field(analysis_quartet(f, plan)) ** 2
     return float(np.abs(analysis(f, plan).density - want).max() / want.max())
 
 
@@ -353,7 +373,7 @@ def test_analysis_accepts_a_finite_energy_whose_sample_sum_overflows():
     # energy 5e307 on cells of 1/16: the sum of |f|^2 is 8e308, but the
     # energy and the density are finite
     g = Grid2D.centered(64, 16.0)
-    A = OffsetParams.qft_case()
+    A = QFT_CASE
     plan = QolctPlan.create(A, A, input_grid=g)
     signs = np.random.default_rng(0).choice([-1.0, 1.0], size=(64, 64, 4))
     an = analysis(QField(g, math.sqrt(5e307 / (4 * 64 * 64 * g.cell_area)) * signs),
@@ -367,7 +387,7 @@ def test_analysis_rejects_an_overflowing_density():
     # a flat field's transform peaks at its energy times L^2 / (4 pi^2):
     # past the largest float at L = 64, though the energy itself is finite
     g = Grid2D.centered(64, 64.0)
-    A = OffsetParams.qft_case()
+    A = QFT_CASE
     flat = QField(g, np.full((64, 64, 4), math.sqrt(1e307 / 4096.0) / 2.0))
     with pytest.raises(PlanViolationError, match="energy density overflows"):
         analysis(flat, QolctPlan.create(A, A, input_grid=g))
@@ -654,7 +674,7 @@ def test_spline_needs_two_knots():
 def test_forward_rejects_an_overflowing_kernel_phase(A, axis):
     # rejected before any transform runs, naming the axis, never NaN
     g = Grid2D.centered(16, 8.0)
-    qft = OffsetParams.qft_case()
+    qft = QFT_CASE
     plan = QolctPlan.create(*((A, qft) if axis == 1 else (qft, A)), input_grid=g)
     with pytest.raises(PlanViolationError, match=f"axis {axis}: a kernel phase overflows"):
         qolct_forward(synth_gaussian(g, 0.5, 0.5), plan)
@@ -670,8 +690,9 @@ def test_degenerate_rejects_bad_inputs():
         QolctPlan(ident, ident, UNIT_I, UNIT_J, g, wide)
     with pytest.raises(ValueError, match="requires d > 0"):
         QolctPlan(OffsetParams(-1.0, 0.0, 0.0, -1.0), ident, UNIT_I, UNIT_J, g, g)
-    with pytest.raises(ValueError):
-        QolctPlan.create(OffsetParams(0.0, 0.0, 1.0, 0.0), ident, input_grid=g)
+    # with b = 0 the determinant is a*d: a b = 0, d = 0 axis is not unimodular
+    with pytest.raises(ValueError, match="determinant 0.0 is not 1"):
+        OffsetParams(0.0, 0.0, 1.0, 0.0)
     # b = 0 with d < 0: the derived output grid u = t/d + tau would run backwards
     with pytest.raises(ValueError, match="degenerate axis needs d > 0"):
         QolctPlan.derived_output_grid(OffsetParams(-1.0, 0.0, 0.5, -1.0), ident, g)
@@ -683,8 +704,7 @@ def test_degenerate_rejects_bad_inputs():
 def test_shift_covariance(grid128):
     f = synth_gaussian(grid128, 1.0, 0.7, (1.0, 0.5), (0.7, -0.4),
                        UNIT_I, UNIT_J)
-    qft_case = OffsetParams.qft_case()
-    planq = QolctPlan.create(qft_case, qft_case, input_grid=grid128)
+    planq = QolctPlan.create(QFT_CASE, QFT_CASE, input_grid=grid128)
     rep = shift_covariance_check(f, planq, (0.0, 0.0))
     assert rep.maxerr <= 1e-12
     rep = shift_covariance_check(f, planq, (0.5, 0.0))
@@ -716,7 +736,7 @@ def test_shift_covariance_zero_a_has_no_argument_shift(grid128):
 
 def test_shift_covariance_rejects_uncontained_shift(grid64):
     f = synth_gaussian(grid64, 0.02, 0.02)  # slab filling the grid
-    plan = QolctPlan.create(OffsetParams.qft_case(), OffsetParams.qft_case(),
+    plan = QolctPlan.create(QFT_CASE, QFT_CASE,
                             input_grid=grid64)
     with pytest.raises(ValueError):
         shift_covariance_check(f, plan, (2.0, 0.0))
@@ -725,8 +745,7 @@ def test_shift_covariance_rejects_uncontained_shift(grid64):
 def test_modulation_covariance(grid128):
     f = synth_gaussian(grid128, 1.0, 0.7, (1.0, 0.5), (0.7, -0.4),
                        UNIT_I, UNIT_J)
-    qft_case = OffsetParams.qft_case()
-    planq = QolctPlan.create(qft_case, qft_case, input_grid=grid128)
+    planq = QolctPlan.create(QFT_CASE, QFT_CASE, input_grid=grid128)
     rep = modulation_covariance_check(f, planq, (0.0, 0.0))
     assert rep.maxerr <= 1e-12
     rep = modulation_covariance_check(f, planq, (1.0, 0.0))

@@ -22,7 +22,8 @@ from qolct.oracle import (
     gaussian_qolct_closed_form_field,
     gaussian_qolct_log_modulus,
 )
-from qolct.quat import PureUnit, inv_sqrt_unit, qmul, qnorm
+from qolct.quat import PureUnit, qmul, qnorm
+from qolct.verify import QFT_CASE, inv_sqrt_unit
 
 from conftest import rel_max_err
 
@@ -44,7 +45,7 @@ SWEEP = [
 def test_qft_case_reduces_to_classical_gaussian_transform():
     # alpha = 1/2, beta = 1: closed form = e^{-l pi/4} e^{-|u|^2/2} e^{-m pi/4}
     spec = GaussianSpec(0.5, 0.5)
-    A = OffsetParams.qft_case()
+    A = QFT_CASE
     for u in ((0.0, 0.0), (0.7, -1.3), (2.0, 1.5)):
         got = gaussian_qolct_closed_form(spec, A, A, UNIT_I, UNIT_J, u)
         env = math.exp(-(u[0] ** 2 + u[1] ** 2) / 2.0)
@@ -143,8 +144,7 @@ def test_left_factor_stays_in_lam_plane():
     # all left-factor arithmetic (beta1, square root, phase, envelope) runs
     # in span{1, lam}: embedding it as a quaternion leaves the two
     # orthogonal units exactly zero, and the envelope stays in (0, 1]
-    from qolct.oracle import _axis_factor
-    from qolct.quat import plane_to_quat
+    from qolct.oracle import _axis_factor, plane_to_quat
 
     spec = GaussianSpec(1.0, 0.5, 1.0, 0.4, 1.0, 0.0)
     A1, _ = SWEEP[1]
@@ -192,7 +192,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         gaussian_qolct_closed_form(GaussianSpec(1.0, 1.0),
                                    OffsetParams(1.0, 0.0, 0.0, 1.0),
-                                   OffsetParams.qft_case(), UNIT_I, UNIT_J,
+                                   QFT_CASE, UNIT_I, UNIT_J,
                                    (0.0, 0.0))
 
 

@@ -17,9 +17,9 @@ from qolct import (
 )
 from qolct.field import apply_chirp
 from qolct.olct import analysis
-from qolct.oracle import digamma
+from qolct.oracle import digamma, plane_to_quat
 from qolct.qft import PlanViolationError
-from qolct.quat import PureUnit, plane_to_quat, qmul
+from qolct.quat import PureUnit, qmul
 from qolct.uncertainty import (
     LOG_UP_CONSTANT,
     beurling_integral,
@@ -31,6 +31,7 @@ from qolct.uncertainty import (
     pitt_check,
     pitt_constants,
 )
+from qolct.verify import QFT_CASE
 
 from conftest import corpus_signals, parameter_sets, rel_max_err
 
@@ -98,7 +99,7 @@ def test_pitt_constants():
 
 def test_heisenberg_classical_minimizer(grid128):
     f = synth_gaussian(grid128, 0.5, 0.5)
-    A = OffsetParams.qft_case()
+    A = QFT_CASE
     plan = QolctPlan.create(A, A, input_grid=grid128)
     for axis in (1, 2):
         rep = heisenberg_report(f, plan, axis)
@@ -116,7 +117,7 @@ def test_heisenberg_chirped_equality_case():
     g = Grid2D.centered(256, 14.0)
     f = apply_chirp(synth_gaussian(g, 0.8, 0.8),
                     UNIT_I, 0.0, 0.3, UNIT_J, 0.0, -0.2)
-    A = OffsetParams.qft_case()
+    A = QFT_CASE
     plan = QolctPlan.create(A, A, input_grid=g)
     rep = heisenberg_report(f, plan, 1)
     # analytic covariance for phase rate 2 q t: (q/pi) int t^2 |f|^2
@@ -161,7 +162,7 @@ def test_envelope_fit_exact_model(grid64):
 
 def test_hardy_critical_product_qft_case(grid128):
     f = synth_gaussian(grid128, 0.5, 0.5)
-    A = OffsetParams.qft_case()
+    A = QFT_CASE
     plan = QolctPlan.create(A, A, input_grid=grid128)
     rep = hardy_report(f, plan)
     assert rep.product == pytest.approx(0.25, abs=1e-3)
@@ -228,7 +229,7 @@ def test_hardy_case_ii_real_amplitude_commuted_order(grid128):
 
 def test_beurling_diagnostic(grid64):
     f = synth_gaussian(grid64, 1.0, 1.0)
-    A = OffsetParams.qft_case()
+    A = QFT_CASE
     plan = QolctPlan.create(A, A, input_grid=grid64)
     zero = beurling_integral(QField.zeros(grid64), plan, 4.0, 4.0)
     assert zero == 0.0
@@ -261,7 +262,7 @@ def test_beurling_radius_sums_match_all_pairs(n):
     # general plan has b1 != b2, so its v-grid is not square
     grid = Grid2D.centered(n, 14.0)
     signals = corpus_signals(grid)
-    A = OffsetParams.qft_case()
+    A = QFT_CASE
     for plan in (QolctPlan.create(A, A, input_grid=grid),
                  QolctPlan.create(*parameter_sets(1, seed=4)[0], input_grid=grid)):
         for name in ("quaternion", "shifted"):
@@ -278,7 +279,7 @@ def test_beurling_rejects_overflowing_truncations():
     # = 709.78 from n = 226 on; the check comes before any exp
     grid = Grid2D.centered(256, 16.0)
     f = synth_gaussian(grid, 0.5, 0.5)
-    A = OffsetParams.qft_case()
+    A = QFT_CASE
     plan = QolctPlan.create(A, A, input_grid=grid)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -299,7 +300,7 @@ def test_beurling_rejects_overflowing_truncations():
 
 def test_pitt_requires_ij_axes(grid64):
     f = synth_gaussian(grid64, 0.5, 0.5)
-    plan = QolctPlan.create(OffsetParams.qft_case(), OffsetParams.qft_case(),
+    plan = QolctPlan.create(QFT_CASE, QFT_CASE,
                             PureUnit(1, 1, 0), UNIT_J, input_grid=grid64)
     with pytest.raises(ValueError):
         pitt_check(f, plan, 1.0)
@@ -311,7 +312,7 @@ def test_singular_weights_reject_origin_samples():
     # odd n centered: both t = 0 and v = 0 are samples
     odd = Grid2D.centered(33, 10.0)
     f = synth_gaussian(odd, 0.5, 0.5)
-    A = OffsetParams.qft_case()
+    A = QFT_CASE
     plan = QolctPlan.create(A, A, input_grid=odd)
     with pytest.raises(PlanViolationError, match="singular at the origin"):
         pitt_check(f, plan, 1.0)
@@ -356,7 +357,7 @@ def test_weighted_reports_reject_non_finite_figures():
     # a 1e153 gaussian has a finite energy, but D_1.9 times its
     # |t|^1.9-weighted energy does not: the report raises, it returns no inf
     grid = Grid2D.centered(64, 16.0)
-    A = OffsetParams.qft_case()
+    A = QFT_CASE
     plan = QolctPlan.create(A, A, input_grid=grid)
     big = synth_gaussian(grid, 1.0, 1.0, (1e153, 0.0))
     assert math.isfinite(pitt_check(big, plan, 1.0).slack)
@@ -379,7 +380,7 @@ def test_weighted_energies_overflow_only_past_the_largest_float():
     # 1/16: each sum of |f|^2 times a weight passes the largest float before
     # the cell scales it, but the weighted energies do not
     grid = Grid2D.centered(64, 16.0)
-    A = OffsetParams.qft_case()
+    A = QFT_CASE
     plan = QolctPlan.create(A, A, input_grid=grid)
     signs = np.random.default_rng(0).choice([-1.0, 1.0], size=(64, 64, 4))
     f = QField(grid, math.sqrt(1e307 / (4 * 64 * 64 * grid.cell_area)) * signs)
@@ -417,7 +418,7 @@ def test_logup_slack_and_gaussian_value(grid256):
     # unit Gaussian under the QFT-case matrices: both log integrals equal
     # -pi*gamma/2 and the slack is pi*ln(2)
     f = synth_gaussian(grid256, 0.5, 0.5)
-    A = OffsetParams.qft_case()
+    A = QFT_CASE
     plan = QolctPlan.create(A, A, input_grid=grid256)
     rep = log_up_check(f, plan)
     want_term = -math.pi * EULER_GAMMA / 2.0
@@ -442,7 +443,7 @@ def test_logup_corpus_slack():
 def test_logup_homogeneity(grid128):
     # scaling f by a real constant scales both sides (and the slack) by c^2
     f = synth_gaussian(grid128, 0.5, 0.5)
-    A = OffsetParams.qft_case()
+    A = QFT_CASE
     plan = QolctPlan.create(A, A, input_grid=grid128)
     base = log_up_check(f, plan)
     c = 2.7
@@ -455,7 +456,7 @@ def test_logup_homogeneity(grid128):
 def test_logup_width_balance():
     # widening the Gaussian (alpha -> alpha/4) moves ln-weighted energy from
     # the transform side to the signal side by ln(2) * energy on each side
-    A = OffsetParams.qft_case()
+    A = QFT_CASE
     g = Grid2D.centered(256, 40.0)
     narrow = synth_gaussian(g, 0.5, 0.5)
     wide = synth_gaussian(g, 0.125, 0.125)
