@@ -17,7 +17,7 @@ MUTATIONS = {
     "chirp-sign": "flip the sign of the quadratic input-chirp phase the QOLCT "
                   "hands to the two-sided transform engine",
     "planes-conj": "swap which plane of the planes split takes the conjugated "
-                   "right-hand factor, in the FFT engine and every sandwich",
+                   "right-hand factor, in the one planes engine qft._planes_ft",
     "density-fold": "double the energy density every uncertainty report "
                     "reads: 1/2 in place of the 1/4 of its average over the "
                     "four mirror images of the forward transform",

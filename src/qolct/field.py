@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quat import PureUnit, qmul, qnorm, sandwich
+from .quat import PureUnit, qmul, qnorm
 
 
 class GridTooSmallError(ValueError):
@@ -202,14 +202,14 @@ def apply_chirp(f: QField, lam: PureUnit, lin1: float, quad1: float,
                 mu: PureUnit, lin2: float, quad2: float) -> QField:
     """exp(lam*(lin1 t1 + quad1 t1^2)) * f * exp(mu*(lin2 t2 + quad2 t2^2)).
 
-    The left factor is applied from the left, the right factor from the
-    right; the order is load-bearing for quaternion fields.
+    The left factor acts from the left, the right one from the right (the order
+    is load-bearing): one pass of the planes engine, transforming no axis.
     """
-    t1 = f.grid.axis_coords(1)
-    t2 = f.grid.axis_coords(2)
-    return QField(f.grid, sandwich(f.samples, lam, mu,
-                                   np.exp(1j * (lin1 * t1 + quad1 * t1 ** 2)),
-                                   np.exp(1j * (lin2 * t2 + quad2 * t2 ** 2))))
+    from .qft import _planes_ft  # qft imports this module
+    t1, t2 = f.grid.axis_coords(1), f.grid.axis_coords(2)
+    return QField(f.grid, _planes_ft(f.samples, f.grid, f.grid, lam, mu, (
+        (0, np.exp(1j * (lin1 * t1 + quad1 * t1 ** 2)), None),
+        (0, np.exp(1j * (lin2 * t2 + quad2 * t2 ** 2)), None))))
 
 
 _EDGE_STENCILS = np.array([

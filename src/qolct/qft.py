@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _mutation
 from .field import Grid2D, PlanViolationError, QField
-from .quat import UNIT_I, UNIT_J, PureUnit, in_planes
+from .quat import UNIT_I, UNIT_J, PureUnit, plane_basis
 
 
 def default_output_grid(grid: Grid2D) -> Grid2D:
@@ -93,7 +93,8 @@ def centered_ft2(x: np.ndarray, tgrid: Grid2D, ugrid: Grid2D, axes,
     with pre and post folded into its columns and rows.  A sign-0 axis is not
     transformed, its factors act as one vector, and it adds no spacing to dt.
     ``x`` may be a strided view and is left untouched: the pre multiply
-    writes the one contiguous working copy, the post multiply ``out``.
+    writes the one contiguous working copy, the post multiply ``out``; with
+    no axis transformed the pre multiply writes ``out``, the one pass.
     """
     last = 1 if axes[1][0] else 0  # the cell weight rides on the last transformed axis
     weight = 1.0
@@ -114,6 +115,8 @@ def centered_ft2(x: np.ndarray, tgrid: Grid2D, ugrid: Grid2D, axes,
         else:
             mats[axis] = np.reshape(b, (-1, 1)) * np.exp(1j * sign * np.outer(
                 ugrid.axis_coords(axis + 1), tgrid.axis_coords(axis + 1))) * w * a
+    if not (axes[0][0] or axes[1][0]):  # a pointwise multiply: one pass
+        return _outer_times(x, *pre, out)
     z = _outer_times(x, *pre, np.empty(x.shape, dtype=complex))
     for axis, (sign, _, _) in enumerate(axes):
         if mats[axis] is not None:
@@ -139,17 +142,26 @@ def _outer_times(x, left, right, out):
 
 def _planes_ft(samples, tgrid: Grid2D, ugrid: Grid2D, lam: PureUnit,
                mu: PureUnit, axes):
-    """Split the (n1, n2, 4) ``samples`` into the planes of
-    ``quat.in_planes``; on each, one :func:`centered_ft2` with per axis
-    ``(sign, pre, post)`` of ``axes`` (axis 2 conjugated on the plane that
-    conjugates right-hand factors); map back."""
+    """The one planes split: map the (n1, n2, 4) ``samples`` to z+, z- of
+    ``quat.plane_basis``; on each, one :func:`centered_ft2` with per axis
+    ``(sign, pre, post)`` of ``axes``, axis 2 conjugated on the + plane, where
+    right-hand factors cross conjugated; map back to a new read-only array on
+    ``ugrid``.  With both signs 0 it is the multiply pre1(t1) samples pre2(t2)."""
     s2, pre2, post2 = axes[1]
     conj_axes = (axes[0], (-s2, *(None if v is None else np.conj(v)
                                   for v in (pre2, post2))))
-
-    def per_plane(z, out, conj):
-        centered_ft2(z, tgrid, ugrid, conj_axes if conj else axes, out)
-    return in_planes(samples, lam, mu, (ugrid.n1, ugrid.n2), per_plane)
+    basis = plane_basis(lam, mu)
+    coefs = (samples.reshape(-1, 4) @ basis).reshape(samples.shape)
+    z = coefs.view(complex)  # the output planes too, unless the grid changes
+    shape = (ugrid.n1, ugrid.n2)
+    out = z if z.shape[:2] == shape else np.empty(shape + (2,), dtype=complex)
+    per_plane = (axes, conj_axes) if _mutation.active("planes-conj") else (conj_axes, axes)
+    for k, plane_axes in enumerate(per_plane):  # z+ first
+        centered_ft2(z[..., k], tgrid, ugrid, plane_axes, out[..., k])
+    result = np.empty(shape + (4,))
+    np.matmul(out.view(float).reshape(-1, 4), basis.T, out=result.reshape(-1, 4))
+    result.setflags(write=False)
+    return result
 
 
 def _inverse_weight() -> float:

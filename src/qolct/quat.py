@@ -1,5 +1,5 @@
 """Quaternion arrays: the Hamilton product, the pointwise modulus and the
-orthogonal planes split of a two-sided product.
+basis of the orthogonal planes split that ``qft._planes_ft`` runs.
 
 A quaternion is a numpy array of shape (4,) with component order (scalar,
 i, j, k), and a sampled signal a stack of them, shape ``(..., 4)``; the
@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import _mutation
 
 
 @dataclass(frozen=True)
@@ -110,31 +108,3 @@ def plane_basis(lam: PureUnit, mu: PureUnit) -> np.ndarray:
         columns += [p, qmul(lam.array, p)]
     return np.stack(columns, axis=1)
 
-
-def in_planes(samples, lam: PureUnit, mu: PureUnit, shape, per_plane) -> np.ndarray:
-    """Map an (n1, n2, 4) stack to planes z+, z-; ``per_plane(z_k, out_k,
-    conj)`` fills slot out_k of the output planes on the (m1, m2) ``shape``
-    from the strided plane z_k, conj marking the + plane, where right-hand
-    factors act conjugated; map back into a new read-only (m1, m2, 4) array."""
-    basis = plane_basis(lam, mu)
-    coefs = (samples.reshape(-1, 4) @ basis).reshape(samples.shape)
-    z = coefs.view(complex)  # the output planes too, unless the grid changes
-    out = z if z.shape[:2] == shape else np.empty(shape + (2,), dtype=complex)
-    conj_plane = 1 if _mutation.active("planes-conj") else 0
-    for k in (0, 1):
-        per_plane(z[..., k], out[..., k], k == conj_plane)
-    result = np.empty(shape + (4,))
-    np.matmul(out.view(float).reshape(-1, 4), basis.T, out=result.reshape(-1, 4))
-    result.setflags(write=False)
-    return result
-
-
-def sandwich(samples, lam: PureUnit, mu: PureUnit, left, right) -> np.ndarray:
-    """left(x1) * samples * right(x2) for an (n1, n2, 4) stack and complex
-    per-axis factors embedded on lam (left) and mu (right), None standing
-    for 1: two complex multiplies in the planes."""
-    def per_plane(z, out, conj):
-        np.multiply(z, 1.0 if left is None else left[:, None], out=out)
-        if right is not None:
-            out *= np.conj(right) if conj else right
-    return in_planes(samples, lam, mu, samples.shape[:2], per_plane)

@@ -17,7 +17,8 @@ import numpy as np
 
 from .field import PlanViolationError, QField, _cell_sum, partial_derivative
 from .olct import QolctPlan, _plan_factors, _require_positive_b, analysis, qolct_forward
-from .quat import UNIT_I, UNIT_J, qnorm, sandwich
+from .qft import _planes_ft
+from .quat import UNIT_I, UNIT_J, qnorm
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +99,9 @@ def heisenberg_report(f: QField, plan: QolctPlan, axis: int) -> HeisenbergReport
     """Spread product versus (1/16 pi^2)|f|^4 + COV^2.
 
     The covariance uses the unit-phase field w = g/|g| of the chirped signal
-    g (the u-dependent kernel factors are constant unit quaternions and drop
-    out of |t_k d/dt_k w|); w is zeroed where |f| = |g| is below 1e-12 of
-    its peak.
+    g, one planes-engine pass that transforms no axis (the u-dependent kernel
+    factors are constant unit quaternions and drop out of |t_k d/dt_k w|); w
+    is zeroed where |f| = |g| is below 1e-12 of its peak.
     """
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
@@ -109,7 +110,8 @@ def heisenberg_report(f: QField, plan: QolctPlan, axis: int) -> HeisenbergReport
     mod[mod <= 1e-12 * float(mod.max())] = np.inf  # w is 0 off the live set
     # the chirps are unit, so g/|g| of the chirped signal g is c1 (f/|f|) c2
     (_, c1, _), (_, c2, _) = _plan_factors(plan, -1)
-    w = QField(f.grid, sandwich(f.samples / mod[..., None], plan.lam, plan.mu, c1, c2))
+    w = QField(f.grid, _planes_ft(f.samples / mod[..., None], f.grid, f.grid,
+                                  plan.lam, plan.mu, ((0, c1, None), (0, c2, None))))
     shape = (-1, 1) if axis == 1 else (1, -1)
     tk = f.grid.axis_coords(axis)
     spatial = _weighted_energy(an.e2, tk.reshape(shape) ** 2, f.grid.cell_area)

@@ -50,7 +50,7 @@ from .oracle import (
     qolct_direct,
 )
 from .qft import QftPlan, iqft, qft_fast_ij
-from .quat import UNIT_I, UNIT_J, UNIT_K, PureUnit, qmul, qnorm, sandwich
+from .quat import UNIT_I, UNIT_J, UNIT_K, PureUnit, qmul, qnorm
 from .uncertainty import (
     LOG_UP_CONSTANT,
     beurling_integral,
@@ -135,8 +135,11 @@ class IdentityReport:
 
 def _factored_report(lhs: QField, base: QField, plan, left, right) -> IdentityReport:
     """Compare lhs with left(x1) base right(x2), the per-axis complex factors
-    on the plan's lam and mu, relative to the latter's peak modulus."""
-    rhs = QField(lhs.grid, sandwich(base.samples, plan.lam, plan.mu, left, right))
+    on the plan's lam and mu, relative to the latter's peak modulus.  The
+    latter is two Hamilton products, not the planes split the engine uses."""
+    rhs = QField(lhs.grid, qmul(qmul(plane_to_quat(left[:, None], plan.lam),
+                                     base.samples),
+                                plane_to_quat(right[None, :], plan.mu)))
     maxerr = float(qnorm(lhs.samples - rhs.samples).max())
     scale = float(qnorm(rhs.samples).max())
     return IdentityReport(lhs, rhs, maxerr, maxerr / scale if scale else maxerr)
@@ -248,8 +251,8 @@ def moment_identity_check(f: QField, plan: QolctPlan, axis: int) -> MomentReport
     A = plan.A1 if axis == 1 else plan.A2
     tk = f.grid.axis_coords(axis)
     slope = 1j * (A.a * tk + A.tau) / A.b  # lam*slope on the left, mu*slope on the right
-    lin = sandwich(f.samples, plan.lam, plan.mu,
-                   *((slope, None) if axis == 1 else (None, slope)))
+    lin = (qmul(plane_to_quat(slope[:, None], plan.lam), f.samples) if axis == 1
+           else qmul(f.samples, plane_to_quat(slope[None, :], plan.mu)))
     r = lin + partial_derivative(f, axis).samples
     rhs = A.b ** 2 * float(np.sum(r * r)) * f.grid.cell_area
     rel = abs(lhs - rhs) / rhs if rhs else abs(lhs - rhs)

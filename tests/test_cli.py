@@ -1,9 +1,11 @@
+import ast
 import hashlib
 import json
 import math
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qolct import Grid2D, QField, UNIT_I, UNIT_J, UNIT_K, synth_gaussian
+import qolct
+from qolct import Grid2D, QField, UNIT_I, UNIT_J, UNIT_K, _mutation, synth_gaussian
 from qolct.field import apply_chirp
 from qolct.signalio import (
     MAGIC,
@@ -448,7 +451,9 @@ _FIXTURE_FAILURES = {
                     "qolct:degenerate-equals-kernel-sum",
                     "qolct:density-equals-analysis-quartet",
                     "qolct:forward-equals-direct", "qolct:qft-reduction",
-                    "qolct:qlct-reduction"},
+                    "qolct:qlct-reduction", "qft:derivative-identity-n1",
+                    "qolct:modulation-covariance-general",
+                    "qolct:shift-covariance-general"},
     "density-fold": {"qolct:density-equals-analysis-quartet",
                      "qolct:moment-identity-axis1", "qolct:moment-identity-axis2",
                      "uncertainty:heisenberg-classical-equality",
@@ -456,6 +461,41 @@ _FIXTURE_FAILURES = {
                      "uncertainty:pitt-equality-alpha0",
                      "uncertainty:pitt-slack-nonnegative"},
     "degenerate-chirp": {"qolct:degenerate-equals-kernel-sum"},
+}
+
+#: the checks no fixture fails at seed 5.  A check that comes to fail under a
+#: fixture may leave the list; a new check that none fails fails the test
+#: until it is listed, so it is seen.
+_NEVER_FAILING = {
+    "algebra:hamilton-multiplication-table",
+    "algebra:product-associativity",
+    "algebra:conjugation-anti-involution",
+    "algebra:norm-multiplicativity",
+    "algebra:same-axis-exponential-addition",
+    "algebra:inverse-sqrt-squares-to-axis",
+    "algebra:polar-reconstruction",
+    "algebra:inverse-identity",
+    "qft:plancherel-4pi2",
+    "qft:plancherel-4pi2-random-axes",
+    "qft:dilation-identity",
+    "qft:derivative-identity-m1",
+    "qft:real-linearity",
+    "qolct:quartet-plancherel",
+    "qolct:shift-covariance-qft-case",
+    "qolct:modulation-covariance-qft-case",
+    "qolct:degenerate-identity",
+    "qolct:transform-decay",
+    "oracle:envelope-peak-at-offset",
+    "oracle:offset-gaussian-integral",
+    "uncertainty:gamma-recurrence",
+    "uncertainty:gamma-half",
+    "uncertainty:log-constant-cross-check",
+    "uncertainty:pitt-constant-continuity",
+    "uncertainty:logup-slack-nonnegative",
+    "uncertainty:heisenberg-weak-bound",
+    "uncertainty:hardy-critical-product",
+    "uncertainty:beurling-growth-with-radius",
+    "uncertainty:beurling-decreasing-in-d",
 }
 
 
@@ -467,6 +507,7 @@ def test_verify_exit_codes_and_mutations(tmp_path):
     assert doc["n_failed"] == 0
     assert all(rec["pass"] for rec in doc["checks"])
 
+    checks, caught = set(), set()
     for name, expected in _FIXTURE_FAILURES.items():
         proc = run_cli("verify", "all", "--seed", "5", "--mutate", name,
                        "--json", str(tmp_path / f"m-{name}.json"))
@@ -475,6 +516,21 @@ def test_verify_exit_codes_and_mutations(tmp_path):
         failed = {rec["check"] for rec in doc["checks"] if not rec["pass"]}
         assert doc["n_failed"] == len(failed)
         assert expected <= failed, (name, sorted(expected - failed))
+        checks |= {rec["check"] for rec in doc["checks"]}
+        caught |= failed
+    assert checks - caught <= _NEVER_FAILING, sorted(checks - caught - _NEVER_FAILING)
+
+
+def test_each_fixture_has_one_injection_point():
+    names = []
+    for path in Path(qolct.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "active"
+                    and getattr(node.func.value, "id", None) == "_mutation"):
+                assert isinstance(node.args[0], ast.Constant), path.name
+                names.append(node.args[0].value)
+    assert sorted(names) == sorted(_mutation.MUTATIONS)
 
 
 def test_algebra_suite_is_fast():

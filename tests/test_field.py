@@ -214,7 +214,7 @@ def test_qfield_copies_what_a_caller_could_still_write(monkeypatch):
     results are read-only float64 arrays that own their data, and the field
     keeps them without a copy."""
     from qolct import QftPlan, QolctPlan, iqft, qft_fast_ij, qolct_forward, qolct_inverse
-    from qolct import qft
+    from qolct import olct, qft
     from qolct.olct import OffsetParams
 
     g = Grid2D.centered(16, 4.0)
@@ -232,13 +232,14 @@ def test_qfield_copies_what_a_caller_could_still_write(monkeypatch):
     assert QField(g, base).samples is base  # read-only and owned: kept
 
     results = []
-    engine = qft.in_planes
+    engine = qft._planes_ft
 
     def spy(*args):
         results.append(engine(*args))
         return results[-1]
 
-    monkeypatch.setattr(qft, "in_planes", spy)
+    monkeypatch.setattr(qft, "_planes_ft", spy)
+    monkeypatch.setattr(olct, "_planes_ft", spy)
     plan = QftPlan.forward(g)
     A = OffsetParams(0.5, 1.0, -1.2, -0.4, 0.3, -0.2)
     qplan = QolctPlan.create(A, A, input_grid=g)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qolct.field import Grid2D
 from qolct.oracle import plane_to_quat
-from qolct.quat import UNIT_I, UNIT_J, UNIT_K, PureUnit, qmul, qnorm, sandwich
+from qolct.qft import _planes_ft
+from qolct.quat import UNIT_I, UNIT_J, UNIT_K, PureUnit, qmul, qnorm
 from qolct.verify import DegenerateAxisError, axis_exp, inv_sqrt_unit, polar, qconj, qinv
 
 UNITY = np.array([1.0, 0.0, 0.0, 0.0])
@@ -171,7 +173,7 @@ def test_plane_to_quat():
 
 
 def test_qnorm_neither_underflows_nor_overflows():
-    from qolct import Grid2D, QField
+    from qolct import QField
     rows = np.array([
         [3e-160, 4e-160, 0.0, 0.0],        # squares subnormal
         [0.0, 1e-170, 0.0, 1e-170],        # squares underflow to 0
@@ -199,8 +201,9 @@ axes = st.tuples(components, components, components).filter(
        seed=st.integers(0, 2 ** 32 - 1))
 def test_sandwich_matches_hamilton_products(n1, n2, lam, mu, relation,
                                             has_left, has_right, seed):
-    # the planes split must reproduce left * f * right, including mu = +-lam
-    # (where a fixed plane basis degenerates) and non-unimodular factors
+    # the planes engine with no axis transformed must reproduce left * f *
+    # right, including mu = +-lam (where a fixed plane basis degenerates) and
+    # non-unimodular factors
     if relation != "free":
         s = 1.0 if relation == "same" else -1.0
         mu = PureUnit(s * lam.x, s * lam.y, s * lam.z)
@@ -217,6 +220,7 @@ def test_sandwich_matches_hamilton_products(n1, n2, lam, mu, relation,
         want = qmul(plane_to_quat(left, lam)[:, None, :], want)
     if right is not None:
         want = qmul(want, plane_to_quat(right, mu)[None, :, :])
-    got = sandwich(samples, lam, mu, left, right)
+    grid = Grid2D(n1, n2)
+    got = _planes_ft(samples, grid, grid, lam, mu, ((0, left, None), (0, right, None)))
     assert got.shape == want.shape
     assert qnorm(got - want).max() <= 1e-14 * qnorm(want).max()
