@@ -1,0 +1,101 @@
+"""Where the time of one uncertainty-report cycle goes, op by op and layer by layer.
+
+    python scripts/analysis_split.py --n 256 --cycles 15 --seed 1
+
+One cycle runs the reports an analysis-ij cycle of ``perfbench`` runs on one
+(signal, plan) pair: Heisenberg on both axes, Pitt at three alphas, the
+logarithmic inequality, Hardy and the component quartet.  The analysis memo
+is cleared before each cycle, so every cycle computes one analysis, as a
+cycle on a new pair does; ``analysis`` is timed as its own first step.  The
+layers of the Heisenberg covariance (the unit-phase pass, the derivative
+and its modulus on each axis) are then timed alone on the cycle's own
+unit-phase field.  Prints the median of each timing over the cycles, in ms.
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import time
+
+import numpy as np
+
+from qolct import UNIT_I, UNIT_J, Grid2D, OffsetParams, QolctPlan, synth_gaussian
+from qolct import olct, uncertainty
+from qolct.field import QField, partial_derivative
+from qolct.qft import _planes_ft
+from qolct.quat import qnorm
+
+
+def draw_params(rng, cap: float) -> OffsetParams:
+    """A unimodular (a, b, c, d | tau, eta) with b in [0.5, 2] whose input
+    chirp |a|/(2b) stays below ``cap``."""
+    while True:
+        a, b, c = rng.uniform(-2.0, 2.0), rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0)
+        if 0.3 <= abs(a) and abs(a) / (2.0 * b) <= cap:
+            return OffsetParams(a, b, c, (1.0 + b * c) / a,
+                                rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+
+
+def unit_phase(f, plan, an):
+    """The covariance's unit-phase field w, as ``heisenberg_report`` builds it."""
+    mod = np.sqrt(an.e2)
+    mod[mod <= 1e-12 * float(mod.max())] = np.inf
+    (_, c1, _), (_, c2, _) = olct._plan_factors(plan, -1)
+    return QField(f.grid, _planes_ft(f.samples / mod[..., None], f.grid, f.grid,
+                                     plan.lam, plan.mu, ((0, c1, None), (0, c2, None))))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--n", type=int, default=256)
+    parser.add_argument("--cycles", type=int, default=15)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+
+    rng = np.random.default_rng(args.seed)
+    grid = Grid2D.centered(args.n, 16.0)
+    f = synth_gaussian(grid, 0.6, 0.9, (1.0, 0.4), (0.7, -0.3), UNIT_I, UNIT_J,
+                       center=(0.5, -0.4))
+    cap = 0.9 * np.pi / (grid.spacing1 * grid.extent1)  # the chirp bound, with margin
+    plan = QolctPlan.create(draw_params(rng, cap), draw_params(rng, cap), input_grid=grid)
+    steps = {
+        "analysis": lambda: olct.analysis(f, plan),
+        "heisenberg-1": lambda: uncertainty.heisenberg_report(f, plan, 1),
+        "heisenberg-2": lambda: uncertainty.heisenberg_report(f, plan, 2),
+        **{f"pitt-{a:g}": (lambda a=a: uncertainty.pitt_check(f, plan, a))
+           for a in (0.5, 1.0, 1.5)},
+        "logup": lambda: uncertainty.log_up_check(f, plan),
+        "hardy": lambda: uncertainty.hardy_report(f, plan),
+        "quartet": lambda: olct.qolct_quartet(f, plan),
+    }
+    an = olct.analysis(f, plan)
+    w = unit_phase(f, plan, an)
+    dw = {k: partial_derivative(w, k).samples for k in (1, 2)}
+    layers = {
+        "unit-phase pass": lambda: unit_phase(f, plan, an),
+        **{f"partial_derivative axis {k}": (lambda k=k: partial_derivative(w, k))
+           for k in (1, 2)},
+        **{f"qnorm of d/dt{k} w": (lambda k=k: qnorm(dw[k])) for k in (1, 2)},
+    }
+    times = {name: [] for name in [*steps, "cycle", *layers]}
+    for _ in range(args.cycles):
+        olct._last.clear()
+        t_cycle = time.perf_counter()
+        for name, step in steps.items():
+            t0 = time.perf_counter()
+            step()
+            times[name].append(time.perf_counter() - t0)
+        times["cycle"].append(time.perf_counter() - t_cycle)
+        for name, layer in layers.items():
+            t0 = time.perf_counter()
+            layer()
+            times[name].append(time.perf_counter() - t0)
+    print(f"n = {args.n}, {args.cycles} cycles, seed {args.seed}; median ms")
+    for name, ts in times.items():
+        print(f"{name}\t{1e3 * statistics.median(ts):.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

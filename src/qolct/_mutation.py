@@ -23,6 +23,7 @@ MUTATIONS = {
                     "four mirror images of the forward transform",
     "degenerate-chirp": "flip the sign of the phase of the output chirp on a "
                         "b = 0 axis of the forward QOLCT",
+    "stencil": "take f[p+1] for f[p+2] in the interior stencil of partial_derivative",
 }
 
 _current: str | None = None

@@ -219,6 +219,7 @@ class Analysis:
     density: np.ndarray  # ||O{f}||^2 on the v = u/b grid
     e2: np.ndarray  # |f(t)|^2
     energy: float  # ||f||^2
+    covariance: dict  # Heisenberg's COV per axis, filled by heisenberg_report
 
 
 #: the last analysis: (weak reference to f, (plan, armed mutation), Analysis)
@@ -278,7 +279,7 @@ def analysis(f: QField, plan: QolctPlan) -> Analysis:
     density *= 0.5 if _mutation.active("density-fold") else 0.25
     density.setflags(write=False)
     mod2.setflags(write=False)
-    an = Analysis(density, mod2, energy)
+    an = Analysis(density, mod2, energy, {})
     # the reference lives only in its entry, so its callback clears that entry
     _last[:] = [(weakref.ref(f, lambda _: _last.clear()), key, an)]
     return an

@@ -67,15 +67,21 @@ def qmul(a, b) -> np.ndarray:
 
 
 def qnorm(a) -> np.ndarray:
-    """Pointwise quaternion modulus |q|_Q of a component stack; rows whose
-    squares under- or overflow take ``hypot``, which scales by the larger side."""
+    """Pointwise quaternion modulus |q|_Q of a component stack: the squares
+    summed component by component, as ``np.sum`` over the last axis sums them.
+    Rows whose squares under- or overflow take ``hypot``; zero rows stay 0."""
     a = np.asarray(a, dtype=float)
     rows = a.reshape(-1, 4)
     with np.errstate(over="ignore"):  # rows that overflow are redone below
-        norm = np.sqrt(np.sum(rows * rows, axis=-1))
-    far = ~((norm > 1e-150) & (norm < 1e150))  # the squares left [1e-300, 1e300]
-    if far.any():
-        b = rows[far]
+        norm, square = np.square(rows[:, 0]), np.empty(len(rows))
+        for m in (1, 2, 3):
+            norm += np.square(rows[:, m], out=square)
+    np.sqrt(norm, out=norm)
+    far = np.flatnonzero(~((norm > 1e-150) & (norm < 1e150)))  # squares left [1e-300, 1e300]
+    if far.size:
+        b = np.take(rows, far, axis=0)
+        live = np.logical_or(*(b.view(complex) != 0).T)  # (scalar, i) or (j, k) nonzero
+        b, far = b[live], far[live]
         norm[far] = np.hypot(np.hypot(b[:, 0], b[:, 1]), np.hypot(b[:, 2], b[:, 3]))
     return norm.reshape(a.shape[:-1])
 

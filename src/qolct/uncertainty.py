@@ -98,29 +98,34 @@ class HeisenbergReport:
 def heisenberg_report(f: QField, plan: QolctPlan, axis: int) -> HeisenbergReport:
     """Spread product versus (1/16 pi^2)|f|^4 + COV^2.
 
-    The covariance uses the unit-phase field w = g/|g| of the chirped signal
-    g, one planes-engine pass that transforms no axis (the u-dependent kernel
+    COV uses the unit-phase field w = g/|g| of the chirped signal g, one
+    planes-engine pass that transforms no axis (the u-dependent kernel
     factors are constant unit quaternions and drop out of |t_k d/dt_k w|); w
-    is zeroed where |f| = |g| is below 1e-12 of its peak.
+    is zeroed where |f| = |g| is below 1e-12 of its peak.  The first report
+    on a kept analysis computes COV on both axes from one w (on its own axis
+    alone if the other is too short to differentiate) and keeps it there.
     """
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
     an = analysis(f, plan)  # rejects b = 0 plans
-    mod = np.sqrt(an.e2)
-    mod[mod <= 1e-12 * float(mod.max())] = np.inf  # w is 0 off the live set
-    # the chirps are unit, so g/|g| of the chirped signal g is c1 (f/|f|) c2
-    (_, c1, _), (_, c2, _) = _plan_factors(plan, -1)
-    w = QField(f.grid, _planes_ft(f.samples / mod[..., None], f.grid, f.grid,
-                                  plan.lam, plan.mu, ((0, c1, None), (0, c2, None))))
+    if axis not in an.covariance:
+        mod = np.sqrt(an.e2)
+        mod[mod <= 1e-12 * float(mod.max())] = np.inf  # w is 0 off the live set
+        # the chirps are unit, so g/|g| of the chirped signal g is c1 (f/|f|) c2
+        (_, c1, _), (_, c2, _) = _plan_factors(plan, -1)
+        w = QField(f.grid, _planes_ft(f.samples / mod[..., None], f.grid, f.grid,
+                                      plan.lam, plan.mu, ((0, c1, None), (0, c2, None))))
+        for k in (1, 2) if min(f.grid.n1, f.grid.n2) >= 5 else (axis,):
+            tk = np.abs(f.grid.axis_coords(k)).reshape((-1, 1) if k == 1 else (1, -1))
+            dw = qnorm(partial_derivative(w, k).samples)
+            an.covariance[k] = _weighted_energy(an.e2 * tk, dw, f.grid.cell_area) / (2.0 * math.pi)
+    cov = an.covariance[axis]
     shape = (-1, 1) if axis == 1 else (1, -1)
     tk = f.grid.axis_coords(axis)
     spatial = _weighted_energy(an.e2, tk.reshape(shape) ** 2, f.grid.cell_area)
     xk = plan.scaled_freq_grid().axis_coords(axis) / (2.0 * math.pi)
     spectral = _weighted_energy(an.density, xk.reshape(shape) ** 2,
                                 plan.output_grid.cell_area)
-    dw = partial_derivative(w, axis)
-    cov = _weighted_energy(an.e2 * np.abs(tk).reshape(shape), qnorm(dw.samples),
-                           f.grid.cell_area) / (2.0 * math.pi)
     try:  # a Python float's ** raises on overflow
         base, cov2 = an.energy ** 2 / (16.0 * math.pi ** 2), cov ** 2
     except OverflowError:

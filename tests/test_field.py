@@ -167,6 +167,31 @@ def test_partial_derivative_fourth_order_convergence():
     assert errs[0] / errs[1] >= 14.0
 
 
+
+def test_partial_derivative_matches_the_stencil_expression_to_the_bit():
+    # the interior and the one-sided edges, written out as whole-array
+    # expressions; the result owns its read-only samples, so QField keeps
+    # them without a copy
+    g = Grid2D(37, 29, 0.3, -0.1, 0.07, 0.11)
+    f = QField(g, np.random.default_rng(3).standard_normal((37, 29, 4)))
+    for axis, h in ((1, g.spacing1), (2, g.spacing2)):
+        data = f.samples if axis == 1 else np.swapaxes(f.samples, 0, 1)
+        n = data.shape[0]
+        want = np.empty_like(data)
+        want[2:-2] = (data[:-4] - 8.0 * data[1:-3]
+                      + 8.0 * data[3:-1] - data[4:]) / 12.0
+        for row, stencil in enumerate(np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
+                                                [-3.0, -10.0, 18.0, -6.0, 1.0]]) / 12.0):
+            want[row] = np.tensordot(stencil, data[:5], axes=(0, 0))
+            want[n - 1 - row] = -np.tensordot(stencil, data[n - 5:][::-1], axes=(0, 0))
+        want /= h
+        if axis == 2:
+            want = np.swapaxes(want, 0, 1)
+        d = partial_derivative(f, axis)
+        assert d.samples.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert d.samples.flags.owndata and not d.samples.flags.writeable
+        assert QField(g, d.samples).samples is d.samples
+
 def test_partial_derivative_grid_too_small():
     g = Grid2D(4, 8, 0.0, 0.0, 1.0, 1.0)
     with pytest.raises(GridTooSmallError):

@@ -190,6 +190,35 @@ def test_qnorm_neither_underflows_nor_overflows():
     assert field.modulus() == pytest.approx(np.reshape(want, (2, 4)), rel=4e-16, abs=0.0)
 
 
+
+def test_qnorm_is_bit_identical_to_its_reference_forms():
+    # in-range rows equal sqrt(np.sum(r*r, -1)) to the bit; exact-zero rows
+    # are 0 and every other out-of-range row equals the nested hypot
+    rng = np.random.default_rng(7)
+    rows = rng.standard_normal((200, 4)) * 10.0 ** rng.integers(-140, 140, (200, 1))
+    rows[:20] = 0.0
+    rows[20:25] = -0.0
+    rows[25:30] = 1e-200 * rng.standard_normal((5, 4))   # squares underflow
+    rows[30:35] = 1e200 * rng.standard_normal((5, 4))    # squares overflow
+    rows[35] = [np.inf, 1.0, 0.0, 0.0]
+    rows[36] = [0.0, 0.0, -np.inf, np.nan]
+    rows[37] = [np.nan, 0.0, 0.0, 0.0]
+    rows[38] = [0.0, 0.0, 0.0, 5e-324]
+    with np.errstate(over="ignore"):
+        summed = np.sqrt(np.sum(rows * rows, axis=-1))
+    hypot = np.hypot(np.hypot(rows[:, 0], rows[:, 1]), np.hypot(rows[:, 2], rows[:, 3]))
+    in_range = (summed > 1e-150) & (summed < 1e150)
+    assert in_range[39:].all() and not in_range[:39].any()
+    want = np.where(in_range, summed, hypot)
+    got = qnorm(rows)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert got[:25].tolist() == [0.0] * 25 and not np.signbit(got[:25]).any()
+    assert np.isnan(got[37]) and got[35] == got[36] == np.inf
+    # any leading shape, a single quaternion included
+    assert np.array_equal(qnorm(rows.reshape(10, 20, 4)), got.reshape(10, 20),
+                          equal_nan=True)
+    assert qnorm(rows[50]).shape == () and qnorm(rows[50]) == got[50]
+
 axes = st.tuples(components, components, components).filter(
     lambda v: v[0] ** 2 + v[1] ** 2 + v[2] ** 2 > 1e-2).map(lambda v: PureUnit(*v))
 

@@ -30,3 +30,11 @@ def test_uncertainty_sweep_writes_tsv(tmp_path):
     rows = out.read_text().splitlines()
     assert rows[0].split("\t")[0] == "width"
     assert len(rows) == 1 + 32  # 4 widths x 8 alphas
+
+
+def test_analysis_split_times_every_step(tmp_path):
+    proc = run_script("analysis_split.py", "--n", "32", "--cycles", "1", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    names = [line.split("\t")[0] for line in proc.stdout.splitlines()[1:]]
+    assert names[:3] == ["analysis", "heisenberg-1", "heisenberg-2"]
+    assert "cycle" in names and "qnorm of d/dt2 w" in names

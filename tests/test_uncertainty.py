@@ -15,7 +15,7 @@ from qolct import (
     l2_norm,
     synth_gaussian,
 )
-from qolct.field import apply_chirp
+from qolct.field import GridTooSmallError, apply_chirp
 from qolct.olct import analysis
 from qolct.oracle import digamma, plane_to_quat
 from qolct.qft import PlanViolationError
@@ -141,6 +141,50 @@ def test_heisenberg_corpus_inequality():
             assert rep.lhs >= rep.base_bound * (1.0 - 1e-6), name
             assert rep.spatial_spread >= 0 and rep.spectral_spread >= 0
             assert rep.rhs == pytest.approx(rep.base_bound + rep.cov ** 2)
+
+
+def test_heisenberg_axes_share_one_unit_phase_pass(monkeypatch):
+    # both axes of one pair make one sign-0 engine pass and two derivatives;
+    # a new plan, a new signal or another armed fixture recomputes both, and
+    # either axis order gives the same reports
+    from qolct import _mutation, uncertainty
+    g = Grid2D.centered(96, 12.0)
+    f = synth_gaussian(g, 0.6, 0.9, (1.0, 0.4), (0.7, -0.3), UNIT_I, UNIT_J)
+    (A1, A2), (B1, B2) = parameter_sets(2, seed=11)
+    plan = QolctPlan.create(A1, A2, input_grid=g)
+    calls = {"_planes_ft": 0, "partial_derivative": 0}
+    for name in calls:
+        def spy(*args, _real=getattr(uncertainty, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(uncertainty, name, spy)
+
+    def both(f, plan, order=(1, 2)):
+        before = dict(calls)
+        reports = {axis: heisenberg_report(f, plan, axis) for axis in order}
+        assert {k: calls[k] - before[k] for k in calls} == {"_planes_ft": 1,
+                                                            "partial_derivative": 2}
+        return repr((reports[1], reports[2]))
+
+    first = both(f, plan)
+    assert both(f, QolctPlan.create(B1, B2, input_grid=g)) != first
+    assert both(QField(g, f.samples.copy()), plan) == first
+    with _mutation.inject("stencil"):
+        assert both(f, plan) != first
+    assert both(QField(g, f.samples.copy()), plan, order=(2, 1)) == first
+
+
+def test_heisenberg_short_axis_fails_only_its_own_report():
+    # the covariance pair is computed at once, but an axis too short for the
+    # derivative fails only the report on that axis, every time it is asked
+    g = Grid2D(64, 4, 0.0, 0.0, 0.25, 1.0)
+    f = synth_gaussian(g, 0.5, 0.1)
+    plan = QolctPlan.create(QFT_CASE, QFT_CASE, input_grid=g)
+    for _ in range(2):
+        with pytest.raises(GridTooSmallError, match="axis 2 needs >= 5 samples, has 4"):
+            heisenberg_report(f, plan, 2)
+        assert abs(heisenberg_report(f, plan, 1).cov) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
