@@ -21,6 +21,7 @@ dense kernel quadrature ``qolct_direct``, the mutual oracle, lives in
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass, replace
@@ -30,7 +31,7 @@ import numpy as np
 from . import _mutation
 from .field import ComponentQuartet, Grid2D, PlanViolationError, QField, _cell_sum
 from .qft import _inverse_weight, _planes_ft, check_nyquist
-from .quat import UNIT_I, UNIT_J, PureUnit, qmul
+from .quat import UNIT_I, UNIT_J, PureUnit, _read_only, qmul
 
 
 class InterpolationDomainError(ValueError):
@@ -152,8 +153,8 @@ def _axis_factors(axis: int, A: OffsetParams, t, u, sign: int):
         factor = np.exp(-1j * sign * phi) * (2.0 * math.pi * A.b) ** (0.5 * sign)
     _require_finite(axis, chirp, factor)
     if sign < 0:
-        return sign, chirp, factor
-    return sign, factor * _inverse_weight(), chirp
+        return sign, _read_only(chirp), _read_only(factor)
+    return sign, _read_only(factor * _inverse_weight()), _read_only(chirp)
 
 
 def _require_finite(axis: int, *factors):
@@ -166,7 +167,13 @@ def _require_finite(axis: int, *factors):
 def _plan_factors(plan: QolctPlan, sign: int):
     """Per axis the engine triple of the forward (sign -1) or the inverse
     (sign +1): :func:`_axis_factors` on a b > 0 axis; a b = 0 axis of the
-    forward is not transformed, (0, None, :func:`_degenerate_chirp`)."""
+    forward is not transformed, (0, None, :func:`_degenerate_chirp`).  Kept
+    read-only per (plan, sign, armed mutation): three fixtures act inside."""
+    return _cached_factors(plan, sign, _mutation.armed())
+
+
+@functools.lru_cache(maxsize=8)  # a pair's mirror images, each direction
+def _cached_factors(plan: QolctPlan, sign: int, armed):
     if sign > 0:
         _require_positive_b(plan.A1, plan.A2)
     triples = []
@@ -222,8 +229,22 @@ class Analysis:
     covariance: dict  # Heisenberg's COV per axis, filled by heisenberg_report
 
 
-#: the last analysis: (weak reference to f, (plan, armed mutation), Analysis)
+#: the one kept entry: (weak reference to f, (plan, armed mutation), the
+#: forward of f on the plan, its Analysis or None until one is asked for)
 _last: list = []
+
+
+def kept_forward(f: QField, plan: QolctPlan) -> QField:
+    """``qolct_forward(f, plan)``, kept in the one entry of :func:`analysis`
+    on the same terms as the analysis; it needs no energy check."""
+    key = (plan, _mutation.armed())
+    entry = _last[0] if _last else None  # test one entry: another call may replace it
+    if entry is None or entry[0]() is not f or entry[1] != key:
+        _last.clear()  # before the transform, so at most one forward and density are held
+        # the reference lives only in its entry, so its callback clears that entry
+        entry = (weakref.ref(f, lambda _: _last.clear()), key, qolct_forward(f, plan), None)
+        _last[:] = [entry]
+    return entry[2]
 
 
 def analysis(f: QField, plan: QolctPlan) -> Analysis:
@@ -237,16 +258,16 @@ def analysis(f: QField, plan: QolctPlan) -> Analysis:
     reversed; a grid centered at 0 is its own mirror image (-0.0 == 0.0), so
     there the density takes one forward, and any grid at most four.
 
-    The last result is kept until ``f`` is collected or another pair is
+    The result is kept beside :func:`kept_forward`, which gives the forward
+    after the energy checks, until ``f`` is collected or another pair is
     analysed: the same ``QField`` object with an equal plan, under the same
     armed mutation, gets it back with no transform.  Its arrays are
     read-only, so no caller can change what a later call returns.
     """
     key = (plan, _mutation.armed())
-    entry = _last[0] if _last else None  # test one entry: another call may replace it
-    if entry is not None and entry[0]() is f and entry[1] == key:
-        return entry[2]
-    _last.clear()  # before the transforms, so at most one density is held
+    entry = _last[0] if _last else None
+    if entry is not None and entry[0]() is f and entry[1] == key and entry[3] is not None:
+        return entry[3]
     _require_positive_b(plan.A1, plan.A2)
     if f.grid != plan.input_grid:
         raise ValueError("field grid does not match plan input grid")
@@ -259,29 +280,27 @@ def analysis(f: QField, plan: QolctPlan) -> Analysis:
     if energy < np.finfo(float).tiny and f.samples.any():
         raise PlanViolationError("the signal energy underflows the smallest normal "
                                  "float; rescale the signal")
+    forward = kept_forward(f, plan)
     c = float(plan.lam.array @ plan.mu.array)
     T = qmul(qmul(plan.lam.array, np.eye(4)), plan.mu.array)  # T(q) = q @ T
     og, reduced = plan.output_grid, {}  # per grid, the fields for e1 e2 = +1, -1
     density = np.zeros((og.n1, og.n2))
     for e1, e2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        grid = Grid2D(og.n1, og.n2, e1 * og.center1, e2 * og.center2,
-                      og.spacing1, og.spacing2)
+        grid = replace(og, center1=e1 * og.center1, center2=e2 * og.center2)
         if grid not in reduced:
-            o = qolct_forward(f, replace(plan, output_grid=grid)).samples
+            o = (forward if grid == og else
+                 qolct_forward(f, replace(plan, output_grid=grid))).samples
             with np.errstate(over="ignore", invalid="ignore"):  # rejected below
                 norm2 = np.einsum("...m,...m->...", o, o)
-                cross = c * np.einsum("...m,...m->...", o, o @ T)
-                reduced[grid] = (norm2 - cross, norm2 + cross)
+                cross = c * np.einsum("...m,...m->...", o, o @ T) if c else None  # 0 on (i, j)
+                reduced[grid] = (norm2 - cross, norm2 + cross) if c else (norm2, norm2)
         with np.errstate(over="ignore", invalid="ignore"):
             density += reduced[grid][e1 != e2][::e1, ::e2]
     if not np.isfinite(density).all():
         raise PlanViolationError("the energy density overflows the largest float")
     density *= 0.5 if _mutation.active("density-fold") else 0.25
-    density.setflags(write=False)
-    mod2.setflags(write=False)
-    an = Analysis(density, mod2, energy, {})
-    # the reference lives only in its entry, so its callback clears that entry
-    _last[:] = [(weakref.ref(f, lambda _: _last.clear()), key, an)]
+    an = Analysis(_read_only(density), _read_only(mod2), energy, {})
+    _last[:] = [(weakref.ref(f, lambda _: _last.clear()), key, forward, an)]
     return an
 
 
@@ -300,7 +319,7 @@ def _degenerate_chirp(axis: int, A: OffsetParams, u):
             phase = -phase
         chirp = math.sqrt(A.d) * np.exp(1j * phase)
     _require_finite(axis, chirp)
-    return chirp
+    return _read_only(chirp)
 
 
 def _not_a_knot_slopes(h: float, y):

@@ -18,6 +18,7 @@ quadrature ``qft_direct`` is an oracle and lives in ``oracle``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import _mutation
 from .field import Grid2D, PlanViolationError, QField
-from .quat import UNIT_I, UNIT_J, PureUnit, plane_basis
+from .quat import UNIT_I, UNIT_J, PureUnit, _read_only, plane_basis
 
 
 def default_output_grid(grid: Grid2D) -> Grid2D:
@@ -68,6 +69,7 @@ class QftPlan:
 # ---------------------------------------------------------------------------
 # Scalar centered Fourier core.
 
+@functools.lru_cache(maxsize=16)  # read-only: calls on one axis share them
 def _axis_ramps(n, t0, dt, u0, du, sign):
     """Pre/post phase ramps turning an FFT into sum_p x_p e^{sign*i*u[q]*t[p]}."""
     m = (n - 1) / 2.0
@@ -78,7 +80,7 @@ def _axis_ramps(n, t0, dt, u0, du, sign):
     post = np.exp(1j * sign * (u0 * t0 + (p - m) * du * t0
                                - 2.0 * np.pi * np.mod(m * p, n) / n
                                + 2.0 * np.pi * np.mod(m * m, n) / n))
-    return pre, post
+    return _read_only(pre), _read_only(post)
 
 
 def centered_ft2(x: np.ndarray, tgrid: Grid2D, ugrid: Grid2D, axes,

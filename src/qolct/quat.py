@@ -10,6 +10,7 @@ checked to be a nonzero direction and normalized.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,6 +67,12 @@ def qmul(a, b) -> np.ndarray:
     return out
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: whoever holds it shares it."""
+    a.setflags(write=False)
+    return a
+
+
 def qnorm(a) -> np.ndarray:
     """Pointwise quaternion modulus |q|_Q of a component stack: the squares
     summed component by component, as ``np.sum`` over the last axis sums them.
@@ -101,9 +108,11 @@ def qnorm(a) -> np.ndarray:
 # a fixed choice such as (1 + lam mu)/2 vanishes for mu = lam (and
 # (1 - lam mu)/2 for mu = -lam).
 
+@functools.lru_cache(maxsize=8)
 def plane_basis(lam: PureUnit, mu: PureUnit) -> np.ndarray:
-    """Orthogonal 4x4 map with columns p+, lam p+, p-, lam p-: ``samples @
-    basis`` is (Re z+, Im z+, Re z-, Im z-) and ``coefs @ basis.T`` maps back."""
+    """Orthogonal 4x4 map with columns p+, lam p+, p-, lam p-, kept read-only
+    for the last 8 axis pairs: ``samples @ basis`` is (Re z+, Im z+, Re z-,
+    Im z-) and ``coefs @ basis.T`` maps back."""
     eye = np.eye(4)
     swapped = qmul(qmul(lam.array, eye), mu.array)  # row e holds lam e mu
     columns = []
@@ -112,5 +121,5 @@ def plane_basis(lam: PureUnit, mu: PureUnit) -> np.ndarray:
         p = proj[np.argmax(qnorm(proj))]
         p = p / qnorm(p)
         columns += [p, qmul(lam.array, p)]
-    return np.stack(columns, axis=1)
+    return _read_only(np.stack(columns, axis=1))
 

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import PlanViolationError, QField, _cell_sum, partial_derivative
-from .olct import QolctPlan, _plan_factors, _require_positive_b, analysis, qolct_forward
+from .olct import QolctPlan, _plan_factors, _require_positive_b, analysis, kept_forward
 from .qft import _planes_ft
-from .quat import UNIT_I, UNIT_J, qnorm
+from .quat import UNIT_I, UNIT_J, _read_only, qnorm
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +182,14 @@ def hardy_report(f: QField, plan: QolctPlan) -> HardyReport:
     """Fit Gaussian envelopes to |f(t)| and to |O{f}(b1 u1, b2 u2)|.
 
     The transform-side fit runs over the rescaled coordinates v = u/b, on
-    which Hardy's critical case pins alpha*beta = 1/4.
+    which Hardy's critical case pins alpha*beta = 1/4.  O{f} is the forward
+    the pair's analysis keeps (``olct.kept_forward``), which needs no energy
+    check: a signal whose energy overflows is still fitted.
     """
     _require_positive_b(plan.A1, plan.A2)
     sig = hardy_envelope_fit(f)
     # sample q of the forward holds O{f}(b1 v1[q], b2 v2[q]) on the v-grid
-    scaled = QField(plan.scaled_freq_grid(), qolct_forward(f, plan).samples)
+    scaled = QField(plan.scaled_freq_grid(), kept_forward(f, plan).samples)
     trans = hardy_envelope_fit(scaled)
     return HardyReport(sig.alpha, trans.alpha, sig.alpha * trans.alpha, sig, trans)
 
@@ -205,10 +207,7 @@ def _radial_groups(grid) -> tuple:
     """The distinct radii |x| of the grid, ascending, and the flat index of
     each sample's radius among them; read-only, as they are shared."""
     radii, index = np.unique(grid.radius(), return_inverse=True)
-    index = index.ravel()
-    radii.setflags(write=False)
-    index.setflags(write=False)
-    return radii, index
+    return _read_only(radii), _read_only(index.ravel())
 
 
 def _radial_mass(weights: np.ndarray, grid) -> tuple:

@@ -5,6 +5,7 @@ import math
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -522,6 +523,22 @@ def test_verify_exit_codes_and_mutations(tmp_path):
     assert checks - caught <= _NEVER_FAILING, sorted(checks - caught - _NEVER_FAILING)
 
 
+def test_fixtures_do_not_leak_through_kept_results():
+    # one process: unarmed, under each fixture, unarmed again.  Results are
+    # kept across calls (the analysis memo, the plan-factor cache), keyed on
+    # the armed fixture, so each fixture still fails its checks (the seed-5
+    # sets above hold at seed 1 too) and the last run repeats the first
+    from qolct.verify import run_suite
+
+    first = run_suite("all", 1)
+    assert all(rec["pass"] for rec in first)
+    for name in _mutation.MUTATIONS:
+        with _mutation.inject(name):
+            failed = {rec["check"] for rec in run_suite("all", 1) if not rec["pass"]}
+        assert _FIXTURE_FAILURES[name] <= failed, name
+    assert run_suite("all", 1) == first
+
+
 def test_each_fixture_has_one_injection_point():
     names = []
     for path in Path(qolct.__file__).parent.glob("*.py"):
@@ -619,25 +636,34 @@ def test_uncertainty_hardy_tsv(tmp_path, qft_params):
 _UNCERTAINTY_REPORTS = ("beurling", "hardy", "heisenberg", "logup", "pitt")
 
 
+def _count_report_work(monkeypatch) -> dict:
+    """Count the forwards, the sign-0 engine passes of the reports and their
+    derivatives, from here on."""
+    from qolct import olct, uncertainty
+
+    calls = {"qolct_forward": 0, "_planes_ft": 0, "partial_derivative": 0}
+    for module, name in ((olct, "qolct_forward"), (uncertainty, "_planes_ft"),
+                         (uncertainty, "partial_derivative")):
+        def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize("which, tsv", [
     *(pytest.param(which, False, id=which) for which in _UNCERTAINTY_REPORTS),
     *(pytest.param(which, True, id=f"{which}-tsv") for which in _UNCERTAINTY_REPORTS)])
 def test_uncertainty_computes_only_what_it_prints(tmp_path, qft_params,
                                                   monkeypatch, which, tsv):
     # one forward per command, --tsv or not: every figure after the first
-    # reads the kept analysis, and Hardy runs one forward of its own; both
-    # Heisenberg axes share one unit-phase pass (a sign-0 engine call) and
-    # take one derivative each
-    from qolct import cli, olct, uncertainty
+    # reads the kept analysis, and Hardy reads the forward kept beside it;
+    # both Heisenberg axes share one unit-phase pass (a sign-0 engine call)
+    # and take one derivative each
+    from qolct import cli
 
-    calls = {"qolct_forward": 0, "_planes_ft": 0, "partial_derivative": 0}
-    for module, name in ((olct, "qolct_forward"), (uncertainty, "qolct_forward"),
-                         (uncertainty, "_planes_ft"), (uncertainty, "partial_derivative")):
-        def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, spy)
+    calls = _count_report_work(monkeypatch)
     sig = str(tmp_path / "f.qsig")
     write_signal(sig, synth_gaussian(Grid2D.centered(64, 16.0), 0.5, 0.5))
     out = str(tmp_path / "u.json")
@@ -647,6 +673,32 @@ def test_uncertainty_computes_only_what_it_prints(tmp_path, qft_params,
     heisenberg = which == "heisenberg"
     assert calls == {"qolct_forward": 1, "_planes_ft": heisenberg,
                      "partial_derivative": 2 * heisenberg}
+
+
+@pytest.mark.parametrize("hardy_first", [False, True], ids=["heisenberg-first",
+                                                             "hardy-first"])
+def test_heisenberg_and_hardy_share_one_forward(monkeypatch, hardy_first):
+    # in one process, in either order, Heisenberg and Hardy on one pair make
+    # one forward between them; a new plan or a new signal makes one more
+    from qolct.uncertainty import hardy_report, heisenberg_report
+
+    g = Grid2D.centered(64, 16.0)
+    f = synth_gaussian(g, 0.5, 0.7)
+    plan = qolct.QolctPlan.create(QFT_CASE, QFT_CASE, input_grid=g)
+    calls = _count_report_work(monkeypatch)
+
+    def both(f, plan):
+        reports = [lambda: heisenberg_report(f, plan, 1), lambda: hardy_report(f, plan)]
+        return [report() for report in (reversed(reports) if hardy_first else reports)]
+
+    both(f, plan)
+    assert calls["qolct_forward"] == 1
+    both(f, plan)
+    assert calls["qolct_forward"] == 1
+    both(f, replace(plan, A1=replace(plan.A1, tau=0.25)))
+    assert calls["qolct_forward"] == 2
+    both(QField(g, f.samples.copy()), plan)
+    assert calls["qolct_forward"] == 3
 
 
 def test_beurling_groups_each_grid_by_radius_once(tmp_path, qft_params, monkeypatch):

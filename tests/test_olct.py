@@ -465,6 +465,82 @@ def test_analysis_memo_keys_on_the_armed_mutation():
     np.testing.assert_array_equal(analysis(f, plan).density, want)
 
 
+# Plan-, axis-pair- and grid-only arrays are cached read-only; the plan
+# factors key on the armed fixture, since three fixtures act inside them.
+
+def _fixture_runs():
+    g = Grid2D.centered(32, 8.0)
+    f = synth_gaussian(g, 0.5, 0.7, (1.0, 0.4), (0.7, -0.3), UNIT_I, UNIT_J)
+    plan = QolctPlan.create(A1_REF, A2_REF, input_grid=g)
+    degenerate = QolctPlan.create(OffsetParams(1.0, 0.0, 0.3, 1.0), A2_REF, input_grid=g)
+    F = qolct_forward(f, plan)
+    return {"chirp-sign": lambda: qolct_forward(f, plan),
+            "iqft-scale": lambda: qolct_inverse(F, plan),
+            "degenerate-chirp": lambda: qolct_forward(f, degenerate)}
+
+
+@pytest.mark.parametrize("name", ["chirp-sign", "iqft-scale", "degenerate-chirp"])
+def test_plan_factor_cache_keys_on_the_armed_mutation(name):
+    from qolct import _mutation
+    run = _fixture_runs()[name]
+    want = run().samples.tobytes()
+    with _mutation.inject(name):
+        armed = run().samples.tobytes()
+    assert armed != want
+    assert run().samples.tobytes() == want
+
+
+def _cached_arrays():
+    from qolct import olct, qft, quat
+    g = Grid2D.centered(32, 8.0)
+    plan = QolctPlan.create(A1_REF, A2_REF, input_grid=g)
+    f = synth_gaussian(g, 0.5, 0.7)
+    (_, pre1, post1), (_, pre2, post2) = olct._plan_factors(plan, -1)
+    (_, ipre1, ipost1), _ = olct._plan_factors(plan, 1)
+    return {"plan factors": (pre1, post1, pre2, post2, ipre1, ipost1),
+            "plane basis": (quat.plane_basis(UNIT_I, UNIT_J),),
+            "axis ramps": qft._axis_ramps(32, 0.0, 0.25, 0.0, 2.0 * math.pi / 8.0, -1),
+            "kept forward": (olct.kept_forward(f, plan).samples,)}
+
+
+@pytest.mark.parametrize("cache", ["plan factors", "plane basis", "axis ramps",
+                                   "kept forward"])
+def test_cached_arrays_are_read_only(cache):
+    for values in _cached_arrays()[cache]:
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+
+
+def test_kept_forward_lets_its_signal_go():
+    from qolct import olct
+    f, plan = _memo_pair()
+    forward = weakref.ref(olct.kept_forward(f, plan))
+    assert forward() is not None and olct.kept_forward(f, plan) is forward()
+    del f
+    gc.collect()
+    assert forward() is None
+
+
+def test_caches_stay_within_their_sizes():
+    from qolct import olct, qft, quat, uncertainty
+    caches = (olct._cached_factors, quat.plane_basis, qft._axis_ramps,
+              uncertainty._radial_groups)
+    rng = np.random.default_rng(7)
+    for k in range(30):
+        g = Grid2D.centered((16, 24, 32)[k % 3], 8.0)
+        f = synth_gaussian(g, 0.5, 0.7)
+        A1, A2 = (random_offset_params(rng, max_chirp_ratio=0.7) for _ in range(2))
+        plan = QolctPlan.create(A1, A2,
+                                PureUnit(*rng.normal(size=3)), PureUnit(*rng.normal(size=3)),
+                                input_grid=g)
+        qolct_inverse(qolct_forward(f, plan), plan)
+        analysis(f, plan)
+        uncertainty.beurling_integral(f, plan, 1.0, 2.0)
+    for cache in caches:
+        info = cache.cache_info()
+        assert 0 < info.currsize <= info.maxsize, cache
+
+
 def test_analysis_memo_hands_out_read_only_arrays():
     f, plan = _memo_pair()
     an = analysis(f, plan)
