@@ -6,17 +6,15 @@ import argparse
 import time
 
 from qolct import (
-    GaussianSpec,
     Grid2D,
     OffsetParams,
     QolctPlan,
     UNIT_I,
     UNIT_J,
-    qolct_direct,
     qolct_forward,
     synth_gaussian,
 )
-from qolct.oracle import gaussian_qolct_closed_form_field
+from qolct.oracle import GaussianSpec, gaussian_qolct_closed_form_field, qolct_direct
 from qolct.quat import qnorm
 
 SWEEP = [

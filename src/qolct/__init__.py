@@ -1,4 +1,8 @@
-"""Quaternionic offset linear canonical transform toolkit."""
+"""Quaternionic offset linear canonical transform toolkit.
+
+The judges load on demand, never with the package: the independent oracles
+are ``qolct.oracle`` and the check suites ``qolct.verify``.
+"""
 
 from .quat import UNIT_I, UNIT_J, UNIT_K, PureUnit, qmul
 from .field import (
@@ -11,13 +15,5 @@ from .field import (
 )
 from .qft import QftPlan, iqft, qft_fast_ij
 from .olct import OffsetParams, QolctPlan, qolct_forward, qolct_inverse, qolct_quartet
-from .oracle import (
-    GaussianSpec,
-    analysis_quartet,
-    gaussian_qolct_closed_form,
-    kernel,
-    qft_direct,
-    qolct_direct,
-)
 
 __version__ = "0.1.0"

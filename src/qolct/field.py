@@ -61,11 +61,6 @@ class Grid2D:
             raise ValueError("axis must be 1 or 2")
         return c + (np.arange(n) - (n - 1) / 2.0) * h
 
-    def meshgrid(self):
-        t1 = self.axis_coords(1)
-        t2 = self.axis_coords(2)
-        return np.meshgrid(t1, t2, indexing="ij")
-
     def radius(self) -> np.ndarray:
         """|x| at every sample, shape (n1, n2).  Centered coordinates negate
         exactly, so mirrored samples share one radius."""
@@ -188,15 +183,22 @@ def synth_gaussian(grid: Grid2D, alpha1: float, alpha2: float,
             raise ValueError("beta2 has an imaginary part; pass mu")
         beta2 = beta2 + b22 * mu.array
 
-    t1, t2 = grid.meshgrid()
+    # -(alpha1 (t1 - c1)^2 + alpha2 (t2 - c2)^2) from the two axis terms: the
+    # same operations per sample as on a meshgrid, negated exactly
     with np.errstate(over="ignore"):  # an overflowing exponent is rejected below
-        exponent = alpha1 * (t1 - center[0]) ** 2 + alpha2 * (t2 - center[1]) ** 2
-    envelope = np.exp(-exponent)
-    if not (np.isfinite(exponent).all() and envelope.any()):
+        term1 = alpha1 * (grid.axis_coords(1) - center[0]) ** 2
+        term2 = alpha2 * (grid.axis_coords(2) - center[1]) ** 2
+        largest = term1.max() + term2.max()
+        envelope = np.add.outer(-term1, -term2)
+    np.exp(envelope, out=envelope)
+    # the exponent peaks where both terms peak; the envelope where both are least
+    if not (math.isfinite(largest) and envelope[term1.argmin(), term2.argmin()] > 0.0):
         raise PlanViolationError(
             "the gaussian's exponent overflows the largest float, or its "
             "envelope underflows to 0 at every sample of the grid")
-    return QField(grid, envelope[..., None] * qmul(beta1, beta2))
+    samples = envelope[..., None] * qmul(beta1, beta2)
+    samples.setflags(write=False)  # owned and read-only: QField keeps it
+    return QField(grid, samples)
 
 
 def apply_chirp(f: QField, lam: PureUnit, lin1: float, quad1: float,

@@ -38,7 +38,7 @@ def write_signal(path, f: QField) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, g.n1, g.n2, g.center1, g.center2,
                               g.spacing1, g.spacing2))
-        fh.write(payload.tobytes())
+        payload.tofile(fh)
 
 
 def read_signal(path) -> QField:

@@ -62,8 +62,6 @@ from .uncertainty import (
     pitt_constants,
 )
 
-SUITES = ("algebra", "qft", "qolct", "oracle", "uncertainty")
-
 #: (0, 1, -1, 0 | 0, 0) on both axes recovers the plain two-sided QFT
 QFT_CASE = OffsetParams(0.0, 1.0, -1.0, 0.0)
 
@@ -728,17 +726,13 @@ _SUITE_FNS = {
 
 
 def run_suite(suite: str, seed: int):
-    """Run one named suite (or 'all'); returns the list of check records."""
-    if suite == "all":
-        records = []
-        for name in SUITES:
-            for rec in _SUITE_FNS[name](seed):
-                rec["check"] = f"{name}:{rec['check']}"
-                records.append(rec)
-        return records
-    if suite not in _SUITE_FNS:
-        raise ValueError(f"unknown suite {suite!r}")
-    records = _SUITE_FNS[suite](seed)
-    for rec in records:
-        rec["check"] = f"{suite}:{rec['check']}"
+    """Run one named suite (or 'all'); returns the list of check records.
+    ``_SUITE_FNS`` is the one list of suite names."""
+    if suite != "all" and suite not in _SUITE_FNS:
+        raise ValueError(f"unknown suite {suite!r}; known: all, {', '.join(_SUITE_FNS)}")
+    records = []
+    for name in _SUITE_FNS if suite == "all" else (suite,):
+        for rec in _SUITE_FNS[name](seed):
+            rec["check"] = f"{name}:{rec['check']}"
+            records.append(rec)
     return records

@@ -15,6 +15,11 @@ def rel_max_err(got, want):
     return float(diff.max() / scale)
 
 
+def meshgrid(grid):
+    """The (t1, t2) coordinates of every sample of ``grid``, each (n1, n2)."""
+    return np.meshgrid(grid.axis_coords(1), grid.axis_coords(2), indexing="ij")
+
+
 def corpus_signals(grid):
     """The standard signal corpus: real, quaternion, chirped, shifted Gaussians."""
     real = synth_gaussian(grid, 0.5, 0.5)

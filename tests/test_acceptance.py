@@ -14,7 +14,6 @@ import numpy as np
 
 from qolct import (
     ComponentQuartet,
-    GaussianSpec,
     Grid2D,
     OffsetParams,
     QField,
@@ -24,13 +23,18 @@ from qolct import (
     UNIT_J,
     l2_norm,
     qft_fast_ij,
-    qolct_direct,
     qolct_forward,
     qolct_inverse,
     qolct_quartet,
     synth_gaussian,
 )
-from qolct.oracle import digamma, gaussian_qolct_closed_form_field, plane_to_quat
+from qolct.oracle import (
+    GaussianSpec,
+    digamma,
+    gaussian_qolct_closed_form_field,
+    plane_to_quat,
+    qolct_direct,
+)
 from qolct.quat import qmul, qnorm
 from qolct.uncertainty import (
     gamma_fn,

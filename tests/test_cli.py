@@ -78,6 +78,16 @@ def test_signal_file_layout_and_round_trip(tmp_path):
         hashlib.sha256(raw).hexdigest()
 
 
+def test_signal_file_is_header_then_planar_payload(tmp_path):
+    g = Grid2D(6, 5, 0.25, -1.0, 0.5, 0.75)
+    samples = np.random.default_rng(4).normal(size=(6, 5, 4))
+    path = tmp_path / "sig.qsig"
+    write_signal(path, QField(g, samples))
+    header = struct.pack("<6sII4d", b"QSIG1\0", 6, 5, 0.25, -1.0, 0.5, 0.75)
+    payload = b"".join(samples[..., m].astype("<f8").tobytes() for m in range(4))
+    assert path.read_bytes() == header + payload
+
+
 # every finite float64, subnormals and -0.0 included
 _FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
 _SPACING = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False,
@@ -570,6 +580,57 @@ def test_verify_deterministic_given_seed(tmp_path):
     da.pop("timestamp")
     db.pop("timestamp")
     assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# Cold start: the judges load only for the commands that run them.
+
+_JUDGES = {"qolct.oracle", "qolct.uncertainty", "qolct.verify"}
+
+
+def _judges_loaded(code: str) -> list:
+    """The judge modules in ``sys.modules`` after ``code`` runs in a fresh
+    interpreter."""
+    probe = (f"{code}\nimport json, sys\n"
+             f"print(json.dumps(sorted(set(sys.modules) & {_JUDGES!r})))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+#: a command run in process; its exit code must be 0
+_RUN = "from qolct import cli; assert cli.main({argv!r}) == 0"
+
+
+@pytest.mark.parametrize("code, loaded", [
+    ("import qolct", []),
+    ("import qolct.cli", []),
+    (_RUN.format(argv=["synth", "gaussian", "--n", "8", "--out", "{new}"]), []),
+    (_RUN.format(argv=["transform", "--in", "{sig}", "--params", "{params}",
+                       "--out", "{new}"]), []),
+    (_RUN.format(argv=["uncertainty", "--in", "{sig}", "--params", "{params}",
+                       "--which", "heisenberg"]), ["qolct.uncertainty"]),
+    (_RUN.format(argv=["verify", "qft", "--seed", "3", "--json", "{new}"]), sorted(_JUDGES)),
+    ("from qolct.oracle import qft_direct", ["qolct.oracle"]),
+], ids=["import-qolct", "import-cli", "synth", "transform", "uncertainty", "verify",
+        "oracle"])
+def test_each_command_loads_only_its_judges(tmp_path, qft_params, code, loaded):
+    sig, new = str(tmp_path / "f.qsig"), str(tmp_path / "new")
+    write_signal(sig, synth_gaussian(Grid2D.centered(16, 8.0), 0.5, 0.5))
+    code = code.replace("{sig}", sig).replace("{params}", qft_params).replace("{new}", new)
+    assert _judges_loaded(code) == loaded
+
+
+def test_unknown_suite_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    from qolct import cli, verify
+
+    for name in verify._SUITE_FNS:  # no check may run first
+        monkeypatch.setitem(verify._SUITE_FNS, name, lambda seed: pytest.fail("a check ran"))
+    report = tmp_path / "v.json"
+    assert cli.main(["verify", "nosuch", "--json", str(report)]) == 2
+    assert (f"unknown suite 'nosuch'; known: all, {', '.join(verify._SUITE_FNS)}"
+            in capsys.readouterr().err)
+    assert not report.exists()
 
 
 def test_uncertainty_subcommand(tmp_path, qft_params):

@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 
 from qolct import Grid2D, QField, UNIT_I, UNIT_J, l2_norm, synth_gaussian
-from qolct.field import ComponentQuartet, GridTooSmallError, apply_chirp, partial_derivative
+from qolct.field import (
+    ComponentQuartet,
+    GridTooSmallError,
+    PlanViolationError,
+    apply_chirp,
+    partial_derivative,
+)
 from qolct.oracle import plane_to_quat
-from qolct.quat import qmul, qnorm
+from qolct.quat import PureUnit, qmul, qnorm
 from qolct.verify import QFT_CASE, fourier_shift, quartet_l2_norm
+
+from conftest import meshgrid
 
 #: a real array x as the scalar part of a field: x[..., None] * SCALAR
 SCALAR = np.array([1.0, 0.0, 0.0, 0.0])
@@ -79,7 +87,7 @@ def test_gaussian_truncation_converged():
 
 def test_synth_gaussian_values_and_norm():
     g = Grid2D.centered(64, 12.0)
-    t1, t2 = g.meshgrid()
+    t1, t2 = meshgrid(g)
     f = synth_gaussian(g, 1.0, 1.0)
     assert np.allclose(f.samples[..., 0], np.exp(-(t1 ** 2 + t2 ** 2)))
     assert np.abs(f.samples[..., 1:]).max() == 0.0
@@ -97,6 +105,64 @@ def test_synth_gaussian_values_and_norm():
         synth_gaussian(g, -1.0, 1.0)
     with pytest.raises(ValueError):
         synth_gaussian(g, 1.0, 1.0, (1.0, 0.5), (1.0, 0.0))  # lam required
+
+
+def _meshgrid_gaussian(grid, alpha1, alpha2, beta1_pair, beta2_pair, lam, mu, center):
+    """synth_gaussian's samples as the meshgrid expression it once evaluated."""
+    t1, t2 = meshgrid(grid)
+    exponent = alpha1 * (t1 - center[0]) ** 2 + alpha2 * (t2 - center[1]) ** 2
+    beta1 = np.array([beta1_pair[0], 0.0, 0.0, 0.0])
+    if beta1_pair[1] != 0.0:
+        beta1 = beta1 + beta1_pair[1] * lam.array
+    beta2 = np.array([beta2_pair[0], 0.0, 0.0, 0.0])
+    if beta2_pair[1] != 0.0:
+        beta2 = beta2 + beta2_pair[1] * mu.array
+    return np.exp(-exponent)[..., None] * qmul(beta1, beta2)
+
+
+@pytest.mark.parametrize("grid", [Grid2D(24, 17), Grid2D(24, 17, 0.7, -1.3, 0.4, 0.55)],
+                         ids=["origin", "off-origin"])
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.8, -0.6)], ids=["centered", "shifted"])
+@pytest.mark.parametrize("betas", [((1.0, 0.0), (1.0, 0.0)), ((1.0, 0.5), (0.7, -0.4))],
+                         ids=["real", "quaternion"])
+def test_synth_gaussian_equals_the_meshgrid_expression(grid, center, betas):
+    lam, mu = PureUnit(1.0, 2.0, -0.5), PureUnit(0.3, -1.0, 2.0)
+    f = synth_gaussian(grid, 0.35, 0.6, *betas, lam, mu, center=center)
+    assert np.array_equal(f.samples,
+                          _meshgrid_gaussian(grid, 0.35, 0.6, *betas, lam, mu, center))
+
+
+def test_synth_gaussian_hands_its_field_one_read_only_array(monkeypatch):
+    handed = []
+    post_init = QField.__post_init__
+
+    def spy(self):
+        handed.append(self.samples)
+        post_init(self)
+
+    monkeypatch.setattr(QField, "__post_init__", spy)
+    f = synth_gaussian(Grid2D(24, 17, 0.7, -1.3, 0.4, 0.55), 0.35, 0.6)
+    assert len(handed) == 1 and f.samples is handed[0]  # kept, not copied
+    assert f.samples.flags.owndata and not f.samples.flags.writeable
+
+
+@pytest.mark.parametrize("alpha1, alpha2, center, extent", [
+    (1e300, 1.0, (0.0, 0.0), 16.0),        # the exponent overflows at the edges
+    (1.0, 1.0, (1e200, 0.0), 16.0),        # (t1 - c1)^2 overflows
+    (1.5e306, 1.5e306, (0.0, 0.0), 16.0),  # each term finite, their sum not
+    (1e3, 1.0, (0.0, 0.0), 64.0),          # every sample underflows
+    (1.0, 1.0, (40.0, 0.0), 16.0),         # the peak sits far off the grid
+])
+def test_synth_gaussian_rejects_overflow_and_underflow(alpha1, alpha2, center, extent):
+    g = Grid2D.centered(32, extent)
+    with pytest.raises(PlanViolationError, match="overflows the largest float"):
+        synth_gaussian(g, alpha1, alpha2, center=center)
+
+
+def test_synth_gaussian_keeps_a_lone_surviving_sample():
+    # every sample but the peak underflows: still a signal, not a rejection
+    f = synth_gaussian(Grid2D.centered(5, 5.0), 1e3, 1e3)
+    assert np.count_nonzero(f.samples) == 1 and f.samples[2, 2, 0] == 1.0
 
 
 def test_quartet_norms():
@@ -131,7 +197,7 @@ def test_quartet_of_embeds_each_real_component():
 
 def test_partial_derivative_linear_ramp():
     g = Grid2D.centered(32, 8.0)
-    t1, _ = g.meshgrid()
+    t1, _ = meshgrid(g)
     f = QField(g, t1[..., None] * SCALAR)
     d = partial_derivative(f, 1)
     assert np.abs(d.samples[..., 0] - 1.0).max() <= 1e-10
@@ -146,7 +212,7 @@ def test_partial_derivative_gaussian():
     for h, tol in ((0.05, 1e-5), (0.03, 1e-6)):
         n = int(round(8.0 / h))
         g = Grid2D(n, 16, 0.0, 0.0, h, 0.5)
-        t1, _ = g.meshgrid()
+        t1, _ = meshgrid(g)
         f = QField(g, np.exp(-t1 ** 2)[..., None] * SCALAR)
         d = partial_derivative(f, 1)
         want = -2.0 * t1 * np.exp(-t1 ** 2)
@@ -157,7 +223,7 @@ def test_partial_derivative_fourth_order_convergence():
     errs = []
     for n in (128, 256):
         g = Grid2D(n, 8, 0.0, 0.0, 8.0 / n, 1.0)
-        t1, _ = g.meshgrid()
+        t1, _ = meshgrid(g)
         wave = np.exp(-t1 ** 2) * np.sin(1.3 * t1)
         f = QField(g, wave[..., None] * SCALAR)
         d = partial_derivative(f, 1)

@@ -17,11 +17,8 @@ from qolct import (
     QolctPlan,
     UNIT_I,
     UNIT_J,
-    analysis_quartet,
-    kernel,
     l2_norm,
     qft_fast_ij,
-    qolct_direct,
     qolct_forward,
     qolct_inverse,
     qolct_quartet,
@@ -29,7 +26,14 @@ from qolct import (
 )
 from qolct.field import apply_chirp
 from qolct.olct import InterpolationDomainError, _spline, analysis
-from qolct.oracle import kernel_sum, norm_field, plane_to_quat
+from qolct.oracle import (
+    analysis_quartet,
+    kernel,
+    kernel_sum,
+    norm_field,
+    plane_to_quat,
+    qolct_direct,
+)
 from qolct.qft import PlanViolationError
 from qolct.quat import PureUnit, qmul, qnorm
 from qolct.uncertainty import heisenberg_report, log_up_check, pitt_check
@@ -44,7 +48,7 @@ from qolct.verify import (
     shift_covariance_check,
 )
 
-from conftest import corpus_signals, parameter_sets, rel_max_err
+from conftest import corpus_signals, meshgrid, parameter_sets, rel_max_err
 
 A1_REF = OffsetParams(1.0, 1.0, 1.0, 2.0, 0.3, -0.2)
 A2_REF = OffsetParams(0.5, 1.5, -0.4, 0.8, -0.1, 0.4)
@@ -885,7 +889,7 @@ def test_moment_identity_offset_term(grid256):
     assert rep_no.relerr <= 1e-5
     # analytic difference: b^2 int ((a t + tau)^2 - (a t)^2)/b^2 |f|^2 (the
     # cross term vanishes by parity): int (2 a t tau + tau^2) |f|^2
-    t1, _ = grid256.meshgrid()
+    t1, _ = meshgrid(grid256)
     e2 = np.sum(f.samples ** 2, axis=-1)
     want = float(np.sum((2 * 1.0 * t1 * 1.0 + 1.0) * e2)) * grid256.cell_area
     assert rep_tau.rhs - rep_no.rhs == pytest.approx(want, rel=1e-10)

@@ -12,16 +12,15 @@ from qolct import (
     UNIT_J,
     iqft,
     l2_norm,
-    qft_direct,
     qft_fast_ij,
     synth_gaussian,
 )
-from qolct.oracle import _direct_apply, plane_to_quat
+from qolct.oracle import _direct_apply, plane_to_quat, qft_direct
 from qolct.qft import PlanViolationError, centered_ft2
 from qolct.quat import PureUnit, qmul
 from qolct.verify import derivative_identity_check, quartet_l2_norm
 
-from conftest import rel_max_err
+from conftest import meshgrid, rel_max_err
 
 #: a real array x as the scalar part of a field: x[..., None] * SCALAR
 SCALAR = np.array([1.0, 0.0, 0.0, 0.0])
@@ -107,7 +106,7 @@ def test_gaussian_transform_analytic():
     f = synth_gaussian(g, 0.5, 0.5)
     plan = QftPlan.forward(g)
     F = qft_fast_ij(f, plan)
-    u1, u2 = plan.output_grid.meshgrid()
+    u1, u2 = meshgrid(plan.output_grid)
     want = 2.0 * math.pi * np.exp(-(u1 ** 2 + u2 ** 2) / 2.0)
     assert np.abs(F.samples[..., 0] - want).max() / want.max() <= 1e-8
     assert np.abs(F.samples[..., 1:]).max() <= 1e-10
@@ -148,9 +147,8 @@ ENGINE_AXES = {
 def test_engine_equals_direct(axes, monkeypatch):
     """Every transform goes through the planes-split engine and matches the
     dense quadrature on any axes and grids; the quadrature is only the oracle."""
-    from qolct import QolctPlan, analysis_quartet, qolct_direct
-    from qolct import qolct_forward, qolct_inverse, qolct_quartet
-    from qolct import oracle
+    from qolct import QolctPlan, oracle, qolct_forward, qolct_inverse, qolct_quartet
+    from qolct.oracle import analysis_quartet, qolct_direct
     from qolct.field import apply_chirp
     from qolct.verify import random_offset_params
 
@@ -224,7 +222,7 @@ def test_direct_supports_equal_axes():
     F = qft_direct(f, plan)
     # brute-force check at one output point
     q = (5, 7)
-    t1, t2 = g.meshgrid()
+    t1, t2 = meshgrid(g)
     u1 = plan.output_grid.axis_coords(1)[q[0]]
     u2 = plan.output_grid.axis_coords(2)[q[1]]
     left = plane_to_quat(np.exp(-1j * u1 * t1), UNIT_I)

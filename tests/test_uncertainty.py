@@ -33,7 +33,7 @@ from qolct.uncertainty import (
 )
 from qolct.verify import QFT_CASE
 
-from conftest import corpus_signals, parameter_sets, rel_max_err
+from conftest import corpus_signals, meshgrid, parameter_sets, rel_max_err
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -121,7 +121,7 @@ def test_heisenberg_chirped_equality_case():
     plan = QolctPlan.create(A, A, input_grid=g)
     rep = heisenberg_report(f, plan, 1)
     # analytic covariance for phase rate 2 q t: (q/pi) int t^2 |f|^2
-    t1, _ = g.meshgrid()
+    t1, _ = meshgrid(g)
     e2 = np.sum(f.samples ** 2, axis=-1)
     want_cov = 0.3 / math.pi * float(np.sum(t1 ** 2 * e2)) * g.cell_area
     assert rep.cov == pytest.approx(want_cov, rel=1e-5)
@@ -287,10 +287,10 @@ def test_beurling_diagnostic(grid64):
 
 def _beurling_all_pairs(f, density, vgrid, d, truncation):
     """The sum over every (t, v) sample pair inside the truncation."""
-    t1, t2 = f.grid.meshgrid()
+    t1, t2 = meshgrid(f.grid)
     rt = np.sqrt(t1 ** 2 + t2 ** 2).ravel()
     ft = f.modulus().ravel()
-    v1, v2 = vgrid.meshgrid()
+    v1, v2 = meshgrid(vgrid)
     rv = np.sqrt(v1 ** 2 + v2 ** 2).ravel()
     fv = np.sqrt(density).ravel()
     keep_t, keep_v = rt <= truncation, rv <= truncation
