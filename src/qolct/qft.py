@@ -12,8 +12,10 @@ Hitzer & Sangwine (arXiv:1306.2157) turns the two-sided kernel into two
 complex separable transforms, each axis a centered FFT where the grids allow
 (equal sample counts, du*dt = 2*pi/n) and a dense complex matrix elsewhere.
 Per-axis phase factors before and after the transform carry the offset
-linear canonical transform of ``olct`` on it.  The O(N^3) dense quaternion
-quadrature ``qft_direct`` is an oracle and lives in ``oracle``.
+linear canonical transform of ``olct`` on it: the axis-1 (row) factors ride
+the per-row maps into the planes and back, the axis-2 (column) factors the
+copies into each plane's working array and out of it.  The O(N^3) dense
+quaternion quadrature ``qft_direct`` is an oracle and lives in ``oracle``.
 """
 
 from __future__ import annotations
@@ -83,60 +85,41 @@ def _axis_ramps(n, t0, dt, u0, du, sign):
     return _read_only(pre), _read_only(post)
 
 
-def centered_ft2(x: np.ndarray, tgrid: Grid2D, ugrid: Grid2D, axes,
-                 out: np.ndarray) -> np.ndarray:
-    """Write sum_t pre(t) x(t) e^{s1*i*u1*t1} e^{s2*i*u2*t2} post(u) dt into
-    ``out`` and return it; ``axes`` holds per axis (sign, pre, post), the
-    factors complex vectors on that axis or None for 1.
+def centered_ft2(x: np.ndarray, pre, post, ops, out: np.ndarray) -> np.ndarray:
+    """Write post * T(pre * x) into ``out`` and return it, for one plane of
+    the planes split: ``pre`` and ``post`` are its column factors, vectors
+    over axis 2 or scalars, and T runs per axis of ``ops`` (sign, matrix)
+    the dense matrix, an in-place FFT of that sign (matrix None), or nothing
+    (sign 0).  The engine folds the row factors, the FFT phase ramps and the
+    cell weight in before it calls this.
 
-    Where the sample counts match and du*dt = 2*pi/n an axis is one in-place
-    FFT whose phase ramps (they absorb the grid centers) join its pre and
-    post vectors; any other axis is a dense complex matrix e^{s*i*u (x) t}
-    with pre and post folded into its columns and rows.  A sign-0 axis is not
-    transformed, its factors act as one vector, and it adds no spacing to dt.
     ``x`` may be a strided view and is left untouched: the pre multiply
-    writes the one contiguous working copy, the post multiply ``out``; with
-    no axis transformed the pre multiply writes ``out``, the one pass.
+    writes the one contiguous working plane, the post multiply ``out``;
+    with no axis transformed the one multiply writes ``out``.
     """
-    last = 1 if axes[1][0] else 0  # the cell weight rides on the last transformed axis
-    weight = 1.0
-    pre, post, mats = [1.0, 1.0], [1.0, 1.0], [None, None]
-    specs = ((tgrid.center1, tgrid.spacing1, ugrid.n1, ugrid.center1, ugrid.spacing1),
-             (tgrid.center2, tgrid.spacing2, ugrid.n2, ugrid.center2, ugrid.spacing2))
-    for axis, ((sign, a, b), (t0, dt, nu, u0, du)) in enumerate(zip(axes, specs)):
-        a, b = (1.0 if v is None else v for v in (a, b))
-        if sign == 0:
-            pre[axis] = a * b
-            continue
-        n = x.shape[axis]
-        weight *= dt
-        w = weight if axis == last else 1.0
-        if n == nu and abs(dt * du * n - 2.0 * math.pi) <= 1e-9 * 2.0 * math.pi:
-            ramp_pre, ramp_post = _axis_ramps(n, t0, dt, u0, du, sign)
-            pre[axis], post[axis] = ramp_pre * a, ramp_post * w * b
-        else:
-            mats[axis] = np.reshape(b, (-1, 1)) * np.exp(1j * sign * np.outer(
-                ugrid.axis_coords(axis + 1), tgrid.axis_coords(axis + 1))) * w * a
-    if not (axes[0][0] or axes[1][0]):  # a pointwise multiply: one pass
-        return _outer_times(x, *pre, out)
-    z = _outer_times(x, *pre, np.empty(x.shape, dtype=complex))
-    for axis, (sign, _, _) in enumerate(axes):
-        if mats[axis] is not None:
-            z = mats[0] @ z if axis == 0 else z @ mats[1].T
+    if not (ops[0][0] or ops[1][0]):  # a pointwise multiply: one pass
+        return np.multiply(x, pre * post, out=out)
+    z = np.multiply(x, pre, out=np.empty(x.shape, dtype=complex))
+    for axis, (sign, mat) in enumerate(ops):
+        if mat is not None:
+            z = mat @ z if axis == 0 else z @ mat.T
         elif sign < 0:  # FFT axes, in place
             np.fft.fft(z, axis=axis, out=z)
         elif sign > 0:
             np.fft.ifft(z, axis=axis, norm="forward", out=z)
-    return _outer_times(z, *post, out)
+    return np.multiply(z, post, out=out)
 
 
-def _outer_times(x, left, right, out):
-    """out = left[:, None] * x * right[None, :], each factor a vector or a
-    scalar; a right factor of exactly 1.0 costs no pass."""
-    np.multiply(x, np.reshape(left, (-1, 1)), out=out)
-    if np.ndim(right) or right != 1.0:
-        out *= right
-    return out
+def _rotations(c, n: int) -> np.ndarray:
+    """Per row, the 4x4 right factor that multiplies the (Re z, Im z) pair
+    of both planes by c on the left: (n, 4, 4) for a length-n vector or a
+    scalar ``c``."""
+    c = np.broadcast_to(c, (n,))
+    r = np.zeros((n, 4, 4))
+    for k in (0, 2):
+        r[:, k, k] = r[:, k + 1, k + 1] = c.real
+        r[:, k, k + 1], r[:, k + 1, k] = c.imag, -c.imag
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -144,26 +127,64 @@ def _outer_times(x, left, right, out):
 
 def _planes_ft(samples, tgrid: Grid2D, ugrid: Grid2D, lam: PureUnit,
                mu: PureUnit, axes):
-    """The one planes split: map the (n1, n2, 4) ``samples`` to z+, z- of
-    ``quat.plane_basis``; on each, one :func:`centered_ft2` with per axis
-    ``(sign, pre, post)`` of ``axes``, axis 2 conjugated on the + plane, where
-    right-hand factors cross conjugated; map back to a new read-only array on
-    ``ugrid``.  With both signs 0 it is the multiply pre1(t1) samples pre2(t2)."""
-    s2, pre2, post2 = axes[1]
-    conj_axes = (axes[0], (-s2, *(None if v is None else np.conj(v)
-                                  for v in (pre2, post2))))
+    """The one planes split, from the (n1, n2, 4) ``samples`` on ``tgrid`` to
+    a new read-only array on ``ugrid``; per axis ``axes`` holds (sign, pre,
+    post), the kernel sign and the complex factors before and after its
+    transform, vectors on that axis or None for 1.  With both signs 0 it is
+    the multiply pre1(t1) samples pre2(t2).
+
+    Per axis the factors become (in, transform, out): on an FFT axis (equal
+    sample counts, du*dt = 2*pi/n) the phase ramps of :func:`_axis_ramps`
+    join them, on any other axis the transform is the dense matrix
+    e^{s*i*u (x) t}, built once, and a sign-0 axis keeps one factor.  The
+    axis-1 (row) factors act on the left of both planes alike, so they ride
+    the basis maps: per row ``plane_basis @ R(in)`` into z+, z- and ``R(out *
+    cell weight) @ plane_basis.T`` back, one stacked ``np.matmul`` each.
+    The axis-2 (column) factors and both transforms go to
+    :func:`centered_ft2`, conjugated on the + plane, where right-hand
+    factors cross conjugated.
+    The map in allocates the one full-size array (a second only where the
+    grid changes); the planes come back into it, and the back map runs in
+    place over blocks of rows through one 256 KiB scratch block.
+    """
+    weight, parts = 1.0, []
+    specs = ((tgrid.center1, tgrid.spacing1, ugrid.center1, ugrid.spacing1),
+             (tgrid.center2, tgrid.spacing2, ugrid.center2, ugrid.spacing2))
+    for axis, ((sign, a, b), (t0, dt, u0, du)) in enumerate(zip(axes, specs), 1):
+        a, b = (1.0 if v is None else v for v in (a, b))
+        t, u = tgrid.axis_coords(axis), ugrid.axis_coords(axis)
+        if sign == 0:
+            parts.append((a * b, (0, None), 1.0))
+            continue
+        weight *= dt
+        n = t.size
+        if n == u.size and abs(dt * du * n - 2.0 * math.pi) <= 1e-9 * 2.0 * math.pi:
+            ramp_pre, ramp_post = _axis_ramps(n, t0, dt, u0, du, sign)
+            parts.append((ramp_pre * a, (sign, None), ramp_post * b))
+        else:
+            parts.append((a, (sign, np.exp(1j * sign * np.outer(u, t))), b))
+    (row_in, row_op, row_out), (col_in, (s2, mat2), col_out) = parts
+    plain = (col_in, col_out, (row_op, (s2, mat2)))
+    conj = (np.conj(col_in), np.conj(col_out),
+            (row_op, (-s2, None if mat2 is None else np.conj(mat2))))
     basis = plane_basis(lam, mu)
-    coefs = (samples.reshape(-1, 4) @ basis).reshape(samples.shape)
-    z = coefs.view(complex)  # the output planes too, unless the grid changes
+    coefs = np.matmul(samples, basis @ _rotations(row_in, len(samples)))
     shape = (ugrid.n1, ugrid.n2)
-    out = z if z.shape[:2] == shape else np.empty(shape + (2,), dtype=complex)
-    per_plane = (axes, conj_axes) if _mutation.active("planes-conj") else (conj_axes, axes)
-    for k, plane_axes in enumerate(per_plane):  # z+ first
-        centered_ft2(z[..., k], tgrid, ugrid, plane_axes, out[..., k])
-    result = np.empty(shape + (4,))
-    np.matmul(out.view(float).reshape(-1, 4), basis.T, out=result.reshape(-1, 4))
-    result.setflags(write=False)
-    return result
+    result = coefs if coefs.shape[:2] == shape else np.empty(shape + (4,))
+    z, out = coefs.view(complex), result.view(complex)
+    per_plane = (plain, conj) if _mutation.active("planes-conj") else (conj, plain)
+    for k, (pre, post, ops) in enumerate(per_plane):  # z+ first
+        centered_ft2(z[..., k], pre, post, ops, out[..., k])
+    del coefs, z  # the input planes go first where the grid changes
+    back = _rotations(row_out * weight, ugrid.n1) @ basis.T
+    step = max(1, 8192 // ugrid.n2)  # rows per block
+    scratch = np.empty((min(step, ugrid.n1), ugrid.n2, 4))
+    for lo in range(0, ugrid.n1, step):
+        rows = result[lo:lo + step]
+        s = scratch[:len(rows)]
+        np.matmul(rows, back[lo:lo + step], out=s)
+        rows[...] = s
+    return _read_only(result)
 
 
 def _inverse_weight() -> float:

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -930,3 +931,38 @@ def test_factor_pairs_run_no_field_sized_hamilton_product(monkeypatch, grid64):
     heisenberg_report(f, plan, 1)
     apply_chirp(f, lam, 0.3, 0.2, mu, -0.1, 0.4)
     assert sizes and max(sizes) <= 16
+
+
+def test_forward_allocates_one_full_array(monkeypatch):
+    """Beyond its input, one forward at 512^2 peaks at one (n1, n2, 4) float64
+    array, one (n1, n2) complex working plane and the engine's 256 KiB
+    scratch block; the field keeps the engine's array, owned and read-only,
+    also on a dense plan whose grid changes."""
+    from qolct import olct
+    g = Grid2D.centered(512, 16.0)
+    f = synth_gaussian(g, 0.5, 0.7, (1.0, 0.5), (0.7, -0.4), UNIT_I, UNIT_J)
+    plan = QolctPlan.create(A1_REF, A2_REF, input_grid=g)
+    qolct_forward(f, plan)  # fills the plan's factor caches
+    tracemalloc.start()
+    try:
+        O = qolct_forward(f, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    full, plane, scratch = 512 * 512 * 4 * 8, 512 * 512 * 16, 8192 * 4 * 8
+    assert full <= peak <= full + plane + scratch
+    del O
+
+    og = plan.output_grid
+    fine = Grid2D(40, 36, 0.1, -0.2, 0.8 * og.spacing1, 0.7 * og.spacing2)
+    made = []
+
+    def spy(*args, _real=olct._planes_ft):
+        made.append(_real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(olct, "_planes_ft", spy)
+    for p in (plan, QolctPlan(A1_REF, A2_REF, UNIT_I, UNIT_J, g, fine)):
+        O = qolct_forward(f, p)
+        assert O.samples is made[-1] and O.grid == p.output_grid
+        assert O.samples.flags.owndata and not O.samples.flags.writeable

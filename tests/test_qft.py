@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qolct import (
     ComponentQuartet,
@@ -15,8 +17,9 @@ from qolct import (
     qft_fast_ij,
     synth_gaussian,
 )
+from qolct import _mutation
 from qolct.oracle import _direct_apply, plane_to_quat, qft_direct
-from qolct.qft import PlanViolationError, centered_ft2
+from qolct.qft import PlanViolationError, _planes_ft, centered_ft2
 from qolct.quat import PureUnit, qmul
 from qolct.verify import derivative_identity_check, quartet_l2_norm
 
@@ -40,35 +43,27 @@ def test_plan_nyquist_validation():
         QftPlan(g, coarse, UNIT_I, UNIT_J)
 
 
-def _brute_ft2(x, tg, ug, axes):
-    """sum_t pre(t) x(t) e^{s1 i u1 t1} e^{s2 i u2 t2} post(u) dt as two
-    explicit matrices, per axis (sign, pre, post); a zero sign is the
-    identity on its axis and None a factor of 1; a factor is a vector on
-    its axis or a scalar."""
+def _brute_ft2(x, pre, post, ops):
+    """post * T(pre * x) with each axis's transform an explicit matrix: per
+    axis (sign, matrix), a zero sign the identity, a None matrix the FFT of
+    that sign, e^{sign 2 pi i q p / n}; the factors are column vectors or
+    scalars."""
     mats = []
-    for axis, ((sign, pre, post), h) in enumerate(zip(axes, (tg.spacing1, tg.spacing2)), 1):
-        t, u = tg.axis_coords(axis), ug.axis_coords(axis)
-        mat = np.exp(1j * sign * np.outer(u, t)) * h if sign else np.eye(t.size)
-        if pre is not None:
-            mat = mat * np.reshape(pre, (1, -1))
-        if post is not None:
-            mat = np.reshape(post, (-1, 1)) * mat
+    for (sign, mat), n in zip(ops, x.shape):
+        if mat is None:
+            p = np.arange(n)
+            mat = np.exp(sign * 2j * np.pi * np.outer(p, p) / n) if sign else np.eye(n)
         mats.append(mat)
-    return mats[0] @ x @ mats[1].T
+    return mats[0] @ (x * pre) @ mats[1].T * post
 
 
 def test_centered_ft2_matches_brute_force():
-    """Every axis kind (FFT, dense matrix, sign 0), with and without per-axis
+    """Every axis kind (FFT, dense matrix, sign 0), with and without column
     pre and post factors, vectors or scalars, on a strided input plane
     written into a strided output slot; the input is left untouched, and so
     is the other slot."""
     rng, scalars = np.random.default_rng(0), np.random.default_rng(1)
     n = 8
-    tg = Grid2D(n, n, 0.3, -0.2, 0.7, 0.45)
-    ug = Grid2D(n, n, 1.1, -0.4, 2 * np.pi / (n * 0.7), 2 * np.pi / (n * 0.45))
-    dense = Grid2D(n, n, 1.1, -0.4, 0.6, 1.3)  # spacings no FFT serves
-    fewer = Grid2D(5, 5, 1.1, -0.4, ug.spacing1, ug.spacing2)  # 8 -> 5 samples
-    mixed = Grid2D(n, 5, 1.1, -0.4, ug.spacing1, 1.3)  # FFT, then a matrix
     both = ((-1, -1), (-1, 1), (1, 1), (1, -1))
     one = ((0, -1), (0, 1), (-1, 0), (1, 0), (0, 0))  # a zero sign on each axis
     stack = rng.normal(size=(n, n, 2)) + 1j * rng.normal(size=(n, n, 2))
@@ -80,24 +75,77 @@ def test_centered_ft2_matches_brute_force():
             return complex(np.exp(1j * scalars.uniform(-3.0, 3.0)) * scalars.uniform(0.5, 2.0))
         if kind == "vector":
             return np.exp(1j * rng.uniform(-3.0, 3.0, m)) * rng.uniform(0.5, 2.0, m)
-        return None
+        return 1.0
 
-    for out_grid, sign_sets in ((ug, both), (dense, both), (fewer, both),
-                                (mixed, both), (ug, one), (dense, one),
-                                (mixed, one)):
+    def dense(sign, m):  # a matrix e^{s i u (x) t}, m outputs from n samples
+        u, t = rng.uniform(-3.0, 3.0, m), rng.uniform(-2.0, 2.0, n)
+        return np.exp(1j * sign * np.outer(u, t))
+
+    # output sizes per axis: FFTs keep n, matrices go to 8 or 5 samples
+    for sizes, sign_sets in (((None, None), both), ((n, n), both), ((5, 5), both),
+                             ((None, 5), both), ((None, None), one), ((n, 5), one)):
         for signs in sign_sets:
-            shape = tuple(nu if s else n for s, nu in
-                          zip(signs, (out_grid.n1, out_grid.n2)))
+            ops = tuple((s, None if m is None or not s else dense(s, m))
+                        for s, m in zip(signs, sizes))
+            shape = tuple(n if mat is None else len(mat) for _, mat in ops)
             for kind in (None, "vector", "scalar"):
-                axes = tuple((s, factor(n, kind), factor(m, kind))
-                             for s, m in zip(signs, shape))
+                pre, post = factor(n, kind), factor(shape[1], kind)
                 slots = np.zeros(shape + (2,), dtype=complex)
-                got = centered_ft2(x, tg, out_grid, axes, slots[..., 0])
-                want = _brute_ft2(x, tg, out_grid, axes)
+                got = centered_ft2(x, pre, post, ops, slots[..., 0])
+                want = _brute_ft2(x, pre, post, ops)
                 assert np.shares_memory(got, slots)
-                assert np.abs(slots[..., 0] - want).max() <= 1e-12, (out_grid, axes)
+                assert np.abs(slots[..., 0] - want).max() <= 1e-12, (ops, kind)
                 assert not slots[..., 1].any()
                 assert np.array_equal(stack, before)
+
+
+AXIS_KINDS = ("fft", "dense", "zero")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kinds=st.tuples(st.sampled_from(AXIS_KINDS), st.sampled_from(AXIS_KINDS)),
+       signs=st.tuples(st.sampled_from((-1, 1)), st.sampled_from((-1, 1))),
+       relation=st.sampled_from(("free", "same", "opposite")),
+       armed=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_planes_ft_matches_hamilton_sum(kinds, signs, relation, armed, seed):
+    """The engine on every pair of axis kinds (FFT, dense, sign 0) equals
+    sum_t L(u1, t1) f(t) R(u2, t2), the kernels and factors embedded on lam
+    and mu, with pre and post factors of modulus other than 1 and mu = +-lam
+    among the axes.  Under ``planes-conj`` the right factor is conjugated
+    and the left one is not: the row factors act on the left of both planes."""
+    rng = np.random.default_rng(seed)
+    lam = PureUnit(*rng.normal(size=3))
+    mu = {"free": PureUnit(*rng.normal(size=3)), "same": lam,
+          "opposite": PureUnit(-lam.x, -lam.y, -lam.z)}[relation]
+    n = rng.integers(2, 7, size=2)
+    h = rng.uniform(0.3, 1.2, size=2)
+    tg = Grid2D(n[0], n[1], *rng.uniform(-1.0, 1.0, size=2), *h)
+    m, du = n.copy(), 2.0 * np.pi / (n * h)  # an FFT axis
+    for k, kind in enumerate(kinds):
+        if kind == "dense":
+            m[k], du[k] = rng.integers(2, 7), du[k] * rng.uniform(0.5, 0.9)
+    ug = Grid2D(m[0], m[1], *rng.uniform(-1.0, 1.0, size=2), *du)
+
+    def factor(size):
+        return rng.uniform(0.5, 2.0, size) * np.exp(1j * rng.uniform(-np.pi, np.pi, size))
+
+    axes, kernels = [], []
+    for k, kind in enumerate(kinds):
+        sign = 0 if kind == "zero" else signs[k]
+        pre, post = factor(n[k]), factor(m[k])
+        t, u = tg.axis_coords(k + 1), ug.axis_coords(k + 1)
+        kernel = (np.exp(1j * sign * np.outer(u, t)) * h[k] if sign
+                  else np.eye(n[k]))
+        axes.append((sign, pre, post))
+        kernels.append(post[:, None] * kernel * pre[None, :])  # (u, t)
+    f = rng.normal(size=(n[0], n[1], 4))
+    left = plane_to_quat(kernels[0], lam)  # (u1, t1, 4)
+    right = plane_to_quat(np.conj(kernels[1]) if armed else kernels[1], mu)
+    lf = qmul(left[:, :, None, :], f[None])  # (u1, t1, t2, 4)
+    want = qmul(lf[:, :, :, None, :], np.swapaxes(right, 0, 1)[None, None]).sum(axis=(1, 2))
+    with _mutation.inject("planes-conj" if armed else None):
+        got = _planes_ft(f, tg, ug, lam, mu, tuple(axes))
+    assert rel_max_err(got, want) <= 1e-12
 
 
 def test_gaussian_transform_analytic():
