@@ -14,14 +14,19 @@ complex separable transforms, each axis a centered FFT where the grids allow
 Per-axis phase factors before and after the transform carry the offset
 linear canonical transform of ``olct`` on it: the axis-1 (row) factors ride
 the per-row maps into the planes and back, the axis-2 (column) factors the
-copies into each plane's working array and out of it.  The O(N^3) dense
-quaternion quadrature ``qft_direct`` is an oracle and lives in ``oracle``.
+multiplies that move each plane between those maps and its rows of the one
+result array.  The two planes do not depend on each other, so from 512^2 up
+the engine runs them, and each map's two halves of the rows, on two threads.
+The O(N^3) dense quaternion quadrature ``qft_direct`` is an oracle and lives
+in ``oracle``.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,29 +90,28 @@ def _axis_ramps(n, t0, dt, u0, du, sign):
     return _read_only(pre), _read_only(post)
 
 
-def centered_ft2(x: np.ndarray, pre, post, ops, out: np.ndarray) -> np.ndarray:
-    """Write post * T(pre * x) into ``out`` and return it, for one plane of
-    the planes split: ``pre`` and ``post`` are its column factors, vectors
-    over axis 2 or scalars, and T runs per axis of ``ops`` (sign, matrix)
-    the dense matrix, an in-place FFT of that sign (matrix None), or nothing
-    (sign 0).  The engine folds the row factors, the FFT phase ramps and the
-    cell weight in before it calls this.
+def centered_ft2(z: np.ndarray, ops, out: np.ndarray) -> np.ndarray:
+    """Write T(z) into ``out`` and return it, for one plane of the planes
+    split: T runs per axis of ``ops`` (sign, matrix) the dense matrix, an
+    in-place FFT of that sign (matrix None), or nothing (sign 0).  The engine
+    folds every factor, the FFT phase ramps and the cell weight into its
+    maps, so this is the transform alone.
 
-    ``x`` may be a strided view and is left untouched: the pre multiply
-    writes the one contiguous working plane, the post multiply ``out``;
-    with no axis transformed the one multiply writes ``out``.
+    ``out`` is ``z`` itself unless a dense matrix changes the plane's shape;
+    the FFT axes run in place on ``z``, a strided view as the engine hands
+    it over, and a dense matrix writes a new plane that is copied into
+    ``out``.
     """
-    if not (ops[0][0] or ops[1][0]):  # a pointwise multiply: one pass
-        return np.multiply(x, pre * post, out=out)
-    z = np.multiply(x, pre, out=np.empty(x.shape, dtype=complex))
     for axis, (sign, mat) in enumerate(ops):
         if mat is not None:
             z = mat @ z if axis == 0 else z @ mat.T
-        elif sign < 0:  # FFT axes, in place
+        elif sign < 0:
             np.fft.fft(z, axis=axis, out=z)
         elif sign > 0:
             np.fft.ifft(z, axis=axis, norm="forward", out=z)
-    return np.multiply(z, post, out=out)
+    if z is not out:
+        out[...] = z
+    return out
 
 
 def _rotations(c, n: int) -> np.ndarray:
@@ -125,6 +129,54 @@ def _rotations(c, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # The planes-split engine (any pure-unit axes, any grids).
 
+#: samples per plane from which each engine stage runs on two threads; below
+#: it the thread start-up costs more than the second core returns
+_THREADED_FROM = 1 << 18
+
+
+def _run(tasks, size: int):
+    """Run the callables ``tasks``, one after the other in the caller's
+    thread below ``_THREADED_FROM`` samples per plane (``size``).  From it
+    up, the first runs in the caller's thread and each other on its own
+    thread, in a copy of the caller's context (numpy's errstate holds there),
+    all joined before this returns; an exception a thread raised is raised
+    again here."""
+    if size < _THREADED_FROM:
+        for task in tasks:
+            task()
+        return
+    errors = []
+
+    def work(task, context):
+        try:
+            context.run(task)
+        except BaseException as exc:  # raised again in the caller
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(task, contextvars.copy_context()))
+               for task in tasks[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        tasks[0]()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _row_blocks(half: int, n1: int, n2: int):
+    """Yield (rows, block) over half ``half`` (0 or 1) of the rows of an (n1,
+    n2, 4) float64 array, ``block`` the slice of one 256 KiB scratch block
+    that holds them."""
+    lo, hi, step = half * n1 // 2, (half + 1) * n1 // 2, max(1, 8192 // n2)
+    scratch = np.empty((min(step, hi - lo), n2, 4))
+    for r in range(lo, hi, step):
+        block = scratch[:min(step, hi - r)]
+        yield slice(r, r + len(block)), block
+
+
 def _planes_ft(samples, tgrid: Grid2D, ugrid: Grid2D, lam: PureUnit,
                mu: PureUnit, axes):
     """The one planes split, from the (n1, n2, 4) ``samples`` on ``tgrid`` to
@@ -140,12 +192,25 @@ def _planes_ft(samples, tgrid: Grid2D, ugrid: Grid2D, lam: PureUnit,
     axis-1 (row) factors act on the left of both planes alike, so they ride
     the basis maps: per row ``plane_basis @ R(in)`` into z+, z- and ``R(out *
     cell weight) @ plane_basis.T`` back, one stacked ``np.matmul`` each.
-    The axis-2 (column) factors and both transforms go to
-    :func:`centered_ft2`, conjugated on the + plane, where right-hand
-    factors cross conjugated.
-    The map in allocates the one full-size array (a second only where the
-    grid changes); the planes come back into it, and the back map runs in
-    place over blocks of rows through one 256 KiB scratch block.
+    The axis-2 (column) factors act on the right, so they cross conjugated
+    on the + plane; its column transform takes the conjugate too.
+
+    The two planes live row-interleaved in the one full-size array the call
+    allocates (a second only where the grid changes): its (n1, 2, n2)
+    complex view holds row r of z+ and then row r of z- in row r.  Three
+    stages fill it:
+
+    - map in, by blocks of rows through a 256 KiB scratch block: the basis
+      map into the scratch, then each plane's column-in factor from there
+      into that plane's row slot;
+    - transform: :func:`centered_ft2` on each plane, in place;
+    - map back, by blocks of rows: each plane's column-out factor into the
+      scratch, then the back map from there into the same rows.
+
+    From ``_THREADED_FROM`` samples per plane up each map runs the two halves
+    of its rows, and the transform the two planes, on two threads; below it,
+    and for the transform on a dense axis, the same calls run one after the
+    other (see :func:`_run`).
     """
     weight, parts = 1.0, []
     specs = ((tgrid.center1, tgrid.spacing1, ugrid.center1, ugrid.spacing1),
@@ -167,23 +232,42 @@ def _planes_ft(samples, tgrid: Grid2D, ugrid: Grid2D, lam: PureUnit,
     plain = (col_in, col_out, (row_op, (s2, mat2)))
     conj = (np.conj(col_in), np.conj(col_out),
             (row_op, (-s2, None if mat2 is None else np.conj(mat2))))
-    basis = plane_basis(lam, mu)
-    coefs = np.matmul(samples, basis @ _rotations(row_in, len(samples)))
-    shape = (ugrid.n1, ugrid.n2)
-    result = coefs if coefs.shape[:2] == shape else np.empty(shape + (4,))
-    z, out = coefs.view(complex), result.view(complex)
     per_plane = (plain, conj) if _mutation.active("planes-conj") else (conj, plain)
-    for k, (pre, post, ops) in enumerate(per_plane):  # z+ first
-        centered_ft2(z[..., k], pre, post, ops, out[..., k])
-    del coefs, z  # the input planes go first where the grid changes
-    back = _rotations(row_out * weight, ugrid.n1) @ basis.T
-    step = max(1, 8192 // ugrid.n2)  # rows per block
-    scratch = np.empty((min(step, ugrid.n1), ugrid.n2, 4))
-    for lo in range(0, ugrid.n1, step):
-        rows = result[lo:lo + step]
-        s = scratch[:len(rows)]
-        np.matmul(rows, back[lo:lo + step], out=s)
-        rows[...] = s
+    basis = plane_basis(lam, mu)
+    (n1, n2, _), (m1, m2) = samples.shape, (ugrid.n1, ugrid.n2)
+
+    into = basis @ _rotations(row_in, n1)
+    coefs = np.empty((n1, n2, 4))
+    z = coefs.view(complex).reshape(n1, 2, n2)  # z[r, k] is row r of plane k
+
+    def map_in(half):
+        for rows, s in _row_blocks(half, n1, n2):
+            np.matmul(samples[rows], into[rows], out=s)
+            for k, (pre, _, _) in enumerate(per_plane):  # z+ first
+                np.multiply(s.view(complex)[..., k], pre, out=z[rows, k])
+
+    _run([functools.partial(map_in, half) for half in (0, 1)], n1 * n2)
+    result = coefs if (m1, m2) == (n1, n2) else np.empty((m1, m2, 4))
+    out = result.view(complex).reshape(m1, 2, m2)
+    planes = [z[:, k] for k in (0, 1)]
+    targets = planes if result is coefs else [out[:, k] for k in (0, 1)]
+    # BLAS threads a dense axis's matrix products already: two at once only
+    # crowd the cores, so those planes take their turns
+    dense = row_op[1] is not None or mat2 is not None
+    _run([functools.partial(centered_ft2, plane, ops, target)
+          for plane, target, (_, _, ops) in zip(planes, targets, per_plane)],
+         0 if dense else max(n1 * n2, m1 * m2))
+    del coefs, z, planes, targets  # the input planes go first where the grid changes
+
+    back = _rotations(row_out * weight, m1) @ basis.T
+
+    def map_back(half):
+        for rows, s in _row_blocks(half, m1, m2):
+            for k, (_, post, _) in enumerate(per_plane):
+                np.multiply(out[rows, k], post, out=s.view(complex)[..., k])
+            np.matmul(s, back[rows], out=result[rows])
+
+    _run([functools.partial(map_back, half) for half in (0, 1)], m1 * m2)
     return _read_only(result)
 
 

@@ -18,6 +18,7 @@ from qolct import (
     QolctPlan,
     UNIT_I,
     UNIT_J,
+    iqft,
     l2_norm,
     qft_fast_ij,
     qolct_forward,
@@ -25,6 +26,7 @@ from qolct import (
     qolct_quartet,
     synth_gaussian,
 )
+from qolct import _mutation
 from qolct.field import apply_chirp
 from qolct.olct import InterpolationDomainError, _spline, analysis
 from qolct.oracle import (
@@ -933,11 +935,59 @@ def test_factor_pairs_run_no_field_sized_hamilton_product(monkeypatch, grid64):
     assert sizes and max(sizes) <= 16
 
 
+@pytest.mark.parametrize("armed", [None, "planes-conj"])
+@pytest.mark.parametrize("n, threaded_from", [(64, 1), (512, 1 << 40)])
+def test_engine_threads_change_no_output_byte(monkeypatch, armed, n, threaded_from):
+    """The planes engine's threads leave every output byte as it is: at 64^2
+    (one thread by default) forced onto two, and at 512^2 (two by default)
+    forced onto one, on FFT plans, grid-changing dense plans, the sign-0
+    passes (apply_chirp and the Heisenberg unit-phase field) and a b = 0
+    plan."""
+    from qolct import qft, uncertainty
+    g = Grid2D.centered(n, 16.0)
+    h = g.spacing1
+    f = synth_gaussian(g, 0.5, 0.7, (1.0, 0.5), (0.7, -0.4), UNIT_I, UNIT_J)
+    lam, mu = PureUnit(1.0, 2.0, -0.5), PureUnit(-0.3, 0.4, 1.0)
+    plan = QolctPlan.create(A1_REF, A2_REF, input_grid=g)
+    og = plan.output_grid
+    fine = Grid2D(n // 2 + 3, n // 2 - 5, 0.1, -0.2, 0.8 * og.spacing1, 0.7 * og.spacing2)
+    b_zero = QolctPlan(OffsetParams(1.0, 0.0, 0.7, 1.0, 3 * h, -0.6), A2_REF,
+                       UNIT_I, UNIT_J, g, Grid2D(2 * n // 3, 2 * n // 3, 3 * h, 0.0, h, h))
+    unit_phase = []
+
+    def spy(*args, _real=uncertainty._planes_ft):
+        unit_phase.append(_real(*args))
+        return unit_phase[-1]
+
+    monkeypatch.setattr(uncertainty, "_planes_ft", spy)
+
+    def outputs():
+        qp = QftPlan.forward(g, lam, mu)
+        F, O = qft_fast_ij(f, qp), qolct_forward(f, plan)
+        fields = {"qft": F, "iqft": iqft(F, qp), "qolct": O,
+                  "qolct inverse": qolct_inverse(O, plan),
+                  "dense": qolct_forward(f, QolctPlan(A1_REF, A2_REF, lam, mu, g, fine)),
+                  "chirp": apply_chirp(f, lam, 0.3, 0.1, mu, -0.2, 0.05),
+                  "b = 0": qolct_forward(f, b_zero)}
+        heisenberg_report(QField(g, f.samples), plan, 1)  # a new field: a new analysis
+        return {"unit phase": unit_phase[-1].tobytes(),
+                **{k: v.samples.tobytes() for k, v in fields.items()}}
+
+    with _mutation.inject(armed):
+        default = outputs()
+        monkeypatch.setattr(qft, "_THREADED_FROM", threaded_from)
+        forced = outputs()
+    assert [k for k in default if forced[k] != default[k]] == []
+
+
 def test_forward_allocates_one_full_array(monkeypatch):
     """Beyond its input, one forward at 512^2 peaks at one (n1, n2, 4) float64
-    array, one (n1, n2) complex working plane and the engine's 256 KiB
-    scratch block; the field keeps the engine's array, owned and read-only,
-    also on a dense plan whose grid changes."""
+    array, which holds both planes, and per half of the rows the engine's
+    256 KiB scratch block and the buffers numpy's ufuncs take for one
+    strided complex multiply, plus the per-row maps in and back, their
+    temporaries and the axis factors; no working plane.  The field keeps
+    the engine's array, owned and read-only, also on a dense plan whose
+    grid changes."""
     from qolct import olct
     g = Grid2D.centered(512, 16.0)
     f = synth_gaussian(g, 0.5, 0.7, (1.0, 0.5), (0.7, -0.4), UNIT_I, UNIT_J)
@@ -949,8 +999,9 @@ def test_forward_allocates_one_full_array(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    full, plane, scratch = 512 * 512 * 4 * 8, 512 * 512 * 16, 8192 * 4 * 8
-    assert full <= peak <= full + plane + scratch
+    full, scratch, buffers = 512 * 512 * 4 * 8, 8192 * 4 * 8, 2 * np.getbufsize() * 16
+    maps = 4 * 512 * 4 * 4 * 8
+    assert full <= peak <= full + 2 * (scratch + buffers) + maps
     del O
 
     og = plan.output_grid

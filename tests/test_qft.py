@@ -17,7 +17,7 @@ from qolct import (
     qft_fast_ij,
     synth_gaussian,
 )
-from qolct import _mutation
+from qolct import _mutation, qft
 from qolct.oracle import _direct_apply, plane_to_quat, qft_direct
 from qolct.qft import PlanViolationError, _planes_ft, centered_ft2
 from qolct.quat import PureUnit, qmul
@@ -43,39 +43,28 @@ def test_plan_nyquist_validation():
         QftPlan(g, coarse, UNIT_I, UNIT_J)
 
 
-def _brute_ft2(x, pre, post, ops):
-    """post * T(pre * x) with each axis's transform an explicit matrix: per
-    axis (sign, matrix), a zero sign the identity, a None matrix the FFT of
-    that sign, e^{sign 2 pi i q p / n}; the factors are column vectors or
-    scalars."""
+def _brute_ft2(x, ops):
+    """T(x) with each axis's transform an explicit matrix: per axis (sign,
+    matrix), a zero sign the identity, a None matrix the FFT of that sign,
+    e^{sign 2 pi i q p / n}."""
     mats = []
     for (sign, mat), n in zip(ops, x.shape):
         if mat is None:
             p = np.arange(n)
             mat = np.exp(sign * 2j * np.pi * np.outer(p, p) / n) if sign else np.eye(n)
         mats.append(mat)
-    return mats[0] @ (x * pre) @ mats[1].T * post
+    return mats[0] @ x @ mats[1].T
 
 
 def test_centered_ft2_matches_brute_force():
-    """Every axis kind (FFT, dense matrix, sign 0), with and without column
-    pre and post factors, vectors or scalars, on a strided input plane
-    written into a strided output slot; the input is left untouched, and so
-    is the other slot."""
-    rng, scalars = np.random.default_rng(0), np.random.default_rng(1)
+    """Every axis kind (FFT, dense matrix, sign 0) on a strided plane, as the
+    planes engine hands it over: row-interleaved with the other plane, whose
+    slot is left untouched.  The plane is transformed in place, or written
+    into ``out`` in the same layout where a dense matrix changes its shape."""
+    rng = np.random.default_rng(0)
     n = 8
     both = ((-1, -1), (-1, 1), (1, 1), (1, -1))
     one = ((0, -1), (0, 1), (-1, 0), (1, 0), (0, 0))  # a zero sign on each axis
-    stack = rng.normal(size=(n, n, 2)) + 1j * rng.normal(size=(n, n, 2))
-    before = stack.copy()
-    x = stack[..., 1]  # a strided plane, as the planes engine hands it over
-
-    def factor(m, kind):
-        if kind == "scalar":
-            return complex(np.exp(1j * scalars.uniform(-3.0, 3.0)) * scalars.uniform(0.5, 2.0))
-        if kind == "vector":
-            return np.exp(1j * rng.uniform(-3.0, 3.0, m)) * rng.uniform(0.5, 2.0, m)
-        return 1.0
 
     def dense(sign, m):  # a matrix e^{s i u (x) t}, m outputs from n samples
         u, t = rng.uniform(-3.0, 3.0, m), rng.uniform(-2.0, 2.0, n)
@@ -88,15 +77,16 @@ def test_centered_ft2_matches_brute_force():
             ops = tuple((s, None if m is None or not s else dense(s, m))
                         for s, m in zip(signs, sizes))
             shape = tuple(n if mat is None else len(mat) for _, mat in ops)
-            for kind in (None, "vector", "scalar"):
-                pre, post = factor(n, kind), factor(shape[1], kind)
-                slots = np.zeros(shape + (2,), dtype=complex)
-                got = centered_ft2(x, pre, post, ops, slots[..., 0])
-                want = _brute_ft2(x, pre, post, ops)
-                assert np.shares_memory(got, slots)
-                assert np.abs(slots[..., 0] - want).max() <= 1e-12, (ops, kind)
-                assert not slots[..., 1].any()
-                assert np.array_equal(stack, before)
+            stack = rng.normal(size=(n, 2, n)) + 1j * rng.normal(size=(n, 2, n))
+            x, other = stack[:, 1].copy(), stack[:, 0].copy()
+            want = _brute_ft2(x, ops)
+            plane = stack[:, 1]
+            slots = stack if shape == (n, n) else np.zeros((shape[0], 2, shape[1]), complex)
+            out = plane if slots is stack else slots[:, 1]
+            assert centered_ft2(plane, ops, out) is out
+            assert np.abs(slots[:, 1] - want).max() <= 1e-12, ops
+            assert np.array_equal(stack[:, 0], other)
+            assert slots is stack or not slots[:, 0].any()
 
 
 AXIS_KINDS = ("fft", "dense", "zero")
@@ -146,6 +136,19 @@ def test_planes_ft_matches_hamilton_sum(kinds, signs, relation, armed, seed):
     with _mutation.inject("planes-conj" if armed else None):
         got = _planes_ft(f, tg, ug, lam, mu, tuple(axes))
     assert rel_max_err(got, want) <= 1e-12
+
+
+def test_engine_threads_keep_the_callers_errstate():
+    """From 512^2 up the engine maps the second half of the rows on a second
+    thread; numpy's errstate holds there, and what it raises is raised in
+    the caller."""
+    g = Grid2D.centered(512, 16.0)
+    assert qft._THREADED_FROM <= g.n1 * g.n2
+    x = np.zeros((g.n1, g.n2, 4))
+    x[400, 7, 2] = np.inf
+    f = QField(g, x)
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        qft_fast_ij(f, QftPlan.forward(g))
 
 
 def test_gaussian_transform_analytic():
