@@ -5,12 +5,12 @@
 One cycle runs the reports an analysis-ij cycle of ``perfbench`` runs on one
 (signal, plan) pair: Heisenberg on both axes, Pitt at three alphas, the
 logarithmic inequality, Hardy and the component quartet.  Each cycle draws a
-new plan from the seeded rng, as an analysis-ij cycle does, so neither the
-analysis memo nor the plan-keyed caches carry over from one cycle to the
-next; ``analysis`` is timed as its own first step.  The layers of the
-Heisenberg covariance (the unit-phase pass, the derivative and its modulus
-on each axis) are then timed alone on the cycle's own unit-phase field.
-Prints the median of each timing over the cycles, in ms.
+new plan from the seeded rng, as an analysis-ij cycle does, so the analysis
+memo does not carry over from one cycle to the next; ``analysis`` is timed
+as its own first step.  The layers of the Heisenberg covariance (the
+unit-phase pass, the derivative and its modulus on each axis) are then
+timed alone on the cycle's own unit-phase field.  Prints the median of each
+timing over the cycles, in ms.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import numpy as np
 
 from qolct import UNIT_I, UNIT_J, Grid2D, OffsetParams, QolctPlan, synth_gaussian
 from qolct import olct, uncertainty
-from qolct.field import QField, partial_derivative
-from qolct.qft import _planes_ft
+from qolct.field import partial_derivative
 from qolct.quat import qnorm
 
 
@@ -36,15 +35,6 @@ def draw_params(rng, cap: float) -> OffsetParams:
         if 0.3 <= abs(a) and abs(a) / (2.0 * b) <= cap:
             return OffsetParams(a, b, c, (1.0 + b * c) / a,
                                 rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-
-
-def unit_phase(f, plan, an):
-    """The covariance's unit-phase field w, as ``heisenberg_report`` builds it."""
-    mod = np.sqrt(an.e2)
-    mod[mod <= 1e-12 * float(mod.max())] = np.inf
-    (_, c1, _), (_, c2, _) = olct._plan_factors(plan, -1)
-    return QField(f.grid, _planes_ft(f.samples / mod[..., None], f.grid, f.grid,
-                                     plan.lam, plan.mu, ((0, c1, None), (0, c2, None))))
 
 
 def main(argv=None) -> int:
@@ -79,10 +69,10 @@ def main(argv=None) -> int:
             times[name].append(time.perf_counter() - t0)
         times["cycle"].append(time.perf_counter() - t_cycle)
         an = olct.analysis(f, plan)  # kept by the cycle: no transform
-        w = unit_phase(f, plan, an)
+        w = uncertainty._unit_phase(f, plan, an)
         dw = {k: partial_derivative(w, k).samples for k in (1, 2)}
         layers = {
-            "unit-phase pass": lambda: unit_phase(f, plan, an),
+            "unit-phase pass": lambda: uncertainty._unit_phase(f, plan, an),
             **{f"partial_derivative axis {k}": (lambda k=k: partial_derivative(w, k))
                for k in (1, 2)},
             **{f"qnorm of d/dt{k} w": (lambda k=k: qnorm(dw[k])) for k in (1, 2)},

@@ -354,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     unc.add_argument("--alpha", type=_finite_float, default=1.0, help="Pitt weight exponent")
     unc.add_argument("--d", type=_finite_float, default=4.0, help="Beurling denominator power")
     unc.add_argument("--radius", type=_finite_float, default=None,
-                     help="Beurling truncation radius")
+                     help="Beurling truncation radius; at a large radius the "
+                          "e^(|t||v|) weight amplifies rounding into the figures")
     unc.add_argument("--csv", action="store_true")
     unc.add_argument("--json", help="write the JSON report here instead of stdout")
     unc.add_argument("--tsv", help="write plot-ready TSV data here")

@@ -106,10 +106,6 @@ class QField:
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
-    @classmethod
-    def zeros(cls, grid: Grid2D) -> "QField":
-        return cls(grid, np.zeros((grid.n1, grid.n2, 4)))
-
     def modulus(self) -> np.ndarray:
         """Pointwise |f(t)|_Q."""
         return qnorm(self.samples)

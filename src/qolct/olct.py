@@ -21,7 +21,6 @@ dense kernel quadrature ``qolct_direct``, the mutual oracle, lives in
 
 from __future__ import annotations
 
-import functools
 import math
 import weakref
 from dataclasses import dataclass, replace
@@ -153,8 +152,8 @@ def _axis_factors(axis: int, A: OffsetParams, t, u, sign: int):
         factor = np.exp(-1j * sign * phi) * (2.0 * math.pi * A.b) ** (0.5 * sign)
     _require_finite(axis, chirp, factor)
     if sign < 0:
-        return sign, _read_only(chirp), _read_only(factor)
-    return sign, _read_only(factor * _inverse_weight()), _read_only(chirp)
+        return sign, chirp, factor
+    return sign, factor * _inverse_weight(), chirp
 
 
 def _require_finite(axis: int, *factors):
@@ -165,23 +164,12 @@ def _require_finite(axis: int, *factors):
 
 
 def _plan_factors(plan: QolctPlan, sign: int):
-    """Per axis the engine triple of the forward (sign -1) or the inverse
-    (sign +1): :func:`_axis_factors` on a b > 0 axis; a b = 0 axis of the
-    forward is not transformed, (0, None, :func:`_degenerate_chirp`).  Kept
-    read-only per (plan, sign, armed mutation): three fixtures act inside."""
-    return _cached_factors(plan, sign, _mutation.armed())
-
-
-@functools.lru_cache(maxsize=8)  # a pair's mirror images, each direction
-def _cached_factors(plan: QolctPlan, sign: int, armed):
-    if sign > 0:
-        _require_positive_b(plan.A1, plan.A2)
-    triples = []
-    for axis, A in ((1, plan.A1), (2, plan.A2)):
-        t, u = plan.input_grid.axis_coords(axis), plan.output_grid.axis_coords(axis)
-        triples.append(_axis_factors(axis, A, t, u, sign) if A.b > 0.0
-                       else (0, None, _degenerate_chirp(axis, A, u)))
-    return tuple(triples)
+    """Per axis the engine triple (:func:`_axis_factors`) of the forward
+    (sign -1) or the inverse (sign +1) of a plan with b > 0 on both axes."""
+    _require_positive_b(plan.A1, plan.A2)
+    return tuple(_axis_factors(axis, A, plan.input_grid.axis_coords(axis),
+                               plan.output_grid.axis_coords(axis), sign)
+                 for axis, A in ((1, plan.A1), (2, plan.A2)))
 
 
 def qolct_forward(f: QField, plan: QolctPlan) -> QField:
@@ -194,11 +182,14 @@ def qolct_forward(f: QField, plan: QolctPlan) -> QField:
     """
     if f.grid != plan.input_grid:
         raise ValueError("field grid does not match plan input grid")
-    g, data, axes = plan.input_grid, f.samples, _plan_factors(plan, -1)
+    g, data, axes = plan.input_grid, f.samples, []
     for axis, A, h in ((1, plan.A1, g.spacing1), (2, plan.A2, g.spacing2)):
-        if A.b == 0.0:
-            u = plan.output_grid.axis_coords(axis)
-            data = _spline(g.axis_coords(axis), h, data, A.d * (u - A.tau), axis=axis - 1)
+        t, u = g.axis_coords(axis), plan.output_grid.axis_coords(axis)
+        if A.b > 0.0:
+            axes.append(_axis_factors(axis, A, t, u, -1))
+        else:
+            axes.append((0, None, _degenerate_chirp(axis, A, u)))
+            data = _spline(t, h, data, A.d * (u - A.tau), axis=axis - 1)
     return QField(plan.output_grid, _planes_ft(
         data, g, plan.scaled_freq_grid(), plan.lam, plan.mu, axes))
 
@@ -319,7 +310,7 @@ def _degenerate_chirp(axis: int, A: OffsetParams, u):
             phase = -phase
         chirp = math.sqrt(A.d) * np.exp(1j * phase)
     _require_finite(axis, chirp)
-    return _read_only(chirp)
+    return chirp
 
 
 def _not_a_knot_slopes(h: float, y):

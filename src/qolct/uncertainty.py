@@ -95,26 +95,32 @@ class HeisenbergReport:
     gap: float
 
 
+def _unit_phase(f: QField, plan: QolctPlan, an) -> QField:
+    """The unit-phase field w = g/|g| of the chirped signal g, from the
+    analysis ``an`` of (f, plan), zeroed where |f| = |g| is below 1e-12 of
+    its peak: one planes-engine pass that transforms no axis."""
+    mod = np.sqrt(an.e2)
+    mod[mod <= 1e-12 * float(mod.max())] = np.inf  # w is 0 off the live set
+    # the chirps are unit, so g/|g| of the chirped signal g is c1 (f/|f|) c2
+    (_, c1, _), (_, c2, _) = _plan_factors(plan, -1)
+    return QField(f.grid, _planes_ft(f.samples / mod[..., None], f.grid, f.grid,
+                                     plan.lam, plan.mu, ((0, c1, None), (0, c2, None))))
+
+
 def heisenberg_report(f: QField, plan: QolctPlan, axis: int) -> HeisenbergReport:
     """Spread product versus (1/16 pi^2)|f|^4 + COV^2.
 
-    COV uses the unit-phase field w = g/|g| of the chirped signal g, one
-    planes-engine pass that transforms no axis (the u-dependent kernel
-    factors are constant unit quaternions and drop out of |t_k d/dt_k w|); w
-    is zeroed where |f| = |g| is below 1e-12 of its peak.  The first report
-    on a kept analysis computes COV on both axes from one w (on its own axis
-    alone if the other is too short to differentiate) and keeps it there.
+    COV uses the unit-phase field w of :func:`_unit_phase` (the u-dependent
+    kernel factors are constant unit quaternions and drop out of |t_k d/dt_k
+    w|).  The first report on a kept analysis computes COV on both axes from
+    one w (on its own axis alone if the other is too short to differentiate)
+    and keeps it there.
     """
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
     an = analysis(f, plan)  # rejects b = 0 plans
     if axis not in an.covariance:
-        mod = np.sqrt(an.e2)
-        mod[mod <= 1e-12 * float(mod.max())] = np.inf  # w is 0 off the live set
-        # the chirps are unit, so g/|g| of the chirped signal g is c1 (f/|f|) c2
-        (_, c1, _), (_, c2, _) = _plan_factors(plan, -1)
-        w = QField(f.grid, _planes_ft(f.samples / mod[..., None], f.grid, f.grid,
-                                      plan.lam, plan.mu, ((0, c1, None), (0, c2, None))))
+        w = _unit_phase(f, plan, an)
         for k in (1, 2) if min(f.grid.n1, f.grid.n2) >= 5 else (axis,):
             tk = np.abs(f.grid.axis_coords(k)).reshape((-1, 1) if k == 1 else (1, -1))
             dw = qnorm(partial_derivative(w, k).samples)

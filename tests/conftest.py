@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qolct import Grid2D, UNIT_I, UNIT_J, synth_gaussian
+from qolct import Grid2D, QField, UNIT_I, UNIT_J, synth_gaussian
 from qolct.field import apply_chirp
 from qolct.verify import QFT_CASE, random_offset_params
 
@@ -13,6 +13,11 @@ def rel_max_err(got, want):
     diff = np.sqrt(np.sum((got - want) ** 2, axis=-1))
     scale = np.sqrt(np.sum(want ** 2, axis=-1)).max()
     return float(diff.max() / scale)
+
+
+def zero_field(grid):
+    """The zero quaternion field on ``grid``."""
+    return QField(grid, np.zeros((grid.n1, grid.n2, 4)))
 
 
 def meshgrid(grid):

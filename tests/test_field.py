@@ -15,7 +15,7 @@ from qolct.oracle import plane_to_quat
 from qolct.quat import PureUnit, qmul, qnorm
 from qolct.verify import QFT_CASE, fourier_shift, quartet_l2_norm
 
-from conftest import meshgrid
+from conftest import meshgrid, zero_field
 
 #: a real array x as the scalar part of a field: x[..., None] * SCALAR
 SCALAR = np.array([1.0, 0.0, 0.0, 0.0])
@@ -52,7 +52,7 @@ def test_grid_rejects_non_finite(name, bad):
 
 def test_l2_norm_values():
     g = Grid2D.centered(256, 20.0)
-    assert l2_norm(QField.zeros(g)) == 0.0
+    assert l2_norm(zero_field(g)) == 0.0
     f = synth_gaussian(g, 0.5, 0.5)
     assert l2_norm(f) == pytest.approx(math.sqrt(math.pi), rel=1e-10)
     # scaling by a quaternion constant scales the norm by its modulus
@@ -169,7 +169,7 @@ def test_quartet_norms():
     g = Grid2D.centered(16, 4.0)
     rng = np.random.default_rng(5)
     f = QField(g, rng.normal(size=(16, 16, 4)))
-    zero = QField.zeros(g)
+    zero = zero_field(g)
     q = ComponentQuartet((f, zero, zero, zero))
     assert quartet_l2_norm(q) == pytest.approx(l2_norm(f), rel=1e-14)
     q4 = ComponentQuartet((f, f, f, f))
@@ -177,7 +177,7 @@ def test_quartet_norms():
     assert quartet_l2_norm(ComponentQuartet((zero, zero, zero, zero))) == 0.0
     with pytest.raises(ValueError):
         ComponentQuartet((f, zero, zero))
-    other = QField.zeros(Grid2D.centered(8, 4.0))
+    other = zero_field(Grid2D.centered(8, 4.0))
     with pytest.raises(ValueError):
         ComponentQuartet((f, zero, zero, other))
 
@@ -187,7 +187,7 @@ def test_quartet_of_embeds_each_real_component():
     g = Grid2D.centered(8, 4.0)
     f = QField(g, np.random.default_rng(6).normal(size=(8, 8, 4)))
     seen = []
-    q = ComponentQuartet.of(f, lambda h: seen.append(h) or QField.zeros(Grid2D(3, 2)))
+    q = ComponentQuartet.of(f, lambda h: seen.append(h) or zero_field(Grid2D(3, 2)))
     assert q.grid == Grid2D(3, 2)
     for m, h in enumerate(seen):
         assert h.grid == g
@@ -261,9 +261,9 @@ def test_partial_derivative_matches_the_stencil_expression_to_the_bit():
 def test_partial_derivative_grid_too_small():
     g = Grid2D(4, 8, 0.0, 0.0, 1.0, 1.0)
     with pytest.raises(GridTooSmallError):
-        partial_derivative(QField.zeros(g), 1)
+        partial_derivative(zero_field(g), 1)
     with pytest.raises(ValueError, match="axis must be 1 or 2"):
-        partial_derivative(QField.zeros(g), 0)
+        partial_derivative(zero_field(g), 0)
 
 
 def test_apply_chirp_order_and_modulus():
@@ -292,7 +292,7 @@ def test_fourier_shift_matches_analytic_shift():
 
 def test_qfield_immutable_and_validated():
     g = Grid2D.centered(8, 2.0)
-    f = QField.zeros(g)
+    f = zero_field(g)
     with pytest.raises(ValueError):
         f.samples[0, 0, 0] = 1.0
     with pytest.raises(ValueError):

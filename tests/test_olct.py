@@ -51,7 +51,7 @@ from qolct.verify import (
     shift_covariance_check,
 )
 
-from conftest import corpus_signals, meshgrid, parameter_sets, rel_max_err
+from conftest import corpus_signals, meshgrid, parameter_sets, rel_max_err, zero_field
 
 A1_REF = OffsetParams(1.0, 1.0, 1.0, 2.0, 0.3, -0.2)
 A2_REF = OffsetParams(0.5, 1.5, -0.4, 0.8, -0.1, 0.4)
@@ -144,7 +144,7 @@ def test_zero_field_and_real_linearity():
     rng = np.random.default_rng(41)
     g = Grid2D.centered(16, 4.0)
     plan = QolctPlan.create(A1_REF, A2_REF, input_grid=g)
-    assert np.abs(qolct_direct(QField.zeros(g), plan).samples).max() == 0.0
+    assert np.abs(qolct_direct(zero_field(g), plan).samples).max() == 0.0
     f = QField(g, rng.normal(size=(16, 16, 4)))
     h = QField(g, rng.normal(size=(16, 16, 4)))
     lhs = qolct_forward(QField(g, 0.6 * f.samples + 2.0 * h.samples), plan)
@@ -184,7 +184,7 @@ def test_inverse_round_trip_and_plancherel(grid64):
         assert l2_norm(back) == pytest.approx(l2_norm(f), rel=1e-7)
         ratio = quartet_l2_norm(qolct_quartet(f, plan)) / l2_norm(f)
         assert abs(ratio - 1.0) <= 1e-6, name
-    assert np.abs(qolct_inverse(QField.zeros(plan.output_grid), plan)
+    assert np.abs(qolct_inverse(zero_field(plan.output_grid), plan)
                   .samples).max() == 0.0
 
 
@@ -472,8 +472,9 @@ def test_analysis_memo_keys_on_the_armed_mutation():
     np.testing.assert_array_equal(analysis(f, plan).density, want)
 
 
-# Plan-, axis-pair- and grid-only arrays are cached read-only; the plan
-# factors key on the armed fixture, since three fixtures act inside them.
+# Axis-pair- and grid-only arrays are cached read-only.  The plan factors are
+# built per call, so each of the three fixtures that act inside them changes
+# every call it is armed for, and no call after it.
 
 def _fixture_runs():
     g = Grid2D.centered(32, 8.0)
@@ -487,7 +488,7 @@ def _fixture_runs():
 
 
 @pytest.mark.parametrize("name", ["chirp-sign", "iqft-scale", "degenerate-chirp"])
-def test_plan_factor_cache_keys_on_the_armed_mutation(name):
+def test_factor_fixtures_act_on_every_call(name):
     from qolct import _mutation
     run = _fixture_runs()[name]
     want = run().samples.tobytes()
@@ -502,16 +503,12 @@ def _cached_arrays():
     g = Grid2D.centered(32, 8.0)
     plan = QolctPlan.create(A1_REF, A2_REF, input_grid=g)
     f = synth_gaussian(g, 0.5, 0.7)
-    (_, pre1, post1), (_, pre2, post2) = olct._plan_factors(plan, -1)
-    (_, ipre1, ipost1), _ = olct._plan_factors(plan, 1)
-    return {"plan factors": (pre1, post1, pre2, post2, ipre1, ipost1),
-            "plane basis": (quat.plane_basis(UNIT_I, UNIT_J),),
+    return {"plane basis": (quat.plane_basis(UNIT_I, UNIT_J),),
             "axis ramps": qft._axis_ramps(32, 0.0, 0.25, 0.0, 2.0 * math.pi / 8.0, -1),
             "kept forward": (olct.kept_forward(f, plan).samples,)}
 
 
-@pytest.mark.parametrize("cache", ["plan factors", "plane basis", "axis ramps",
-                                   "kept forward"])
+@pytest.mark.parametrize("cache", ["plane basis", "axis ramps", "kept forward"])
 def test_cached_arrays_are_read_only(cache):
     for values in _cached_arrays()[cache]:
         with pytest.raises(ValueError, match="read-only"):
@@ -529,9 +526,8 @@ def test_kept_forward_lets_its_signal_go():
 
 
 def test_caches_stay_within_their_sizes():
-    from qolct import olct, qft, quat, uncertainty
-    caches = (olct._cached_factors, quat.plane_basis, qft._axis_ramps,
-              uncertainty._radial_groups)
+    from qolct import qft, quat, uncertainty
+    caches = (quat.plane_basis, qft._axis_ramps, uncertainty._radial_groups)
     rng = np.random.default_rng(7)
     for k in range(30):
         g = Grid2D.centered((16, 24, 32)[k % 3], 8.0)
@@ -872,7 +868,7 @@ def test_moment_identities(grid256):
     for axis in (1, 2):
         rep = moment_identity_check(f, plan, axis)
         assert rep.relerr <= 1e-5, (axis, rep.relerr)
-    zero = QField.zeros(grid256)
+    zero = zero_field(grid256)
     rep = moment_identity_check(zero, plan, 1)
     assert rep.lhs == 0.0 and rep.rhs == 0.0
 

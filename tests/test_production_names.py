@@ -17,14 +17,26 @@ PUBLIC = {"QftPlan", "qft_fast_ij", "iqft"}
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _names(node) -> set:
-    """Every name ``node`` refers to: a bare name, an attribute or an import."""
+def _foreign(tree) -> set:
+    """The names a module binds to modules outside qolct (``np``, ``math``)."""
+    return {alias.asname or alias.name.split(".")[0]
+            for n in ast.walk(tree) if isinstance(n, ast.Import)
+            for alias in n.names if alias.name.split(".")[0] != "qolct"}
+
+
+def _names(node, foreign=frozenset()) -> set:
+    """Every name ``node`` refers to: a bare name, an attribute or an import.
+    An attribute of a ``foreign`` module (``np.zeros``) names none of ours."""
     found = set()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
             found.add(n.id)
         elif isinstance(n, ast.Attribute):
-            found.add(n.attr)
+            base = n.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if not (isinstance(base, ast.Name) and base.id in foreign):
+                found.add(n.attr)
         elif isinstance(n, ast.alias):
             found.add(n.name.rsplit(".", 1)[-1])
     return found
@@ -35,6 +47,7 @@ def _definitions(module: str, tree):
     its body refers to) for each module-level definition and method; a
     dunder method lives with its class.  A class's own body is its
     decorators, bases and statements other than methods."""
+    foreign = _foreign(tree)
     for node in tree.body:
         if not isinstance(node, _DEFS):
             continue
@@ -44,12 +57,12 @@ def _definitions(module: str, tree):
                 if isinstance(stmt, _DEFS):
                     dunder = stmt.name.startswith("__")
                     yield (f"{module}.{node.name}.{stmt.name}", stmt.name,
-                           node.name if dunder else None, _names(stmt))
+                           node.name if dunder else None, _names(stmt, foreign))
                 else:
-                    body |= _names(stmt)
+                    body |= _names(stmt, foreign)
             yield f"{module}.{node.name}", node.name, None, body
         else:
-            yield f"{module}.{node.name}", node.name, None, _names(node)
+            yield f"{module}.{node.name}", node.name, None, _names(node, foreign)
 
 
 def unreached(root: Path) -> list:
@@ -64,9 +77,12 @@ def unreached(root: Path) -> list:
             continue
         tree = ast.parse(path.read_text())
         defs += _definitions(path.stem, tree)
-        used |= set().union(*(_names(n) for n in tree.body if not isinstance(n, _DEFS)))
+        foreign = _foreign(tree)
+        used |= set().union(*(_names(n, foreign) for n in tree.body
+                              if not isinstance(n, _DEFS)))
     for path in [*(root / "scripts").rglob("*.py"), *(root / "perfbench").rglob("*.py")]:
-        used |= _names(ast.parse(path.read_text()))
+        tree = ast.parse(path.read_text())
+        used |= _names(tree, _foreign(tree))
     reached, grew = set(), True
     while grew:
         grew = False
@@ -80,6 +96,20 @@ def unreached(root: Path) -> list:
 
 def test_production_modules_define_only_reached_names():
     assert unreached(ROOT) == []
+
+
+def test_a_foreign_module_attribute_reaches_no_production_name(tmp_path):
+    package, scripts = tmp_path / "src" / "qolct", tmp_path / "scripts"
+    package.mkdir(parents=True)
+    scripts.mkdir()
+    (package / "field.py").write_text(
+        "import numpy as np\n\n\nclass QField:\n"
+        "    def zeros(self):\n        pass\n\n"
+        "    def modulus(self):\n        return np.zeros(3)\n")
+    (scripts / "demo.py").write_text(
+        "import numpy.ma\nfrom qolct.field import QField\n\n"
+        "print(QField().modulus(), numpy.ma.zeros(3))\n")
+    assert unreached(tmp_path) == ["field.QField.zeros"]
 
 
 def test_public_api_is_exported():

@@ -33,7 +33,7 @@ from qolct.uncertainty import (
 )
 from qolct.verify import QFT_CASE
 
-from conftest import corpus_signals, meshgrid, parameter_sets, rel_max_err
+from conftest import corpus_signals, meshgrid, parameter_sets, rel_max_err, zero_field
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -197,7 +197,7 @@ def test_envelope_fit_exact_model(grid64):
     assert fit.amplitude == pytest.approx(1.0, abs=1e-10)
     assert fit.residual <= 1e-10
     with pytest.raises(ValueError, match="zero field"):
-        hardy_envelope_fit(QField.zeros(grid64))
+        hardy_envelope_fit(zero_field(grid64))
     spike = np.zeros((64, 64, 4))
     spike[10:12, 20:23, 0] = 1.0  # 6 samples above the floor, 8 needed
     with pytest.raises(ValueError, match="too few samples"):
@@ -275,7 +275,7 @@ def test_beurling_diagnostic(grid64):
     f = synth_gaussian(grid64, 1.0, 1.0)
     A = QFT_CASE
     plan = QolctPlan.create(A, A, input_grid=grid64)
-    zero = beurling_integral(QField.zeros(grid64), plan, 4.0, 4.0)
+    zero = beurling_integral(zero_field(grid64), plan, 4.0, 4.0)
     assert zero == 0.0
     values = [beurling_integral(f, plan, 4.0, R) for R in (1.0, 2.0, 4.0)]
     assert values[0] < values[1] < values[2]  # grows with truncation radius
