@@ -82,6 +82,9 @@ class QolctPlan:
                 raise ValueError(f"axis {axis}: b < 0 is not supported; "
                                  "normalize the matrix to b >= 0")
             if A.b == 0.0:
+                if (g.n1, g.n2)[axis - 1] < 2:
+                    raise PlanViolationError(f"axis {axis}: a b = 0 axis needs at "
+                                             "least 2 samples for its spline")
                 continue
             bound = abs(A.a) / (2.0 * A.b) * h * extent
             if bound > math.pi * (1.0 + 1e-9):

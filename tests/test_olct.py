@@ -97,6 +97,23 @@ def test_plan_checks_nyquist_beside_a_b_zero_axis(zero_axis):
         QolctPlan.create(A1, A2, input_grid=moved)
 
 
+@pytest.mark.parametrize("zero_axis", [1, 2])
+def test_plan_rejects_a_one_sample_b_zero_axis(zero_axis):
+    # the b = 0 substitution is a cubic spline along the axis, which needs two
+    # knots: refused with the plan, before any transform, whatever the other
+    # axis holds (here a phase that would overflow in the forward)
+    deg = OffsetParams(1.0, 0.0, 0.3, 1.0)
+    other = OffsetParams(0.0, 1.0, -1.0, 0.0, 1e300, 0.0)
+    A1, A2 = (deg, other) if zero_axis == 1 else (other, deg)
+    n1, n2 = (1, 8) if zero_axis == 1 else (8, 1)
+    g = Grid2D(n1, n2, 0.0, 0.0, 1.0, 1.0)
+    with pytest.raises(PlanViolationError, match=f"axis {zero_axis}: a b = 0 axis needs"):
+        QolctPlan.create(A1, A2, input_grid=g)
+    # two samples are enough
+    g2 = Grid2D(max(n1, 2), max(n2, 2), 0.0, 0.0, 1.0, 1.0)
+    qolct_forward(synth_gaussian(g2, 0.5, 0.5), QolctPlan.create(deg, deg, input_grid=g2))
+
+
 def test_kernel_values():
     # QFT-case kernel: (1/sqrt(2 pi)) e^{-i pi/4} e^{-i t u}
     A = QFT_CASE
