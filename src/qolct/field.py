@@ -18,12 +18,12 @@ from . import _mutation
 from .quat import PureUnit, qmul, qnorm
 
 
-class GridTooSmallError(ValueError):
-    """Grid has too few samples along the requested axis."""
-
-
 class PlanViolationError(ValueError):
     """A numerical precondition fails, such as a plan's resolution bound."""
+
+
+class GridTooSmallError(PlanViolationError):
+    """Grid has too few samples along the requested axis."""
 
 
 @dataclass(frozen=True)

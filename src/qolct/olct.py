@@ -166,15 +166,6 @@ def _require_finite(axis: int, *factors):
             "offsets or matrix entries are too large for this grid")
 
 
-def _plan_factors(plan: QolctPlan, sign: int):
-    """Per axis the engine triple (:func:`_axis_factors`) of the forward
-    (sign -1) or the inverse (sign +1) of a plan with b > 0 on both axes."""
-    _require_positive_b(plan.A1, plan.A2)
-    return tuple(_axis_factors(axis, A, plan.input_grid.axis_coords(axis),
-                               plan.output_grid.axis_coords(axis), sign)
-                 for axis, A in ((1, plan.A1), (2, plan.A2)))
-
-
 def qolct_forward(f: QField, plan: QolctPlan) -> QField:
     """Forward transform of any valid plan, in one planes-split engine call.
 
@@ -200,7 +191,10 @@ def qolct_forward(f: QField, plan: QolctPlan) -> QField:
 def qolct_inverse(F: QField, plan: QolctPlan) -> QField:
     """Inverse transform: conj-kernel quadrature, computed by unwinding the
     factorization (inverse output factors, inverse QFT, inverse chirps)."""
-    axes = _plan_factors(plan, 1)
+    _require_positive_b(plan.A1, plan.A2)
+    axes = tuple(_axis_factors(axis, A, plan.input_grid.axis_coords(axis),
+                               plan.output_grid.axis_coords(axis), 1)
+                 for axis, A in ((1, plan.A1), (2, plan.A2)))
     if F.grid != plan.output_grid:
         raise ValueError("field grid does not match plan output grid")
     return QField(plan.input_grid, _planes_ft(

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import PlanViolationError, QField, _cell_sum, partial_derivative
-from .olct import QolctPlan, _plan_factors, _require_positive_b, analysis, kept_forward
-from .qft import _planes_ft
-from .quat import UNIT_I, UNIT_J, _read_only, qnorm
+from .olct import QolctPlan, _require_positive_b, analysis, kept_forward
+from .quat import UNIT_I, UNIT_J, _read_only, qmul, qnorm
 
 
 # ---------------------------------------------------------------------------
@@ -95,36 +94,38 @@ class HeisenbergReport:
     gap: float
 
 
-def _unit_phase(f: QField, plan: QolctPlan, an) -> QField:
-    """The unit-phase field w = g/|g| of the chirped signal g, from the
-    analysis ``an`` of (f, plan), zeroed where |f| = |g| is below 1e-12 of
-    its peak: one planes-engine pass that transforms no axis."""
-    mod = np.sqrt(an.e2)
-    mod[mod <= 1e-12 * float(mod.max())] = np.inf  # w is 0 off the live set
-    # the chirps are unit, so g/|g| of the chirped signal g is c1 (f/|f|) c2
-    (_, c1, _), (_, c2, _) = _plan_factors(plan, -1)
-    return QField(f.grid, _planes_ft(f.samples / mod[..., None], f.grid, f.grid,
-                                     plan.lam, plan.mu, ((0, c1, None), (0, c2, None))))
-
-
 def heisenberg_report(f: QField, plan: QolctPlan, axis: int) -> HeisenbergReport:
     """Spread product versus (1/16 pi^2)|f|^4 + COV^2.
 
-    COV uses the unit-phase field w of :func:`_unit_phase` (the u-dependent
-    kernel factors are constant unit quaternions and drop out of |t_k d/dt_k
-    w|).  The first report on a kept analysis computes COV on both axes from
-    one w (on its own axis alone if the other is too short to differentiate)
-    and keeps it there.
+    COV weighs |d/dt_k w| for the unit-phase field w = c1 u c2 of the chirped
+    signal: u = f/|f| (0 where |f| is below 1e-12 of its peak), and the unit
+    input chirps c1 = e^{lam phi1(t1)}, c2 = e^{mu phi2(t2)}, phi_k' = (tau_k
+    + a_k t_k)/b_k (the u-dependent kernel factors are constant unit
+    quaternions and drop out).  c1 commutes with lam and c2 with mu, so by
+    the product rule |d1 w| = |lam phi1' u + d1 u| and |d2 w| = |u mu phi2'
+    + d2 u|: no chirp is formed or differentiated.  The first report on a
+    kept analysis computes COV on both axes from one u (on its own axis
+    alone if the other is too short to differentiate) and keeps it there.
     """
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
     an = analysis(f, plan)  # rejects b = 0 plans
     if axis not in an.covariance:
-        w = _unit_phase(f, plan, an)
+        mod = np.sqrt(an.e2)
+        mod[mod <= 1e-12 * float(mod.max())] = np.inf  # u is 0 off the live set
+        u, eye = QField(f.grid, f.samples / mod[..., None]), np.eye(4)
+        # u @ side is lam u on axis 1 and u mu on axis 2
+        sides = {1: (plan.A1, qmul(plan.lam.array, eye)),
+                 2: (plan.A2, qmul(eye, plan.mu.array))}
+        dw = np.empty_like(u.samples)  # one buffer for both axes: fewer fresh pages
         for k in (1, 2) if min(f.grid.n1, f.grid.n2) >= 5 else (axis,):
-            tk = np.abs(f.grid.axis_coords(k)).reshape((-1, 1) if k == 1 else (1, -1))
-            dw = qnorm(partial_derivative(w, k).samples)
-            an.covariance[k] = _weighted_energy(an.e2 * tk, dw, f.grid.cell_area) / (2.0 * math.pi)
+            A, side = sides[k]
+            tk = f.grid.axis_coords(k).reshape((-1, 1) if k == 1 else (1, -1))
+            np.matmul(u.samples, side, out=dw)
+            dw *= ((A.tau + A.a * tk) / A.b)[..., None]
+            dw += partial_derivative(u, k).samples
+            an.covariance[k] = _weighted_energy(an.e2 * np.abs(tk), qnorm(dw),
+                                                f.grid.cell_area) / (2.0 * math.pi)
     cov = an.covariance[axis]
     shape = (-1, 1) if axis == 1 else (1, -1)
     tk = f.grid.axis_coords(axis)

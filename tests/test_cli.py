@@ -535,8 +535,8 @@ def test_verify_exit_codes_and_mutations(tmp_path):
 
 def test_fixtures_do_not_leak_through_kept_results():
     # one process: unarmed, under each fixture, unarmed again.  Results are
-    # kept across calls (the analysis memo, the plan-factor cache), keyed on
-    # the armed fixture, so each fixture still fails its checks (the seed-5
+    # kept across calls (the analysis memo and the forward beside it), keyed
+    # on the armed fixture, so each fixture still fails its checks (the seed-5
     # sets above hold at seed 1 too) and the last run repeats the first
     from qolct.verify import run_suite
 
@@ -719,12 +719,12 @@ _UNCERTAINTY_REPORTS = ("beurling", "hardy", "heisenberg", "logup", "pitt")
 
 
 def _count_report_work(monkeypatch) -> dict:
-    """Count the forwards, the sign-0 engine passes of the reports and their
+    """Count the forwards, the engine calls they make and the reports'
     derivatives, from here on."""
     from qolct import olct, uncertainty
 
     calls = {"qolct_forward": 0, "_planes_ft": 0, "partial_derivative": 0}
-    for module, name in ((olct, "qolct_forward"), (uncertainty, "_planes_ft"),
+    for module, name in ((olct, "qolct_forward"), (olct, "_planes_ft"),
                          (uncertainty, "partial_derivative")):
         def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -739,10 +739,9 @@ def _count_report_work(monkeypatch) -> dict:
     *(pytest.param(which, True, id=f"{which}-tsv") for which in _UNCERTAINTY_REPORTS)])
 def test_uncertainty_computes_only_what_it_prints(tmp_path, qft_params,
                                                   monkeypatch, which, tsv):
-    # one forward per command, --tsv or not: every figure after the first
-    # reads the kept analysis, and Hardy reads the forward kept beside it;
-    # both Heisenberg axes share one unit-phase pass (a sign-0 engine call)
-    # and take one derivative each
+    # one forward, one engine call, per command, --tsv or not: every figure
+    # after the first reads the kept analysis, and Hardy reads the forward
+    # kept beside it; the Heisenberg axes take one derivative each
     from qolct import cli
 
     calls = _count_report_work(monkeypatch)
@@ -753,7 +752,7 @@ def test_uncertainty_computes_only_what_it_prints(tmp_path, qft_params,
     assert cli.main(["uncertainty", "--in", sig, "--params", qft_params,
                      "--which", which, "--json", out, *tsv_args]) == 0
     heisenberg = which == "heisenberg"
-    assert calls == {"qolct_forward": 1, "_planes_ft": heisenberg,
+    assert calls == {"qolct_forward": 1, "_planes_ft": 1,
                      "partial_derivative": 2 * heisenberg}
 
 
@@ -773,14 +772,11 @@ def test_heisenberg_and_hardy_share_one_forward(monkeypatch, hardy_first):
         reports = [lambda: heisenberg_report(f, plan, 1), lambda: hardy_report(f, plan)]
         return [report() for report in (reversed(reports) if hardy_first else reports)]
 
-    both(f, plan)
-    assert calls["qolct_forward"] == 1
-    both(f, plan)
-    assert calls["qolct_forward"] == 1
-    both(f, replace(plan, A1=replace(plan.A1, tau=0.25)))
-    assert calls["qolct_forward"] == 2
-    both(QField(g, f.samples.copy()), plan)
-    assert calls["qolct_forward"] == 3
+    for forwards, signal, pair_plan in ((1, f, plan), (1, f, plan),
+                                        (2, f, replace(plan, A1=replace(plan.A1, tau=0.25))),
+                                        (3, QField(g, f.samples.copy()), plan)):
+        both(signal, pair_plan)
+        assert calls["qolct_forward"] == calls["_planes_ft"] == forwards
 
 
 def test_beurling_groups_each_grid_by_radius_once(tmp_path, qft_params, monkeypatch):
@@ -855,6 +851,20 @@ def test_heisenberg_rejects_overflowing_bound(tmp_path, general_params):
         assert "overflows the largest float" in proc.stderr
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
         assert not out.exists() and not tsv.exists()
+
+
+def test_heisenberg_rejects_an_axis_too_short_to_differentiate(tmp_path, qft_params):
+    # four samples along axis 2 are too few for the covariance's derivative:
+    # a numerical precondition (exit 4), with no JSON or TSV left behind
+    sig = str(tmp_path / "short.qsig")
+    write_signal(sig, synth_gaussian(Grid2D(64, 4, 0.0, 0.0, 0.25, 1.0), 0.5, 0.1))
+    out, tsv = tmp_path / "h.json", tmp_path / "h.tsv"
+    proc = run_cli("uncertainty", "--in", sig, "--params", qft_params,
+                   "--which", "heisenberg", "--json", str(out), "--tsv", str(tsv))
+    assert proc.returncode == 4, proc.stderr
+    assert "axis 2 needs >= 5 samples, has 4" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists() and not tsv.exists()
 
 
 def test_transform_rejects_overflowing_sidecar(tmp_path, qft_params):

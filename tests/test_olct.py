@@ -954,9 +954,8 @@ def test_engine_threads_change_no_output_byte(monkeypatch, armed, n, threaded_fr
     """The planes engine's threads leave every output byte as it is: at 64^2
     (one thread by default) forced onto two, and at 512^2 (two by default)
     forced onto one, on FFT plans, grid-changing dense plans, the sign-0
-    passes (apply_chirp and the Heisenberg unit-phase field) and a b = 0
-    plan."""
-    from qolct import qft, uncertainty
+    pass (apply_chirp) and a b = 0 plan."""
+    from qolct import qft
     g = Grid2D.centered(n, 16.0)
     h = g.spacing1
     f = synth_gaussian(g, 0.5, 0.7, (1.0, 0.5), (0.7, -0.4), UNIT_I, UNIT_J)
@@ -966,13 +965,6 @@ def test_engine_threads_change_no_output_byte(monkeypatch, armed, n, threaded_fr
     fine = Grid2D(n // 2 + 3, n // 2 - 5, 0.1, -0.2, 0.8 * og.spacing1, 0.7 * og.spacing2)
     b_zero = QolctPlan(OffsetParams(1.0, 0.0, 0.7, 1.0, 3 * h, -0.6), A2_REF,
                        UNIT_I, UNIT_J, g, Grid2D(2 * n // 3, 2 * n // 3, 3 * h, 0.0, h, h))
-    unit_phase = []
-
-    def spy(*args, _real=uncertainty._planes_ft):
-        unit_phase.append(_real(*args))
-        return unit_phase[-1]
-
-    monkeypatch.setattr(uncertainty, "_planes_ft", spy)
 
     def outputs():
         qp = QftPlan.forward(g, lam, mu)
@@ -982,9 +974,7 @@ def test_engine_threads_change_no_output_byte(monkeypatch, armed, n, threaded_fr
                   "dense": qolct_forward(f, QolctPlan(A1_REF, A2_REF, lam, mu, g, fine)),
                   "chirp": apply_chirp(f, lam, 0.3, 0.1, mu, -0.2, 0.05),
                   "b = 0": qolct_forward(f, b_zero)}
-        heisenberg_report(QField(g, f.samples), plan, 1)  # a new field: a new analysis
-        return {"unit phase": unit_phase[-1].tobytes(),
-                **{k: v.samples.tobytes() for k, v in fields.items()}}
+        return {k: v.samples.tobytes() for k, v in fields.items()}
 
     with _mutation.inject(armed):
         default = outputs()

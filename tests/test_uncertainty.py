@@ -143,22 +143,55 @@ def test_heisenberg_corpus_inequality():
             assert rep.rhs == pytest.approx(rep.base_bound + rep.cov ** 2)
 
 
-def test_heisenberg_axes_share_one_unit_phase_pass(monkeypatch):
-    # both axes of one pair make one sign-0 engine pass and two derivatives;
-    # a new plan, a new signal or another armed fixture recomputes both, and
-    # either axis order gives the same reports
+def _exact_real_cov(f, plan, k):
+    """COV of a real positive signal: its unit phase u is 1, so |d/dt_k w| is
+    the chirp's |phi_k'| = |tau_k + a_k t_k|/b_k alone."""
+    A = plan.A1 if k == 1 else plan.A2
+    t = f.grid.axis_coords(k).reshape((-1, 1) if k == 1 else (1, -1))
+    e2 = np.sum(f.samples ** 2, axis=-1)
+    return (float(np.sum(np.abs(t) * e2 * np.abs(A.tau + A.a * t) / A.b))
+            * f.grid.cell_area / (2.0 * math.pi))
+
+
+@pytest.mark.parametrize("n, tau1", [(64, 0.3), (128, 0.3), (64, 8.0)])
+def test_heisenberg_covariance_is_exact_on_real_signals(n, tau1):
+    # COV differentiates no chirp: on a real Gaussian it is the plain sum,
+    # on a general (i, j) plan, a random-axes plan and both axes alike.
+    # tau1 = 8 turns the chirp by 2 rad per sample, which the plan accepts
+    g = Grid2D.centered(n, 16.0)
+    f = synth_gaussian(g, 0.6, 0.9, center=(0.5, -0.4))
+    A1 = OffsetParams(1.0, 1.0, 1.0, 2.0, tau1, -0.2)
+    A2 = OffsetParams(0.5, 1.5, -0.4, 0.8, -0.1, 0.4)
+    rng = np.random.default_rng(7)
+    lam, mu = (PureUnit(*rng.standard_normal(3)) for _ in range(2))
+    for plan in (QolctPlan.create(A1, A2, input_grid=g),
+                 QolctPlan.create(A1, A2, lam, mu, input_grid=g)):
+        for k in (1, 2):
+            want = _exact_real_cov(f, plan, k)
+            assert heisenberg_report(f, plan, k).cov == pytest.approx(want, rel=1e-12)
+
+
+def test_heisenberg_axes_take_two_derivatives_and_no_engine_call(monkeypatch):
+    # both axes of one pair take two derivatives and no engine call beyond
+    # the analysis's one forward; a new plan, a new signal or another armed
+    # fixture recomputes both, and either axis order gives the same reports.
+    # The signal's unit phase varies, so the stencil fixture moves COV.
+    import sys
     from qolct import _mutation, uncertainty
     g = Grid2D.centered(96, 12.0)
-    f = synth_gaussian(g, 0.6, 0.9, (1.0, 0.4), (0.7, -0.3), UNIT_I, UNIT_J)
+    f = apply_chirp(synth_gaussian(g, 0.6, 0.9, (1.0, 0.4), (0.7, -0.3), UNIT_I, UNIT_J),
+                    UNIT_I, 0.2, 0.3, UNIT_J, -0.1, -0.2)
     (A1, A2), (B1, B2) = parameter_sets(2, seed=11)
     plan = QolctPlan.create(A1, A2, input_grid=g)
     calls = {"_planes_ft": 0, "partial_derivative": 0}
-    for name in calls:
-        def spy(*args, _real=getattr(uncertainty, name), _name=name):
+    engines = [(m, "_planes_ft") for k, m in list(sys.modules.items())
+               if k.startswith("qolct") and hasattr(m, "_planes_ft")]
+    for module, name in [*engines, (uncertainty, "partial_derivative")]:
+        def spy(*args, _real=getattr(module, name), _name=name):
             calls[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(uncertainty, name, spy)
+        monkeypatch.setattr(module, name, spy)
 
     def both(f, plan, order=(1, 2)):
         before = dict(calls)
@@ -181,6 +214,7 @@ def test_heisenberg_short_axis_fails_only_its_own_report():
     g = Grid2D(64, 4, 0.0, 0.0, 0.25, 1.0)
     f = synth_gaussian(g, 0.5, 0.1)
     plan = QolctPlan.create(QFT_CASE, QFT_CASE, input_grid=g)
+    assert issubclass(GridTooSmallError, PlanViolationError)  # the CLI exits 4
     for _ in range(2):
         with pytest.raises(GridTooSmallError, match="axis 2 needs >= 5 samples, has 4"):
             heisenberg_report(f, plan, 2)
