@@ -63,7 +63,7 @@ def _strict_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
-def _dump_json(text: str, path=None):
+def _dump_json(text: str, path):
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _mutation
-from .quat import PureUnit, qmul, qnorm
+from .quat import PureUnit, _read_only, qmul, qnorm
 
 
 class PlanViolationError(ValueError):
@@ -133,8 +133,7 @@ class ComponentQuartet:
         for m in range(4):
             embedded = np.zeros_like(f.samples)
             embedded[..., 0] = f.samples[..., m]
-            embedded.setflags(write=False)  # owned and read-only: QField keeps it
-            members.append(transform(QField(f.grid, embedded)))
+            members.append(transform(QField(f.grid, _read_only(embedded))))  # QField keeps it
         return cls(tuple(members))
 
     @property
@@ -193,8 +192,7 @@ def synth_gaussian(grid: Grid2D, alpha1: float, alpha2: float,
             "the gaussian's exponent overflows the largest float, or its "
             "envelope underflows to 0 at every sample of the grid")
     samples = envelope[..., None] * qmul(beta1, beta2)
-    samples.setflags(write=False)  # owned and read-only: QField keeps it
-    return QField(grid, samples)
+    return QField(grid, _read_only(samples))  # owned and read-only: QField keeps it
 
 
 def apply_chirp(f: QField, lam: PureUnit, lin1: float, quad1: float,
@@ -211,6 +209,19 @@ def apply_chirp(f: QField, lam: PureUnit, lin1: float, quad1: float,
         (0, np.exp(1j * (lin2 * t2 + quad2 * t2 ** 2)), None))))
 
 
+#: quaternions in the one scratch block a row walk reuses: 256 KiB of float64
+_ROW_BLOCK = 8192
+
+
+def _row_blocks(lo: int, hi: int, n2: int):
+    """Yield (rows, block) over rows [lo, hi) of an (n1, n2, 4) float64 array,
+    max(1, _ROW_BLOCK // n2) rows at a time, in one reused scratch block."""
+    step = max(1, _ROW_BLOCK // n2)
+    scratch = np.empty((min(step, hi - lo), n2, 4))
+    for r in range(lo, hi, step):
+        yield slice(r, min(r + step, hi)), scratch[:min(step, hi - r)]
+
+
 _EDGE_STENCILS = np.array([
     [-25.0, 48.0, -36.0, 16.0, -3.0],   # at the boundary sample
     [-3.0, -10.0, 18.0, -6.0, 1.0],     # one sample in
@@ -220,21 +231,20 @@ _EDGE_STENCILS = np.array([
 def partial_derivative(f: QField, axis: int) -> QField:
     """4th-order finite-difference d/dt_axis; one-sided stencils at edges.  The
     interior, (f[p-2] - 8 f[p-1] + 8 f[p+1] - f[p+2]) / 12 / h in that order of
-    operations, runs over blocks of rows through one 256 KiB scratch block."""
+    operations, runs over blocks of rows (see :func:`_row_blocks`)."""
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
     g, x = f.grid, f.samples
     n, h = (g.n1, g.spacing1) if axis == 1 else (g.n2, g.spacing2)
     if n < 5:
         raise GridTooSmallError(f"axis {axis} needs >= 5 samples, has {n}")
-    step = max(1, 8192 // g.n2)  # rows per block
-    out, scratch = np.empty_like(x), np.empty((step, g.n2, 4))
+    out = np.empty_like(x)
     first, last = (2, n - 2) if axis == 1 else (0, g.n1)  # the rows blocks cover
-    for lo in range(first, last, step):
-        hi = min(lo + step, last)
-        o, d0, d1, d3, d4 = (a[lo + k:hi + k] if axis == 1 else a[lo:hi, 2 + k:n - 2 + k]
+    for rows, s in _row_blocks(first, last, g.n2):
+        o, d0, d1, d3, d4 = (a[rows.start + k:rows.stop + k] if axis == 1
+                             else a[rows, 2 + k:n - 2 + k]
                              for a, k in ((out, 0), (x, -2), (x, -1), (x, 1), (x, 2)))
-        s = scratch[:hi - lo, :o.shape[1]]
+        s = s[:, :o.shape[1]]
         np.subtract(d0, np.multiply(d1, 8.0, out=s), out=o)
         o += np.multiply(d3, 8.0, out=s)
         o -= d3 if _mutation.active("stencil") else d4
@@ -244,5 +254,4 @@ def partial_derivative(f: QField, axis: int) -> QField:
         res[row] = np.tensordot(stencil, data[:5], axes=(0, 0))
         res[n - 1 - row] = -np.tensordot(stencil, data[n - 5:][::-1], axes=(0, 0))
     out /= h
-    out.setflags(write=False)  # owned and read-only: QField keeps it
-    return QField(f.grid, out)
+    return QField(f.grid, _read_only(out))  # owned and read-only: QField keeps it

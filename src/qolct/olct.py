@@ -346,11 +346,9 @@ def _not_a_knot_slopes(h: float, y):
 
 def _spline(x, h: float, y, xq, axis: int):
     """Evaluate the not-a-knot cubic spline through samples y at the knots
-    x, spaced h (along ``axis`` of y), at the points xq, in cubic Hermite
-    form on the knot interval of each point; the end intervals extend past
-    the knots."""
-    if x.size < 2:
-        raise ValueError("a cubic spline needs at least 2 knots")
+    x (two or more: ``QolctPlan`` refuses fewer), spaced h along ``axis`` of
+    y, at the points xq, in cubic Hermite form on the knot interval of each
+    point; the end intervals extend past the knots."""
     y = np.ascontiguousarray(np.moveaxis(y, axis, 0))  # unit-stride sweep rows
     s = _not_a_knot_slopes(h, y)
     k = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)

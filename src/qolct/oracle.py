@@ -183,21 +183,28 @@ def _right_contract(samples, cosm, sinm, mu, weight):
     return np.moveaxis(out, -1, 1) * weight
 
 
-def _direct_apply(f: QField, plan: QftPlan, sign: int, scale: float) -> QField:
-    tgrid = f.grid
+def _contract(f: QField, plan, left, right, scale: float) -> QField:
+    """sum_t (cos1 + lam sin1)[u1, t1] f(t) (cos2 + mu sin2)[t2, u2] dt * scale
+    on the plan's axes and output grid, by blocks of output rows: ``left(u, t1)``
+    builds the (cos1, sin1) rows of a block u of u1; ``right`` is (cos2, sin2)."""
     ugrid = plan.output_grid
-    t1, t2 = tgrid.axis_coords(1), tgrid.axis_coords(2)
-    u1, u2 = ugrid.axis_coords(1), ugrid.axis_coords(2)
-    th2 = sign * np.outer(t2, u2)
-    cos2, sin2 = np.cos(th2), np.sin(th2)
+    t1, u1 = f.grid.axis_coords(1), ugrid.axis_coords(1)
     out = np.empty((ugrid.n1, ugrid.n2, 4))
     for lo in range(0, ugrid.n1, _CONTRACT_BLOCK):
-        th1 = sign * np.outer(u1[lo:lo + _CONTRACT_BLOCK], t1)
-        g = _left_contract(np.cos(th1), np.sin(th1), plan.lam, f.samples,
-                           tgrid.spacing1)
-        out[lo:lo + _CONTRACT_BLOCK] = _right_contract(
-            g, cos2, sin2, plan.mu, tgrid.spacing2 * scale)
+        g = _left_contract(*left(u1[lo:lo + _CONTRACT_BLOCK], t1), plan.lam,
+                           f.samples, f.grid.spacing1)
+        out[lo:lo + _CONTRACT_BLOCK] = _right_contract(g, *right, plan.mu,
+                                                       f.grid.spacing2 * scale)
     return QField(ugrid, out)
+
+
+def _direct_apply(f: QField, plan: QftPlan, sign: int, scale: float) -> QField:
+    def kernel_parts(u, t):  # cos and sin of sign * u t
+        th = sign * np.outer(u, t)
+        return np.cos(th), np.sin(th)
+
+    right = kernel_parts(f.grid.axis_coords(2), plan.output_grid.axis_coords(2))
+    return _contract(f, plan, kernel_parts, right, scale)
 
 
 def qft_direct(f: QField, plan: QftPlan) -> QField:
@@ -236,21 +243,12 @@ def qolct_direct(f: QField, plan: QolctPlan) -> QField:
     _require_positive_b(plan.A1, plan.A2)
     if f.grid != plan.input_grid:
         raise ValueError("field grid does not match plan input grid")
-    t1 = f.grid.axis_coords(1)
-    t2 = f.grid.axis_coords(2)
-    u1 = plan.output_grid.axis_coords(1)
-    u2 = plan.output_grid.axis_coords(2)
-    cos2, sin2 = _kernel_matrices(plan.A2, t2, u2, transposed=True)
+    cos2, sin2 = _kernel_matrices(plan.A2, f.grid.axis_coords(2),
+                                  plan.output_grid.axis_coords(2), transposed=True)
     if _mutation.active("right-kernel-sign"):
         sin2 = -sin2
-    out = np.empty((plan.output_grid.n1, plan.output_grid.n2, 4))
-    for lo in range(0, plan.output_grid.n1, _CONTRACT_BLOCK):
-        cos1, sin1 = _kernel_matrices(plan.A1, t1, u1[lo:lo + _CONTRACT_BLOCK],
-                                      transposed=False)
-        g = _left_contract(cos1, sin1, plan.lam, f.samples, f.grid.spacing1)
-        out[lo:lo + _CONTRACT_BLOCK] = _right_contract(
-            g, cos2, sin2, plan.mu, f.grid.spacing2)
-    return QField(plan.output_grid, out)
+    return _contract(f, plan, lambda u, t: _kernel_matrices(plan.A1, t, u, transposed=False),
+                     (cos2, sin2), 1.0)
 
 
 def _axis_matrix(A: OffsetParams, unit: PureUnit, t, u) -> np.ndarray:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _mutation
-from .field import Grid2D, PlanViolationError, QField
+from .field import Grid2D, PlanViolationError, QField, _row_blocks
 from .quat import UNIT_I, UNIT_J, PureUnit, _read_only, plane_basis
 
 
@@ -166,17 +166,6 @@ def _run(tasks, size: int):
         raise errors[0]
 
 
-def _row_blocks(half: int, n1: int, n2: int):
-    """Yield (rows, block) over half ``half`` (0 or 1) of the rows of an (n1,
-    n2, 4) float64 array, ``block`` the slice of one 256 KiB scratch block
-    that holds them."""
-    lo, hi, step = half * n1 // 2, (half + 1) * n1 // 2, max(1, 8192 // n2)
-    scratch = np.empty((min(step, hi - lo), n2, 4))
-    for r in range(lo, hi, step):
-        block = scratch[:min(step, hi - r)]
-        yield slice(r, r + len(block)), block
-
-
 def _planes_ft(samples, tgrid: Grid2D, ugrid: Grid2D, lam: PureUnit,
                mu: PureUnit, axes):
     """The one planes split, from the (n1, n2, 4) ``samples`` on ``tgrid`` to
@@ -200,8 +189,8 @@ def _planes_ft(samples, tgrid: Grid2D, ugrid: Grid2D, lam: PureUnit,
     complex view holds row r of z+ and then row r of z- in row r.  Three
     stages fill it:
 
-    - map in, by blocks of rows through a 256 KiB scratch block: the basis
-      map into the scratch, then each plane's column-in factor from there
+    - map in, by the row blocks of ``field._row_blocks``: the basis map
+      into the scratch, then each plane's column-in factor from there
       into that plane's row slot;
     - transform: :func:`centered_ft2` on each plane, in place;
     - map back, by blocks of rows: each plane's column-out factor into the
@@ -241,7 +230,7 @@ def _planes_ft(samples, tgrid: Grid2D, ugrid: Grid2D, lam: PureUnit,
     z = coefs.view(complex).reshape(n1, 2, n2)  # z[r, k] is row r of plane k
 
     def map_in(half):
-        for rows, s in _row_blocks(half, n1, n2):
+        for rows, s in _row_blocks(half * n1 // 2, (half + 1) * n1 // 2, n2):
             np.matmul(samples[rows], into[rows], out=s)
             for k, (pre, _, _) in enumerate(per_plane):  # z+ first
                 np.multiply(s.view(complex)[..., k], pre, out=z[rows, k])
@@ -262,7 +251,7 @@ def _planes_ft(samples, tgrid: Grid2D, ugrid: Grid2D, lam: PureUnit,
     back = _rotations(row_out * weight, m1) @ basis.T
 
     def map_back(half):
-        for rows, s in _row_blocks(half, m1, m2):
+        for rows, s in _row_blocks(half * m1 // 2, (half + 1) * m1 // 2, m2):
             for k, (_, post, _) in enumerate(per_plane):
                 np.multiply(out[rows, k], post, out=s.view(complex)[..., k])
             np.matmul(s, back[rows], out=result[rows])

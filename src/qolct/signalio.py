@@ -25,7 +25,7 @@ import numpy as np
 
 from .field import Grid2D, QField
 from .olct import OffsetParams
-from .quat import PureUnit
+from .quat import PureUnit, _read_only
 
 MAGIC = b"QSIG1\0"
 _HEADER = struct.Struct("<6sII4d")
@@ -210,4 +210,4 @@ def read_csv_signal(path) -> QField:
         raise ValueError(f"{path}: grid has missing (t1, t2) combinations")
     samples = np.zeros((n1, n2, 4))
     samples[i1, i2] = data[:, 2:6]
-    return QField(grid, samples)
+    return QField(grid, _read_only(samples))  # owned and read-only: QField keeps it

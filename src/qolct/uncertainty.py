@@ -21,14 +21,7 @@ from .quat import UNIT_I, UNIT_J, _read_only, qmul, qnorm
 
 
 # ---------------------------------------------------------------------------
-# Gamma and the logarithmic constant.
-
-def gamma_fn(x: float) -> float:
-    """Gamma function on x > 0."""
-    if x <= 0.0:
-        raise ValueError("gamma_fn requires x > 0")
-    return math.gamma(x)
-
+# The Pitt and logarithmic constants.
 
 #: constant of the logarithmic inequality: ln 2 + psi(1/2) = -gamma - ln 2
 LOG_UP_CONSTANT = -np.euler_gamma - math.log(2.0)
@@ -45,7 +38,7 @@ def pitt_constants(alpha: float) -> PittConstants:
     """C_alpha = (4 pi^2 / 2^alpha) [Gamma((2-alpha)/4)/Gamma((2+alpha)/4)]^2."""
     if not 0.0 <= alpha < 2.0:
         raise ValueError("alpha must lie in [0, 2)")
-    ratio = gamma_fn((2.0 - alpha) / 4.0) / gamma_fn((2.0 + alpha) / 4.0)
+    ratio = math.gamma((2.0 - alpha) / 4.0) / math.gamma((2.0 + alpha) / 4.0)
     c = 4.0 * math.pi ** 2 / 2.0 ** alpha * ratio ** 2
     return PittConstants(alpha, c, c / (4.0 * math.pi ** 2))
 
@@ -113,7 +106,7 @@ def heisenberg_report(f: QField, plan: QolctPlan, axis: int) -> HeisenbergReport
     if axis not in an.covariance:
         mod = np.sqrt(an.e2)
         mod[mod <= 1e-12 * float(mod.max())] = np.inf  # u is 0 off the live set
-        u, eye = QField(f.grid, f.samples / mod[..., None]), np.eye(4)
+        u, eye = QField(f.grid, _read_only(f.samples / mod[..., None])), np.eye(4)
         # u @ side is lam u on axis 1 and u mu on axis 2
         sides = {1: (plan.A1, qmul(plan.lam.array, eye)),
                  2: (plan.A2, qmul(eye, plan.mu.array))}

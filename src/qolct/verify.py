@@ -13,7 +13,7 @@ helpers only the algebra suite calls (the polar form, axis exponentials,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from .quat import UNIT_I, UNIT_J, UNIT_K, PureUnit, qmul, qnorm
 from .uncertainty import (
     LOG_UP_CONSTANT,
     beurling_integral,
-    gamma_fn,
     hardy_report,
     heisenberg_report,
     log_up_check,
@@ -64,6 +63,9 @@ from .uncertainty import (
 
 #: (0, 1, -1, 0 | 0, 0) on both axes recovers the plain two-sided QFT
 QFT_CASE = OffsetParams(0.0, 1.0, -1.0, 0.0)
+#: the reference matrices, with offsets, of the checks on one fixed plan
+A1_REF = OffsetParams(1.0, 1.0, 1.0, 2.0, 0.3, -0.2)
+A2_REF = OffsetParams(0.5, 1.5, -0.4, 0.8, -0.1, 0.4)
 
 
 def _record(check, params, observed, tolerance):
@@ -82,7 +84,7 @@ def _random_axis(rng) -> PureUnit:
     return PureUnit(float(v[0]), float(v[1]), float(v[2]))
 
 
-def random_offset_params(rng, with_offsets=True, max_chirp_ratio=None) -> OffsetParams:
+def random_offset_params(rng, max_chirp_ratio=None) -> OffsetParams:
     """Random unimodular parameters with b in [0.5, 2) and |a|,|c|,|d| <= 2.
 
     ``max_chirp_ratio`` caps |a|/(2b) so every draw satisfies the chirp
@@ -99,7 +101,7 @@ def random_offset_params(rng, with_offsets=True, max_chirp_ratio=None) -> Offset
         d = (1.0 + b * c) / a
         if abs(d) <= 2.0:
             break
-    tau, eta = (rng.uniform(-1.0, 1.0, 2) if with_offsets else (0.0, 0.0))
+    tau, eta = rng.uniform(-1.0, 1.0, 2)
     return OffsetParams(a, b, c, d, float(tau), float(eta))
 
 
@@ -487,9 +489,7 @@ def qolct_checks(seed: int):
 
     g64 = Grid2D.centered(64, 14.0)
     gau = synth_gaussian(g64, 0.8, 1.2, (1.0, 0.5), (0.7, -0.4), UNIT_I, UNIT_J)
-    A1 = OffsetParams(1.0, 1.0, 1.0, 2.0, 0.3, -0.2)
-    A2 = OffsetParams(0.5, 1.5, -0.4, 0.8, -0.1, 0.4)
-    plan = QolctPlan.create(A1, A2, input_grid=g64)
+    plan = QolctPlan.create(A1_REF, A2_REF, input_grid=g64)
     F = qolct_forward(gau, plan)
     back = qolct_inverse(F, plan)
     rel = qnorm(back.samples - gau.samples).max() / qnorm(gau.samples).max()
@@ -505,8 +505,7 @@ def qolct_checks(seed: int):
 
     # independent QLCT quadrature (no offset machinery) at tau = eta = 0
     tg12 = Grid2D.centered(12, 4.0)
-    A1z = OffsetParams(A1.a, A1.b, A1.c, A1.d, 0.0, 0.0)
-    A2z = OffsetParams(A2.a, A2.b, A2.c, A2.d, 0.0, 0.0)
+    A1z, A2z = (replace(A, tau=0.0, eta=0.0) for A in (A1_REF, A2_REF))
     planz = QolctPlan.create(A1z, A2z, input_grid=tg12)
     f12 = QField(tg12, _random_quat(rng, (12, 12)))
     got = qolct_forward(f12, planz)
@@ -533,7 +532,7 @@ def qolct_checks(seed: int):
 
     g128 = Grid2D.centered(128, 14.0)
     gau128 = synth_gaussian(g128, 0.5, 0.8, (1.0, 0.5), (0.7, -0.4), UNIT_I, UNIT_J)
-    plan128 = QolctPlan.create(A1, A2, input_grid=g128)
+    plan128 = QolctPlan.create(A1_REF, A2_REF, input_grid=g128)
     rep = moment_identity_check(gau128, plan128, 1)
     out.append(_record("moment-identity-axis1", "gaussian 128^2", rep.relerr, 5e-4))
     rep = moment_identity_check(gau128, plan128, 2)
@@ -585,14 +584,12 @@ def oracle_checks(seed: int):
     out = []
 
     spec = GaussianSpec(1.0, 0.5, 1.0, 0.4, 0.6, -0.3)
-    A1 = OffsetParams(1.0, 1.0, 1.0, 2.0, 0.3, -0.2)
-    A2 = OffsetParams(1.0, 1.0, 1.0, 2.0, 0.3, -0.2)
     g = Grid2D.centered(48, 10.0)
     f = synth_gaussian(g, spec.alpha1, spec.alpha2, (spec.beta11, spec.beta12),
                        (spec.beta21, spec.beta22), UNIT_I, UNIT_J)
-    plan = QolctPlan.create(A1, A2, input_grid=g)
+    plan = QolctPlan.create(A1_REF, A1_REF, input_grid=g)
     got = qolct_direct(f, plan)
-    want = gaussian_qolct_closed_form_field(spec, A1, A2, UNIT_I, UNIT_J,
+    want = gaussian_qolct_closed_form_field(spec, A1_REF, A1_REF, UNIT_I, UNIT_J,
                                             plan.output_grid)
     rel = qnorm(got.samples - want.samples).max() / qnorm(want.samples).max()
     out.append(_record("closed-form-vs-direct", "general params, 48^2", rel, 1e-6))
@@ -652,14 +649,14 @@ def uncertainty_checks(seed: int):
     out = []
 
     xs = np.linspace(0.25, 10.0, 40)
-    rec = max(abs(gamma_fn(x + 1.0) - x * gamma_fn(x)) / (x * gamma_fn(x))
+    rec = max(abs(math.gamma(x + 1.0) - x * math.gamma(x)) / (x * math.gamma(x))
               for x in xs)
     out.append(_record("gamma-recurrence", "x in [0.25, 10]", rec, 1e-13))
     out.append(_record("gamma-half", "Gamma(1/2) = sqrt(pi)",
-                       abs(gamma_fn(0.5) - math.sqrt(math.pi)), 1e-14))
+                       abs(math.gamma(0.5) - math.sqrt(math.pi)), 1e-14))
 
     h = 1e-6
-    dnum = (math.log(gamma_fn(0.5 + h)) - math.log(gamma_fn(0.5 - h))) / (2 * h)
+    dnum = (math.log(math.gamma(0.5 + h)) - math.log(math.gamma(0.5 - h))) / (2 * h)
     out.append(_record("log-constant-cross-check",
                        "closed form vs numerical d/dx log Gamma at 1/2",
                        abs((math.log(2.0) + dnum) - LOG_UP_CONSTANT), 1e-8))
@@ -668,9 +665,7 @@ def uncertainty_checks(seed: int):
 
     g = Grid2D.centered(64, 14.0)
     f = synth_gaussian(g, 0.5, 0.5)
-    A1 = OffsetParams(1.0, 1.0, 1.0, 2.0, 0.3, -0.2)
-    A2 = OffsetParams(0.5, 1.5, -0.4, 0.8, -0.1, 0.4)
-    plan = QolctPlan.create(A1, A2, input_grid=g)
+    plan = QolctPlan.create(A1_REF, A2_REF, input_grid=g)
     planq = QolctPlan.create(QFT_CASE, QFT_CASE, input_grid=g)
 
     rep = pitt_check(f, planq, 0.0)

@@ -1,5 +1,7 @@
 """Shared fixtures: the test-signal corpus and reference parameter sets."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -40,14 +42,15 @@ def parameter_sets(n=5, seed=2024, with_offsets=True, max_chirp_ratio=1.5):
     """Deterministic unimodular parameter pairs with b in [0.5, 2].
 
     The chirp ratio |a|/(2b) is capped so every pair satisfies the chirp
-    resolution bound on grids with h * L <= 2 (all fixture grids).
+    resolution bound on grids with h * L <= 2 (all fixture grids).  Without
+    offsets each draw keeps its matrix and sets tau = eta = 0.
     """
     rng = np.random.default_rng(seed)
-    return [(random_offset_params(rng, with_offsets=with_offsets,
-                                  max_chirp_ratio=max_chirp_ratio),
-             random_offset_params(rng, with_offsets=with_offsets,
-                                  max_chirp_ratio=max_chirp_ratio))
-            for _ in range(n)]
+    draws = [tuple(random_offset_params(rng, max_chirp_ratio=max_chirp_ratio)
+                   for _ in range(2)) for _ in range(n)]
+    if with_offsets:
+        return draws
+    return [tuple(replace(A, tau=0.0, eta=0.0) for A in pair) for pair in draws]
 
 
 @pytest.fixture(scope="session")

@@ -200,6 +200,7 @@ def test_csv_import(tmp_path):
     assert (f.grid.n1, f.grid.n2) == (9, 9)
     assert f.grid.spacing1 == pytest.approx(0.5)
     assert f.grid.center1 == pytest.approx(0.0)
+    assert f.samples.flags.owndata and not f.samples.flags.writeable  # kept, not copied
 
     # dropping one row leaves an incomplete grid
     path.write_text("\n".join(lines[:-1]) + "\n")

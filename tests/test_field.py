@@ -5,9 +5,11 @@ import pytest
 
 from qolct import Grid2D, QField, UNIT_I, UNIT_J, l2_norm, synth_gaussian
 from qolct.field import (
+    _ROW_BLOCK,
     ComponentQuartet,
     GridTooSmallError,
     PlanViolationError,
+    _row_blocks,
     apply_chirp,
     partial_derivative,
 )
@@ -257,6 +259,26 @@ def test_partial_derivative_matches_the_stencil_expression_to_the_bit():
         assert d.samples.view(np.int64).tolist() == want.view(np.int64).tolist()
         assert d.samples.flags.owndata and not d.samples.flags.writeable
         assert QField(g, d.samples).samples is d.samples
+
+
+@pytest.mark.parametrize("n2", [1, 7, 8192, 8193])
+@pytest.mark.parametrize("lo, hi", [(0, 0), (5, 6), (0, 18), (18, 37), (3, 20000)],
+                         ids=["empty", "one row", "odd n1, first half",
+                              "odd n1, second half", "many blocks"])
+def test_row_blocks_visit_each_row_once_in_one_bounded_block(n2, lo, hi):
+    # a block holds at most _ROW_BLOCK quaternions (256 KiB), or one row where
+    # a row holds more, and every block is a slice of one scratch array
+    assert _ROW_BLOCK * 4 * 8 == 256 * 1024
+    visited, bases = [], set()
+    for rows, block in _row_blocks(lo, hi, n2):
+        assert rows.step is None and block.dtype == np.float64
+        assert block.shape == (rows.stop - rows.start, n2, 4)
+        assert 0 < block.shape[0] * n2 <= max(_ROW_BLOCK, n2)
+        visited += range(rows.start, rows.stop)
+        bases.add(id(block.base))
+    assert visited == list(range(lo, hi))
+    assert len(bases) <= 1
+
 
 def test_partial_derivative_grid_too_small():
     g = Grid2D(4, 8, 0.0, 0.0, 1.0, 1.0)

@@ -9,7 +9,6 @@ import qolct
 #: ``module.qualified.name`` of each defaulted function parameter and each
 #: defaulted dataclass field in the production modules
 DEFAULTED = {
-    "cli._dump_json.path",
     "cli.main.argv",
     "field.Grid2D.center1",
     "field.Grid2D.center2",

@@ -27,7 +27,7 @@ from qolct import (
     synth_gaussian,
 )
 from qolct import _mutation
-from qolct.field import apply_chirp
+from qolct.field import _ROW_BLOCK, apply_chirp
 from qolct.olct import InterpolationDomainError, _spline, analysis
 from qolct.oracle import (
     analysis_quartet,
@@ -41,6 +41,8 @@ from qolct.qft import PlanViolationError
 from qolct.quat import PureUnit, qmul, qnorm
 from qolct.uncertainty import heisenberg_report, log_up_check, pitt_check
 from qolct.verify import (
+    A1_REF,
+    A2_REF,
     QFT_CASE,
     inv_sqrt_unit,
     modulation_covariance_check,
@@ -52,9 +54,6 @@ from qolct.verify import (
 )
 
 from conftest import corpus_signals, meshgrid, parameter_sets, rel_max_err, zero_field
-
-A1_REF = OffsetParams(1.0, 1.0, 1.0, 2.0, 0.3, -0.2)
-A2_REF = OffsetParams(0.5, 1.5, -0.4, 0.8, -0.1, 0.4)
 
 
 def test_offset_params_validation():
@@ -756,11 +755,6 @@ def test_spline_against_scipy(n, axis):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_spline_needs_two_knots():
-    with pytest.raises(ValueError):
-        _spline(np.array([0.0]), 1.0, np.ones((1, 2, 4)), np.array([0.0]), 0)
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("A, axis", [
     (OffsetParams(0.0, 1.0, -1.0, 0.0, 1e300, 0.0), 1),  # tau^2 overflows
@@ -983,6 +977,39 @@ def test_engine_threads_change_no_output_byte(monkeypatch, armed, n, threaded_fr
     assert [k for k in default if forced[k] != default[k]] == []
 
 
+def test_threaded_forward_matches_the_gaussian_closed_form(monkeypatch):
+    """No verify check reaches the engine's threaded stages (from 2^18
+    samples per plane): at 512^2, random axes and random parameters with
+    offsets, the threaded forward of a quaternion Gaussian on those axes
+    against its closed form, at verify's 1e-6."""
+    import threading
+
+    from qolct import qft
+    from qolct.oracle import GaussianSpec, gaussian_qolct_closed_form_field
+    from qolct.verify import _random_axis
+
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(qft.threading, "Thread", Counted)
+    rng = np.random.default_rng(0)
+    lam, mu = _random_axis(rng), _random_axis(rng)
+    A1, A2 = (random_offset_params(rng, max_chirp_ratio=1.5) for _ in range(2))
+    spec = GaussianSpec(0.9, 0.6, 0.8, -0.5, 1.0, 0.7)
+    g = Grid2D.centered(512, 16.0)
+    f = synth_gaussian(g, spec.alpha1, spec.alpha2, (spec.beta11, spec.beta12),
+                       (spec.beta21, spec.beta22), lam, mu)
+    plan = QolctPlan.create(A1, A2, lam, mu, input_grid=g)
+    got = qolct_forward(f, plan)
+    assert len(started) == 3  # map in, transform and map back, each on two threads
+    want = gaussian_qolct_closed_form_field(spec, A1, A2, lam, mu, plan.output_grid)
+    assert rel_max_err(got.samples, want.samples) <= 1e-6
+
+
 def test_forward_allocates_one_full_array(monkeypatch):
     """Beyond its input, one forward at 512^2 peaks at one (n1, n2, 4) float64
     array, which holds both planes, and per half of the rows the engine's
@@ -1002,7 +1029,7 @@ def test_forward_allocates_one_full_array(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    full, scratch, buffers = 512 * 512 * 4 * 8, 8192 * 4 * 8, 2 * np.getbufsize() * 16
+    full, scratch, buffers = 512 * 512 * 4 * 8, _ROW_BLOCK * 4 * 8, 2 * np.getbufsize() * 16
     maps = 4 * 512 * 4 * 4 * 8
     assert full <= peak <= full + 2 * (scratch + buffers) + maps
     del O
