@@ -22,20 +22,11 @@ import time
 
 import numpy as np
 
-from qolct import UNIT_I, UNIT_J, Grid2D, OffsetParams, QField, QolctPlan, synth_gaussian
+from qolct import UNIT_I, UNIT_J, Grid2D, QField, QolctPlan, synth_gaussian
 from qolct import olct, uncertainty
 from qolct.field import partial_derivative
 from qolct.quat import qmul, qnorm
-
-
-def draw_params(rng, cap: float) -> OffsetParams:
-    """A unimodular (a, b, c, d | tau, eta) with b in [0.5, 2] whose input
-    chirp |a|/(2b) stays below ``cap``."""
-    while True:
-        a, b, c = rng.uniform(-2.0, 2.0), rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0)
-        if 0.3 <= abs(a) and abs(a) / (2.0 * b) <= cap:
-            return OffsetParams(a, b, c, (1.0 + b * c) / a,
-                                rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+from qolct.verify import random_offset_params
 
 
 def unit_phase(f: QField, e2: np.ndarray) -> QField:
@@ -80,7 +71,8 @@ def main(argv=None) -> int:
     }
     times = {name: [] for name in [*steps, "cycle"]}
     for _ in range(args.cycles):
-        plan = QolctPlan.create(draw_params(rng, cap), draw_params(rng, cap), input_grid=grid)
+        plan = QolctPlan.create(*(random_offset_params(rng, max_chirp_ratio=cap)
+                                  for _ in range(2)), input_grid=grid)
         t_cycle = time.perf_counter()
         for name, step in steps.items():
             t0 = time.perf_counter()

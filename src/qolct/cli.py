@@ -85,9 +85,12 @@ def _finite_float(text: str) -> float:
 def _parse_axis_flag(text: str, label: str) -> PureUnit:
     try:
         x, y, z = (float(v) for v in text.split(","))
-        return PureUnit(x, y, z)
     except ValueError as exc:
         raise ValueError(f"--{label} expects three comma-separated numbers") from exc
+    try:  # three numbers, but zero or not finite
+        return PureUnit(x, y, z)
+    except ValueError as exc:
+        raise ValueError(f"--{label}: {exc}") from exc
 
 
 def _load_signal(path: str, as_csv: bool) -> QField:
@@ -206,8 +209,9 @@ def _radial_profile(values_sq: np.ndarray, grid: Grid2D):
 
 
 def cmd_uncertainty(args) -> int:
-    from .uncertainty import (HeisenbergReport, beurling_integral, hardy_report,
-                              heisenberg_report, log_up_check, pitt_check)
+    from .uncertainty import (LOG_UP_CONSTANT, HeisenbergReport, beurling_integral,
+                              hardy_report, heisenberg_report, log_up_check,
+                              pitt_check)
     f = _load_signal(args.infile, args.csv)
     params = read_params(args.params)
     plan = QolctPlan.create(params.A1, params.A2, params.lam, params.mu,
@@ -240,8 +244,7 @@ def cmd_uncertainty(args) -> int:
     elif args.which == "pitt":
         rep = pitt_check(f, plan, args.alpha)
         doc.update({"alpha": rep.alpha, "lhs": rep.lhs, "rhs": rep.rhs,
-                    "slack": rep.slack, "C_alpha": rep.constants.C,
-                    "D_alpha": rep.constants.D})
+                    "slack": rep.slack, "C_alpha": rep.C, "D_alpha": rep.D})
         if args.tsv:
             tsv_rows = [("alpha", "lhs", "rhs", "slack")]
             tsv_rows += [(r.alpha, r.lhs, r.rhs, r.slack) for r in (
@@ -249,7 +252,7 @@ def cmd_uncertainty(args) -> int:
 
     elif args.which == "logup":
         rep = log_up_check(f, plan)
-        doc.update({"A": rep.constant, "lhs": rep.lhs, "rhs": rep.rhs,
+        doc.update({"A": LOG_UP_CONSTANT, "lhs": rep.lhs, "rhs": rep.rhs,
                     "slack": rep.slack, "transform_term": rep.transform_term,
                     "signal_term": rep.signal_term, "energy": rep.energy})
         if args.tsv:

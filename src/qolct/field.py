@@ -22,18 +22,14 @@ class PlanViolationError(ValueError):
     """A numerical precondition fails, such as a plan's resolution bound."""
 
 
-class GridTooSmallError(PlanViolationError):
-    """Grid has too few samples along the requested axis."""
-
-
 @dataclass(frozen=True)
 class Grid2D:
     n1: int
     n2: int
-    center1: float = 0.0
-    center2: float = 0.0
-    spacing1: float = 1.0
-    spacing2: float = 1.0
+    center1: float
+    center2: float
+    spacing1: float
+    spacing2: float
 
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
@@ -237,7 +233,7 @@ def partial_derivative(f: QField, axis: int) -> QField:
     g, x = f.grid, f.samples
     n, h = (g.n1, g.spacing1) if axis == 1 else (g.n2, g.spacing2)
     if n < 5:
-        raise GridTooSmallError(f"axis {axis} needs >= 5 samples, has {n}")
+        raise PlanViolationError(f"axis {axis} needs >= 5 samples, has {n}")
     out = np.empty_like(x)
     first, last = (2, n - 2) if axis == 1 else (0, g.n1)  # the rows blocks cover
     for rows, s in _row_blocks(first, last, g.n2):

@@ -33,10 +33,6 @@ from .qft import _inverse_weight, _planes_ft, check_nyquist
 from .quat import UNIT_I, UNIT_J, PureUnit, _read_only, qmul
 
 
-class InterpolationDomainError(ValueError):
-    """A degenerate branch would sample the signal outside its grid."""
-
-
 @dataclass(frozen=True)
 class OffsetParams:
     """One axis of the transform: matrix entries (a, b, c, d), offsets (tau, eta)."""
@@ -103,7 +99,7 @@ class QolctPlan:
                 tprime = A.d * (out.axis_coords(axis) - A.tau)
                 pad = 1e-9 * (t[-1] - t[0])
                 if tprime.min() < t[0] - pad or tprime.max() > t[-1] + pad:
-                    raise InterpolationDomainError(
+                    raise PlanViolationError(
                         f"axis {axis}: substituted coordinates d*(u - tau) "
                         "fall outside the sampled grid")
 

@@ -36,13 +36,6 @@ from .field import Grid2D, PlanViolationError, QField, _row_blocks
 from .quat import UNIT_I, UNIT_J, PureUnit, _read_only, plane_basis
 
 
-def default_output_grid(grid: Grid2D) -> Grid2D:
-    """Frequency grid centered at 0 with spacing 2*pi/(n*h) per axis."""
-    return Grid2D(grid.n1, grid.n2, 0.0, 0.0,
-                  2.0 * math.pi / (grid.n1 * grid.spacing1),
-                  2.0 * math.pi / (grid.n2 * grid.spacing2))
-
-
 def check_nyquist(axis: int, t, du: float):
     """Phase resolution: from one output sample to the next, ``du`` on, the
     kernel phase at the input reach max|t| may advance by at most pi."""
@@ -70,7 +63,10 @@ class QftPlan:
     @classmethod
     def forward(cls, grid: Grid2D, lam: PureUnit = UNIT_I,
                 mu: PureUnit = UNIT_J) -> "QftPlan":
-        return cls(grid, default_output_grid(grid), lam, mu)
+        """The plan onto the frequency grid at 0, spacing 2*pi/(n*h) per axis."""
+        return cls(grid, Grid2D(grid.n1, grid.n2, 0.0, 0.0,
+                                2.0 * math.pi / (grid.n1 * grid.spacing1),
+                                2.0 * math.pi / (grid.n2 * grid.spacing2)), lam, mu)
 
 
 # ---------------------------------------------------------------------------

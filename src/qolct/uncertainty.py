@@ -27,20 +27,12 @@ from .quat import UNIT_I, UNIT_J, _read_only, qmul, qnorm
 LOG_UP_CONSTANT = -np.euler_gamma - math.log(2.0)
 
 
-@dataclass(frozen=True)
-class PittConstants:
-    alpha: float
-    C: float
-    D: float
-
-
-def pitt_constants(alpha: float) -> PittConstants:
+def pitt_constants(alpha: float) -> float:
     """C_alpha = (4 pi^2 / 2^alpha) [Gamma((2-alpha)/4)/Gamma((2+alpha)/4)]^2."""
     if not 0.0 <= alpha < 2.0:
         raise ValueError("alpha must lie in [0, 2)")
     ratio = math.gamma((2.0 - alpha) / 4.0) / math.gamma((2.0 + alpha) / 4.0)
-    c = 4.0 * math.pi ** 2 / 2.0 ** alpha * ratio ** 2
-    return PittConstants(alpha, c, c / (4.0 * math.pi ** 2))
+    return 4.0 * math.pi ** 2 / 2.0 ** alpha * ratio ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +134,7 @@ def heisenberg_report(f: QField, plan: QolctPlan, axis: int) -> HeisenbergReport
 @dataclass(frozen=True)
 class EnvelopeFit:
     alpha: float
-    amplitude: float
     residual: float
-    n_samples: int
     r2: np.ndarray  # |t|^2 of each fitted sample
     log_modulus: np.ndarray  # log|g(t)|_Q there
 
@@ -165,8 +155,7 @@ def hardy_envelope_fit(g: QField) -> EnvelopeFit:
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
     rms = float(np.sqrt(np.mean(resid ** 2)))
-    return EnvelopeFit(float(coef[1]), float(math.exp(coef[0])), rms,
-                       int(mask.sum()), r2, y)
+    return EnvelopeFit(float(coef[1]), rms, r2, y)
 
 
 @dataclass(frozen=True)
@@ -265,7 +254,8 @@ class PittReport:
     lhs: float
     rhs: float
     slack: float
-    constants: PittConstants
+    C: float  # C_alpha
+    D: float  # C_alpha / (4 pi^2), the factor rhs carries
 
 
 def pitt_check(f: QField, plan: QolctPlan, alpha: float) -> PittReport:
@@ -273,16 +263,17 @@ def pitt_check(f: QField, plan: QolctPlan, alpha: float) -> PittReport:
     signal energy times C_alpha/(4 pi^2); slack = rhs - lhs >= 0."""
     _require_ij(plan, "Pitt's inequality")
     c = pitt_constants(alpha)
+    d = c / (4.0 * math.pi ** 2)
     an = analysis(f, plan)  # rejects b = 0 plans
     og = plan.output_grid
     rv = plan.scaled_freq_grid().radius()
     if alpha > 0.0:
         _require_off_origin(rv, og, "|v|^(-alpha)")
     lhs = _weighted_energy(an.density, rv ** (-alpha), og.cell_area)
-    rhs = c.D * _weighted_energy(an.e2, f.grid.radius() ** alpha, f.grid.cell_area)
+    rhs = d * _weighted_energy(an.e2, f.grid.radius() ** alpha, f.grid.cell_area)
     _require_finite_figures(f"Pitt at alpha = {alpha:g}", lhs=lhs, rhs=rhs,
                             slack=rhs - lhs)
-    return PittReport(alpha, lhs, rhs, rhs - lhs, c)
+    return PittReport(alpha, lhs, rhs, rhs - lhs, c, d)
 
 
 @dataclass(frozen=True)
@@ -293,7 +284,6 @@ class LogUpReport:
     transform_term: float
     signal_term: float
     energy: float
-    constant: float
 
 
 def log_up_check(f: QField, plan: QolctPlan) -> LogUpReport:
@@ -312,5 +302,4 @@ def log_up_check(f: QField, plan: QolctPlan) -> LogUpReport:
     lhs = zterm + tterm
     _require_finite_figures("the logarithmic inequality", lhs=lhs, rhs=rhs,
                             slack=lhs - rhs)
-    return LogUpReport(lhs, rhs, lhs - rhs, zterm, tterm, an.energy,
-                       LOG_UP_CONSTANT)
+    return LogUpReport(lhs, rhs, lhs - rhs, zterm, tterm, an.energy)

@@ -119,7 +119,7 @@ def test_signal_file_round_trip_property(tmp_path_factory, n1, n2, centers,
 
 
 def test_signal_file_rejects_corruption(tmp_path):
-    g = Grid2D(4, 4)
+    g = Grid2D(4, 4, 0.0, 0.0, 1.0, 1.0)
     path = tmp_path / "sig.qsig"
     write_signal(path, synth_gaussian(g, 1.0, 1.0))
     raw = bytearray(path.read_bytes())
@@ -360,7 +360,7 @@ def test_synth_rejects_a_gaussian_it_cannot_sample(tmp_path, capsys, argv, code,
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("axis, code", [("1e200,1e200,0", 0), ("1e-320,0,0", 0),
-                                        ("0,0,0", 2)])
+                                        ("0,0,0", 2), ("1e400,0,0", 2), ("nan,0,0", 2)])
 def test_synth_normalizes_every_finite_nonzero_axis(tmp_path, capsys, axis, code):
     from qolct import cli
 
@@ -368,8 +368,10 @@ def test_synth_normalizes_every_finite_nonzero_axis(tmp_path, capsys, axis, code
     assert cli.main(["synth", "gaussian", "--n", "16", "--beta12", "0.5",
                      "--lambda", axis, "--out", str(out)]) == code
     assert out.exists() == (code == 0)
-    if code:
-        assert "--lambda expects three comma-separated numbers" in capsys.readouterr().err
+    if code:  # three numbers: the message names the fault, not the format
+        err = capsys.readouterr().err
+        assert "--lambda: pure unit axis requires a nonzero finite vector part" in err
+        assert "comma-separated" not in err
 
 
 @pytest.mark.parametrize("flag, value", [("--lambda", "1,0"), ("--mu", "a,b,c")])

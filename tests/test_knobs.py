@@ -10,10 +10,6 @@ import qolct
 #: defaulted dataclass field in the production modules
 DEFAULTED = {
     "cli.main.argv",
-    "field.Grid2D.center1",
-    "field.Grid2D.center2",
-    "field.Grid2D.spacing1",
-    "field.Grid2D.spacing2",
     "field.Grid2D.centered.center",
     "field.synth_gaussian.beta1_pair",
     "field.synth_gaussian.beta2_pair",

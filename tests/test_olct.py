@@ -28,7 +28,7 @@ from qolct import (
 )
 from qolct import _mutation
 from qolct.field import _ROW_BLOCK, apply_chirp
-from qolct.olct import InterpolationDomainError, _spline, analysis
+from qolct.olct import _spline, analysis
 from qolct.oracle import (
     analysis_quartet,
     kernel,
@@ -774,10 +774,6 @@ def test_degenerate_rejects_bad_inputs():
     g = Grid2D.centered(32, 8.0)
     ident = OffsetParams(1.0, 0.0, 0.0, 1.0)
     QolctPlan.create(ident, ident, input_grid=g)
-    # substituted coordinates outside the grid are rejected with the plan
-    wide = Grid2D(32, 32, 0.0, 0.0, 1.0, 1.0)
-    with pytest.raises(InterpolationDomainError):
-        QolctPlan(ident, ident, UNIT_I, UNIT_J, g, wide)
     with pytest.raises(ValueError, match="requires d > 0"):
         QolctPlan(OffsetParams(-1.0, 0.0, 0.0, -1.0), ident, UNIT_I, UNIT_J, g, g)
     # with b = 0 the determinant is a*d: a b = 0, d = 0 axis is not unimodular
@@ -786,6 +782,18 @@ def test_degenerate_rejects_bad_inputs():
     # b = 0 with d < 0: the derived output grid u = t/d + tau would run backwards
     with pytest.raises(ValueError, match="degenerate axis needs d > 0"):
         QolctPlan.derived_output_grid(OffsetParams(-1.0, 0.0, 0.5, -1.0), ident, g)
+
+
+@pytest.mark.parametrize("axis", [1, 2])
+def test_b_zero_substitution_outside_the_input_grid_is_a_plan_violation(axis):
+    # a plan bound, like the chirp and Nyquist bounds: PlanViolationError,
+    # which the CLI maps to exit 4, naming the axis
+    g = Grid2D.centered(32, 8.0)
+    ident = OffsetParams(1.0, 0.0, 0.0, 1.0)
+    og = QolctPlan.derived_output_grid(ident, ident, g)
+    wide = replace(og, **{f"spacing{axis}": 1.0})  # u reaches 4x past the t-grid
+    with pytest.raises(PlanViolationError, match=f"axis {axis}: substituted coordinates"):
+        QolctPlan(ident, ident, UNIT_I, UNIT_J, g, wide)
 
 
 # ---------------------------------------------------------------------------

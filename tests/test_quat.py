@@ -186,7 +186,7 @@ def test_qnorm_neither_underflows_nor_overflows():
     ])
     want = [5e-160, math.sqrt(2.0) * 1e-170, 5e-324, 2e200, 5e300, 3.0, 0.0, np.inf]
     assert qnorm(rows) == pytest.approx(want, rel=4e-16, abs=0.0)
-    field = QField(Grid2D(2, 4), rows.reshape(2, 4, 4))
+    field = QField(Grid2D(2, 4, 0.0, 0.0, 1.0, 1.0), rows.reshape(2, 4, 4))
     assert field.modulus() == pytest.approx(np.reshape(want, (2, 4)), rel=4e-16, abs=0.0)
 
 
@@ -249,7 +249,7 @@ def test_sandwich_matches_hamilton_products(n1, n2, lam, mu, relation,
         want = qmul(plane_to_quat(left, lam)[:, None, :], want)
     if right is not None:
         want = qmul(want, plane_to_quat(right, mu)[None, :, :])
-    grid = Grid2D(n1, n2)
+    grid = Grid2D(n1, n2, 0.0, 0.0, 1.0, 1.0)
     got = _planes_ft(samples, grid, grid, lam, mu, ((0, left, None), (0, right, None)))
     assert got.shape == want.shape
     assert qnorm(got - want).max() <= 1e-14 * qnorm(want).max()
