@@ -14,9 +14,9 @@ and inverse transforms hand their per-axis chirps and factors to the
 planes-split engine of ``qft`` (any axes, any grids); the component quartet
 is four forwards.
 ``qolct_forward`` serves every valid plan in one engine call; along a b = 0
-axis it runs no transform, only a spline substitution and a chirp.  The
-dense kernel quadrature ``qolct_direct``, the mutual oracle, lives in
-``oracle``.
+axis it runs no transform, only a gather of the input samples at t = d (u -
+tau) and a chirp.  The dense kernel quadrature ``qolct_direct``, the mutual
+oracle, lives in ``oracle``.
 """
 
 from __future__ import annotations
@@ -77,31 +77,16 @@ class QolctPlan:
             if A.b < 0.0:
                 raise ValueError(f"axis {axis}: b < 0 is not supported; "
                                  "normalize the matrix to b >= 0")
-            if A.b == 0.0:
-                if (g.n1, g.n2)[axis - 1] < 2:
-                    raise PlanViolationError(f"axis {axis}: a b = 0 axis needs at "
-                                             "least 2 samples for its spline")
-                continue
-            bound = abs(A.a) / (2.0 * A.b) * h * extent
+            bound = abs(A.a) / (2.0 * A.b) * h * extent if A.b else 0.0
             if bound > math.pi * (1.0 + 1e-9):
                 raise PlanViolationError(
                     f"axis {axis}: chirp resolution |a|/(2b)*h*L = {bound:g} "
                     "exceeds pi; refine the input grid")
         for axis, A, _, _, du in axes:  # the bounds that read the output grid
-            t = g.axis_coords(axis)
-            if A.b > 0.0:
-                check_nyquist(axis, t, du / A.b)  # on the v = u/b grid
-            elif A.d <= 0.0:
-                raise ValueError(f"axis {axis}: the degenerate branch requires "
-                                 "d > 0 (b = 0 and the square-root convention "
-                                 "fixes the sign)")
+            if A.b > 0.0:  # Nyquist on the v = u/b grid
+                check_nyquist(axis, g.axis_coords(axis), du / A.b)
             else:
-                tprime = A.d * (out.axis_coords(axis) - A.tau)
-                pad = 1e-9 * (t[-1] - t[0])
-                if tprime.min() < t[0] - pad or tprime.max() > t[-1] + pad:
-                    raise PlanViolationError(
-                        f"axis {axis}: substituted coordinates d*(u - tau) "
-                        "fall outside the sampled grid")
+                _b_zero_window(axis, A, g, out.axis_coords(axis))
 
     @classmethod
     def create(cls, A1: OffsetParams, A2: OffsetParams,
@@ -116,14 +101,13 @@ class QolctPlan:
         """Default u-grid: |b_k| times the QFT frequencies on b != 0 axes,
         the substitution-aligned grid u = t/d + tau on degenerate axes."""
         spacing, center = [], []
-        for A, n, h, c in ((A1, grid.n1, grid.spacing1, grid.center1),
-                           (A2, grid.n2, grid.spacing2, grid.center2)):
+        for axis, A, n, h, c in ((1, A1, grid.n1, grid.spacing1, grid.center1),
+                                 (2, A2, grid.n2, grid.spacing2, grid.center2)):
             if A.b != 0.0:
                 spacing.append(abs(A.b) * 2.0 * math.pi / (n * h))
                 center.append(0.0)
             else:
-                if A.d <= 0.0:
-                    raise ValueError("degenerate axis needs d > 0")
+                _require_positive_d(axis, A)
                 spacing.append(h / A.d)
                 center.append(c / A.d + A.tau)
         return Grid2D(grid.n1, grid.n2, center[0], center[1],
@@ -167,19 +151,20 @@ def qolct_forward(f: QField, plan: QolctPlan) -> QField:
 
     A b > 0 axis runs the chirp -> QFT -> output-factor factorization, an
     exact (to rounding) rearrangement of the direct kernel quadrature, for
-    any axes and grids.  A b = 0 axis is the substitution t -> d (u - tau) by
-    cubic spline (extrapolation is rejected) times :func:`_degenerate_chirp`.
+    any axes and grids.  A b = 0 axis is the substitution t -> d (u - tau),
+    a slice of the input samples (no copy), times :func:`_degenerate_chirp`.
     """
     if f.grid != plan.input_grid:
         raise ValueError("field grid does not match plan input grid")
     g, data, axes = plan.input_grid, f.samples, []
-    for axis, A, h in ((1, plan.A1, g.spacing1), (2, plan.A2, g.spacing2)):
-        t, u = g.axis_coords(axis), plan.output_grid.axis_coords(axis)
+    for axis, A in ((1, plan.A1), (2, plan.A2)):
+        u = plan.output_grid.axis_coords(axis)
         if A.b > 0.0:
-            axes.append(_axis_factors(axis, A, t, u, -1))
+            axes.append(_axis_factors(axis, A, g.axis_coords(axis), u, -1))
         else:
             axes.append((0, None, _degenerate_chirp(axis, A, u)))
-            data = _spline(t, h, data, A.d * (u - A.tau), axis=axis - 1)
+            window = _b_zero_window(axis, A, g, u)
+            data = data[window] if axis == 1 else data[:, window]
     return QField(plan.output_grid, _planes_ft(
         data, g, plan.scaled_freq_grid(), plan.lam, plan.mu, axes))
 
@@ -291,6 +276,32 @@ def analysis(f: QField, plan: QolctPlan) -> Analysis:
 # ---------------------------------------------------------------------------
 # Degenerate branches (b = 0 on one or both axes).
 
+def _require_positive_d(axis: int, A: OffsetParams):
+    if A.d <= 0.0:
+        raise ValueError(f"axis {axis}: a b = 0 axis needs d > 0 (the "
+                         "square-root convention fixes the sign)")
+
+
+def _b_zero_window(axis: int, A: OffsetParams, g: Grid2D, u) -> slice:
+    """The slice of input samples, along ``axis`` of the grid ``g``, that a
+    b = 0 axis reads at the outputs u: d (u - tau) must be whole sample
+    indices of a window read with a whole-number stride, within 1e-9 beyond
+    the rounding that coordinates as large as u and tau carry."""
+    _require_positive_d(axis, A)
+    t, h = g.axis_coords(axis), (g.spacing1, g.spacing2)[axis - 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # not finite: refused below
+        k = (A.d * (u - A.tau) - t[0]) / h
+        tol = 1e-9 + 4.0 * np.finfo(float).eps * A.d * (np.abs(u).max() + abs(A.tau)) / h
+        start, stride = np.rint(k[0]), np.rint(k[1] - k[0]) if k.size > 1 else 1.0
+        want = start + stride * np.arange(k.size)
+        if not (stride >= 1.0 and start >= 0.0 and want[-1] < t.size
+                and np.abs(k - want).max() <= tol < 0.5):
+            raise PlanViolationError(
+                f"axis {axis}: substituted coordinates d*(u - tau) must be input "
+                "sample indices of a window read with a whole-number stride")
+    return slice(int(start), int(want[-1]) + 1, int(stride))
+
+
 def _degenerate_chirp(axis: int, A: OffsetParams, u):
     """sqrt(d) exp(i*(c d (u - tau)^2 / 2 + u eta)) as complex values.
 
@@ -304,53 +315,3 @@ def _degenerate_chirp(axis: int, A: OffsetParams, u):
         chirp = math.sqrt(A.d) * np.exp(1j * phase)
     _require_finite(axis, chirp)
     return chirp
-
-
-def _not_a_knot_slopes(h: float, y):
-    """First derivatives at the knots, spaced h along axis 0 of y, of the
-    not-a-knot cubic spline through y, as scipy's ``CubicSpline`` defines
-    it: two knots give the straight line and three the parabola.
-
-    On uniform knots the slope system, divided by h, has rows (1, 4, 1)
-    inside and end rows (1, 2) and (2, 1): the third derivative is
-    continuous at the second and penultimate knots.  Its Thomas sweep runs
-    over all trailing columns at once; the pivots depend only on n and
-    stay positive, so no pivoting is needed.
-    """
-    n = y.shape[0]
-    slope = np.diff(y, axis=0) / h
-    if n == 2:
-        return np.concatenate([slope, slope])
-    if n == 3:  # the parabola: its slope at the middle knot is the mean secant
-        mid = (slope[0] + slope[1]) / 2.0
-        return np.stack([2.0 * slope[0] - mid, mid, 2.0 * slope[1] - mid])
-    rhs = np.empty_like(slope, shape=y.shape)
-    rhs[0] = (5.0 * slope[0] + slope[1]) / 2.0
-    rhs[1:-1] = 3.0 * (slope[:-1] + slope[1:])
-    rhs[-1] = (slope[-2] + 5.0 * slope[-1]) / 2.0
-    diag, upper = [1.0] + [4.0] * (n - 2) + [1.0], [2.0] + [1.0] * (n - 2)
-    for i in range(1, n):
-        m = (2.0 if i == n - 1 else 1.0) / diag[i - 1]
-        diag[i] -= m * upper[i - 1]
-        rhs[i] -= m * rhs[i - 1]
-    rhs[-1] /= diag[-1]
-    for i in range(n - 2, -1, -1):
-        rhs[i] -= upper[i] * rhs[i + 1]
-        rhs[i] /= diag[i]
-    return rhs
-
-
-def _spline(x, h: float, y, xq, axis: int):
-    """Evaluate the not-a-knot cubic spline through samples y at the knots
-    x (two or more: ``QolctPlan`` refuses fewer), spaced h along ``axis`` of
-    y, at the points xq, in cubic Hermite form on the knot interval of each
-    point; the end intervals extend past the knots."""
-    y = np.ascontiguousarray(np.moveaxis(y, axis, 0))  # unit-stride sweep rows
-    s = _not_a_knot_slopes(h, y)
-    k = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
-    t = ((xq - x[k]) / h).reshape((-1,) + (1,) * (y.ndim - 1))
-    out = y[k] * ((2.0 * t - 3.0) * t * t + 1.0)
-    out += y[k + 1] * ((3.0 - 2.0 * t) * t * t)
-    out += s[k] * (h * t * (1.0 - t) ** 2)
-    out += s[k + 1] * (h * t * t * (t - 1.0))
-    return np.moveaxis(out, 0, axis)

@@ -256,14 +256,12 @@ def _axis_matrix(A: OffsetParams, unit: PureUnit, t, u) -> np.ndarray:
     the kernel times the spacing for b > 0, else the substitution
     t = d (u - tau), which must hit a sample, times
     sqrt(d) e^{i(c d (u - tau)^2/2 + u eta)}."""
-    h = t[1] - t[0]
     if A.b > 0.0:
         return np.array([[kernel(A, unit, tp, uq) for tp in t]
-                         for uq in u]) * h
+                         for uq in u]) * (t[1] - t[0])
     sub = A.d * (u - A.tau)
-    hit = np.rint((sub - t[0]) / h).astype(int)
-    if (hit.min() < 0 or hit.max() >= t.size
-            or np.abs(t[hit] - sub).max() > 1e-12):
+    hit = np.abs(sub[:, None] - t[None, :]).argmin(axis=1)  # the nearest sample
+    if np.abs(t[hit] - sub).max() > 1e-12:
         raise ValueError("the substitution t = d (u - tau) misses a sample")
     op = np.zeros((u.size, t.size, 4))
     op[np.arange(u.size), hit] = math.sqrt(A.d) * plane_to_quat(

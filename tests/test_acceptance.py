@@ -312,7 +312,7 @@ def test_criterion_13_degenerate_branch_limit():
     f = synth_gaussian(g, 0.8, 0.8, (1.0, 0.3), (1.0, -0.2), UNIT_I, UNIT_J)
     A2 = OffsetParams(1.0, 1.0, 0.5, 1.5, 0.2, 0.1)
     a1, c1, tau1, eta1 = 1.0, 0.8, 0.35, -0.55
-    og = Grid2D(2048, n2, tau1, 0.0, 1.4 / 2048, 2 * np.pi / (n2 * g.spacing2))
+    og = Grid2D(2048, n2, tau1, 0.0, g.spacing1, 2 * np.pi / (n2 * g.spacing2))
     b1 = 1e-3
     plan_eps = QolctPlan(OffsetParams(a1, b1, c1, (1 + b1 * c1) / a1, tau1, eta1),
                          A2, UNIT_I, UNIT_J, g, og)

@@ -26,9 +26,12 @@ from qolct.signalio import (
     write_params,
     write_signal,
 )
-from qolct.olct import OffsetParams
+from qolct.olct import OffsetParams, QolctPlan
+from qolct.oracle import kernel_sum
 from qolct.quat import PureUnit
 from qolct.verify import QFT_CASE
+
+from conftest import rel_max_err
 
 
 def run_cli(*args, check=False):
@@ -405,7 +408,7 @@ def test_singular_weight_exit_code(tmp_path, qft_params):
 
 def test_runtime_imports_no_scipy():
     # scipy is a test-only oracle: the package and the CLI must import and
-    # run with it unavailable (including the b = 0 spline in verify qolct)
+    # run with it unavailable (including the b = 0 gather in verify qolct)
     code = ("import sys; sys.modules['scipy'] = None\n"
             "import qolct.cli, qolct.verify\n"
             "sys.exit(qolct.cli.main(['verify', 'qolct', '--seed', '0']))\n")
@@ -924,25 +927,26 @@ def test_degenerate_axis_needs_positive_d(tmp_path, capsys):
     for argv in (["transform", "--out", str(tmp_path / "o.qsig")],
                  ["uncertainty", "--which", "hardy"]):
         assert cli.main([*argv, "--in", sig, "--params", str(params)]) == 2, argv
-        assert "degenerate axis needs d > 0" in capsys.readouterr().err, argv
+        assert "axis 1: a b = 0 axis needs d > 0" in capsys.readouterr().err, argv
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.qsig", "p.json"]
 
 
 def test_transform_rejects_a_one_sample_b_zero_axis(tmp_path):
-    # a b = 0 axis of one sample has no spline: a plan outside its bounds
-    # (exit 4), refused before any transform, with nothing written
+    # a b = 0 axis of one sample reads that one sample (exit 0), and the
+    # output equals the per-sample kernel sum
     sig = str(tmp_path / "f.qsig")
-    write_signal(sig, synth_gaussian(Grid2D(1, 8, 0.0, 0.0, 1.0, 1.0), 0.5, 0.5))
+    f = synth_gaussian(Grid2D(1, 8, 0.0, 0.0, 1.0, 1.0), 0.5, 0.5)
+    write_signal(sig, f)
     params = tmp_path / "b1zero.json"
     params.write_text('{"A1": {"a": 1, "b": 0, "c": 0.3, "d": 1}, '
                       '"A2": {"a": 0, "b": 1, "c": -1, "d": 0}, '
                       '"lambda": [1,0,0], "mu": [0,1,0]}')
     out = tmp_path / "o.qsig"
     proc = run_cli("transform", "--in", sig, "--params", str(params), "--out", str(out))
-    assert proc.returncode == 4, proc.stderr
-    assert "axis 1: a b = 0 axis needs at least 2 samples" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["b1zero.json", "f.qsig"]
+    assert proc.returncode == 0, proc.stderr
+    p = read_params(str(params))
+    plan = QolctPlan.create(p.A1, p.A2, p.lam, p.mu, input_grid=f.grid)
+    assert rel_max_err(read_signal(str(out)).samples, kernel_sum(f, plan)) <= 1e-12
 
 
 
