@@ -183,8 +183,7 @@ def qolct_inverse(F: QField, plan: QolctPlan) -> QField:
 
 
 def qolct_quartet(f: QField, plan: QolctPlan) -> ComponentQuartet:
-    """Forward transforms of the four real components of f (b > 0 axes)."""
-    _require_positive_b(plan.A1, plan.A2)
+    """Forward transforms of the four real components of f, b = 0 axes included."""
     return ComponentQuartet.of(f, lambda g: qolct_forward(g, plan))
 
 

@@ -1,22 +1,23 @@
 """Oracles: other routes to the numbers the transforms produce.
 
-Dense quadratures evaluate the kernel sums sample by sample: ``qft_direct``
-for the QFT, ``qolct_direct`` and ``kernel`` for the QOLCT, ``kernel_sum``
-for plans with b = 0 axes, and ``_qlct_reference``, an independently coded
-QLCT quadrature.  ``analysis_quartet`` is the dense quadrature of the chirped
-signal's four real components, with its own chirps and the chirp phase
-divided out of the kernel: the long way to the energy density, sharing no
-code with the engine or the planes split; ``norm_field`` is a quartet's
-pointwise norm, and ``plane_to_quat`` embeds complex values x + iy as
-x + axis*y.  ``digamma`` is a series, the other route to the logarithmic
-constant.  No production module imports this one.
+Dense quadratures evaluate the kernel sums sample by sample, all through the
+one contraction ``_contract``: ``qft_direct`` for the QFT and ``qolct_direct``
+for the QOLCT, which reads a b = 0 axis as the selection t = d (u - tau) times
+its chirp.  ``kernel`` is one kernel value and ``_qlct_reference`` an
+independently coded QLCT quadrature.  ``analysis_quartet`` is the dense
+quadrature of the chirped signal's four real components, with its own chirps
+and the chirp phase divided out of the kernel: the long way to the energy
+density, sharing no code with the engine or the planes split; ``norm_field``
+is a quartet's pointwise norm, and ``plane_to_quat`` embeds complex values
+x + iy as x + axis*y.  ``digamma`` is a series, the other route to the
+logarithmic constant.  No production module imports this one.
 
 Analytic ground truth for Gaussian signals: the transform of beta * exp(-(alpha1 t1^2 + alpha2 t2^2)) factors per axis
 into a real envelope, a plane square-root constant and a quadratic phase.
 Every axis factor lives in the plane spanned by {1, axis}, so ordinary
-complex branch rules apply; the square roots use the principal branch with
-argument in (-pi, pi], which is consistent with 1/sqrt(axis) =
-exp(-axis*pi/4).
+complex branch rules apply; the square root (a + 2 b alpha * axis)^(-1/2)
+takes the principal branch with argument in (-pi, pi], which is consistent
+with 1/sqrt(axis) = exp(-axis*pi/4).
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ import numpy as np
 
 from . import _mutation
 from .field import ComponentQuartet, Grid2D, QField
-from .olct import OffsetParams, QolctPlan, _require_positive_b
+from .olct import OffsetParams, QolctPlan
 from .qft import QftPlan
-from .quat import UNIT_I, UNIT_J, PureUnit, qmul, qnorm
+from .quat import UNIT_I, UNIT_J, PureUnit, qmul
 
 
 def plane_to_quat(z, axis: PureUnit) -> np.ndarray:
@@ -62,82 +63,31 @@ class GaussianSpec:
             raise ValueError("gaussian widths must be positive")
 
 
-def gaussian_integral_complex_offset(z, zprime,
-                                     lam: PureUnit | None = None) -> np.ndarray:
-    """The offset Gaussian integral: integral of exp(-z (t + z')^2) dt.
-
-    Equals sqrt(pi/z) for Sc(z) > 0 regardless of the same-plane offset z'.
-    Both (4,) arguments must lie in span{1, lam} for one pure unit lam; the
-    axis is inferred from whichever argument has a vector part if not given.
-    """
-    z, zprime = np.asarray(z, dtype=float), np.asarray(zprime, dtype=float)
-    if lam is None:
-        for cand in (z, zprime):
-            v = cand[1:]
-            if float(v @ v) > 0.0:
-                lam = PureUnit(float(v[0]), float(v[1]), float(v[2]))
-                break
-        else:
-            lam = PureUnit(1.0, 0.0, 0.0)  # both real: plane is immaterial
-    axis = lam.array[1:]
-    for arg in (z, zprime):
-        if float(np.abs(np.cross(arg[1:], axis)).max()) > 1e-13 * max(float(qnorm(arg)), 1.0):
-            raise ValueError("arguments must lie in one common axis plane")
-    if z[0] <= 0.0:
-        raise ValueError("requires Sc(z) > 0 for convergence")
-    zc = complex(z[0], float(z[1:] @ axis))
-    return plane_to_quat(np.asarray(cmath.sqrt(math.pi / zc)), lam)
-
-
-def _axis_factor(alpha: float, A: OffsetParams, u, root_variant: str):
+def _axis_factor(alpha: float, A: OffsetParams, u):
     """Complex-plane factor of one axis of the Gaussian transform.
 
     Returns (envelope, plane) where the axis contribution is
-    envelope(u) * (plane embedded along the axis).  ``root_variant``
-    selects the square-root constant: "derivation" uses
-    (a + 2 b alpha * axis)^(-1/2); "display" is the all-imaginary variant
-    ((2 b alpha + a) * axis)^(-1/2), kept only so the arbitration test can
-    show the quadrature rejects it.
+    envelope(u) * (plane embedded along the axis), with the square-root
+    constant (a + 2 b alpha * axis)^(-1/2).
     """
     if A.b <= 0.0:
         raise ValueError("closed form requires b > 0")
     denom = 4.0 * alpha ** 2 * A.b ** 2 + A.a ** 2
     envelope = np.exp(-alpha * (u - A.tau) ** 2 / denom)
-    if root_variant == "derivation":
-        root = 1.0 / cmath.sqrt(complex(A.a, 2.0 * A.b * alpha))
-    elif root_variant == "display":
-        root = 1.0 / cmath.sqrt(complex(0.0, 2.0 * A.b * alpha + A.a))
-    else:
-        raise ValueError("root_variant must be 'derivation' or 'display'")
+    root = 1.0 / cmath.sqrt(complex(A.a, 2.0 * A.b * alpha))
     phase = (-2.0 * u * (A.d * A.tau - A.b * A.eta)
              + A.d * (u ** 2 + A.tau ** 2)
              - A.a * (u - A.tau) ** 2 / denom) / (2.0 * A.b)
     return envelope, root * np.exp(1j * phase)
 
 
-def gaussian_qolct_closed_form(spec: GaussianSpec, A1: OffsetParams,
-                               A2: OffsetParams, lam: PureUnit, mu: PureUnit,
-                               u, root_variant: str = "derivation") -> np.ndarray:
-    """Closed-form transform of the Gaussian at one output point u = (u1, u2)."""
-    u1, u2 = float(u[0]), float(u[1])
-    env1, z1 = _axis_factor(spec.alpha1, A1, np.asarray(u1), root_variant)
-    env2, z2 = _axis_factor(spec.alpha2, A2, np.asarray(u2), root_variant)
-    beta1 = complex(spec.beta11, spec.beta12)
-    beta2 = complex(spec.beta21, spec.beta22)
-    left = plane_to_quat(np.asarray(beta1 * complex(z1)), lam)
-    right = plane_to_quat(np.asarray(complex(z2) * beta2), mu)
-    return qmul(left, right) * float(env1 * env2)
-
-
 def gaussian_qolct_closed_form_field(spec: GaussianSpec, A1: OffsetParams,
                                      A2: OffsetParams, lam: PureUnit,
-                                     mu: PureUnit, grid: Grid2D,
-                                     root_variant: str = "derivation") -> QField:
-    """Closed form evaluated on a whole output grid."""
-    u1 = grid.axis_coords(1)
-    u2 = grid.axis_coords(2)
-    env1, z1 = _axis_factor(spec.alpha1, A1, u1, root_variant)
-    env2, z2 = _axis_factor(spec.alpha2, A2, u2, root_variant)
+                                     mu: PureUnit, grid: Grid2D) -> QField:
+    """Closed form evaluated on a whole output grid (one point u is the grid
+    ``Grid2D(1, 1, u1, u2, 1.0, 1.0)``)."""
+    env1, z1 = _axis_factor(spec.alpha1, A1, grid.axis_coords(1))
+    env2, z2 = _axis_factor(spec.alpha2, A2, grid.axis_coords(2))
     beta1 = complex(spec.beta11, spec.beta12)
     beta2 = complex(spec.beta21, spec.beta22)
     left = plane_to_quat(beta1 * env1 * z1, lam)
@@ -163,7 +113,7 @@ def gaussian_qolct_log_modulus(spec: GaussianSpec, A1: OffsetParams,
 # ---------------------------------------------------------------------------
 # Dense quaternion quadrature (arbitrary axes and grids).
 
-#: rows of kernel matrix materialized at once in dense contractions
+#: output rows contracted at once, which bounds the (rows, n2, 4) intermediate
 _CONTRACT_BLOCK = 1024
 
 
@@ -185,16 +135,15 @@ def _right_contract(samples, cosm, sinm, mu, weight):
 
 def _contract(f: QField, plan, left, right, scale: float) -> QField:
     """sum_t (cos1 + lam sin1)[u1, t1] f(t) (cos2 + mu sin2)[t2, u2] dt * scale
-    on the plan's axes and output grid, by blocks of output rows: ``left(u, t1)``
-    builds the (cos1, sin1) rows of a block u of u1; ``right`` is (cos2, sin2)."""
+    on the plan's axes and output grid, by blocks of output rows: ``left`` is
+    (cos1, sin1) on the (u1, t1) mesh, ``right`` (cos2, sin2) on (t2, u2)."""
     ugrid = plan.output_grid
-    t1, u1 = f.grid.axis_coords(1), ugrid.axis_coords(1)
     out = np.empty((ugrid.n1, ugrid.n2, 4))
     for lo in range(0, ugrid.n1, _CONTRACT_BLOCK):
-        g = _left_contract(*left(u1[lo:lo + _CONTRACT_BLOCK], t1), plan.lam,
+        rows = slice(lo, lo + _CONTRACT_BLOCK)
+        g = _left_contract(left[0][rows], left[1][rows], plan.lam,
                            f.samples, f.grid.spacing1)
-        out[lo:lo + _CONTRACT_BLOCK] = _right_contract(g, *right, plan.mu,
-                                                       f.grid.spacing2 * scale)
+        out[rows] = _right_contract(g, *right, plan.mu, f.grid.spacing2 * scale)
     return QField(ugrid, out)
 
 
@@ -203,8 +152,9 @@ def _direct_apply(f: QField, plan: QftPlan, sign: int, scale: float) -> QField:
         th = sign * np.outer(u, t)
         return np.cos(th), np.sin(th)
 
+    left = kernel_parts(plan.output_grid.axis_coords(1), f.grid.axis_coords(1))
     right = kernel_parts(f.grid.axis_coords(2), plan.output_grid.axis_coords(2))
-    return _contract(f, plan, kernel_parts, right, scale)
+    return _contract(f, plan, left, right, scale)
 
 
 def qft_direct(f: QField, plan: QftPlan) -> QField:
@@ -216,17 +166,14 @@ def qft_direct(f: QField, plan: QftPlan) -> QField:
 
 def kernel(A: OffsetParams, lam: PureUnit, t: float, u: float) -> np.ndarray:
     """Evaluate the transform kernel K_A(t, u) on axis ``lam``."""
-    if A.b <= 0.0:
-        raise ValueError(f"kernel: main-branch transforms require b > 0, got {A.b}")
-    theta = (A.a * t * t - 2.0 * t * (u - A.tau)
-             - 2.0 * u * (A.d * A.tau - A.b * A.eta)
-             + A.d * (u * u + A.tau * A.tau)) / (2.0 * A.b)
-    z = np.exp(1j * (theta - math.pi / 4.0)) / math.sqrt(2.0 * math.pi * A.b)
-    return plane_to_quat(z, lam)
+    cosm, sinm = _kernel_matrices(A, np.array([t]), np.array([u]), transposed=False)
+    return plane_to_quat(np.asarray(complex(cosm[0, 0], sinm[0, 0])), lam)
 
 
 def _kernel_matrices(A: OffsetParams, t, u, transposed: bool):
     """Cos/sin parts of the kernel on a (u, t) mesh (or (t, u) if transposed)."""
+    if A.b <= 0.0:
+        raise ValueError(f"main-branch kernels require b > 0, got {A.b}")
     if transposed:
         tt, uu = t[:, None], u[None, :]
     else:
@@ -238,45 +185,42 @@ def _kernel_matrices(A: OffsetParams, t, u, transposed: bool):
     return r * np.cos(theta), r * np.sin(theta)
 
 
-def qolct_direct(f: QField, plan: QolctPlan) -> QField:
-    """Brute-force kernel quadrature; the reference oracle for qolct_forward."""
-    _require_positive_b(plan.A1, plan.A2)
-    if f.grid != plan.input_grid:
-        raise ValueError("field grid does not match plan input grid")
-    cos2, sin2 = _kernel_matrices(plan.A2, f.grid.axis_coords(2),
-                                  plan.output_grid.axis_coords(2), transposed=True)
-    if _mutation.active("right-kernel-sign"):
-        sin2 = -sin2
-    return _contract(f, plan, lambda u, t: _kernel_matrices(plan.A1, t, u, transposed=False),
-                     (cos2, sin2), 1.0)
-
-
-def _axis_matrix(A: OffsetParams, unit: PureUnit, t, u) -> np.ndarray:
-    """(n_u, n_t, 4) quaternion matrix of one axis of the forward transform:
-    the kernel times the spacing for b > 0, else the substitution
-    t = d (u - tau), which must hit a sample, times
-    sqrt(d) e^{i(c d (u - tau)^2/2 + u eta)}."""
+def _axis_parts(A: OffsetParams, t, u, h: float, transposed: bool):
+    """Cos/sin parts of one axis of the forward on a (u, t) mesh (or (t, u)
+    if transposed): the kernel for b > 0; for b = 0 the selection
+    t = d (u - tau) times sqrt(d) e^{i(c d (u - tau)^2/2 + u eta)}, over the
+    spacing h that ``_contract`` weighs the axis by.  The substitution must
+    hit a sample within the plan's allowance, 1e-9 h beyond the rounding of
+    coordinates as large as u and tau."""
     if A.b > 0.0:
-        return np.array([[kernel(A, unit, tp, uq) for tp in t]
-                         for uq in u]) * (t[1] - t[0])
+        return _kernel_matrices(A, t, u, transposed)
     sub = A.d * (u - A.tau)
     hit = np.abs(sub[:, None] - t[None, :]).argmin(axis=1)  # the nearest sample
-    if np.abs(t[hit] - sub).max() > 1e-12:
+    tol = 1e-9 * h + 4.0 * np.finfo(float).eps * A.d * (np.abs(u).max() + abs(A.tau))
+    if np.abs(t[hit] - sub).max() > tol:
         raise ValueError("the substitution t = d (u - tau) misses a sample")
-    op = np.zeros((u.size, t.size, 4))
-    op[np.arange(u.size), hit] = math.sqrt(A.d) * plane_to_quat(
-        np.exp(1j * (A.c * A.d * (u - A.tau) ** 2 / 2.0 + u * A.eta)), unit)
-    return op
+    phase = A.c * A.d * (u - A.tau) ** 2 / 2.0 + u * A.eta
+    parts = []
+    for value in (np.cos(phase), np.sin(phase)):
+        m = np.zeros((u.size, t.size))
+        m[np.arange(u.size), hit] = math.sqrt(A.d) * value / h
+        parts.append(m.T if transposed else m)
+    return parts
 
 
-def kernel_sum(f: QField, plan: QolctPlan) -> np.ndarray:
-    """The forward transform's samples as a per-sample kernel sum, left axis
-    matrix times f times right axis matrix, for b > 0 and b = 0 axes alike."""
-    left, right = (_axis_matrix(A, unit, f.grid.axis_coords(k),
-                                plan.output_grid.axis_coords(k))
-                   for k, A, unit in ((1, plan.A1, plan.lam), (2, plan.A2, plan.mu)))
-    mid = qmul(left[:, :, None, :], f.samples[None]).sum(axis=1)
-    return qmul(mid[:, :, None, :], np.swapaxes(right, 0, 1)[None]).sum(axis=1)
+def qolct_direct(f: QField, plan: QolctPlan) -> QField:
+    """Brute-force kernel quadrature of every valid plan, b = 0 axes
+    included; the reference oracle for qolct_forward."""
+    if f.grid != plan.input_grid:
+        raise ValueError("field grid does not match plan input grid")
+    g, og = f.grid, plan.output_grid
+    left = _axis_parts(plan.A1, g.axis_coords(1), og.axis_coords(1), g.spacing1,
+                       transposed=False)
+    cos2, sin2 = _axis_parts(plan.A2, g.axis_coords(2), og.axis_coords(2),
+                             g.spacing2, transposed=True)
+    if _mutation.active("right-kernel-sign"):
+        sin2 = -sin2
+    return _contract(f, plan, left, (cos2, sin2), 1.0)
 
 
 def _qlct_reference(f: QField, A1: OffsetParams, A2: OffsetParams,
@@ -352,20 +296,19 @@ def analysis_quartet(f: QField, plan: QolctPlan) -> ComponentQuartet:
     For unchirped signals along an axis (a = tau = 0) it coincides with
     :func:`olct.qolct_quartet` along that axis's contribution.
     """
-    _require_positive_b(plan.A1, plan.A2)
     if f.grid != plan.input_grid:
         raise ValueError("field grid does not match plan input grid")
     t1, t2 = f.grid.axis_coords(1), f.grid.axis_coords(2)
     u1, u2 = plan.output_grid.axis_coords(1), plan.output_grid.axis_coords(2)
-    left = plane_to_quat(np.exp(1j * _chirp_phase(plan.A1, t1)), plan.lam)
-    right = plane_to_quat(np.exp(1j * _chirp_phase(plan.A2, t2)), plan.mu)
-    g = qmul(qmul(left[:, None], f.samples), right[None])
-    kernels = []
+    kernels = []  # first, as the kernels refuse b <= 0 before a chirp divides by b
     for A, t, u, transposed in ((plan.A1, t1, u1, False), (plan.A2, t2, u2, True)):
         cosm, sinm = _kernel_matrices(A, t, u, transposed)
         phase = _chirp_phase(A, t).reshape((-1, 1) if transposed else (1, -1))
         kernels.append((cosm * np.cos(phase) + sinm * np.sin(phase),
                         sinm * np.cos(phase) - cosm * np.sin(phase)))
+    left = plane_to_quat(np.exp(1j * _chirp_phase(plan.A1, t1)), plan.lam)
+    right = plane_to_quat(np.exp(1j * _chirp_phase(plan.A2, t2)), plan.mu)
+    g = qmul(qmul(left[:, None], f.samples), right[None])
     members = []
     for m in range(4):
         gm = np.zeros_like(g)

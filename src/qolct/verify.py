@@ -6,8 +6,8 @@ compared against ``tolerance``.  All randomness flows from one seed, so a
 report is reproducible bit for bit.  The identity checks below compare the
 two sides of the paper's derivative, covariance and moment identities; the
 other routes to the transforms' numbers live in ``oracle``.  The quaternion
-helpers only the algebra suite calls (the polar form, axis exponentials,
-``qinv`` and ``qconj``) live here beside it.
+helpers only the algebra suite calls (axis exponentials, ``qinv`` and
+``qconj``) live here beside it.
 """
 
 from __future__ import annotations
@@ -39,11 +39,8 @@ from .oracle import (
     GaussianSpec,
     _qlct_reference,
     analysis_quartet,
-    gaussian_integral_complex_offset,
-    gaussian_qolct_closed_form,
     gaussian_qolct_closed_form_field,
     gaussian_qolct_log_modulus,
-    kernel_sum,
     norm_field,
     plane_to_quat,
     qft_direct,
@@ -256,30 +253,6 @@ def moment_identity_check(f: QField, plan: QolctPlan, axis: int) -> MomentReport
 # ---------------------------------------------------------------------------
 # Quaternion helpers the algebra suite holds to their identities.
 
-class DegenerateAxisError(ValueError):
-    """Polar decomposition of a real quaternion has no canonical axis."""
-
-
-def polar(q, fallback_axis: PureUnit | None = None):
-    """Decompose a (4,) quaternion q = magnitude * (cos(angle) + axis*sin(angle)).
-
-    Returns ``(magnitude, axis, angle)`` with ``angle`` in [0, pi].  When the
-    vector part vanishes (q real) there is no canonical axis; the caller must
-    supply ``fallback_axis`` or a :class:`DegenerateAxisError` is raised.
-    """
-    q0, q1, q2, q3 = (float(v) for v in q)
-    vec = np.array([q1, q2, q3])
-    vnorm = math.sqrt(float(vec @ vec))
-    mag = math.sqrt(q0 ** 2 + q1 ** 2 + q2 ** 2 + q3 ** 2)
-    angle = math.atan2(vnorm, q0)
-    if vnorm <= 1e-300:
-        if fallback_axis is None:
-            raise DegenerateAxisError(
-                "quaternion has (numerically) zero vector part; pass fallback_axis")
-        return mag, fallback_axis, angle
-    return mag, PureUnit(q1, q2, q3), angle
-
-
 def axis_exp(axis: PureUnit, theta: float) -> np.ndarray:
     """exp(axis*theta) = cos(theta) + axis*sin(theta); always unit norm."""
     c, s = math.cos(theta), math.sin(theta)
@@ -361,16 +334,6 @@ def algebra_checks(seed: int):
         sq = qmul(qinv(inv_sqrt_unit(ax)), qinv(inv_sqrt_unit(ax)))
         worst = max(worst, float(np.abs(sq - ax.array).max()))
     out.append(_record("inverse-sqrt-squares-to-axis", "100 random axes", worst, 1e-14))
-
-    worst = 0.0
-    for _ in range(200):
-        qq = rng.uniform(-1, 1, 4)
-        if qnorm(qq) < 1e-3:
-            continue
-        mag, ax, ang = polar(qq, fallback_axis=UNIT_I)
-        rec = mag * axis_exp(ax, ang)
-        worst = max(worst, float(np.abs(rec - qq).max()))
-    out.append(_record("polar-reconstruction", "200 random quaternions", worst, 1e-13))
 
     worst = 0.0
     for _ in range(200):
@@ -563,7 +526,7 @@ def qolct_checks(seed: int):
                                   input_grid=g24),
                  QolctPlan(random_offset_params(rng), deg[1], lam, mu, g24,
                            Grid2D(16, 16, 0.1, deg[1].tau, 0.45, g24.spacing2))):
-        want = kernel_sum(f24, plan)
+        want = qolct_direct(f24, plan).samples
         got = qolct_forward(f24, plan).samples
         worst = max(worst, float(qnorm(got - want).max() / qnorm(want).max()))
     out.append(_record("degenerate-equals-kernel-sum",
@@ -602,25 +565,12 @@ def oracle_checks(seed: int):
     rel = qnorm(got.samples - want.samples).max() / qnorm(want.samples).max()
     out.append(_record("closed-form-vs-forward", "random params, 128^2", rel, 1e-6))
 
-    peak = float(qnorm(gaussian_qolct_closed_form(spec2, A1b, A2b, UNIT_I, UNIT_J,
-                                                  (A1b.tau, A2b.tau))))
+    at_tau = Grid2D(1, 1, A1b.tau, A2b.tau, 1.0, 1.0)
+    peak = float(qnorm(gaussian_qolct_closed_form_field(
+        spec2, A1b, A2b, UNIT_I, UNIT_J, at_tau).samples[0, 0]))
     log_mod = gaussian_qolct_log_modulus(spec2, A1b, A2b, plan2.output_grid)
     out.append(_record("envelope-peak-at-offset", "modulus peaks at u = tau, > 0",
                        envelope_peak_defect(want.samples, peak, log_mod), 1e-12))
-
-    z = np.array([1.0, 0.0, 0.6, 0.0])
-    zp = np.array([0.3, 0.0, -0.4, 0.0])
-    got = gaussian_integral_complex_offset(z, zp)
-    t = np.linspace(-30.0, 30.0, 600001)
-    zc = complex(1.0, 0.6)
-    zpc = complex(0.3, -0.4)
-    # the trapezoid rule by blocks of 2^14 cells that share their end points,
-    # so each block's temporaries stay in cache and the suite's peak small
-    ref = sum(np.trapezoid(np.exp(-zc * (ts + zpc) ** 2), ts)
-              for ts in (t[lo:lo + 2**14 + 1] for lo in range(0, t.size - 1, 2**14)))
-    refq = plane_to_quat(np.asarray(ref), UNIT_J)
-    out.append(_record("offset-gaussian-integral", "z = 1 + 0.6j (j-plane)",
-                       float(np.abs(got - refq).max()), 1e-10))
     return out
 
 

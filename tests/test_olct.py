@@ -31,7 +31,6 @@ from qolct.olct import analysis
 from qolct.oracle import (
     analysis_quartet,
     kernel,
-    kernel_sum,
     norm_field,
     plane_to_quat,
     qolct_direct,
@@ -105,7 +104,8 @@ def test_plan_rejects_a_one_sample_b_zero_axis(zero_axis):
     g = Grid2D(n1, n2, 0.0, 0.0, 1.0, 1.0)
     f = QField(g, np.random.default_rng(zero_axis).normal(size=(n1, n2, 4)))
     plan = QolctPlan.create(A1, A2, input_grid=g)
-    assert rel_max_err(qolct_forward(f, plan).samples, kernel_sum(f, plan)) <= 1e-12
+    assert rel_max_err(qolct_forward(f, plan).samples,
+                       qolct_direct(f, plan).samples) <= 1e-12
 
 
 def test_kernel_values():
@@ -210,18 +210,19 @@ def test_quartet_component_routing(grid64):
 
 def test_quartet_is_four_forwards_on_general_axes(grid64):
     # member m is the forward of the real component f_m as a scalar field,
-    # bit for bit, on axes outside (i, j)
+    # bit for bit, on axes outside (i, j), on every plan the forward serves
     f = corpus_signals(grid64)["quaternion"]
-    plan = QolctPlan.create(A1_REF, A2_REF, PureUnit(1.0, -0.5, 2.0),
-                            PureUnit(0.3, 1.0, 0.4), input_grid=grid64)
-    q = qolct_quartet(f, plan)
-    for m, member in enumerate(q.members):
-        component = np.zeros_like(f.samples)
-        component[..., 0] = f.samples[..., m]
-        want = qolct_forward(QField(grid64, component), plan)
-        assert member.grid == want.grid
-        assert np.array_equal(member.samples, want.samples)
-        assert not member.samples.flags.writeable
+    for A1 in (A1_REF, OffsetParams(1.0, 0.0, 0.7, 1.0, 0.0, -0.6)):  # b1 > 0, b1 = 0
+        plan = QolctPlan.create(A1, A2_REF, PureUnit(1.0, -0.5, 2.0),
+                                PureUnit(0.3, 1.0, 0.4), input_grid=grid64)
+        q = qolct_quartet(f, plan)
+        for m, member in enumerate(q.members):
+            component = np.zeros_like(f.samples)
+            component[..., 0] = f.samples[..., m]
+            want = qolct_forward(QField(grid64, component), plan)
+            assert member.grid == want.grid
+            assert np.array_equal(member.samples, want.samples)
+            assert not member.samples.flags.writeable
 
 
 def test_quartet_unit_sum_differs_from_full_transform(grid64):
@@ -593,12 +594,15 @@ def test_degenerate_identity_matrices():
     assert np.abs(got.samples - f.samples).max() <= 1e-12
     assert plan.output_grid == g
     # at tau = 1e7 the derived grid's coordinates miss the samples by about
-    # 2e-8 of h, their own rounding: still a plan, and still a gather
+    # 2e-8 of h, their own rounding: still a plan, and still a gather, which
+    # the dense quadrature reads within the same allowance
     g = Grid2D(64, 64, 0.1, 0.0, 16.3 / 64, 16.3 / 64)
     f = QField(g, np.random.default_rng(3).normal(size=(64, 64, 4)))
     far = OffsetParams(1.0, 0.0, 0.0, 1.0, 1e7, 0.0)
-    got = qolct_forward(f, QolctPlan.create(far, far, input_grid=g))
+    plan = QolctPlan.create(far, far, input_grid=g)
+    got = qolct_forward(f, plan)
     assert np.abs(got.samples - f.samples).max() <= 1e-12
+    assert rel_max_err(got.samples, qolct_direct(f, plan).samples) <= 1e-12
 
 
 def test_degenerate_branch_exact_when_substitution_hits_samples():
@@ -626,8 +630,9 @@ def test_degenerate_branch_exact_when_substitution_hits_samples():
 
 @pytest.mark.parametrize("zero_axes", ["b1_zero", "b2_zero", "both_zero"])
 def test_forward_serves_b_zero_axes(zero_axes):
-    # qolct_forward picks the substitution for every b = 0 axis from the
-    # plan alone; the other transforms still require b > 0 on both axes
+    # qolct_forward, and so the quartet and the dense quadrature, pick the
+    # substitution for every b = 0 axis from the plan alone; the inverse and
+    # the analysis quartet still require b > 0 on both axes
     g = Grid2D.centered(24, 8.0)
     f = synth_gaussian(g, 0.8, 1.2, (1.0, 0.5), (0.7, -0.4), UNIT_I, UNIT_J)
     h = g.spacing1
@@ -644,7 +649,7 @@ def test_forward_serves_b_zero_axes(zero_axes):
     got = qolct_forward(f, plan)
 
     assert got.grid == og
-    assert rel_max_err(got.samples, kernel_sum(f, plan)) <= 1e-12
+    assert rel_max_err(got.samples, qolct_direct(f, plan).samples) <= 1e-12
     # between the samples on every b = 0 axis: refused with the plan, naming
     # the first b = 0 axis
     half = Grid2D(16, 16, c1 + h / 2, c2 + h / 2, h, h)
@@ -652,9 +657,8 @@ def test_forward_serves_b_zero_axes(zero_axes):
     with pytest.raises(PlanViolationError, match=f"axis {first}: substituted coordinates"):
         QolctPlan(A1, A2, UNIT_I, UNIT_J, g, half)
 
-    for transform in (qolct_quartet, analysis_quartet, qolct_direct):
-        with pytest.raises(ValueError, match="require b > 0"):
-            transform(f, plan)
+    with pytest.raises(ValueError, match="require b > 0"):
+        analysis_quartet(f, plan)
     with pytest.raises(ValueError, match="require b > 0"):
         qolct_inverse(got, plan)
 
@@ -692,8 +696,8 @@ def test_forward_property(n1, n2, shifted, derived, zero, seed):
     (A1, m1, c1, s1), (A2, m2, c2, s2) = axes
     plan = QolctPlan(A1, A2, plan.lam, plan.mu, f.grid,
                      Grid2D(m1, m2, c1, c2, s1, s2))
-    want = qolct_direct(f, plan).samples if zero == "none" else kernel_sum(f, plan)
-    assert rel_max_err(qolct_forward(f, plan).samples, want) <= 1e-12
+    assert rel_max_err(qolct_forward(f, plan).samples,
+                       qolct_direct(f, plan).samples) <= 1e-12
 
 
 def test_degenerate_single_axis_consistent_with_main_limit():

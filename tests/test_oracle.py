@@ -1,4 +1,5 @@
 import ast
+import cmath
 import math
 from pathlib import Path
 
@@ -16,10 +17,9 @@ from qolct import (
 )
 from qolct.oracle import (
     GaussianSpec,
-    gaussian_integral_complex_offset,
-    gaussian_qolct_closed_form,
     gaussian_qolct_closed_form_field,
     gaussian_qolct_log_modulus,
+    plane_to_quat,
     qolct_direct,
 )
 from qolct.quat import PureUnit, qmul, qnorm
@@ -42,12 +42,18 @@ SWEEP = [
 ]
 
 
+def _closed_form_at(spec, A1, A2, lam, mu, u):
+    """The closed form at one point u, the grid form on a one-sample grid."""
+    grid = Grid2D(1, 1, u[0], u[1], 1.0, 1.0)
+    return gaussian_qolct_closed_form_field(spec, A1, A2, lam, mu, grid).samples[0, 0]
+
+
 def test_qft_case_reduces_to_classical_gaussian_transform():
     # alpha = 1/2, beta = 1: closed form = e^{-l pi/4} e^{-|u|^2/2} e^{-m pi/4}
     spec = GaussianSpec(0.5, 0.5)
     A = QFT_CASE
     for u in ((0.0, 0.0), (0.7, -1.3), (2.0, 1.5)):
-        got = gaussian_qolct_closed_form(spec, A, A, UNIT_I, UNIT_J, u)
+        got = _closed_form_at(spec, A, A, UNIT_I, UNIT_J, u)
         env = math.exp(-(u[0] ** 2 + u[1] ** 2) / 2.0)
         want = qmul(inv_sqrt_unit(UNIT_I) * env, inv_sqrt_unit(UNIT_J))
         assert np.abs(got - want).max() <= 1e-14
@@ -56,11 +62,10 @@ def test_qft_case_reduces_to_classical_gaussian_transform():
 def test_envelope_peaks_at_offsets():
     spec = GaussianSpec(1.0, 0.5, 1.0, 0.4, 0.6, -0.3)
     A1, A2 = SWEEP[1]
-    peak = qnorm(gaussian_qolct_closed_form(spec, A1, A2, UNIT_I, UNIT_J,
-                                            (A1.tau, A2.tau)))
+    peak = qnorm(_closed_form_at(spec, A1, A2, UNIT_I, UNIT_J, (A1.tau, A2.tau)))
     for du in (0.3, 1.0, 2.5):
-        off = qnorm(gaussian_qolct_closed_form(spec, A1, A2, UNIT_I, UNIT_J,
-                                               (A1.tau + du, A2.tau - du)))
+        off = qnorm(_closed_form_at(spec, A1, A2, UNIT_I, UNIT_J,
+                                    (A1.tau + du, A2.tau - du)))
         assert off < peak
 
 
@@ -79,8 +84,8 @@ def test_envelope_peak_check_ignores_underflowed_corners(seed):
     spec = GaussianSpec(0.9, 0.6, 0.8, -0.5, 1.0, 0.7)
     grid = QolctPlan.create(A1, A2, input_grid=Grid2D.centered(128, 16.0)).output_grid
     want = gaussian_qolct_closed_form_field(spec, A1, A2, UNIT_I, UNIT_J, grid)
-    peak = float(qnorm(gaussian_qolct_closed_form(spec, A1, A2, UNIT_I, UNIT_J,
-                                                  (A1.tau, A2.tau))))
+    peak = float(qnorm(_closed_form_at(spec, A1, A2, UNIT_I, UNIT_J,
+                                       (A1.tau, A2.tau))))
     log_mod = gaussian_qolct_log_modulus(spec, A1, A2, grid)
     assert np.any(np.sqrt(np.sum(want.samples ** 2, axis=-1)) == 0.0)
     assert np.all(want.modulus() > 0.0)
@@ -110,7 +115,9 @@ def test_closed_form_matches_direct_quadrature_sweep():
 
 def test_root_variant_arbitration():
     # the square root (a + 2 b alpha lam)^(-1/2) matches the quadrature;
-    # the all-imaginary variant ((2 b alpha + a) lam)^(-1/2) does not
+    # the all-imaginary variant ((2 b alpha + a) lam)^(-1/2) does not.  Both
+    # roots lie in one axis plane, so the variant is r1 * good * r2 with
+    # r_k = sqrt(a + 2 b alpha axis) / sqrt((2 b alpha + a) axis)
     spec = GaussianSpec(1.0, 0.5)
     A1 = OffsetParams(1.0, 1.0, 1.0, 2.0, 0.3, -0.2)
     g = Grid2D.centered(64, 16.0)
@@ -118,11 +125,14 @@ def test_root_variant_arbitration():
     plan = QolctPlan.create(A1, A1, input_grid=g)
     got = qolct_forward(f, plan)
     good = gaussian_qolct_closed_form_field(spec, A1, A1, UNIT_I, UNIT_J,
-                                            plan.output_grid, "derivation")
-    bad = gaussian_qolct_closed_form_field(spec, A1, A1, UNIT_I, UNIT_J,
-                                           plan.output_grid, "display")
+                                            plan.output_grid)
+    r1, r2 = (cmath.sqrt(complex(A1.a, 2.0 * A1.b * alpha))
+              / cmath.sqrt(complex(0.0, 2.0 * A1.b * alpha + A1.a))
+              for alpha in (spec.alpha1, spec.alpha2))
+    bad = qmul(qmul(plane_to_quat(np.asarray(r1), UNIT_I), good.samples),
+               plane_to_quat(np.asarray(r2), UNIT_J))
     assert rel_max_err(got.samples, good.samples) <= 1e-9
-    assert rel_max_err(got.samples, bad.samples) > 1e-2
+    assert rel_max_err(got.samples, bad) > 1e-2
 
 
 def test_general_axes_closed_form():
@@ -144,13 +154,13 @@ def test_left_factor_stays_in_lam_plane():
     # all left-factor arithmetic (beta1, square root, phase, envelope) runs
     # in span{1, lam}: embedding it as a quaternion leaves the two
     # orthogonal units exactly zero, and the envelope stays in (0, 1]
-    from qolct.oracle import _axis_factor, plane_to_quat
+    from qolct.oracle import _axis_factor
 
     spec = GaussianSpec(1.0, 0.5, 1.0, 0.4, 1.0, 0.0)
     A1, _ = SWEEP[1]
     lam = PureUnit(0.0, 0.0, 1.0)
     u = np.linspace(-4.0, 4.0, 33)
-    env, z = _axis_factor(spec.alpha1, A1, u, "derivation")
+    env, z = _axis_factor(spec.alpha1, A1, u)
     assert np.all(env > 0.0) and np.all(env <= 1.0)
     left = plane_to_quat(complex(spec.beta11, spec.beta12) * env * z, lam)
     assert np.abs(left[:, 1]).max() <= 1e-13   # i component
@@ -158,42 +168,12 @@ def test_left_factor_stays_in_lam_plane():
     assert np.abs(left[:, 3]).max() > 0.0      # lives along lam = k
 
 
-def test_gaussian_integral_complex_offset():
-    def q(*c):
-        return np.array(c, dtype=float)
-
-    # real case
-    got = gaussian_integral_complex_offset(q(1, 0, 0, 0), q(0, 0, 0, 0))
-    assert got[0] == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-
-    # z = 1 + i against 1D quadrature
-    t = np.linspace(-40.0, 40.0, 800001)
-    zc = 1.0 + 1.0j
-    want = np.trapezoid(np.exp(-zc * t ** 2), t)
-    got = gaussian_integral_complex_offset(q(1, 1, 0, 0), q(0, 0, 0, 0))
-    assert abs(got[0] - want.real) <= 1e-10
-    assert abs(got[1] - want.imag) <= 1e-10
-
-    # offset invariance: z' != 0 leaves the value unchanged
-    got_off = gaussian_integral_complex_offset(q(1, 1, 0, 0), q(0.5, -0.25, 0, 0))
-    assert np.abs(got_off - got).max() <= 1e-14
-    want_off = np.trapezoid(np.exp(-zc * (t + (0.5 - 0.25j)) ** 2), t)
-    assert abs(got_off[0] - want_off.real) <= 1e-10
-
-    with pytest.raises(ValueError):
-        gaussian_integral_complex_offset(q(-1, 1, 0, 0), q(0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        gaussian_integral_complex_offset(q(1, 1, 0, 0), q(0, 0, 1, 0))  # mixed planes
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         GaussianSpec(-1.0, 1.0)
     with pytest.raises(ValueError):
-        gaussian_qolct_closed_form(GaussianSpec(1.0, 1.0),
-                                   OffsetParams(1.0, 0.0, 0.0, 1.0),
-                                   QFT_CASE, UNIT_I, UNIT_J,
-                                   (0.0, 0.0))
+        _closed_form_at(GaussianSpec(1.0, 1.0), OffsetParams(1.0, 0.0, 0.0, 1.0),
+                        QFT_CASE, UNIT_I, UNIT_J, (0.0, 0.0))
 
 
 #: the production modules that may import one of the two: the CLI's

@@ -9,7 +9,7 @@ from qolct.field import Grid2D
 from qolct.oracle import plane_to_quat
 from qolct.qft import _planes_ft
 from qolct.quat import UNIT_I, UNIT_J, UNIT_K, PureUnit, qmul, qnorm
-from qolct.verify import DegenerateAxisError, axis_exp, inv_sqrt_unit, polar, qconj, qinv
+from qolct.verify import axis_exp, inv_sqrt_unit, qconj, qinv
 
 UNITY = np.array([1.0, 0.0, 0.0, 0.0])
 I, J, K = UNIT_I.array, UNIT_J.array, UNIT_K.array
@@ -80,42 +80,6 @@ def test_inverse_matches_conjugate_over_norm():
     assert q_isclose(qinv(q), want, 1e-15)
     with pytest.raises(ZeroDivisionError):
         qinv(np.zeros(4))
-
-
-def test_polar_pure_unit():
-    mag, axis, angle = polar(K)
-    assert mag == pytest.approx(1.0)
-    assert angle == pytest.approx(math.pi / 2)
-    assert (axis.x, axis.y, axis.z) == (0.0, 0.0, 1.0)
-
-
-def test_polar_negative_real_needs_fallback():
-    with pytest.raises(DegenerateAxisError):
-        polar(-UNITY)
-    mag, axis, angle = polar(-UNITY, fallback_axis=UNIT_J)
-    assert mag == pytest.approx(1.0)
-    assert angle == pytest.approx(math.pi)
-    assert axis == UNIT_J
-
-
-def test_polar_of_one_plus_ijk():
-    # |q| = 2, cos(theta) = 1/2 so theta = pi/3, axis = (i+j+k)/sqrt(3)
-    mag, axis, angle = polar(np.ones(4))
-    assert mag == pytest.approx(2.0)
-    assert angle == pytest.approx(math.pi / 3)
-    s = 1.0 / math.sqrt(3.0)
-    assert np.allclose([axis.x, axis.y, axis.z], [s, s, s])
-
-
-@given(quaternions)
-@settings(max_examples=200)
-def test_polar_reconstruction(q):
-    if math.sqrt(float(q[1:] @ q[1:])) < 1e-6:
-        return
-    mag, axis, angle = polar(q)
-    rec = mag * axis_exp(axis, angle)
-    assert np.abs(rec - q).max() <= 1e-13
-    assert 0.0 <= angle <= math.pi
 
 
 def test_axis_exp_values():

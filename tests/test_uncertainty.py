@@ -30,7 +30,7 @@ from qolct.uncertainty import (
     pitt_check,
     pitt_constants,
 )
-from qolct.verify import QFT_CASE
+from qolct.verify import A1_REF, A2_REF, QFT_CASE
 
 from conftest import corpus_signals, meshgrid, parameter_sets, rel_max_err, zero_field
 
@@ -538,3 +538,40 @@ def test_logup_width_balance():
         - rep_n.transform_term / rep_n.energy
     assert shift_t == pytest.approx(math.log(2.0), abs=2e-2)
     assert shift_z == pytest.approx(-math.log(2.0), abs=2e-2)
+
+
+# ---------------------------------------------------------------------------
+# Concurrency.
+
+def test_reports_under_threads_equal_the_sequential_ones(grid64):
+    # 4 threads, 15 rounds each, rotate through 4 (signal, plan) pairs, so the
+    # one kept analysis is replaced under them all the time: every Hardy
+    # report (its three figures) and both Heisenberg axes equal, float for
+    # float, the reports of one sequential pass
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    sig = corpus_signals(grid64)
+    pairs = [(sig["real"], QolctPlan.create(QFT_CASE, QFT_CASE, input_grid=grid64)),
+             (sig["quaternion"], QolctPlan.create(A1_REF, A2_REF, input_grid=grid64)),
+             (sig["chirped"], QolctPlan.create(A1_REF, A2_REF, PureUnit(1.0, -0.5, 2.0),
+                                               PureUnit(0.3, 1.0, 0.4), input_grid=grid64)),
+             (sig["shifted"], QolctPlan.create(QFT_CASE, A2_REF, input_grid=grid64))]
+
+    def reports(f, plan):
+        hd = hardy_report(f, plan)
+        return ((hd.alpha_hat, hd.beta_hat, hd.product),
+                heisenberg_report(f, plan, 1), heisenberg_report(f, plan, 2))
+
+    want = [reports(*pair) for pair in pairs]
+    start = threading.Barrier(4, timeout=60)
+
+    def rounds(k):
+        start.wait()  # all four threads run at once
+        return [((k + r) % 4, reports(*pairs[(k + r) % 4])) for r in range(15)]
+
+    with ThreadPoolExecutor(4) as pool:
+        got = [run for runs in pool.map(rounds, range(4)) for run in runs]
+    assert len(got) == 60
+    for i, figures in got:
+        assert figures == want[i], i
