@@ -167,7 +167,7 @@ def qft_direct(f: QField, plan: QftPlan) -> QField:
 def kernel(A: OffsetParams, lam: PureUnit, t: float, u: float) -> np.ndarray:
     """Evaluate the transform kernel K_A(t, u) on axis ``lam``."""
     cosm, sinm = _kernel_matrices(A, np.array([t]), np.array([u]), transposed=False)
-    return plane_to_quat(np.asarray(complex(cosm[0, 0], sinm[0, 0])), lam)
+    return plane_to_quat(complex(cosm[0, 0], sinm[0, 0]), lam)
 
 
 def _kernel_matrices(A: OffsetParams, t, u, transposed: bool):

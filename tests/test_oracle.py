@@ -129,8 +129,7 @@ def test_root_variant_arbitration():
     r1, r2 = (cmath.sqrt(complex(A1.a, 2.0 * A1.b * alpha))
               / cmath.sqrt(complex(0.0, 2.0 * A1.b * alpha + A1.a))
               for alpha in (spec.alpha1, spec.alpha2))
-    bad = qmul(qmul(plane_to_quat(np.asarray(r1), UNIT_I), good.samples),
-               plane_to_quat(np.asarray(r2), UNIT_J))
+    bad = qmul(qmul(plane_to_quat(r1, UNIT_I), good.samples), plane_to_quat(r2, UNIT_J))
     assert rel_max_err(got.samples, good.samples) <= 1e-9
     assert rel_max_err(got.samples, bad) > 1e-2
 
