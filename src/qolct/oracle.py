@@ -1,16 +1,16 @@
 """Oracles: other routes to the numbers the transforms produce.
 
-Dense quadratures evaluate the kernel sums sample by sample, all through the
-one contraction ``_contract``: ``qft_direct`` for the QFT and ``qolct_direct``
-for the QOLCT, which reads a b = 0 axis as the selection t = d (u - tau) times
-its chirp.  ``kernel`` is one kernel value and ``_qlct_reference`` an
-independently coded QLCT quadrature.  ``analysis_quartet`` is the dense
-quadrature of the chirped signal's four real components, with its own chirps
-and the chirp phase divided out of the kernel: the long way to the energy
-density, sharing no code with the engine or the planes split; ``norm_field``
-is a quartet's pointwise norm, and ``plane_to_quat`` embeds complex values
-x + iy as x + axis*y.  ``digamma`` is a series, the other route to the
-logarithmic constant.  No production module imports this one.
+Each dense quadrature codes its own kernel's cos and sin parts on a mesh
+and sums them with the one contraction ``_contract``: ``qft_direct`` for the
+QFT; ``qolct_direct`` for the QOLCT, which reads a b = 0 axis as the
+selection t = d (u - tau) times its chirp; ``_qlct_reference``, a QLCT
+quadrature with its own tau = eta = 0 kernel formula; and
+``analysis_quartet``, the dense quadrature of the chirped signal's four real
+components, with its own chirps and the chirp phase divided out of the
+kernel: the long way to the energy density, sharing no code with the engine
+or the planes split.  ``norm_field`` is a quartet's pointwise norm, and
+``plane_to_quat`` embeds complex values x + iy as x + axis*y.  No production
+module imports this one.
 
 Analytic ground truth for Gaussian signals: the transform of beta * exp(-(alpha1 t1^2 + alpha2 t2^2)) factors per axis
 into a real envelope, a plane square-root constant and a quadratic phase.
@@ -117,33 +117,20 @@ def gaussian_qolct_log_modulus(spec: GaussianSpec, A1: OffsetParams,
 _CONTRACT_BLOCK = 1024
 
 
-def _left_contract(cosm, sinm, lam, samples, weight):
-    """sum_p (cos + lam*sin)[q, p] * samples[p, ...] * weight."""
-    lam_f = qmul(lam.array, samples)
-    out = np.tensordot(cosm, samples, axes=(1, 0))
-    out += np.tensordot(sinm, lam_f, axes=(1, 0))
-    return out * weight
-
-
-def _right_contract(samples, cosm, sinm, mu, weight):
-    """sum_p samples[:, p, :] * (cos + mu*sin)[p, q] * weight."""
-    f_mu = qmul(samples, mu.array)
-    out = np.tensordot(samples, cosm, axes=(1, 0))
-    out += np.tensordot(f_mu, sinm, axes=(1, 0))
-    return np.moveaxis(out, -1, 1) * weight
-
-
-def _contract(f: QField, plan, left, right, scale: float) -> QField:
+def _contract(f: QField, lam: PureUnit, mu: PureUnit, ugrid: Grid2D, left,
+              right, scale: float) -> QField:
     """sum_t (cos1 + lam sin1)[u1, t1] f(t) (cos2 + mu sin2)[t2, u2] dt * scale
-    on the plan's axes and output grid, by blocks of output rows: ``left`` is
+    on the output grid ``ugrid``, by blocks of output rows: ``left`` is
     (cos1, sin1) on the (u1, t1) mesh, ``right`` (cos2, sin2) on (t2, u2)."""
-    ugrid = plan.output_grid
     out = np.empty((ugrid.n1, ugrid.n2, 4))
     for lo in range(0, ugrid.n1, _CONTRACT_BLOCK):
         rows = slice(lo, lo + _CONTRACT_BLOCK)
-        g = _left_contract(left[0][rows], left[1][rows], plan.lam,
-                           f.samples, f.grid.spacing1)
-        out[rows] = _right_contract(g, *right, plan.mu, f.grid.spacing2 * scale)
+        g = np.tensordot(left[0][rows], f.samples, axes=(1, 0))
+        g += np.tensordot(left[1][rows], qmul(lam.array, f.samples), axes=(1, 0))
+        g *= f.grid.spacing1
+        h = np.tensordot(g, right[0], axes=(1, 0))
+        h += np.tensordot(qmul(g, mu.array), right[1], axes=(1, 0))
+        out[rows] = np.moveaxis(h, -1, 1) * (f.grid.spacing2 * scale)
     return QField(ugrid, out)
 
 
@@ -154,7 +141,7 @@ def _direct_apply(f: QField, plan: QftPlan, sign: int, scale: float) -> QField:
 
     left = kernel_parts(plan.output_grid.axis_coords(1), f.grid.axis_coords(1))
     right = kernel_parts(f.grid.axis_coords(2), plan.output_grid.axis_coords(2))
-    return _contract(f, plan, left, right, scale)
+    return _contract(f, plan.lam, plan.mu, plan.output_grid, left, right, scale)
 
 
 def qft_direct(f: QField, plan: QftPlan) -> QField:
@@ -162,12 +149,6 @@ def qft_direct(f: QField, plan: QftPlan) -> QField:
     if f.grid != plan.input_grid:
         raise ValueError("field grid does not match plan input grid")
     return _direct_apply(f, plan, -1, 1.0)
-
-
-def kernel(A: OffsetParams, lam: PureUnit, t: float, u: float) -> np.ndarray:
-    """Evaluate the transform kernel K_A(t, u) on axis ``lam``."""
-    cosm, sinm = _kernel_matrices(A, np.array([t]), np.array([u]), transposed=False)
-    return plane_to_quat(complex(cosm[0, 0], sinm[0, 0]), lam)
 
 
 def _kernel_matrices(A: OffsetParams, t, u, transposed: bool):
@@ -220,12 +201,14 @@ def qolct_direct(f: QField, plan: QolctPlan) -> QField:
                              g.spacing2, transposed=True)
     if _mutation.active("right-kernel-sign"):
         sin2 = -sin2
-    return _contract(f, plan, left, (cos2, sin2), 1.0)
+    return _contract(f, plan.lam, plan.mu, og, left, (cos2, sin2), 1.0)
 
 
 def _qlct_reference(f: QField, A1: OffsetParams, A2: OffsetParams,
                     ugrid: Grid2D) -> np.ndarray:
-    """Independently coded QLCT kernel quadrature (tau = eta = 0 form)."""
+    """Independently coded QLCT kernel quadrature (tau = eta = 0 form).  It
+    hands ``_contract`` its axes and grid itself: a ``QftPlan`` would refuse
+    ``ugrid``, which need not pass the QFT Nyquist check."""
     t1 = f.grid.axis_coords(1)
     t2 = f.grid.axis_coords(2)
     u1 = ugrid.axis_coords(1)
@@ -236,37 +219,8 @@ def _qlct_reference(f: QField, A1: OffsetParams, A2: OffsetParams,
             + A2.d * u2[None, :] ** 2) / (2 * A2.b) - math.pi / 4)
     k1 = np.exp(1j * th1) / math.sqrt(2 * math.pi * A1.b)
     k2 = np.exp(1j * th2) / math.sqrt(2 * math.pi * A2.b)
-    left = plane_to_quat(k1, UNIT_I)      # (n_u1, n_t1, 4)
-    right = plane_to_quat(k2, UNIT_J)     # (n_t2, n_u2, 4)
-    acc = np.zeros((u1.size, u2.size, 4))
-    for q1 in range(u1.size):
-        mid = qmul(left[q1][:, None, :], f.samples)        # (n_t1, n_t2, 4)
-        for q2 in range(u2.size):
-            term = qmul(mid, right[:, q2][None, :, :])
-            acc[q1, q2] = term.sum(axis=(0, 1))
-    return acc * f.grid.cell_area
-
-
-# B_{2n}/(2n) for the asymptotic digamma tail
-_DIGAMMA_TAIL = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0,
-                 1.0 / 132.0, -691.0 / 32760.0, 1.0 / 12.0)
-
-
-def digamma(x: float) -> float:
-    """psi(x) = Gamma'(x)/Gamma(x) by recurrence into the asymptotic regime."""
-    if x <= 0.0:
-        raise ValueError("digamma requires x > 0")
-    acc = 0.0
-    while x < 10.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    tail = 0.0
-    power = inv2
-    for coef in _DIGAMMA_TAIL:
-        tail += coef * power
-        power *= inv2
-    return acc + math.log(x) - 0.5 / x - tail
+    return _contract(f, UNIT_I, UNIT_J, ugrid, (k1.real, k1.imag),
+                     (k2.real, k2.imag), 1.0).samples
 
 
 def _chirp_phase(A: OffsetParams, t):
@@ -309,11 +263,5 @@ def analysis_quartet(f: QField, plan: QolctPlan) -> ComponentQuartet:
     left = plane_to_quat(np.exp(1j * _chirp_phase(plan.A1, t1)), plan.lam)
     right = plane_to_quat(np.exp(1j * _chirp_phase(plan.A2, t2)), plan.mu)
     g = qmul(qmul(left[:, None], f.samples), right[None])
-    members = []
-    for m in range(4):
-        gm = np.zeros_like(g)
-        gm[..., 0] = g[..., m]
-        mid = _left_contract(*kernels[0], plan.lam, gm, f.grid.spacing1)
-        members.append(QField(plan.output_grid, _right_contract(
-            mid, *kernels[1], plan.mu, f.grid.spacing2)))
-    return ComponentQuartet(tuple(members))
+    return ComponentQuartet.of(QField(f.grid, g), lambda gm: _contract(
+        gm, plan.lam, plan.mu, plan.output_grid, *kernels, 1.0))

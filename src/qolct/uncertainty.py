@@ -145,10 +145,10 @@ def hardy_envelope_fit(g: QField) -> EnvelopeFit:
     mod = g.modulus()
     peak = float(mod.max())
     if peak == 0.0:
-        raise ValueError("cannot fit an envelope to the zero field")
+        raise PlanViolationError("cannot fit an envelope to the zero field")
     mask = mod > 1e-6 * peak
     if int(mask.sum()) < 8:
-        raise ValueError("too few samples above the fitting floor")
+        raise PlanViolationError("too few samples above the fitting floor")
     r2 = (g.grid.radius() ** 2)[mask]
     y = np.log(mod[mask])
     design = np.stack([np.ones_like(r2), -r2], axis=1)

@@ -721,6 +721,33 @@ def test_uncertainty_hardy_tsv(tmp_path, qft_params):
     assert any(line.startswith("transform\t") for line in lines[1:])
 
 
+#: Hardy's envelope-fit refusals: a zero signal, and a gaussian so narrow
+#: that fewer than 8 samples lie above the fitting floor
+_UNFITTABLE = {
+    "cannot fit an envelope to the zero field": None,
+    "too few samples above the fitting floor": ("--alpha1", "400", "--alpha2", "400"),
+}
+
+
+@pytest.mark.parametrize("message", list(_UNFITTABLE))
+def test_hardy_refuses_an_unfittable_signal_with_exit_4(tmp_path, capsys, qft_params,
+                                                        message):
+    # a numerical precondition, not a usage error: exit 4 and no JSON
+    from qolct import cli
+
+    sig = str(tmp_path / "f.qsig")
+    if _UNFITTABLE[message] is None:
+        write_signal(sig, QField(Grid2D.centered(64, 16.0), np.zeros((64, 64, 4))))
+    else:
+        assert cli.main(["synth", "gaussian", "--n", "64", "--extent", "16",
+                         *_UNFITTABLE[message], "--out", sig]) == 0
+    out = tmp_path / "hd.json"
+    assert cli.main(["uncertainty", "--in", sig, "--params", qft_params,
+                     "--which", "hardy", "--json", str(out)]) == 4
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 _UNCERTAINTY_REPORTS = ("beurling", "hardy", "heisenberg", "logup", "pitt")
 
 

@@ -29,8 +29,8 @@ from qolct import _mutation
 from qolct.field import _ROW_BLOCK, apply_chirp
 from qolct.olct import analysis
 from qolct.oracle import (
+    _kernel_matrices,
     analysis_quartet,
-    kernel,
     norm_field,
     plane_to_quat,
     qolct_direct,
@@ -106,6 +106,13 @@ def test_plan_rejects_a_one_sample_b_zero_axis(zero_axis):
     plan = QolctPlan.create(A1, A2, input_grid=g)
     assert rel_max_err(qolct_forward(f, plan).samples,
                        qolct_direct(f, plan).samples) <= 1e-12
+
+
+def kernel(A, lam, t, u):
+    """K_A(t, u) on axis ``lam``: the kernel parts qolct_direct contracts, on
+    the one-point mesh (u, t)."""
+    cosm, sinm = _kernel_matrices(A, np.array([t]), np.array([u]), transposed=False)
+    return plane_to_quat(complex(cosm[0, 0], sinm[0, 0]), lam)
 
 
 def test_kernel_values():

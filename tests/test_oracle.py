@@ -9,17 +9,22 @@ import pytest
 from qolct import (
     Grid2D,
     OffsetParams,
+    QField,
+    QftPlan,
     QolctPlan,
     UNIT_I,
     UNIT_J,
     qolct_forward,
     synth_gaussian,
 )
+from qolct import oracle
 from qolct.oracle import (
     GaussianSpec,
+    analysis_quartet,
     gaussian_qolct_closed_form_field,
     gaussian_qolct_log_modulus,
     plane_to_quat,
+    qft_direct,
     qolct_direct,
 )
 from qolct.quat import PureUnit, qmul, qnorm
@@ -111,6 +116,25 @@ def test_closed_form_matches_direct_quadrature_sweep():
         want = gaussian_qolct_closed_form_field(spec, A1, A2, UNIT_I, UNIT_J,
                                                 plan.output_grid)
         assert rel_max_err(got.samples, want.samples) <= 1e-6
+
+
+def test_contract_blocks_rows_without_changing_a_bit(monkeypatch):
+    # 24 output rows in blocks of 5 (the last holding 4) give the one-block
+    # sums bit for bit: each row's sum is the same ops either way
+    g = Grid2D.centered(24, 6.0)
+    f = QField(g, np.random.default_rng(5).normal(size=(24, 24, 4)))
+    lam, mu = PureUnit(1.0, -0.5, 2.0), PureUnit(0.3, 1.0, 0.4)
+    qplan = QolctPlan.create(*SWEEP[1], lam, mu, input_grid=g)
+    qft_plan = QftPlan.forward(g, lam, mu)
+
+    def results():
+        return [qolct_direct(f, qplan).samples, qft_direct(f, qft_plan).samples,
+                *(m.samples for m in analysis_quartet(f, qplan).members)]
+
+    whole = results()
+    monkeypatch.setattr(oracle, "_CONTRACT_BLOCK", 5)
+    for got, want in zip(results(), whole, strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_root_variant_arbitration():

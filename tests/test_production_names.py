@@ -2,7 +2,9 @@
 module defines, and every method of such a class, is reached from a
 production path, ``scripts/`` or ``perfbench/``.  A name only the judges
 (``oracle``, ``verify``, the tests) call belongs beside them; one left in a
-production module fails here."""
+production module fails here.  The judges' own names are held to the same
+rule one level up: each serves a ``verify`` suite, the CLI, ``scripts/`` or
+``perfbench/``, not the tests alone."""
 
 import ast
 from pathlib import Path
@@ -65,24 +67,9 @@ def _definitions(module: str, tree):
             yield f"{module}.{node.name}", node.name, None, _names(node, foreign)
 
 
-def unreached(root: Path) -> list:
-    """The qualified production names that nothing reached refers to.  The
-    roots are the module-level statements of the production modules (the
-    package root's re-exports are not uses), ``scripts/``, ``perfbench/`` and
-    :data:`PUBLIC`; a definition is reached when a reached name or body
-    refers to its name."""
-    used, defs = set(PUBLIC), []
-    for path in sorted((root / "src" / "qolct").glob("*.py")):
-        if path.stem in ("oracle", "verify", "__init__"):
-            continue
-        tree = ast.parse(path.read_text())
-        defs += _definitions(path.stem, tree)
-        foreign = _foreign(tree)
-        used |= set().union(*(_names(n, foreign) for n in tree.body
-                              if not isinstance(n, _DEFS)))
-    for path in [*(root / "scripts").rglob("*.py"), *(root / "perfbench").rglob("*.py")]:
-        tree = ast.parse(path.read_text())
-        used |= _names(tree, _foreign(tree))
+def _unreached(defs, used) -> list:
+    """The qualified names of ``defs`` that nothing reached refers to: a
+    definition is reached when a reached name or body refers to its name."""
     reached, grew = set(), True
     while grew:
         grew = False
@@ -94,8 +81,59 @@ def unreached(root: Path) -> list:
     return sorted(q for q, *_ in defs if q not in reached)
 
 
+def _tree_names(paths) -> set:
+    """Every name the whole files ``paths`` refer to."""
+    used = set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        used |= _names(tree, _foreign(tree))
+    return used
+
+
+def _runners(root: Path) -> list:
+    """``scripts/`` and ``perfbench/``: the code that runs the library."""
+    return [*(root / "scripts").rglob("*.py"), *(root / "perfbench").rglob("*.py")]
+
+
+def unreached(root: Path) -> list:
+    """The qualified production names that nothing reached refers to.  The
+    roots are the module-level statements of the production modules (the
+    package root's re-exports are not uses), ``scripts/``, ``perfbench/`` and
+    :data:`PUBLIC`."""
+    used, defs = set(PUBLIC), []
+    for path in sorted((root / "src" / "qolct").glob("*.py")):
+        if path.stem in ("oracle", "verify", "__init__"):
+            continue
+        tree = ast.parse(path.read_text())
+        defs += _definitions(path.stem, tree)
+        foreign = _foreign(tree)
+        used |= set().union(*(_names(n, foreign) for n in tree.body
+                              if not isinstance(n, _DEFS)))
+    return _unreached(defs, used | _tree_names(_runners(root)))
+
+
+def judges_unreached(root: Path) -> list:
+    """The qualified names of the judges (``oracle``, ``verify``) that no run
+    reaches.  The roots are verify's module-level statements other than its
+    imports (the suite table ``_SUITE_FNS``), ``cli.py``, ``scripts/`` and
+    ``perfbench/``; the tests are none, so a name only a test reads is left
+    unreached."""
+    package, defs = root / "src" / "qolct", []
+    for stem in ("oracle", "verify"):
+        defs += _definitions(stem, ast.parse((package / f"{stem}.py").read_text()))
+    tree = ast.parse((package / "verify.py").read_text())
+    skip = (*_DEFS, ast.Import, ast.ImportFrom)
+    used = set().union(*(_names(n, _foreign(tree)) for n in tree.body
+                         if not isinstance(n, skip)))
+    return _unreached(defs, used | _tree_names([package / "cli.py", *_runners(root)]))
+
+
 def test_production_modules_define_only_reached_names():
     assert unreached(ROOT) == []
+
+
+def test_every_judge_name_serves_a_run():
+    assert judges_unreached(ROOT) == []
 
 
 def test_a_foreign_module_attribute_reaches_no_production_name(tmp_path):

@@ -17,7 +17,7 @@ from qolct import (
 )
 from qolct.field import apply_chirp
 from qolct.olct import analysis
-from qolct.oracle import digamma, plane_to_quat
+from qolct.oracle import plane_to_quat
 from qolct.qft import PlanViolationError
 from qolct.quat import PureUnit, qmul
 from qolct.uncertainty import (
@@ -38,32 +38,23 @@ EULER_GAMMA = 0.5772156649015329
 
 
 # ---------------------------------------------------------------------------
-# Gamma / digamma / constants.
+# Gamma / constants.
 
 def test_gamma_classical_values():
     assert math.gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
     assert math.gamma(1.0) == pytest.approx(1.0, rel=1e-14)
     assert math.gamma(5.0) == pytest.approx(24.0, rel=1e-13)
-    with pytest.raises(ValueError):
-        digamma(-1.0)
 
 
-def test_gamma_digamma_against_scipy():
+def test_gamma_against_scipy():
     xs = np.linspace(0.25, 10.0, 391)
     for x in xs:
         assert math.gamma(float(x)) == pytest.approx(float(sp.gamma(x)), rel=1e-12)
-        assert digamma(float(x)) == pytest.approx(float(sp.digamma(x)),
-                                                  rel=1e-12, abs=1e-13)
 
 
 def test_gamma_recurrence():
     for x in np.linspace(0.25, 10.0, 40):
         assert math.gamma(x + 1.0) == pytest.approx(x * math.gamma(x), rel=1e-13)
-
-
-def test_digamma_half_frozen_value():
-    # psi(1/2) = -gamma - 2 ln 2 (duplication identity)
-    assert digamma(0.5) == pytest.approx(-1.9635100260214235, abs=1e-12)
 
 
 def test_log_up_constant():
